@@ -20,9 +20,9 @@ from scipy.sparse.linalg import splu
 from .errors import NumericalError, ValidationError
 from .grids import DensityField, Field, weighted_moment
 from .hypo import dissipation_components, entropy_H
+from .operators import SPLU_OPTIONS, solve_with_refinement
 
 _MASS_TOL = 1e-9
-_RESIDUAL_TOL = 1e-10
 _MAXP_TOL = 1e-6
 
 
@@ -88,7 +88,8 @@ def _kinetic_lu(dt, scheme, ops):
         else:
             raise ValidationError("scheme must be 'implicit_euler' or "
                                   "'crank_nicolson'")
-        ops._step_cache[key] = (splu(system.tocsc()), system.tocsr(), rhs_mat)
+        ops._step_cache[key] = (splu(system.tocsc(), **SPLU_OPTIONS),
+                                 system.tocsr(), rhs_mat)
     return ops._step_cache[key]
 
 
@@ -97,23 +98,9 @@ def _macro_lu(dt, ops):
     if key not in ops._step_cache:
         n = ops.macro_generator.shape[0]
         system = (sp.identity(n, format="csr") - dt * ops.macro_generator).tocsr()
-        ops._step_cache[key] = (splu(system.tocsc()), system, None)
+        ops._step_cache[key] = (splu(system.tocsc(), **SPLU_OPTIONS), system,
+                                 None)
     return ops._step_cache[key]
-
-
-def _solve_with_refinement(lu, system, rhs, what):
-    sol = lu.solve(rhs)
-    scale = np.linalg.norm(rhs)
-    if scale == 0.0:
-        return sol
-    for _ in range(3):
-        res = rhs - system @ sol
-        if np.linalg.norm(res) < _RESIDUAL_TOL * scale:
-            return sol
-        sol = sol + lu.solve(res)
-    res = np.linalg.norm(rhs - system @ sol) / scale
-    raise NumericalError("%s solve stalled at relative residual %.2e"
-                         % (what, res))
 
 
 def step_kinetic(f, dt, eq, ops, scheme="implicit_euler"):
@@ -123,7 +110,7 @@ def step_kinetic(f, dt, eq, ops, scheme="implicit_euler"):
     lu, system, rhs_mat = _kinetic_lu(dt, scheme, ops)
     q = f.values.ravel() / ops._sqrt_f
     rhs = q if rhs_mat is None else rhs_mat @ q
-    q_new = _solve_with_refinement(lu, system, rhs, "kinetic step")
+    q_new = solve_with_refinement(lu, system, rhs, "kinetic step")
     return Field((q_new * ops._sqrt_f).reshape(f.grid.shape), f.grid)
 
 
@@ -134,7 +121,7 @@ def step_macro(rho, dt, eq, ops, scheme="implicit_euler"):
     if scheme != "implicit_euler":
         raise ValidationError("macro stepping supports implicit_euler only")
     lu, system, _ = _macro_lu(dt, ops)
-    rho_new = _solve_with_refinement(lu, system, rho.values, "macro step")
+    rho_new = solve_with_refinement(lu, system, rho.values, "macro step")
     return DensityField(rho_new, eq.grid.x_grid)
 
 
@@ -307,7 +294,7 @@ def _run_kinetic(f0, dt, n_steps, stride, eq, ops, delta, moment_powers,
     for n in range(1, n_steps + 1):
         rhs = q if rhs_mat is None else rhs_mat @ q
         try:
-            q = _solve_with_refinement(lu, system, rhs, "kinetic step")
+            q = solve_with_refinement(lu, system, rhs, "kinetic step")
         except NumericalError as exc:
             raise _abort(t, str(exc), partial)
         if not np.all(np.isfinite(q)):
@@ -365,7 +352,7 @@ def _run_macro(rho0, dt, n_steps, stride, eq, ops, moment_powers,
     lu, system, _ = _macro_lu(dt, ops)
     for n in range(1, n_steps + 1):
         try:
-            y = _solve_with_refinement(lu, system, y, "macro step")
+            y = solve_with_refinement(lu, system, y, "macro step")
         except NumericalError as exc:
             raise _abort(t, str(exc), partial)
         if not np.all(np.isfinite(y)):

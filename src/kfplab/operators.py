@@ -34,6 +34,25 @@ from .equilibria import eval_potential
 from .errors import InvalidEquilibriumError, NumericalError
 from .grids import DensityField, Field
 
+# Options for every sparse LU in the package: the kinetic and macro steps, the
+# elliptic solve behind A and the bordered pencil. Every stencil here is
+# structurally symmetric, so a minimum-degree ordering of A^T + A applied to
+# rows and columns alike (SymmetricMode) fits them; on the kinetic systems it
+# gives about half the fill of COLAMD. The step matrices
+# I - dt (L_hat - T_hat) have a positive definite W-weighted symmetric part,
+# so their diagonal pivots exist for any symmetric ordering. The small
+# DiagPivotThresh keeps SuperLU on them: with the default threshold of 1,
+# partial pivoting swaps rows on the beta = 0.5 boxes, undoes the ordering and
+# multiplies the fill. A diagonal entry below the threshold (the zero border
+# of the pencil) still falls back to a row swap, and solve_with_refinement
+# checks the residual of every step and elliptic solve.
+SPLU_OPTIONS = {
+    "permc_spec": "MMD_AT_PLUS_A",
+    "diag_pivot_thresh": 0.1,
+    "options": {"SymmetricMode": True},
+}
+_RESIDUAL_TOL = 1e-10
+
 
 def _antisym_core(n):
     # (K q)_i = (q_{i+1} - q_{i-1}) / 2 with zero extension outside
@@ -70,11 +89,8 @@ def collision_v_forms(eq):
 class OperatorSet:
     """Immutable bundle of assembled discrete operators for one equilibrium."""
 
-    def __init__(self, eq, collision_L, transport_T, macro_generator,
-                 elliptic_matrix, internals):
+    def __init__(self, eq, macro_generator, elliptic_matrix, internals):
         self.eq = eq
-        self.collision_L = collision_L        # f-space sparse matrix
-        self.transport_T = transport_T        # f-space sparse matrix
         self.macro_generator = macro_generator
         self.elliptic_matrix = elliptic_matrix  # I + N on densities
         for key, val in internals.items():
@@ -119,12 +135,6 @@ def assemble(eq, spec, grid):
     Lv_hat = -sp.diags(1.0 / (vg.weights * s)) @ Sv @ sp.diags(1.0 / s)
     L_hat = sp.kron(sp.identity(nx), Lv_hat, format="csr")
 
-    # f-space versions (same sparsity; entries scaled by sqrt(f_r/f_c))
-    Dsf = sp.diags(sqrt_f)
-    Dsf_inv = sp.diags(1.0 / sqrt_f)
-    collision_L = (Dsf @ L_hat @ Dsf_inv).tocsr()
-    transport_T = (Dsf @ T_hat @ Dsf_inv).tocsr()
-
     # --- macroscopic pieces -------------------------------------------------
     # exact composition N = Mrho^-1 C^T W C, C = T_hat P_hat
     P_hat = sp.kron(sp.diags(r), sp.csr_matrix(s.reshape(nv, 1)), format="csr")
@@ -133,7 +143,6 @@ def assemble(eq, spec, grid):
     N_sym = (C.T @ sp.diags(w_flat) @ C).tocsr()     # = Mrho N, symmetric PSD
     N = (sp.diags(1.0 / mrho) @ N_sym).tocsr()
     elliptic_matrix = (sp.identity(nx, format="csr") + N).tocsr()
-    elliptic_sym = (sp.diags(mrho) + N_sym).tocsc()  # SPD; factorize this one
 
     # sigma-scaled Fokker-Planck generator on densities, flux form
     xmid = 0.5 * (xg.nodes[:-1] + xg.nodes[1:])
@@ -153,13 +162,12 @@ def assemble(eq, spec, grid):
         "_mrho": mrho,
         "_N": N,
         "_N_sym": N_sym,
-        "_elliptic_lu": splu(elliptic_sym),
+        "_elliptic_lu": splu(elliptic_matrix.tocsc(), **SPLU_OPTIONS),
         "_Sx_macro": Sx,
         "_Sv": Sv,
         "_mass_v": mass_v,
     }
-    return OperatorSet(eq, collision_L, transport_T, macro_generator,
-                       elliptic_matrix, internals)
+    return OperatorSet(eq, macro_generator, elliptic_matrix, internals)
 
 
 # ---------------------------------------------------------------------------
@@ -178,26 +186,36 @@ def macro_profile(f, eq):
     return DensityField(rho_f / (eq.g_mass * eq.rho_star.values), eq.grid.x_grid)
 
 
+def solve_with_refinement(lu, system, rhs, what):
+    """Solve system @ x = rhs with the factorization lu of system.
+
+    Up to three rounds of iterative refinement bring the relative residual
+    ||rhs - system @ x|| below 1e-10 ||rhs||; a solve that stalls above it
+    raises NumericalError naming `what`.
+    """
+    sol = lu.solve(rhs)
+    scale = np.linalg.norm(rhs)
+    if scale == 0.0:
+        return sol
+    for _ in range(3):
+        res = rhs - system @ sol
+        if np.linalg.norm(res) < _RESIDUAL_TOL * scale:
+            return sol
+        sol = sol + lu.solve(res)
+    res = np.linalg.norm(rhs - system @ sol) / scale
+    raise NumericalError("%s solve stalled at relative residual %.2e"
+                         % (what, res))
+
+
 def solve_elliptic(rhs, eq, ops):
     """Solve (I + N) u = rhs on densities to relative residual < 1e-10.
 
     N is the exact discrete (TPi)*(TPi) on local-equilibrium profiles; the
-    system is solved through its symmetrized SPD form with one round of
-    iterative refinement before giving up.
+    system I + N is factored directly and solved by solve_with_refinement.
     """
-    b = rhs.values
-    u = ops._elliptic_lu.solve(ops._mrho * b)
-    scale = np.linalg.norm(b)
-    if scale == 0.0:
-        return DensityField(np.zeros_like(b), eq.grid.x_grid)
-    for _ in range(2):
-        res = b - (u + ops._N @ u)
-        if np.linalg.norm(res) < 1e-10 * scale:
-            return DensityField(u, eq.grid.x_grid)
-        u = u + ops._elliptic_lu.solve(ops._mrho * res)
-    res = np.linalg.norm(b - (u + ops._N @ u))
-    raise NumericalError("elliptic solve stalled at relative residual %.2e"
-                         % (res / scale))
+    u = solve_with_refinement(ops._elliptic_lu, ops.elliptic_matrix,
+                              rhs.values, "elliptic")
+    return DensityField(u, eq.grid.x_grid)
 
 
 def apply_A(f, eq, ops):

@@ -22,7 +22,7 @@ from scipy.sparse.linalg import splu
 from .equilibria import eval_potential
 from .errors import NumericalError, ValidationError
 from .grids import velocity_weight
-from .operators import _forward_diff, collision_v_forms
+from .operators import SPLU_OPTIONS, _forward_diff, collision_v_forms
 
 _KINDS = ("poincare", "weighted_poincare", "hardy_poincare", "nash", "ckn")
 
@@ -75,7 +75,7 @@ def pencil_min_eig(stiffness, mass, constraint, tol=1e-12, max_iter=1000):
     bordered = sp.bmat([[sp.csr_matrix(stiffness), sp.csr_matrix(c.reshape(n, 1))],
                         [sp.csr_matrix(c.reshape(1, n)), None]], format="csc")
     try:
-        lu = splu(bordered)
+        lu = splu(bordered, **SPLU_OPTIONS)
     except RuntimeError as exc:
         raise NumericalError("bordered pencil factorization failed: %s" % exc)
 

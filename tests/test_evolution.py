@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.sparse.linalg import splu
 
 from kfplab import (
     DensityField,
@@ -21,6 +22,7 @@ from kfplab import (
     total_mass,
     weighted_moment,
 )
+from kfplab.evolution import _kinetic_lu
 from kfplab.operators import OperatorSet
 
 _INTERNAL_KEYS = ("_T_hat", "_L_hat", "_sqrt_f", "_w_flat", "_P_hat", "_C",
@@ -104,6 +106,18 @@ def test_step_macro_mass_and_positivity(strong_strong):
         step_macro(rho, 0.05, eq, ops, scheme="crank_nicolson")
 
 
+def test_kinetic_lu_fill_below_colamd(quadrants):
+    # the shared LU options (minimum degree on A^T + A, diagonal pivots) keep
+    # the kinetic factors well below COLAMD's fill; without the small pivot
+    # threshold, row swaps on the beta = 0.5 boxes multiply the fill instead
+    for key, (_, _, _, ops) in quadrants.items():
+        for dt in (1.0, 0.05):
+            lu, system, _ = _kinetic_lu(dt, "implicit_euler", ops)
+            ref = splu(system.tocsc(), permc_spec="COLAMD")
+            ratio = (lu.L.nnz + lu.U.nnz) / (ref.L.nnz + ref.U.nnz)
+            assert ratio <= 0.7, (key, dt, ratio)
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
@@ -168,7 +182,7 @@ def test_abort_carries_partial_samples(strong_strong, monkeypatch):
     import kfplab.evolution as evo
 
     _, _, eq, ops = strong_strong
-    real_solve = evo._solve_with_refinement
+    real_solve = evo.solve_with_refinement
     calls = {"n": 0}
 
     def flaky(lu, system, rhs, what):
@@ -178,7 +192,7 @@ def test_abort_carries_partial_samples(strong_strong, monkeypatch):
             sol = sol * np.nan
         return sol
 
-    monkeypatch.setattr(evo, "_solve_with_refinement", flaky)
+    monkeypatch.setattr(evo, "solve_with_refinement", flaky)
     f0 = initial_bump(eq, 0.5)
     with pytest.raises(NumericalError) as err:
         run_trajectory(f0, (0.05, 2.0, 1), "kinetic", eq, ops, delta=0.3)
@@ -197,8 +211,7 @@ def _scaled_operator_set(eq, ops, eps):
     internals = {key: getattr(ops, key) for key in _INTERNAL_KEYS}
     internals["_T_hat"] = (ops._T_hat / eps).tocsr()
     internals["_L_hat"] = (ops._L_hat / eps ** 2).tocsr()
-    return OperatorSet(eq, ops.collision_L / eps ** 2, ops.transport_T / eps,
-                       ops.macro_generator, ops.elliptic_matrix, internals)
+    return OperatorSet(eq, ops.macro_generator, ops.elliptic_matrix, internals)
 
 
 def test_kinetic_tracks_macro_in_diffusion_scaling(strong_strong):
