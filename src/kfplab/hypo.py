@@ -9,13 +9,30 @@ lambda/2 must keep the form
 
 positive semidefinite, with X = ||(1-Pi)f||_beta and Y = <ATPi f, Pi f>^(1/2)
 and K_M = lambda_M / (1 + lambda_M).
+
+H, D and the H4 ratio are evaluated in q = f/sqrt(f_star) coordinates (see
+operators.py). A only produces local equilibria, A g = u_g f_star, with the
+nx-sized profile
+
+    u_g = (I + N)^-1 B g_q,    B = Mrho^-1 C^T W = (TPi)* in q,
+
+so every A-term costs one sparse product and one elliptic solve. With W the
+trapezoid weights, m = Mrho the profile weights (m u_f = wx rho_f for
+Pi f = u_f f_star) and P_hat u the q-form of u f_star:
+
+    T Pi f in q          = C u_f = T_hat P_hat u_f
+    <A g, f>_mu          = u_g . (m u_f)
+    <T A f, f>_mu        = u_Af . (m B f_q)      (T A f = T Pi A f, B = C^*)
+    ||A g||_mu^2         = u_g . (m u_g)
+    ||(1-Pi)f||_beta^2   = sum W <v>^{-2(1-beta)_+} (f_q - P_hat u_f)^2
 """
 
 import numpy as np
 
-from .errors import InfeasibleError, NumericalError, ValidationError
-from .grids import Field, inner_product_mu, norm_beta, norm_mu
-from .operators import apply_A, apply_Pi, atpi_quadratic_form
+from .errors import (GridMismatchError, InfeasibleError, NumericalError,
+                     ValidationError)
+from .grids import Field, inner_product_mu, velocity_weight
+from .operators import atpi_quadratic_form, twist_profile
 from .spectral import macroscopic_gap, microscopic_coercivity_constant
 
 _WINDOW_SLACK = 1e-9
@@ -138,6 +155,23 @@ def _verify_psd_form(lambda_m, c_M, delta, k_M, s):
 # entropy, dissipation, envelopes
 # ---------------------------------------------------------------------------
 
+def _q_form(f, eq, ops):
+    """q = f / sqrt(f_star), flattened, and m u_f = wx rho_f (Pi f = u_f f_star)."""
+    if f.values.shape != eq.grid.shape:
+        raise GridMismatchError("field and equilibrium live on different grids")
+    q = f.values.ravel() / ops._sqrt_f
+    return q, eq.grid.x_grid.weights * (f.values @ eq.grid.v_grid.weights)
+
+
+def _micro_beta_sq(q, m_u, eq, ops):
+    """(1-Pi)f in q and ||(1-Pi)f||_beta^2 = sum W <v>^{-2(1-beta)+} micro^2."""
+    micro = q - ops._P_hat @ (m_u / ops._mrho)
+    vg = eq.grid.v_grid
+    weight_v = vg.weights * velocity_weight(eq.spec.beta, vg.nodes)
+    sq = (micro * micro).reshape(eq.grid.shape) @ weight_v
+    return micro, float(eq.grid.x_grid.weights @ sq)
+
+
 def entropy_H(f, delta, eq, ops):
     """H[f] = 1/2 ||f||_mu^2 + delta <Af, f>_mu (sandwiched by (2 +- delta)/4 ||f||^2)."""
     if not 0.0 <= delta < 2.0:
@@ -145,8 +179,8 @@ def entropy_H(f, delta, eq, ops):
     half_sq = 0.5 * inner_product_mu(f, f, eq)
     if delta == 0.0:
         return half_sq
-    af = apply_A(f, eq, ops)
-    return half_sq + delta * inner_product_mu(af, f, eq)
+    q, m_u = _q_form(f, eq, ops)
+    return half_sq + delta * float(twist_profile(q, eq, ops) @ m_u)
 
 
 def dissipation_components(f, delta, eq, ops):
@@ -156,21 +190,22 @@ def dissipation_components(f, delta, eq, ops):
     D[f] = -<Lf,f> + delta <ATPi f, f>
            - delta (<TAf,f> - <AT(1-Pi)f,f> + <ALf,f>).
     """
-    pi_f = apply_Pi(f, eq)
-    micro = Field(f.values - pi_f.values, f.grid)
-    lf = ops.apply_collision(f)
+    q, m_u = _q_form(f, eq, ops)
+    lq = ops._L_hat @ q
+    tq = ops._T_hat @ q
+    t_pi = ops._C @ (m_u / ops._mrho)     # T Pi f in q
 
-    minus_lff = -inner_product_mu(lf, f, eq)
-    atpi_ff = inner_product_mu(apply_A(ops.apply_transport(pi_f), eq, ops), f, eq)
-    ta_ff = inner_product_mu(ops.apply_transport(apply_A(f, eq, ops)), f, eq)
-    at_micro_ff = inner_product_mu(apply_A(ops.apply_transport(micro), eq, ops),
-                                   f, eq)
-    al_ff = inner_product_mu(apply_A(lf, eq, ops), f, eq)
+    minus_lff = -float((ops._w_flat * lq) @ q)
+    atpi_ff = float(twist_profile(t_pi, eq, ops) @ m_u)
+    u_af = twist_profile(q, eq, ops)
+    ta_ff = float(u_af @ (ops._mrho * (ops._B @ q)))
+    at_micro_ff = float(twist_profile(tq - t_pi, eq, ops) @ m_u)
+    al_ff = float(twist_profile(lq, eq, ops) @ m_u)
 
     dissipation = (minus_lff + delta * atpi_ff
                    - delta * (ta_ff - at_micro_ff + al_ff))
-    kappa_den = (norm_beta(micro, eq.spec.beta, eq) ** 2
-                 + atpi_quadratic_form(f, eq, ops))
+    _, micro_sq = _micro_beta_sq(q, m_u, eq, ops)
+    kappa_den = micro_sq + atpi_quadratic_form(f, eq, ops)
     return {
         "minus_Lf_f": minus_lff,
         "ATPi_f_f": atpi_ff,
@@ -245,14 +280,15 @@ def _random_suite(eq, sample_count, seed):
 
 def bounded_auxiliary_ratio(f, eq, ops):
     """(||AT(1-Pi)f|| + ||ALf||) / ||(1-Pi)f||_beta, the measured H4 ratio."""
-    pi_f = apply_Pi(f, eq)
-    micro = Field(f.values - pi_f.values, f.grid)
-    denom = norm_beta(micro, eq.spec.beta, eq)
-    if denom == 0.0:
+    q, m_u = _q_form(f, eq, ops)
+    micro, micro_sq = _micro_beta_sq(q, m_u, eq, ops)
+    if micro_sq == 0.0:
         raise ValidationError("f must have a microscopic part")
-    at_micro = apply_A(ops.apply_transport(micro), eq, ops)
-    al = apply_A(ops.apply_collision(f), eq, ops)
-    return (norm_mu(at_micro, eq) + norm_mu(al, eq)) / denom
+    u_at = twist_profile(ops._T_hat @ micro, eq, ops)
+    u_al = twist_profile(ops._L_hat @ q, eq, ops)
+    norm_at, norm_al = (np.sqrt(float(u @ (ops._mrho * u)))
+                        for u in (u_at, u_al))
+    return (norm_at + norm_al) / np.sqrt(micro_sq)
 
 
 def compute_constants(eq, ops, delta=None, sample_count=64, seed=0):

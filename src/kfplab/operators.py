@@ -21,7 +21,8 @@ Construction notes (the structural identities everything rests on):
 
 * The macroscopic operator (T Pi)*(T Pi) restricted to local equilibria
   u f_star is assembled as the exact sparse composition N = Mrho^-1 C^T W C
-  with C = T_hat P_hat. elliptic_matrix = I + N, so apply_A realizes
+  with C = T_hat P_hat. B = Mrho^-1 C^T W is (TPi)* from q-forms to
+  profiles, so N = B C. elliptic_matrix = I + N, so apply_A realizes
   (1 + (TPi)*(TPi))^-1 (TPi)* exactly in the discrete Hilbert space and the
   abstract operator estimates hold to roundoff.
 """
@@ -142,6 +143,7 @@ def assemble(eq, spec, grid):
     mrho = eq.g_mass * xg.weights * rho
     N_sym = (C.T @ sp.diags(w_flat) @ C).tocsr()     # = Mrho N, symmetric PSD
     N = (sp.diags(1.0 / mrho) @ N_sym).tocsr()
+    B = (sp.diags(1.0 / mrho) @ C.T @ sp.diags(w_flat)).tocsr()  # (TPi)*
     elliptic_matrix = (sp.identity(nx, format="csr") + N).tocsr()
 
     # sigma-scaled Fokker-Planck generator on densities, flux form
@@ -162,6 +164,7 @@ def assemble(eq, spec, grid):
         "_mrho": mrho,
         "_N": N,
         "_N_sym": N_sym,
+        "_B": B,
         "_elliptic_lu": splu(elliptic_matrix.tocsc(), **SPLU_OPTIONS),
         "_Sx_macro": Sx,
         "_Sv": Sv,
@@ -218,15 +221,21 @@ def solve_elliptic(rhs, eq, ops):
     return DensityField(u, eq.grid.x_grid)
 
 
+def twist_profile(g_q, eq, ops):
+    """The profile u_g with A g = u_g f_star, for g given by its q-form g_q.
+
+    u_g = (I + N)^-1 B g_q with B = Mrho^-1 C^T W, the adjoint (TPi)* in q
+    coordinates: one sparse product with an nx x n matrix and one nx-sized
+    elliptic solve, without building a full-grid Field.
+    """
+    rhs = DensityField(ops._B @ g_q, eq.grid.x_grid)
+    return solve_elliptic(rhs, eq, ops).values
+
+
 def apply_A(f, eq, ops):
     """A f = (1 + (TPi)*(TPi))^-1 (TPi)* f, returned as the field u f_star."""
-    q = f.values.ravel() / ops._sqrt_f
-    tq = ops._T_hat @ q
-    tf = (tq * ops._sqrt_f).reshape(f.grid.shape)
-    rho_tf = tf @ eq.grid.v_grid.weights
-    u_g = -rho_tf / (eq.g_mass * eq.rho_star.values)
-    u = solve_elliptic(DensityField(u_g, eq.grid.x_grid), eq, ops)
-    return Field(u.values[:, np.newaxis] * eq.f_star.values, f.grid)
+    u = twist_profile(f.values.ravel() / ops._sqrt_f, eq, ops)
+    return Field(u[:, np.newaxis] * eq.f_star.values, f.grid)
 
 
 def atpi_quadratic_form(f, eq, ops):
@@ -240,6 +249,6 @@ def atpi_quadratic_form(f, eq, ops):
     u = solve_elliptic(u_f, eq, ops)
     cu = ops._C @ u.values
     term1 = float(np.sum(ops._w_flat * cu * cu))
-    nu = (ops._C.T @ (ops._w_flat * cu)) / ops._mrho
+    nu = (ops._N_sym @ u.values) / ops._mrho   # N u = Mrho^-1 C^T W C u
     term2 = float(np.sum(ops._mrho * nu * nu))
     return term1 + term2

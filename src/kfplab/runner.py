@@ -61,9 +61,27 @@ def parse_config_text(text):
     return mapping
 
 
-def _floats_list(text):
-    items = [p.strip() for p in str(text).split(",") if p.strip()]
-    return tuple(float(p) for p in items)
+_KNOWN_KEYS = frozenset([
+    "name", "mode", "potential.x_mode", "potential.alpha", "potential.gamma",
+    "beta", "grid.x_half_width", "grid.v_half_width", "grid.nx", "grid.nv",
+    "grid.truncation_tol", "schedule.dt", "schedule.t_final",
+    "schedule.sample_stride", "delta", "moments.x", "moments.v", "rates.k",
+    "rates.ell", "initial.kind", "initial.epsilon", "initial.center_x",
+    "initial.center_v", "initial.width", "initial.clip_factor", "initial.s0",
+    "scheme", "seed", "output_dir",
+])
+
+
+def _parse_number(key, text, kind):
+    """kind(text) for a config value, finite; ValidationError names the key."""
+    try:
+        value = kind(str(text))
+    except ValueError:
+        raise ValidationError("%s = %r is not %s" % (
+            key, text, "an integer" if kind is int else "a number"))
+    if kind is float and not np.isfinite(value):
+        raise ValidationError("%s = %r is not finite" % (key, text))
+    return value
 
 
 class ScenarioConfig:
@@ -71,63 +89,75 @@ class ScenarioConfig:
 
     def __init__(self, mapping, name=None):
         raw = dict(mapping)
+        unknown = sorted(set(raw) - _KNOWN_KEYS)
+        if unknown:
+            raise ValidationError("unknown config keys: %s" % ", ".join(unknown))
         self.raw = raw
         get = raw.get
+
+        def number(key, default, kind=float):
+            text = get(key)
+            return default if text is None else _parse_number(key, text, kind)
+
+        def numbers(key, default):
+            items = [p.strip() for p in str(get(key, default)).split(",")]
+            return tuple(_parse_number(key, p, float) for p in items if p)
+
         self.name = str(get("name", name or "scenario"))
         self.mode = str(get("mode", "kinetic"))
         if self.mode not in ("kinetic", "macro"):
             raise ValidationError("mode must be 'kinetic' or 'macro'")
 
         x_mode = str(get("potential.x_mode", "power"))
-        alpha = get("potential.alpha")
-        gamma = get("potential.gamma")
-        self.beta = float(get("beta", 2.0))
+        self.beta = number("beta", 2.0)
         self.potential = PotentialSpec(
             x_mode, self.beta,
-            alpha=None if alpha is None else float(alpha),
-            gamma=None if gamma is None else float(gamma))
+            alpha=number("potential.alpha", None),
+            gamma=number("potential.gamma", None))
 
-        self.x_half_width = float(get("grid.x_half_width", 8.0))
-        self.v_half_width = float(get("grid.v_half_width", 8.0))
-        self.nx = int(get("grid.nx", 129))
-        self.nv = int(get("grid.nv", 129))
+        self.x_half_width = number("grid.x_half_width", 8.0)
+        self.v_half_width = number("grid.v_half_width", 8.0)
+        self.nx = number("grid.nx", 129, int)
+        self.nv = number("grid.nv", 129, int)
         if self.nx % 2 == 0 or self.nv % 2 == 0:
             raise ValidationError("grid.nx and grid.nv must be odd")
-        self.truncation_tol = float(get("grid.truncation_tol", 1e-8))
+        self.truncation_tol = number("grid.truncation_tol", 1e-8)
 
-        self.dt = float(get("schedule.dt", 0.02))
-        self.t_final = float(get("schedule.t_final", 10.0))
-        self.sample_stride = int(get("schedule.sample_stride", 10))
+        self.dt = number("schedule.dt", 0.02)
+        self.t_final = number("schedule.t_final", 10.0)
+        self.sample_stride = number("schedule.sample_stride", 10, int)
         if self.dt <= 0 or self.t_final <= self.dt or self.sample_stride < 1:
             raise ValidationError("schedule must satisfy dt > 0, "
                                   "t_final > dt, sample_stride >= 1")
 
-        delta = str(get("delta", "auto"))
-        self.delta = None if delta == "auto" else float(delta)
+        auto_delta = str(get("delta", "auto")) == "auto"
+        self.delta = None if auto_delta else number("delta", None)
 
-        self.moments_x = _floats_list(get("moments.x", "2"))
+        self.moments_x = numbers("moments.x", "2")
         default_mv = "" if self.mode == "macro" else "2"
-        self.moments_v = _floats_list(get("moments.v", default_mv))
+        self.moments_v = numbers("moments.v", default_mv)
 
-        self.rates_k = float(get("rates.k",
-                                 self.moments_x[0] if self.moments_x else 2.0))
-        self.rates_ell = float(get("rates.ell",
-                                   self.moments_v[0] if self.moments_v else 2.0))
+        self.rates_k = number("rates.k",
+                              self.moments_x[0] if self.moments_x else 2.0)
+        self.rates_ell = number("rates.ell",
+                                self.moments_v[0] if self.moments_v else 2.0)
 
         self.initial_kind = str(get("initial.kind",
                                     "bump" if self.mode == "kinetic"
                                     else "macro_bump"))
         if self.initial_kind not in _INITIAL_KINDS:
             raise ValidationError("unknown initial.kind %r" % self.initial_kind)
-        self.initial_epsilon = float(get("initial.epsilon", 0.5))
-        self.initial_center = (float(get("initial.center_x", 0.5)),
-                               float(get("initial.center_v", 0.5)))
-        self.initial_width = float(get("initial.width", 1.0))
-        self.initial_clip_factor = float(get("initial.clip_factor", 4.0))
-        self.initial_s0 = float(get("initial.s0", 2.0))
+        self.initial_epsilon = number("initial.epsilon", 0.5)
+        self.initial_center = (number("initial.center_x", 0.5),
+                               number("initial.center_v", 0.5))
+        self.initial_width = number("initial.width", 1.0)
+        self.initial_clip_factor = number("initial.clip_factor", 4.0)
+        self.initial_s0 = number("initial.s0", 2.0)
 
         self.scheme = str(get("scheme", "implicit_euler"))
-        self.seed = int(get("seed", 0))
+        self.seed = number("seed", 0, int)
+        if self.seed < 0:
+            raise ValidationError("seed must be a nonnegative integer")
         self.output_dir = str(get("output_dir", "out"))
 
     @classmethod

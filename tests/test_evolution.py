@@ -26,7 +26,7 @@ from kfplab.evolution import _kinetic_lu
 from kfplab.operators import OperatorSet
 
 _INTERNAL_KEYS = ("_T_hat", "_L_hat", "_sqrt_f", "_w_flat", "_P_hat", "_C",
-                  "_mrho", "_N", "_N_sym", "_elliptic_lu", "_Sx_macro",
+                  "_mrho", "_N", "_N_sym", "_B", "_elliptic_lu", "_Sx_macro",
                   "_Sv", "_mass_v")
 
 

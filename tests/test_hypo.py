@@ -16,6 +16,7 @@ from kfplab import (
     dissipation_components,
     empirical_kappa,
     entropy_H,
+    initial_bump,
     inner_product_mu,
     lambda_rate,
     norm_beta,
@@ -120,6 +121,61 @@ def test_dissipation_component_identity(strong_strong):
         micro = Field(f.values - apply_Pi(f, eq).values, f.grid)
         denom = norm_beta(micro, eq.spec.beta, eq) ** 2 + comp["ATPi_f_f"]
         assert comp["kappa_denominator"] == pytest.approx(denom, rel=1e-12)
+
+
+def _field_route(f, delta, eq, ops):
+    """H, the D components, the kappa denominator and the H4 ratio composed
+    from the public Field operators, term by term as each is defined."""
+    def A(g):
+        return apply_A(g, eq, ops)
+
+    def ip(g, h):
+        return inner_product_mu(g, h, eq)
+
+    T = ops.apply_transport
+    pi_f = apply_Pi(f, eq)
+    micro = Field(f.values - pi_f.values, f.grid)
+    lf = ops.apply_collision(f)
+    micro_beta = norm_beta(micro, eq.spec.beta, eq)
+    ref = {
+        "H": 0.5 * ip(f, f) + delta * ip(A(f), f),
+        "minus_Lf_f": -ip(lf, f),
+        "ATPi_f_f": ip(A(T(pi_f)), f),
+        "TA_f_f": ip(T(A(f)), f),
+        "AT_micro_f_f": ip(A(T(micro)), f),
+        "AL_f_f": ip(A(lf), f),
+        "kappa_denominator": micro_beta ** 2 + ip(A(T(pi_f)), pi_f),
+        "ratio": (norm_mu(A(T(micro)), eq) + norm_mu(A(lf), eq)) / micro_beta,
+    }
+    ref["D"] = (ref["minus_Lf_f"] + delta * ref["ATPi_f_f"]
+                - delta * (ref["TA_f_f"] - ref["AT_micro_f_f"]
+                           + ref["AL_f_f"]))
+    return ref
+
+
+@pytest.mark.parametrize("key", [(2.0, 2.0), (2.0, 0.5), (0.5, 2.0),
+                                 (0.5, 0.5)],
+                         ids=["a2_b2", "a2_b0.5", "a0.5_b2", "a0.5_b0.5"])
+def test_diagnostics_match_field_route(quadrants, key):
+    # the q-space diagnostics against their Field compositions, on random
+    # states and on the bump datum (its tracked difference from f_star and
+    # the datum itself); on the difference ATPi, AT_micro and AL vanish by
+    # parity, so those compare in absolute terms
+    _, grid, eq, ops = quadrants[key]
+    delta = 0.3
+    bump = initial_bump(eq, 0.5)
+    states = _random_states(eq, 3, 53) + [
+        Field(bump.values - eq.f_star.values, grid), bump]
+    for f in states:
+        ref = _field_route(f, delta, eq, ops)
+        got = dissipation_components(f, delta, eq, ops)
+        got["H"] = entropy_H(f, delta, eq, ops)
+        got["ratio"] = bounded_auxiliary_ratio(f, eq, ops)
+        tol = 1e-13 * norm_mu(f, eq) ** 2
+        for name, value in ref.items():
+            abs_tol = 1e-13 if name == "ratio" else tol
+            assert got[name] == pytest.approx(value, rel=1e-10, abs=abs_tol), \
+                (name, got[name], value)
 
 
 def test_auxiliary_estimates_random_suite(strong_strong):

@@ -77,6 +77,17 @@ def test_scenario_config_defaults_and_validation():
         ScenarioConfig(dict(base, **{"schedule.dt": "-0.1"}))
     with pytest.raises(ValidationError):
         ScenarioConfig(dict(base, **{"initial.kind": "vortex"}))
+    # non-numeric and non-finite values are rejected by key, not passed on
+    for key, text in (("schedule.dt", "nan"), ("schedule.t_final", "inf"),
+                      ("grid.nx", "abc"), ("potential.alpha", "-inf"),
+                      ("moments.x", "2, nan"), ("seed", "abc"),
+                      ("seed", "-1")):
+        with pytest.raises(ValidationError, match=key):
+            ScenarioConfig(dict(base, **{key: text}))
+    # unknown keys are listed in one error instead of silently ignored
+    with pytest.raises(ValidationError,
+                       match="unknown config keys: grid.nxx, schedule.dtt"):
+        ScenarioConfig(dict(base, **{"schedule.dtt": "0.5", "grid.nxx": "9"}))
 
 
 def test_scenario_config_from_file_and_override(tmp_path):
@@ -221,6 +232,22 @@ def test_run_batch(tmp_path):
         run_batch(_write(tmp_path, "empty.txt", "# nothing\n"), out)
 
 
+def test_run_batch_records_unparsable_config(tmp_path):
+    # a value that is not a number makes its config invalid, and the sweep
+    # still runs the others and writes the index
+    good = _write(tmp_path, "good.cfg", _TINY_KINETIC)
+    bad = _write(tmp_path, "abc.cfg", _TINY_KINETIC + "grid.nx = abc\n")
+    list_path = _write(tmp_path, "batch.txt", "abc.cfg\ngood.cfg\n")
+    out = str(tmp_path / "out")
+    entries = run_batch(list_path, out)
+    with open(os.path.join(out, "batch_index.json")) as fh:
+        index = json.load(fh)
+    assert [e["config"] for e in index["entries"]] == [bad, good]
+    assert [e["status"] for e in index["entries"]] == ["invalid", "ok"]
+    assert "grid.nx" in index["entries"][0]["error"]
+    assert index["entries"] == entries
+
+
 # ---------------------------------------------------------------------------
 # CLI
 # ---------------------------------------------------------------------------
@@ -240,6 +267,18 @@ def test_cli_exit_codes(tmp_path, capsys):
     # fit a rate, which surfaces as a numerical error
     assert main(["run", cfg, "--out", out, "--t-final", "1.0"]) == 2
     capsys.readouterr()
+
+
+def test_cli_run_rejects_bad_values_in_one_line(tmp_path, capsys):
+    for text in ("schedule.dt = nan\n", "grid.nx = abc\n",
+                 "schedule.dtt = 0.5\n"):
+        cfg = _write(tmp_path, "bad.cfg", _TINY_KINETIC + text)
+        capsys.readouterr()
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ")
+        assert len(err.splitlines()) == 1, err
+        assert text.split(" =")[0] in err
 
 
 def test_cli_batch_flags_invalid(tmp_path, capsys):
