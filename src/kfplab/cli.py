@@ -216,6 +216,8 @@ def _dispatch(args):
                                    t_final=args.t_final)
         for entry in entries:
             print("%-8s %s" % (entry["status"], entry["config"]))
+        if any(e["status"] == "io_error" for e in entries):
+            return 3
         if any(e["status"] == "invalid" for e in entries):
             return 1
         if any(e["status"] == "failed" for e in entries):

@@ -73,56 +73,57 @@ def _difference_quotient_of_H(times, entropy_h):
 # single steps
 # ---------------------------------------------------------------------------
 
-def _kinetic_lu(dt, scheme, ops):
-    key = ("kinetic", scheme, float(dt))
-    if key not in ops._step_cache:
-        gen = (ops._L_hat - ops._T_hat).tocsr()
-        n = gen.shape[0]
-        eye = sp.identity(n, format="csr")
+def _step_system(ops, mode, dt, scheme):
+    """(lu, system, rhs_mat) of one implicit step, factored once per set.
+
+    The generator is L_hat - T_hat on q for mode 'kinetic' and the macro
+    generator on densities for 'macro'. Implicit Euler solves
+    (I - dt G) y_new = y (rhs_mat None); Crank-Nicolson, kinetic only, solves
+    (I - dt/2 G) y_new = (I + dt/2 G) y. Cached in ops.step_cache under
+    (mode, scheme, dt).
+    """
+    if dt <= 0:
+        raise ValidationError("dt must be positive")
+    if scheme not in ("implicit_euler", "crank_nicolson"):
+        raise ValidationError("scheme must be 'implicit_euler' or "
+                              "'crank_nicolson'")
+    if mode == "macro" and scheme != "implicit_euler":
+        raise ValidationError("macro stepping supports implicit_euler only")
+    key = (mode, scheme, float(dt))
+    if key not in ops.step_cache:
+        if mode == "kinetic":
+            gen = (ops.L_hat - ops.T_hat).tocsr()
+        else:
+            gen = ops.macro_generator
+        eye = sp.identity(gen.shape[0], format="csr")
         if scheme == "implicit_euler":
             system = eye - dt * gen
             rhs_mat = None
-        elif scheme == "crank_nicolson":
+        else:
             system = eye - 0.5 * dt * gen
             rhs_mat = (eye + 0.5 * dt * gen).tocsr()
-        else:
-            raise ValidationError("scheme must be 'implicit_euler' or "
-                                  "'crank_nicolson'")
-        ops._step_cache[key] = (splu(system.tocsc(), **SPLU_OPTIONS),
-                                 system.tocsr(), rhs_mat)
-    return ops._step_cache[key]
+        ops.step_cache[key] = (splu(system.tocsc(), **SPLU_OPTIONS),
+                               system.tocsr(), rhs_mat)
+    return ops.step_cache[key]
 
 
-def _macro_lu(dt, ops):
-    key = ("macro", float(dt))
-    if key not in ops._step_cache:
-        n = ops.macro_generator.shape[0]
-        system = (sp.identity(n, format="csr") - dt * ops.macro_generator).tocsr()
-        ops._step_cache[key] = (splu(system.tocsc(), **SPLU_OPTIONS), system,
-                                 None)
-    return ops._step_cache[key]
+def _advance(y, ops, mode, dt, scheme):
+    """The state vector y one step later (q for kinetic, rho for macro)."""
+    lu, system, rhs_mat = _step_system(ops, mode, dt, scheme)
+    rhs = y if rhs_mat is None else rhs_mat @ y
+    return solve_with_refinement(lu, system, rhs, mode + " step")
 
 
 def step_kinetic(f, dt, eq, ops, scheme="implicit_euler"):
     """One implicit step of df/dt + Tf = Lf; mass-conservative by construction."""
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
-    lu, system, rhs_mat = _kinetic_lu(dt, scheme, ops)
-    q = f.values.ravel() / ops._sqrt_f
-    rhs = q if rhs_mat is None else rhs_mat @ q
-    q_new = solve_with_refinement(lu, system, rhs, "kinetic step")
-    return Field((q_new * ops._sqrt_f).reshape(f.grid.shape), f.grid)
+    q = _advance(f.values.ravel() / ops.sqrt_f, ops, "kinetic", dt, scheme)
+    return Field((q * ops.sqrt_f).reshape(f.grid.shape), f.grid)
 
 
 def step_macro(rho, dt, eq, ops, scheme="implicit_euler"):
     """One implicit step of the macroscopic Fokker-Planck equation."""
-    if dt <= 0:
-        raise ValidationError("dt must be positive")
-    if scheme != "implicit_euler":
-        raise ValidationError("macro stepping supports implicit_euler only")
-    lu, system, _ = _macro_lu(dt, ops)
-    rho_new = solve_with_refinement(lu, system, rho.values, "macro step")
-    return DensityField(rho_new, eq.grid.x_grid)
+    return DensityField(_advance(rho.values, ops, "macro", dt, scheme),
+                        eq.grid.x_grid)
 
 
 # ---------------------------------------------------------------------------
@@ -199,168 +200,130 @@ def _validate_schedule(schedule):
 
 
 def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
-                   moment_powers=((2,), (2,)), scheme="implicit_euler",
-                   envelope_fn=None, monitor_max_principle=True,
-                   track_difference=None):
+                   moment_powers=((2,), (2,)), scheme="implicit_euler"):
     """Evolve f0 and sample the diagnostics every sample_stride steps.
 
-    mode='kinetic' expects a Field, mode='macro' a DensityField. The tracked
-    state is f - f_star (resp. rho - rho_star) when the equilibrium is
-    integrable, else the raw state; moments and the maximum principle always
-    refer to the physical, untracked solution. NaN or mass drift aborts with
-    a NumericalError carrying .last_good_time.
+    mode='kinetic' expects a Field, mode='macro' a DensityField (implicit
+    Euler only). The tracked state is f - f_star (resp. rho - rho_star) when
+    the equilibrium is integrable, else the raw state; moments and the
+    maximum principle always refer to the physical, untracked solution. The
+    record's envelope column is a placeholder, the initial norm. NaN or mass
+    drift aborts with a NumericalError carrying .last_good_time and the
+    .partial_samples taken so far.
     """
     dt, t_final, stride = _validate_schedule(schedule)
-    if mode not in ("kinetic", "macro"):
-        raise ValidationError("mode must be 'kinetic' or 'macro'")
-    if track_difference is None:
-        track_difference = eq.integrable
-    n_steps = int(round(t_final / dt))
-
+    j_powers, k_powers = moment_powers
     if mode == "kinetic":
-        return _run_kinetic(f0, dt, n_steps, stride, eq, ops, delta,
-                            moment_powers, scheme, envelope_fn,
-                            monitor_max_principle, track_difference)
-    return _run_macro(f0, dt, n_steps, stride, eq, ops, moment_powers,
-                      envelope_fn, monitor_max_principle, track_difference)
-
-
-def _abort(t_good, what, partial=None):
-    err = NumericalError("%s; last good time %.6g" % (what, t_good))
-    err.last_good_time = t_good
-    err.partial_samples = partial or {}
-    return err
-
-
-def _finish_record(times, norms, hs, ds, mj, mk, okay, envelope_fn):
-    times = np.asarray(times)
-    if envelope_fn is None:
-        envelope = np.full(times.size, norms[0] if norms else 0.0)
+        y, mass_w, mass_f0, sample = _kinetic_sampler(f0, eq, ops, delta,
+                                                      j_powers, k_powers)
+    elif mode == "macro":
+        k_powers = ()       # densities carry no velocity moments
+        y, mass_w, mass_f0, sample = _macro_sampler(f0, eq, ops, j_powers)
     else:
-        envelope = np.asarray(envelope_fn(times), dtype=float)
-    rec = TrajectoryRecord(times, norms, hs, ds,
-                           {k: np.asarray(v) for k, v in mj.items()},
-                           {k: np.asarray(v) for k, v in mk.items()},
-                           okay, envelope)
+        raise ValidationError("mode must be 'kinetic' or 'macro'")
+    _step_system(ops, mode, dt, scheme)   # reject a bad scheme before sampling
+    n_steps = int(round(t_final / dt))
+    mass0 = float(mass_w @ y)
+    mass_tol = _MASS_TOL * max(abs(mass0) + mass_f0, 1e-300)
+
+    rows = [(0.0,) + sample(y)]
+    t = 0.0
+    for n in range(1, n_steps + 1):
+        try:
+            y = _advance(y, ops, mode, dt, scheme)
+        except NumericalError as exc:
+            raise _abort(t, str(exc), rows)
+        if not np.all(np.isfinite(y)):
+            raise _abort(t, "non-finite state detected", rows)
+        t = n * dt
+        if abs(float(mass_w @ y) - mass0) > mass_tol:
+            raise _abort(t, "mass drift beyond tolerance", rows)
+        if n % stride == 0 or n == n_steps:
+            rows.append((t,) + sample(y))
+
+    times, norms, hs, ds, mj, mk, okay = zip(*rows)
+    rec = TrajectoryRecord(
+        times, norms, hs, ds,
+        {k: [m[i] for m in mj] for i, k in enumerate(j_powers)},
+        {k: [m[i] for m in mk] for i, k in enumerate(k_powers)},
+        okay, np.full(len(times), norms[0]))
     rec.dissipation_from_H = _difference_quotient_of_H(times, hs)
     return rec
 
 
-def _run_kinetic(f0, dt, n_steps, stride, eq, ops, delta, moment_powers,
-                 scheme, envelope_fn, monitor_max_principle, track_difference):
+def _abort(t_good, what, rows):
+    err = NumericalError("%s; last good time %.6g" % (what, t_good))
+    err.last_good_time = t_good
+    err.partial_samples = {
+        name: [row[i] for row in rows] for i, name in enumerate(
+            ("times", "norm_sq_mu", "entropy_H", "dissipation_D"))}
+    return err
+
+
+def _max_principle_bound(values, star, what):
+    """C = max(f0 / f_star); a negative initial state is a ValidationError."""
+    ratio0 = values / star
+    if np.min(ratio0) < -1e-12:
+        raise ValidationError(what)
+    return float(np.max(ratio0))
+
+
+def _max_principle_ok(f_phys, c_bound, star):
+    # absolute-slack form: f <= C f_star + tol and f >= -tol pointwise
+    over = float(np.max(f_phys - c_bound * star))
+    under = float(np.min(f_phys))
+    return bool(over <= _MAXP_TOL and under >= -_MAXP_TOL)
+
+
+def _kinetic_sampler(f0, eq, ops, delta, j_powers, k_powers):
+    """(q0, mass weights, mass of f0, sample) for q = y / sqrt(f_star).
+
+    sample(q) returns (norm_sq_mu, H, D, x-moments, v-moments, max principle).
+    """
     fstar = eq.f_star.values
-    ratio0 = f0.values / fstar
-    if monitor_max_principle and np.min(ratio0) < -1e-12:
-        raise ValidationError("initial state violates 0 <= f0 <= C f_star")
-    c_bound = float(np.max(ratio0))
-    j_powers, k_powers = moment_powers
-
-    sqrt_f = ops._sqrt_f
+    c_bound = _max_principle_bound(f0.values, fstar,
+                                   "initial state violates 0 <= f0 <= C f_star")
+    sqrt_f = ops.sqrt_f
     shape = eq.grid.shape
-    base = fstar if track_difference else 0.0
-    q = ((f0.values - base) / fstar).ravel() * sqrt_f  # q = y / sqrt(f_star)
-    mass_w = (eq.grid.weight_matrix.ravel() * sqrt_f)   # mass(y) = mass_w . q
-    mass0 = float(mass_w @ q)
-    mass_scale = abs(mass0) + float(np.sum(eq.grid.weight_matrix * f0.values))
+    base = fstar if eq.integrable else 0.0
+    q0 = ((f0.values - base) / fstar).ravel() * sqrt_f  # q = y / sqrt(f_star)
 
-    times, norms, hs, ds, okay = [], [], [], [], []
-    mj = {k: [] for k in j_powers}
-    mk = {k: [] for k in k_powers}
+    def sample(q):
+        y = Field((q * sqrt_f).reshape(shape), eq.grid)
+        f_phys = Field(y.values + base, eq.grid)
+        return (max(float((ops.w_flat * q) @ q), 0.0),
+                entropy_H(y, delta, eq, ops),
+                dissipation_components(y, delta, eq, ops)["D"],
+                [weighted_moment(f_phys, "x", k, eq) for k in j_powers],
+                [weighted_moment(f_phys, "v", k, eq) for k in k_powers],
+                _max_principle_ok(f_phys.values, c_bound, fstar))
 
-    def sample(t, q_now):
-        y = Field((q_now * sqrt_f).reshape(shape), eq.grid)
-        f_phys = Field(y.values + base, eq.grid) if track_difference else y
-        times.append(t)
-        norms.append(max(float((eq.grid.weight_matrix.ravel() * q_now) @ q_now), 0.0))
-        hs.append(entropy_H(y, delta, eq, ops))
-        ds.append(dissipation_components(y, delta, eq, ops)["D"])
-        for k in j_powers:
-            mj[k].append(weighted_moment(f_phys, "x", k, eq))
-        for k in k_powers:
-            mk[k].append(weighted_moment(f_phys, "v", k, eq))
-        if monitor_max_principle:
-            # absolute-slack form: f <= C f_star + tol and f >= -tol pointwise
-            over = float(np.max(f_phys.values - c_bound * fstar))
-            under = float(np.min(f_phys.values))
-            okay.append(bool(over <= _MAXP_TOL and under >= -_MAXP_TOL))
-        else:
-            okay.append(True)
-
-    sample(0.0, q)
-    t = 0.0
-    partial = {"times": times, "norm_sq_mu": norms, "entropy_H": hs,
-               "dissipation_D": ds}
-    lu, system, rhs_mat = _kinetic_lu(dt, scheme, ops)
-    for n in range(1, n_steps + 1):
-        rhs = q if rhs_mat is None else rhs_mat @ q
-        try:
-            q = solve_with_refinement(lu, system, rhs, "kinetic step")
-        except NumericalError as exc:
-            raise _abort(t, str(exc), partial)
-        if not np.all(np.isfinite(q)):
-            raise _abort(t, "non-finite state detected", partial)
-        t = n * dt
-        if abs(float(mass_w @ q) - mass0) > _MASS_TOL * max(mass_scale, 1e-300):
-            raise _abort(t, "mass drift beyond tolerance", partial)
-        if n % stride == 0 or n == n_steps:
-            sample(t, q)
-
-    return _finish_record(times, norms, hs, ds, mj, mk, okay, envelope_fn)
+    # mass(y) = (w_flat sqrt_f) . q
+    return (q0, ops.w_flat * sqrt_f,
+            float(np.sum(eq.grid.weight_matrix * f0.values)), sample)
 
 
-def _run_macro(rho0, dt, n_steps, stride, eq, ops, moment_powers,
-               envelope_fn, monitor_max_principle, track_difference):
+def _macro_sampler(rho0, eq, ops, j_powers):
+    """(y0, mass weights, mass of rho0, sample) for the density y = rho - base.
+
+    H = ||y||^2 / 2 and D = sigma <Sx u, u> with u = y / rho_star.
+    """
     rho_star = eq.rho_star.values
     wx = eq.grid.x_grid.weights
     bracket = np.sqrt(1.0 + eq.grid.x_grid.nodes ** 2)
-    ratio0 = rho0.values / rho_star
-    if monitor_max_principle and np.min(ratio0) < -1e-12:
-        raise ValidationError("initial density must be nonnegative")
-    c_bound = float(np.max(ratio0))
-    j_powers = moment_powers[0]
+    c_bound = _max_principle_bound(rho0.values, rho_star,
+                                   "initial density must be nonnegative")
+    base = rho_star if eq.integrable else 0.0
 
-    base = rho_star if track_difference else 0.0
-    y = rho0.values - base
-    mass0 = float(np.sum(wx * y))
-    mass_scale = abs(mass0) + float(np.sum(wx * rho0.values))
+    def sample(y):
+        f_phys = y + base
+        nsq = float(np.sum(wx * y ** 2 / rho_star))
+        u = y / rho_star
+        return (max(nsq, 0.0), 0.5 * nsq,
+                float(eq.sigma_normalized * (u @ (ops.Sx_macro @ u))),
+                [float(np.sum(wx * f_phys ** 2 * bracket ** k / rho_star))
+                 for k in j_powers],
+                [],
+                _max_principle_ok(f_phys, c_bound, rho_star))
 
-    times, norms, hs, ds, okay = [], [], [], [], []
-    mj = {k: [] for k in j_powers}
-
-    def sample(t, y_now):
-        f_phys = y_now + base
-        times.append(t)
-        nsq = float(np.sum(wx * y_now ** 2 / rho_star))
-        norms.append(max(nsq, 0.0))
-        hs.append(0.5 * nsq)
-        u = y_now / rho_star
-        ds.append(float(eq.sigma_normalized * (u @ (ops._Sx_macro @ u))))
-        for k in j_powers:
-            mj[k].append(float(np.sum(wx * f_phys ** 2 * bracket ** k
-                                      / rho_star)))
-        if monitor_max_principle:
-            over = float(np.max(f_phys - c_bound * rho_star))
-            under = float(np.min(f_phys))
-            okay.append(bool(over <= _MAXP_TOL and under >= -_MAXP_TOL))
-        else:
-            okay.append(True)
-
-    sample(0.0, y)
-    t = 0.0
-    partial = {"times": times, "norm_sq_mu": norms, "entropy_H": hs,
-               "dissipation_D": ds}
-    lu, system, _ = _macro_lu(dt, ops)
-    for n in range(1, n_steps + 1):
-        try:
-            y = solve_with_refinement(lu, system, y, "macro step")
-        except NumericalError as exc:
-            raise _abort(t, str(exc), partial)
-        if not np.all(np.isfinite(y)):
-            raise _abort(t, "non-finite state detected", partial)
-        t = n * dt
-        if abs(float(np.sum(wx * y)) - mass0) > _MASS_TOL * max(mass_scale, 1e-300):
-            raise _abort(t, "mass drift beyond tolerance", partial)
-        if n % stride == 0 or n == n_steps:
-            sample(t, y)
-
-    return _finish_record(times, norms, hs, ds, mj, {}, okay, envelope_fn)
+    return rho0.values - base, wx, float(np.sum(wx * rho0.values)), sample

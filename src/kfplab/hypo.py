@@ -25,6 +25,9 @@ Pi f = u_f f_star) and P_hat u the q-form of u f_star:
     <T A f, f>_mu        = u_Af . (m B f_q)      (T A f = T Pi A f, B = C^*)
     ||A g||_mu^2         = u_g . (m u_g)
     ||(1-Pi)f||_beta^2   = sum W <v>^{-2(1-beta)_+} (f_q - P_hat u_f)^2
+
+A maps into the range of Pi, so <ATPi f, f> = <ATPi f, Pi f>: D and the
+coercivity denominator share the one solve of atpi_quadratic_form.
 """
 
 import numpy as np
@@ -159,13 +162,13 @@ def _q_form(f, eq, ops):
     """q = f / sqrt(f_star), flattened, and m u_f = wx rho_f (Pi f = u_f f_star)."""
     if f.values.shape != eq.grid.shape:
         raise GridMismatchError("field and equilibrium live on different grids")
-    q = f.values.ravel() / ops._sqrt_f
+    q = f.values.ravel() / ops.sqrt_f
     return q, eq.grid.x_grid.weights * (f.values @ eq.grid.v_grid.weights)
 
 
 def _micro_beta_sq(q, m_u, eq, ops):
     """(1-Pi)f in q and ||(1-Pi)f||_beta^2 = sum W <v>^{-2(1-beta)+} micro^2."""
-    micro = q - ops._P_hat @ (m_u / ops._mrho)
+    micro = q - ops.P_hat @ (m_u / ops.mrho)
     vg = eq.grid.v_grid
     weight_v = vg.weights * velocity_weight(eq.spec.beta, vg.nodes)
     sq = (micro * micro).reshape(eq.grid.shape) @ weight_v
@@ -191,21 +194,21 @@ def dissipation_components(f, delta, eq, ops):
            - delta (<TAf,f> - <AT(1-Pi)f,f> + <ALf,f>).
     """
     q, m_u = _q_form(f, eq, ops)
-    lq = ops._L_hat @ q
-    tq = ops._T_hat @ q
-    t_pi = ops._C @ (m_u / ops._mrho)     # T Pi f in q
+    lq = ops.L_hat @ q
+    tq = ops.T_hat @ q
+    t_pi = ops.C @ (m_u / ops.mrho)     # T Pi f in q
 
-    minus_lff = -float((ops._w_flat * lq) @ q)
-    atpi_ff = float(twist_profile(t_pi, eq, ops) @ m_u)
+    minus_lff = -float((ops.w_flat * lq) @ q)
+    atpi_ff = atpi_quadratic_form(f, eq, ops)   # <ATPi f, f> = <ATPi f, Pi f>
     u_af = twist_profile(q, eq, ops)
-    ta_ff = float(u_af @ (ops._mrho * (ops._B @ q)))
+    ta_ff = float(u_af @ (ops.mrho * (ops.B @ q)))
     at_micro_ff = float(twist_profile(tq - t_pi, eq, ops) @ m_u)
     al_ff = float(twist_profile(lq, eq, ops) @ m_u)
 
     dissipation = (minus_lff + delta * atpi_ff
                    - delta * (ta_ff - at_micro_ff + al_ff))
     _, micro_sq = _micro_beta_sq(q, m_u, eq, ops)
-    kappa_den = micro_sq + atpi_quadratic_form(f, eq, ops)
+    kappa_den = micro_sq + atpi_ff
     return {
         "minus_Lf_f": minus_lff,
         "ATPi_f_f": atpi_ff,
@@ -284,9 +287,9 @@ def bounded_auxiliary_ratio(f, eq, ops):
     micro, micro_sq = _micro_beta_sq(q, m_u, eq, ops)
     if micro_sq == 0.0:
         raise ValidationError("f must have a microscopic part")
-    u_at = twist_profile(ops._T_hat @ micro, eq, ops)
-    u_al = twist_profile(ops._L_hat @ q, eq, ops)
-    norm_at, norm_al = (np.sqrt(float(u @ (ops._mrho * u)))
+    u_at = twist_profile(ops.T_hat @ micro, eq, ops)
+    u_al = twist_profile(ops.L_hat @ q, eq, ops)
+    norm_at, norm_al = (np.sqrt(float(u @ (ops.mrho * u)))
                         for u in (u_at, u_al))
     return (norm_at + norm_al) / np.sqrt(micro_sq)
 

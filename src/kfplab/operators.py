@@ -27,6 +27,8 @@ Construction notes (the structural identities everything rests on):
   abstract operator estimates hold to roundoff.
 """
 
+import dataclasses
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -87,25 +89,46 @@ def collision_v_forms(eq):
     return S, mass
 
 
+@dataclasses.dataclass(eq=False)
 class OperatorSet:
-    """Immutable bundle of assembled discrete operators for one equilibrium."""
+    """Assembled discrete operators for one equilibrium, in q = f/sqrt(f_star).
 
-    def __init__(self, eq, macro_generator, elliptic_matrix, internals):
-        self.eq = eq
-        self.macro_generator = macro_generator
-        self.elliptic_matrix = elliptic_matrix  # I + N on densities
-        for key, val in internals.items():
-            setattr(self, key, val)
-        self._step_cache = {}
+    T_hat and L_hat are the transport and collision matrices on q (n = nx nv
+    unknowns); sqrt_f and w_flat the flattened sqrt(f_star) and trapezoid
+    weights W. P_hat maps a profile u to the q-form of u f_star, C = T_hat
+    P_hat, mrho the profile weights Mrho, N_sym = C^T W C = Mrho N and
+    B = Mrho^-1 C^T W = (TPi)*. elliptic_matrix = I + N with its LU
+    elliptic_lu; macro_generator is the sigma-scaled Fokker-Planck generator
+    on densities and Sx_macro its flux stiffness. step_cache holds the
+    factored time-step systems of this set; dataclasses.replace starts a new,
+    empty one.
+    """
+
+    eq: object
+    T_hat: sp.csr_matrix
+    L_hat: sp.csr_matrix
+    sqrt_f: np.ndarray
+    w_flat: np.ndarray
+    P_hat: sp.csr_matrix
+    C: sp.csr_matrix
+    mrho: np.ndarray
+    N_sym: sp.csr_matrix
+    B: sp.csr_matrix
+    elliptic_matrix: sp.csr_matrix
+    elliptic_lu: object
+    macro_generator: sp.csr_matrix
+    Sx_macro: sp.csr_matrix
+    step_cache: dict = dataclasses.field(init=False, default_factory=dict,
+                                         repr=False)
 
     # -- convenience applications on Fields ---------------------------------
     def apply_collision(self, f):
-        return Field((self._L_hat @ (f.values.ravel() / self._sqrt_f)
-                      * self._sqrt_f).reshape(f.grid.shape), f.grid)
+        return Field((self.L_hat @ (f.values.ravel() / self.sqrt_f)
+                      * self.sqrt_f).reshape(f.grid.shape), f.grid)
 
     def apply_transport(self, f):
-        return Field((self._T_hat @ (f.values.ravel() / self._sqrt_f)
-                      * self._sqrt_f).reshape(f.grid.shape), f.grid)
+        return Field((self.T_hat @ (f.values.ravel() / self.sqrt_f)
+                      * self.sqrt_f).reshape(f.grid.shape), f.grid)
 
 
 def assemble(eq, spec, grid):
@@ -132,7 +155,7 @@ def assemble(eq, spec, grid):
     T_hat = T_hat.tocsr()
 
     # --- collision in q coordinates (x-independent slice operator) --------
-    Sv, mass_v = collision_v_forms(eq)
+    Sv, _ = collision_v_forms(eq)
     Lv_hat = -sp.diags(1.0 / (vg.weights * s)) @ Sv @ sp.diags(1.0 / s)
     L_hat = sp.kron(sp.identity(nx), Lv_hat, format="csr")
 
@@ -154,23 +177,12 @@ def assemble(eq, spec, grid):
     macro_generator = (-eq.sigma_normalized
                        * sp.diags(1.0 / xg.weights) @ Sx @ sp.diags(1.0 / rho)).tocsr()
 
-    internals = {
-        "_T_hat": T_hat,
-        "_L_hat": L_hat,
-        "_sqrt_f": sqrt_f,
-        "_w_flat": w_flat,
-        "_P_hat": P_hat,
-        "_C": C,
-        "_mrho": mrho,
-        "_N": N,
-        "_N_sym": N_sym,
-        "_B": B,
-        "_elliptic_lu": splu(elliptic_matrix.tocsc(), **SPLU_OPTIONS),
-        "_Sx_macro": Sx,
-        "_Sv": Sv,
-        "_mass_v": mass_v,
-    }
-    return OperatorSet(eq, macro_generator, elliptic_matrix, internals)
+    return OperatorSet(
+        eq=eq, T_hat=T_hat, L_hat=L_hat, sqrt_f=sqrt_f, w_flat=w_flat,
+        P_hat=P_hat, C=C, mrho=mrho, N_sym=N_sym, B=B,
+        elliptic_matrix=elliptic_matrix,
+        elliptic_lu=splu(elliptic_matrix.tocsc(), **SPLU_OPTIONS),
+        macro_generator=macro_generator, Sx_macro=Sx)
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +228,7 @@ def solve_elliptic(rhs, eq, ops):
     N is the exact discrete (TPi)*(TPi) on local-equilibrium profiles; the
     system I + N is factored directly and solved by solve_with_refinement.
     """
-    u = solve_with_refinement(ops._elliptic_lu, ops.elliptic_matrix,
+    u = solve_with_refinement(ops.elliptic_lu, ops.elliptic_matrix,
                               rhs.values, "elliptic")
     return DensityField(u, eq.grid.x_grid)
 
@@ -228,13 +240,13 @@ def twist_profile(g_q, eq, ops):
     coordinates: one sparse product with an nx x n matrix and one nx-sized
     elliptic solve, without building a full-grid Field.
     """
-    rhs = DensityField(ops._B @ g_q, eq.grid.x_grid)
+    rhs = DensityField(ops.B @ g_q, eq.grid.x_grid)
     return solve_elliptic(rhs, eq, ops).values
 
 
 def apply_A(f, eq, ops):
     """A f = (1 + (TPi)*(TPi))^-1 (TPi)* f, returned as the field u f_star."""
-    u = twist_profile(f.values.ravel() / ops._sqrt_f, eq, ops)
+    u = twist_profile(f.values.ravel() / ops.sqrt_f, eq, ops)
     return Field(u[:, np.newaxis] * eq.f_star.values, f.grid)
 
 
@@ -247,8 +259,8 @@ def atpi_quadratic_form(f, eq, ops):
     """
     u_f = macro_profile(f, eq)
     u = solve_elliptic(u_f, eq, ops)
-    cu = ops._C @ u.values
-    term1 = float(np.sum(ops._w_flat * cu * cu))
-    nu = (ops._N_sym @ u.values) / ops._mrho   # N u = Mrho^-1 C^T W C u
-    term2 = float(np.sum(ops._mrho * nu * nu))
+    cu = ops.C @ u.values
+    term1 = float(np.sum(ops.w_flat * cu * cu))
+    nu = (ops.N_sym @ u.values) / ops.mrho   # N u = Mrho^-1 C^T W C u
+    term2 = float(np.sum(ops.mrho * nu * nu))
     return term1 + term2

@@ -155,6 +155,9 @@ class ScenarioConfig:
         self.initial_s0 = number("initial.s0", 2.0)
 
         self.scheme = str(get("scheme", "implicit_euler"))
+        if self.mode == "macro" and self.scheme != "implicit_euler":
+            raise ValidationError("scheme = %s is kinetic-only; macro runs "
+                                  "use implicit_euler" % self.scheme)
         self.seed = number("seed", 0, int)
         if self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
@@ -453,13 +456,18 @@ def _run_one(args):
     except NumericalError as exc:
         return {"config": path, "json": None, "status": "failed",
                 "error": str(exc)}
+    except OSError as exc:
+        return {"config": path, "json": None, "status": "io_error",
+                "error": str(exc)}
 
 
 def run_batch(list_path, out_dir, workers=1, dt=None, t_final=None):
     """Run every config named in list_path (one path per line, # comments).
 
     Writes out_dir/batch_index.json mapping configs to their summaries and
-    returns the index entries in input order.
+    returns the index entries in input order. A config that is invalid, fails
+    numerically or cannot be read or written gets the status 'invalid',
+    'failed' or 'io_error' with its error, and the others still run.
     """
     with open(list_path, "r") as fh:
         base = os.path.dirname(os.path.abspath(list_path))

@@ -232,7 +232,7 @@ def macroscopic_gap(ops):
     the deflated mode. Continuum counterpart: sigma_normalized times the
     Poincare constant of e^{-phi}.
     """
-    return pencil_min_eig(ops._N_sym, ops._mrho, ops._mrho)
+    return pencil_min_eig(ops.N_sym, ops.mrho, ops.mrho)
 
 
 # ---------------------------------------------------------------------------

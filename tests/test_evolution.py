@@ -1,5 +1,7 @@
 """Implicit stepping, trajectory sampling, and the diffusion limit."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.sparse.linalg import splu
@@ -22,12 +24,7 @@ from kfplab import (
     total_mass,
     weighted_moment,
 )
-from kfplab.evolution import _kinetic_lu
-from kfplab.operators import OperatorSet
-
-_INTERNAL_KEYS = ("_T_hat", "_L_hat", "_sqrt_f", "_w_flat", "_P_hat", "_C",
-                  "_mrho", "_N", "_N_sym", "_B", "_elliptic_lu", "_Sx_macro",
-                  "_Sv", "_mass_v")
+from kfplab.evolution import _step_system
 
 
 # ---------------------------------------------------------------------------
@@ -112,7 +109,8 @@ def test_kinetic_lu_fill_below_colamd(quadrants):
     # threshold, row swaps on the beta = 0.5 boxes multiply the fill instead
     for key, (_, _, _, ops) in quadrants.items():
         for dt in (1.0, 0.05):
-            lu, system, _ = _kinetic_lu(dt, "implicit_euler", ops)
+            lu, system, _ = _step_system(ops, "kinetic", dt,
+                                         "implicit_euler")
             ref = splu(system.tocsc(), permc_spec="COLAMD")
             ratio = (lu.L.nnz + lu.U.nnz) / (ref.L.nnz + ref.U.nnz)
             assert ratio <= 0.7, (key, dt, ratio)
@@ -175,6 +173,10 @@ def test_run_trajectory_validation(strong_strong):
     neg = Field(-f0.values, f0.grid)
     with pytest.raises(ValidationError):
         run_trajectory(neg, (0.05, 1.0, 1), "kinetic", eq, ops)
+    # Crank-Nicolson is kinetic-only; a macro run must not fall back silently
+    with pytest.raises(ValidationError, match="implicit_euler"):
+        run_trajectory(initial_macro_bump(eq, 0.5), (0.05, 1.0, 1), "macro",
+                       eq, ops, scheme="crank_nicolson")
 
 
 def test_abort_carries_partial_samples(strong_strong, monkeypatch):
@@ -206,20 +208,15 @@ def test_abort_carries_partial_samples(strong_strong, monkeypatch):
 # diffusion limit
 # ---------------------------------------------------------------------------
 
-def _scaled_operator_set(eq, ops, eps):
-    """Parabolic rescaling: transport at 1/eps, collision at 1/eps^2."""
-    internals = {key: getattr(ops, key) for key in _INTERNAL_KEYS}
-    internals["_T_hat"] = (ops._T_hat / eps).tocsr()
-    internals["_L_hat"] = (ops._L_hat / eps ** 2).tocsr()
-    return OperatorSet(eq, ops.macro_generator, ops.elliptic_matrix, internals)
-
-
 def test_kinetic_tracks_macro_in_diffusion_scaling(strong_strong):
     # well-prepared data under parabolic scaling follow the macroscopic
     # Fokker-Planck flow within O(eps) once the initial layer has relaxed
     _, grid, eq, ops = strong_strong
     eps = 0.2
-    scaled = _scaled_operator_set(eq, ops, eps)
+    # transport at 1/eps, collision at 1/eps^2; the copy factors its own steps
+    scaled = dataclasses.replace(ops, T_hat=(ops.T_hat / eps).tocsr(),
+                                 L_hat=(ops.L_hat / eps ** 2).tocsr())
+    assert scaled.step_cache is not ops.step_cache
     xg = grid.x_grid
     u0 = 1.0 + 0.3 * np.cos(np.pi * xg.nodes / (2.0 * xg.half_width))
     f = Field(u0[:, None] * eq.f_star.values, grid)

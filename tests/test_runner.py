@@ -88,6 +88,11 @@ def test_scenario_config_defaults_and_validation():
     with pytest.raises(ValidationError,
                        match="unknown config keys: grid.nxx, schedule.dtt"):
         ScenarioConfig(dict(base, **{"schedule.dtt": "0.5", "grid.nxx": "9"}))
+    # Crank-Nicolson is kinetic-only: a macro config asking for it is invalid
+    assert ScenarioConfig(dict(base, scheme="crank_nicolson")).scheme \
+        == "crank_nicolson"
+    with pytest.raises(ValidationError, match="scheme"):
+        ScenarioConfig(dict(base, mode="macro", scheme="crank_nicolson"))
 
 
 def test_scenario_config_from_file_and_override(tmp_path):
@@ -232,20 +237,30 @@ def test_run_batch(tmp_path):
         run_batch(_write(tmp_path, "empty.txt", "# nothing\n"), out)
 
 
-def test_run_batch_records_unparsable_config(tmp_path):
-    # a value that is not a number makes its config invalid, and the sweep
-    # still runs the others and writes the index
+def test_run_batch_records_unparsable_config(tmp_path, capsys):
+    # a value that is not a number makes its config invalid and a missing
+    # file an io_error; the sweep still runs the others and writes the index
     good = _write(tmp_path, "good.cfg", _TINY_KINETIC)
     bad = _write(tmp_path, "abc.cfg", _TINY_KINETIC + "grid.nx = abc\n")
-    list_path = _write(tmp_path, "batch.txt", "abc.cfg\ngood.cfg\n")
+    missing = str(tmp_path / "missing.cfg")
+    list_path = _write(tmp_path, "batch.txt",
+                       "abc.cfg\nmissing.cfg\ngood.cfg\n")
     out = str(tmp_path / "out")
     entries = run_batch(list_path, out)
     with open(os.path.join(out, "batch_index.json")) as fh:
         index = json.load(fh)
-    assert [e["config"] for e in index["entries"]] == [bad, good]
-    assert [e["status"] for e in index["entries"]] == ["invalid", "ok"]
+    assert [e["config"] for e in index["entries"]] == [bad, missing, good]
+    assert [e["status"] for e in index["entries"]] == ["invalid", "io_error",
+                                                       "ok"]
     assert "grid.nx" in index["entries"][0]["error"]
+    assert "missing.cfg" in index["entries"][1]["error"]
     assert index["entries"] == entries
+    # the CLI writes the index, then exits with the I/O error code
+    only_missing = _write(tmp_path, "missing.txt", "missing.cfg\n")
+    out_cli = str(tmp_path / "out_cli")
+    assert main(["batch", only_missing, "--out", out_cli]) == 3
+    assert os.path.exists(os.path.join(out_cli, "batch_index.json"))
+    capsys.readouterr()
 
 
 # ---------------------------------------------------------------------------
