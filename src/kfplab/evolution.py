@@ -59,14 +59,12 @@ class TrajectoryRecord:
         self.max_principle_ok = np.asarray(max_principle_ok, dtype=bool)
         self.envelope = arrays["envelope"]
 
-
-def _difference_quotient_of_H(times, entropy_h):
-    """-dH/dt by central differences (one-sided at the ends)."""
-    h = np.asarray(entropy_h, dtype=float)
-    t = np.asarray(times, dtype=float)
-    if t.size < 2:
-        return np.zeros_like(h)
-    return -np.gradient(h, t)
+    @property
+    def dissipation_from_H(self):
+        """-dH/dt by central differences (one-sided at the ends)."""
+        if self.times.size < 2:
+            return np.zeros_like(self.entropy_H)
+        return -np.gradient(self.entropy_H, self.times)
 
 
 # ---------------------------------------------------------------------------
@@ -188,7 +186,17 @@ def initial_macro_bump(eq, epsilon=0.5):
 # full trajectories
 # ---------------------------------------------------------------------------
 
+def step_count(dt, t_final):
+    """t_final / dt as an int; ValidationError unless it is a whole number."""
+    steps = t_final / dt
+    if abs(steps - round(steps)) > 1e-9 * steps:
+        raise ValidationError("t_final = %r is not a whole number of steps "
+                              "of dt = %r" % (t_final, dt))
+    return int(round(steps))
+
+
 def _validate_schedule(schedule):
+    """(dt, number of steps, sample_stride) of a (dt, t_final, stride)."""
     dt, t_final, stride = schedule
     dt = float(dt)
     t_final = float(t_final)
@@ -196,7 +204,7 @@ def _validate_schedule(schedule):
     if dt <= 0 or t_final < dt or stride < 1:
         raise ValidationError("schedule must satisfy dt > 0, t_final >= dt, "
                               "sample_stride >= 1")
-    return dt, t_final, stride
+    return dt, step_count(dt, t_final), stride
 
 
 def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
@@ -207,11 +215,11 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     Euler only). The tracked state is f - f_star (resp. rho - rho_star) when
     the equilibrium is integrable, else the raw state; moments and the
     maximum principle always refer to the physical, untracked solution. The
-    record's envelope column is a placeholder, the initial norm. NaN or mass
-    drift aborts with a NumericalError carrying .last_good_time and the
-    .partial_samples taken so far.
+    record's envelope column is NaN until the caller sets it. A failed solve,
+    NaN or mass drift aborts with a NumericalError carrying .last_good_time
+    and the .partial_record of the samples taken so far.
     """
-    dt, t_final, stride = _validate_schedule(schedule)
+    dt, n_steps, stride = _validate_schedule(schedule)
     j_powers, k_powers = moment_powers
     if mode == "kinetic":
         y, mass_w, mass_f0, sample = _kinetic_sampler(f0, eq, ops, delta,
@@ -222,42 +230,37 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     else:
         raise ValidationError("mode must be 'kinetic' or 'macro'")
     _step_system(ops, mode, dt, scheme)   # reject a bad scheme before sampling
-    n_steps = int(round(t_final / dt))
     mass0 = float(mass_w @ y)
     mass_tol = _MASS_TOL * max(abs(mass0) + mass_f0, 1e-300)
 
     rows = [(0.0,) + sample(y)]
     t = 0.0
-    for n in range(1, n_steps + 1):
-        try:
+    try:
+        for n in range(1, n_steps + 1):
             y = _advance(y, ops, mode, dt, scheme)
-        except NumericalError as exc:
-            raise _abort(t, str(exc), rows)
-        if not np.all(np.isfinite(y)):
-            raise _abort(t, "non-finite state detected", rows)
-        t = n * dt
-        if abs(float(mass_w @ y) - mass0) > mass_tol:
-            raise _abort(t, "mass drift beyond tolerance", rows)
-        if n % stride == 0 or n == n_steps:
-            rows.append((t,) + sample(y))
+            if not np.all(np.isfinite(y)):
+                raise NumericalError("non-finite state detected")
+            if abs(float(mass_w @ y) - mass0) > mass_tol:
+                raise NumericalError("mass drift beyond tolerance")
+            t = n * dt
+            if n % stride == 0 or n == n_steps:
+                rows.append((t,) + sample(y))
+    except NumericalError as exc:
+        err = NumericalError("%s; last good time %.6g" % (exc, t))
+        err.last_good_time = t
+        err.partial_record = _record(rows, j_powers, k_powers)
+        raise err
+    return _record(rows, j_powers, k_powers)
 
+
+def _record(rows, j_powers, k_powers):
+    """The TrajectoryRecord of sample rows (t, norm, H, D, J, K, max_ok)."""
     times, norms, hs, ds, mj, mk, okay = zip(*rows)
-    rec = TrajectoryRecord(
+    return TrajectoryRecord(
         times, norms, hs, ds,
         {k: [m[i] for m in mj] for i, k in enumerate(j_powers)},
         {k: [m[i] for m in mk] for i, k in enumerate(k_powers)},
-        okay, np.full(len(times), norms[0]))
-    rec.dissipation_from_H = _difference_quotient_of_H(times, hs)
-    return rec
-
-
-def _abort(t_good, what, rows):
-    err = NumericalError("%s; last good time %.6g" % (what, t_good))
-    err.last_good_time = t_good
-    err.partial_samples = {
-        name: [row[i] for row in rows] for i, name in enumerate(
-            ("times", "norm_sq_mu", "entropy_H", "dissipation_D"))}
-    return err
+        okay, np.full(len(times), np.nan))
 
 
 def _max_principle_bound(values, star, what):

@@ -63,10 +63,17 @@ def _antisym_core(n):
     return sp.diags([off, -off], [1, -1], format="csr")
 
 
-def _forward_diff(n):
-    # faces j+1/2: (G q)_j = q_{j+1} - q_j
-    return sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1],
-                    shape=(n - 1, n), format="csr")
+def flux_stiffness(grid, face_weight):
+    """S = G^T diag(face_weight/h) G on a Grid1D, G the forward difference.
+
+    u^T S u = sum_faces face_weight * ((u_{j+1} - u_j)/h)^2 * h: the flux-form
+    Dirichlet form behind the collision slice, the macro generator and the
+    spectral pencils.
+    """
+    n = grid.count
+    G = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1],
+                 shape=(n - 1, n), format="csr")
+    return (G.T @ sp.diags(face_weight / grid.spacing) @ G).tocsr()
 
 
 def collision_v_forms(eq):
@@ -78,13 +85,10 @@ def collision_v_forms(eq):
     lower bound for the very same discrete form.
     """
     vg = eq.grid.v_grid
-    n = vg.count
-    dv = vg.spacing
     mid = 0.5 * (vg.nodes[:-1] + vg.nodes[1:])
     # face weights share the scale of the stored g_star_v factor
     face = eq.g_scale * np.exp(-eval_potential(eq.spec, "v", mid))
-    G = _forward_diff(n)
-    S = (G.T @ sp.diags(face / dv) @ G).tocsr()
+    S = flux_stiffness(vg, face)
     mass = vg.weights * eq.g_star_v
     return S, mass
 
@@ -104,7 +108,6 @@ class OperatorSet:
     empty one.
     """
 
-    eq: object
     T_hat: sp.csr_matrix
     L_hat: sp.csr_matrix
     sqrt_f: np.ndarray
@@ -172,14 +175,13 @@ def assemble(eq, spec, grid):
     # sigma-scaled Fokker-Planck generator on densities, flux form
     xmid = 0.5 * (xg.nodes[:-1] + xg.nodes[1:])
     face_x = eq.rho_scale * np.exp(-eval_potential(eq.spec, "x", xmid))
-    Gx = _forward_diff(nx)
-    Sx = (Gx.T @ sp.diags(face_x / xg.spacing) @ Gx).tocsr()
+    Sx = flux_stiffness(xg, face_x)
     macro_generator = (-eq.sigma_normalized
                        * sp.diags(1.0 / xg.weights) @ Sx @ sp.diags(1.0 / rho)).tocsr()
 
     return OperatorSet(
-        eq=eq, T_hat=T_hat, L_hat=L_hat, sqrt_f=sqrt_f, w_flat=w_flat,
-        P_hat=P_hat, C=C, mrho=mrho, N_sym=N_sym, B=B,
+        T_hat=T_hat, L_hat=L_hat, sqrt_f=sqrt_f, w_flat=w_flat, P_hat=P_hat,
+        C=C, mrho=mrho, N_sym=N_sym, B=B,
         elliptic_matrix=elliptic_matrix,
         elliptic_lu=splu(elliptic_matrix.tocsc(), **SPLU_OPTIONS),
         macro_generator=macro_generator, Sx_macro=Sx)

@@ -129,6 +129,7 @@ class ScenarioConfig:
         if self.dt <= 0 or self.t_final <= self.dt or self.sample_stride < 1:
             raise ValidationError("schedule must satisfy dt > 0, "
                                   "t_final > dt, sample_stride >= 1")
+        evolution.step_count(self.dt, self.t_final)
 
         auto_delta = str(get("delta", "auto")) == "auto"
         self.delta = None if auto_delta else number("delta", None)
@@ -136,6 +137,9 @@ class ScenarioConfig:
         self.moments_x = numbers("moments.x", "2")
         default_mv = "" if self.mode == "macro" else "2"
         self.moments_v = numbers("moments.v", default_mv)
+        if self.mode == "macro" and self.moments_v:
+            raise ValidationError("moments.v is kinetic-only; macro runs "
+                                  "have no velocity moments")
 
         self.rates_k = number("rates.k",
                               self.moments_x[0] if self.moments_x else 2.0)
@@ -216,7 +220,11 @@ def make_initial_state(config, eq):
 
 
 class ReportBundle:
-    """Everything run_scenario produced: summary dict, record, status."""
+    """Everything run_scenario produced: summary dict, record, status.
+
+    A failed bundle carries the record as far as it got (the partial record
+    of an aborted trajectory), or None when no sample was taken.
+    """
 
     def __init__(self, config, summary, record, status):
         self.config = config
@@ -225,8 +233,8 @@ class ReportBundle:
         self.status = status
 
 
-def _attach_envelope(record, prediction, delta, mode):
-    """Rebuild the record with the theoretical norm_sq envelope column.
+def _envelope(record, prediction, delta, mode):
+    """The theoretical norm_sq envelope over record.times.
 
     Kinetic exponential regime: (4/(2-delta)) H0 e^{-lambda t}, valid from
     t = 0 by the entropy sandwich; macro exponential: norm0 e^{-rate t}.
@@ -237,27 +245,21 @@ def _attach_envelope(record, prediction, delta, mode):
     t = record.times
     if prediction.regime == "exponential":
         if mode == "macro":
-            env = record.norm_sq_mu[0] * np.exp(-prediction.rate * t)
-        else:
-            h0 = record.entropy_H[0]
-            env = (4.0 / (2.0 - delta)) * h0 * np.exp(-prediction.rate * t)
-    else:
-        zeta = prediction.exponent
-        lo = rates.default_window(record)[0]
-        idx = int(np.searchsorted(t, lo - 1e-12))
-        idx = min(idx, t.size - 1)
-        c_anchor = record.norm_sq_mu[idx] * (1.0 + t[idx]) ** zeta
-        env = c_anchor * (1.0 + t) ** (-zeta)
-    rebuilt = evolution.TrajectoryRecord(
-        t, record.norm_sq_mu, record.entropy_H, record.dissipation_D,
-        record.moments_J, record.moments_K, record.max_principle_ok, env)
-    rebuilt.dissipation_from_H = record.dissipation_from_H
-    return rebuilt
+            return record.norm_sq_mu[0] * np.exp(-prediction.rate * t)
+        h0 = record.entropy_H[0]
+        return (4.0 / (2.0 - delta)) * h0 * np.exp(-prediction.rate * t)
+    zeta = prediction.exponent
+    lo = rates.default_window(record)[0]
+    idx = int(np.searchsorted(t, lo - 1e-12))
+    idx = min(idx, t.size - 1)
+    c_anchor = record.norm_sq_mu[idx] * (1.0 + t[idx]) ** zeta
+    return c_anchor * (1.0 + t) ** (-zeta)
 
 
 def run_scenario(config, out_dir=None):
     """Build, evolve, fit, classify; returns a ReportBundle (never raises for
-    in-run numerical failures -- those produce a 'failed' bundle)."""
+    a numerical failure of the trajectory, its envelope or its fit -- those
+    produce a 'failed' bundle with the record as far as it got)."""
     spec, grid, eq, ops = build_problem(config)
     constants = hypo.compute_constants(eq, ops, delta=config.delta,
                                        seed=config.seed)
@@ -302,11 +304,15 @@ def run_scenario(config, out_dir=None):
         "config_echo": dict(config.raw),
     }
 
+    record = None
     try:
         record = evolution.run_trajectory(
             f0, schedule, config.mode, eq, ops, delta=constants.delta,
             moment_powers=(config.moments_x, config.moments_v),
             scheme=config.scheme)
+        record.envelope = _envelope(record, prediction, constants.delta,
+                                    config.mode)
+        fit = rates.fit_rate_with_sensitivity(record, prediction.regime)
     except NumericalError as exc:
         summary = dict(base_summary)
         summary.update({
@@ -315,12 +321,9 @@ def run_scenario(config, out_dir=None):
             "last_good_time": getattr(exc, "last_good_time", None),
             "fitted_value": None, "r_squared": None,
         })
-        bundle = ReportBundle(config, summary, None, "failed")
-        bundle.partial_samples = getattr(exc, "partial_samples", {})
-        return bundle
+        return ReportBundle(config, summary,
+                            getattr(exc, "partial_record", record), "failed")
 
-    record = _attach_envelope(record, prediction, constants.delta, config.mode)
-    fit = rates.fit_rate_with_sensitivity(record, prediction.regime)
     summary = dict(base_summary)
     summary.update({
         "status": "ok",
@@ -341,15 +344,10 @@ def _fmt(x):
     return repr(float(x))
 
 
-def _moment_columns(record_or_config):
-    if isinstance(record_or_config, ScenarioConfig):
-        jx, kv = record_or_config.moments_x, record_or_config.moments_v
-    else:
-        jx = sorted(record_or_config.moments_J)
-        kv = sorted(record_or_config.moments_K)
-    j_cols = [("J_%g" % p, p) for p in jx]
-    k_cols = [("K_%g" % p, p) for p in kv]
-    return j_cols, k_cols
+def _moment_columns(config):
+    """[(column, power)] of the x- and v-moments: sorted, distinct powers."""
+    return ([("J_%g" % p, p) for p in sorted(set(config.moments_x))],
+            [("K_%g" % p, p) for p in sorted(set(config.moments_v))])
 
 
 def _json_safe(obj):
@@ -374,33 +372,19 @@ def emit_report(bundle, out_dir):
     json_path = os.path.join(out_dir, bundle.config.name + ".json")
 
     record = bundle.record
-    j_cols, k_cols = _moment_columns(record if record is not None
-                                     else bundle.config)
+    j_cols, k_cols = _moment_columns(bundle.config)
     header = (["t", "norm_sq_mu", "entropy_H", "dissipation_D", "envelope"]
               + [c for c, _ in j_cols] + [c for c, _ in k_cols]
               + ["max_principle_ok"])
     lines = [",".join(header)]
-    if record is not None:
-        for i, t in enumerate(record.times):
-            row = [_fmt(t), _fmt(record.norm_sq_mu[i]),
-                   _fmt(record.entropy_H[i]), _fmt(record.dissipation_D[i]),
-                   _fmt(record.envelope[i])]
-            row += [_fmt(record.moments_J[p][i]) for _, p in j_cols]
-            row += [_fmt(record.moments_K[p][i]) for _, p in k_cols]
-            row.append(str(int(record.max_principle_ok[i])))
-            lines.append(",".join(row))
-    else:
-        partial = getattr(bundle, "partial_samples", {}) or {}
-        times = partial.get("times", [])
-        for i, t in enumerate(times):
-            row = [_fmt(t),
-                   _fmt(partial["norm_sq_mu"][i]),
-                   _fmt(partial["entropy_H"][i]),
-                   _fmt(partial["dissipation_D"][i]),
-                   "nan"]
-            row += ["nan"] * (len(j_cols) + len(k_cols))
-            row.append("0")
-            lines.append(",".join(row))
+    for i, t in enumerate(record.times if record is not None else ()):
+        row = [_fmt(t), _fmt(record.norm_sq_mu[i]),
+               _fmt(record.entropy_H[i]), _fmt(record.dissipation_D[i]),
+               _fmt(record.envelope[i])]
+        row += [_fmt(record.moments_J[p][i]) for _, p in j_cols]
+        row += [_fmt(record.moments_K[p][i]) for _, p in k_cols]
+        row.append(str(int(record.max_principle_ok[i])))
+        lines.append(",".join(row))
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 

@@ -22,7 +22,7 @@ from scipy.sparse.linalg import splu
 from .equilibria import eval_potential
 from .errors import NumericalError, ValidationError
 from .grids import velocity_weight
-from .operators import SPLU_OPTIONS, _forward_diff, collision_v_forms
+from .operators import SPLU_OPTIONS, collision_v_forms, flux_stiffness
 
 _KINDS = ("poincare", "weighted_poincare", "hardy_poincare", "nash", "ckn")
 
@@ -60,15 +60,9 @@ def pencil_min_eig(stiffness, mass, constraint, tol=1e-12, max_iter=1000):
     free pencil. For a general weight vector c it is the best constant of
     the Rayleigh quotient with the c-weighted average subtracted.
 
-    mass may be a vector (diagonal mass matrix) or a sparse matrix.
+    mass is the diagonal of the mass matrix, a vector.
     """
     n = stiffness.shape[0]
-    if np.ndim(mass) == 1:
-        def mass_apply(u):
-            return mass * u
-    else:
-        def mass_apply(u):
-            return mass @ u
     c = np.asarray(constraint, dtype=float)
     if abs(np.sum(c)) <= 0.0:
         raise ValidationError("deflation weight must not annihilate constants")
@@ -84,8 +78,8 @@ def pencil_min_eig(stiffness, mass, constraint, tol=1e-12, max_iter=1000):
     u -= c * (c @ u) / (c @ c)
     lam_old = np.inf
     for _ in range(max_iter):
-        y = lu.solve(np.concatenate([mass_apply(u), [0.0]]))[:n]
-        norm = np.sqrt(y @ mass_apply(y))
+        y = lu.solve(np.concatenate([mass * u, [0.0]]))[:n]
+        norm = np.sqrt(y @ (mass * y))
         if not np.isfinite(norm) or norm == 0.0:
             raise NumericalError("inverse iteration produced a degenerate vector")
         u = y / norm
@@ -104,8 +98,7 @@ def _stiffness_1d(grid, face_weight):
         raise NumericalError(
             "stiffness weight underflows to zero on this domain; "
             "reduce the half-width")
-    G = _forward_diff(grid.count)
-    return (G.T @ sp.diags(face_weight / grid.spacing) @ G).tocsr()
+    return flux_stiffness(grid, face_weight)
 
 
 def _eig_ladder(kind, grid, solve_on):

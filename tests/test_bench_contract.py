@@ -3,14 +3,15 @@
 bench/tracing.py wraps module attributes at kfplab's call sites and proxies
 every `splu` a kfplab module holds. A refactor that calls around a wrap point
 keeps the suite green but silently changes the traced per-layer metrics, so
-this test runs a small kinetic trajectory under the full instrumentation and
-checks the counts the benchmark relies on.
+these tests run a small kinetic trajectory and a small scenario with its
+reports under the full instrumentation and check the counts the benchmark
+relies on.
 """
 
 import importlib.util
 import os
 
-from kfplab import evolution, initial_bump
+from kfplab import evolution, initial_bump, runner
 
 from conftest import make_problem
 
@@ -42,3 +43,24 @@ def test_traced_kinetic_run_counts_every_wrap_point():
     assert metrics["evolution.factorizations"] == 1
     # entropy_H one elliptic solve, dissipation_components four
     assert metrics["operators.elliptic_solves"] == 5 * samples
+
+
+def test_traced_scenario_counts_steps_time_and_report_bytes(tmp_path):
+    # the hooks after run_trajectory and emit_report read the record's
+    # times and the returned report paths
+    tracing = _load_tracing()
+    config = runner.ScenarioConfig({
+        "name": "traced", "potential.alpha": "2.0",
+        "grid.nx": "33", "grid.nv": "33",
+        "schedule.dt": "0.05", "schedule.t_final": "5.0",
+        "schedule.sample_stride": "5"})
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer, full=True):
+        bundle = runner.run_scenario(config)
+        paths = runner.emit_report(bundle, str(tmp_path))
+    assert bundle.status == "ok"
+    metrics = tracer.layer_metrics(tracer.op)
+    assert metrics["evolution.steps"] == 100          # t_final / dt
+    assert tracer.counters[tracer.op]["evolution.sim_time"] == 5.0
+    assert metrics["runner.report_bytes"] == sum(os.path.getsize(p)
+                                                 for p in paths)

@@ -133,7 +133,7 @@ def test_run_trajectory_kinetic_sampling(strong_strong):
     assert np.all(rec.dissipation_D >= -1e-12 * h0)
     assert rec.norm_sq_mu[-1] < rec.norm_sq_mu[0]
     assert np.all(rec.max_principle_ok)
-    assert rec.envelope[0] == pytest.approx(rec.norm_sq_mu[0])
+    assert np.all(np.isnan(rec.envelope))   # the runner attaches the bound
     # moments stay below the max-principle bound C^2 J_k(f_star)
     c0 = float(np.max(f0.values / eq.f_star.values))
     for k, series in rec.moments_J.items():
@@ -173,35 +173,46 @@ def test_run_trajectory_validation(strong_strong):
     neg = Field(-f0.values, f0.grid)
     with pytest.raises(ValidationError):
         run_trajectory(neg, (0.05, 1.0, 1), "kinetic", eq, ops)
+    # t_final must be a whole number of steps, not rounded to one
+    with pytest.raises(ValidationError, match="whole number of steps"):
+        run_trajectory(f0, (0.2, 1.1, 1), "kinetic", eq, ops)
     # Crank-Nicolson is kinetic-only; a macro run must not fall back silently
     with pytest.raises(ValidationError, match="implicit_euler"):
         run_trajectory(initial_macro_bump(eq, 0.5), (0.05, 1.0, 1), "macro",
                        eq, ops, scheme="crank_nicolson")
 
 
-def test_abort_carries_partial_samples(strong_strong, monkeypatch):
-    # force a non-finite state after three good steps and check the payload
+def test_abort_carries_partial_record(strong_strong, monkeypatch):
+    # corrupt the state after three good steps, once with NaN and once with
+    # a mass drift, and check the payload
     import kfplab.evolution as evo
 
     _, _, eq, ops = strong_strong
     real_solve = evo.solve_with_refinement
-    calls = {"n": 0}
-
-    def flaky(lu, system, rhs, what):
-        calls["n"] += 1
-        sol = real_solve(lu, system, rhs, what)
-        if calls["n"] >= 4:
-            sol = sol * np.nan
-        return sol
-
-    monkeypatch.setattr(evo, "solve_with_refinement", flaky)
     f0 = initial_bump(eq, 0.5)
-    with pytest.raises(NumericalError) as err:
-        run_trajectory(f0, (0.05, 2.0, 1), "kinetic", eq, ops, delta=0.3)
-    assert err.value.last_good_time == pytest.approx(0.15)
-    partial = err.value.partial_samples
-    assert len(partial["times"]) == 4    # t = 0, 0.05, 0.10, 0.15
-    assert len(partial["norm_sq_mu"]) == 4
+    for corrupt in (lambda sol: sol * np.nan, lambda sol: sol + 1e-3):
+        calls = {"n": 0}
+
+        def flaky(lu, system, rhs, what):
+            calls["n"] += 1
+            sol = real_solve(lu, system, rhs, what)
+            return corrupt(sol) if calls["n"] >= 4 else sol
+
+        monkeypatch.setattr(evo, "solve_with_refinement", flaky)
+        with pytest.raises(NumericalError) as err:
+            run_trajectory(f0, (0.05, 2.0, 1), "kinetic", eq, ops, delta=0.3,
+                           moment_powers=((2, 4), (2,)))
+        # the fourth state is bad, so the last good one is the third
+        assert err.value.last_good_time == pytest.approx(0.15)
+        partial = err.value.partial_record
+        # t = 0, 0.05, 0.10, 0.15, with every column a finished record has
+        assert list(partial.times) == pytest.approx([0.0, 0.05, 0.10, 0.15])
+        assert partial.norm_sq_mu.size == 4
+        assert sorted(partial.moments_J) == [2, 4]
+        assert sorted(partial.moments_K) == [2]
+        assert np.all(np.isfinite(partial.moments_J[4]))
+        assert np.all(partial.max_principle_ok)
+        assert np.all(np.isnan(partial.envelope))
 
 
 # ---------------------------------------------------------------------------

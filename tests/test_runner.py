@@ -12,6 +12,7 @@ import pytest
 import kfplab.evolution
 from kfplab.cli import main
 from kfplab.errors import NumericalError, ValidationError
+from kfplab.evolution import TrajectoryRecord
 from kfplab.runner import (
     ScenarioConfig,
     emit_constants_report,
@@ -93,6 +94,13 @@ def test_scenario_config_defaults_and_validation():
         == "crank_nicolson"
     with pytest.raises(ValidationError, match="scheme"):
         ScenarioConfig(dict(base, mode="macro", scheme="crank_nicolson"))
+    # so are velocity moments: macro densities have none to write
+    with pytest.raises(ValidationError, match="moments.v"):
+        ScenarioConfig(dict(base, mode="macro", **{"moments.v": "2"}))
+    # t_final must be a whole number of steps, not silently rounded to one
+    with pytest.raises(ValidationError, match="whole number of steps"):
+        ScenarioConfig(dict(base, **{"schedule.dt": "0.2",
+                                     "schedule.t_final": "5.1"}))
 
 
 def test_scenario_config_from_file_and_override(tmp_path):
@@ -186,10 +194,10 @@ def test_failed_scenario_bundle(tmp_path, monkeypatch):
     def blow_up(*args, **kwargs):
         err = NumericalError("synthetic blowup; last good time 0.05")
         err.last_good_time = 0.05
-        err.partial_samples = {"times": [0.0, 0.05],
-                               "norm_sq_mu": [1.0, 0.9],
-                               "entropy_H": [0.5, 0.45],
-                               "dissipation_D": [0.2, 0.18]}
+        err.partial_record = TrajectoryRecord(
+            [0.0, 0.05], [1.0, 0.9], [0.5, 0.45], [0.2, 0.18],
+            {2.0: [3.0, 2.9]}, {2.0: [1.0, 1.1]}, [True, True],
+            [np.nan, np.nan])
         raise err
 
     monkeypatch.setattr(kfplab.evolution, "run_trajectory", blow_up)
@@ -198,14 +206,48 @@ def test_failed_scenario_bundle(tmp_path, monkeypatch):
     assert bundle.status == "failed"
     assert bundle.summary["last_good_time"] == 0.05
     assert bundle.summary["fitted_value"] is None
+    assert bundle.record.times.size == 2
 
     csv_path, json_path = emit_report(bundle, str(tmp_path / "out"))
     lines = open(csv_path).read().splitlines()
-    assert len(lines) == 3  # header + the two partial samples
-    assert lines[1].split(",")[0] == "0.0"
-    assert lines[-1].split(",")[-1] == "0"
+    assert lines == ["t,norm_sq_mu,entropy_H,dissipation_D,envelope,"
+                     "J_2,K_2,max_principle_ok",
+                     "0.0,1.0,0.5,0.2,nan,3.0,1.0,1",
+                     "0.05,0.9,0.45,0.18,nan,2.9,1.1,1"]
     with open(json_path) as fh:
         assert json.load(fh)["status"] == "failed"
+
+
+def test_failed_run_csv_matches_ok_columns(tmp_path, monkeypatch):
+    # an abort after three steps writes the ok run's header and every
+    # computed column; only the envelope, attached after the run, is nan
+    text = (_TINY_KINETIC + "grid.nx = 33\ngrid.nv = 33\n"
+            "schedule.sample_stride = 1\nmoments.x = 4, 2, 2\n")
+    cfg = ScenarioConfig(parse_config_text(text), name="cols")
+    ok_csv, _ = emit_report(run_scenario(cfg), str(tmp_path / "ok"))
+
+    real_solve = kfplab.evolution.solve_with_refinement
+    calls = {"n": 0}
+
+    def flaky(lu, system, rhs, what):
+        calls["n"] += 1
+        sol = real_solve(lu, system, rhs, what)
+        return sol * np.nan if calls["n"] >= 4 else sol
+
+    monkeypatch.setattr(kfplab.evolution, "solve_with_refinement", flaky)
+    bundle = run_scenario(cfg)
+    assert bundle.status == "failed"
+    failed_csv, _ = emit_report(bundle, str(tmp_path / "failed"))
+    ok_lines = open(ok_csv).read().splitlines()
+    failed_lines = open(failed_csv).read().splitlines()
+    assert failed_lines[0] == ok_lines[0] == (
+        "t,norm_sq_mu,entropy_H,dissipation_D,envelope,J_2,J_4,K_2,"
+        "max_principle_ok")
+    assert len(failed_lines) == 1 + 4    # t = 0, 0.05, 0.10, 0.15
+    for ok_line, failed_line in zip(ok_lines[1:], failed_lines[1:]):
+        ok_row, failed_row = ok_line.split(","), failed_line.split(",")
+        assert failed_row[4] == "nan"
+        assert failed_row[:4] + failed_row[5:] == ok_row[:4] + ok_row[5:]
 
 
 def test_emit_constants_report(tmp_path):
@@ -279,8 +321,12 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert main(["run", str(tmp_path / "missing.cfg")]) == 3
 
     # over-shortened run: trajectory succeeds but leaves too few samples to
-    # fit a rate, which surfaces as a numerical error
-    assert main(["run", cfg, "--out", out, "--t-final", "1.0"]) == 2
+    # fit a rate; the run still writes its reports, then exits 2
+    short = str(tmp_path / "short")
+    assert main(["run", cfg, "--out", short, "--t-final", "1.0"]) == 2
+    assert os.path.exists(os.path.join(short, "cli.csv"))
+    with open(os.path.join(short, "cli.json")) as fh:
+        assert json.load(fh)["status"] == "failed"
     capsys.readouterr()
 
 
@@ -303,6 +349,11 @@ def test_cli_batch_flags_invalid(tmp_path, capsys):
     code = main(["batch", list_path, "--out", str(tmp_path / "out"),
                  "--t-final", "1.0"])
     assert code == 1
+    # the shortened good config fails its fit but still has its reports
+    with open(str(tmp_path / "out" / "batch_index.json")) as fh:
+        entry = json.load(fh)["entries"][0]
+    assert entry["status"] == "failed"
+    assert entry["json"].endswith("good.json")
     capsys.readouterr()
 
 
