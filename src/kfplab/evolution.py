@@ -7,6 +7,16 @@ unconditionally nonexpansive in the mu-norm and conserves the discrete mass
 to solver precision. Macroscopic steps do the same with the sigma-scaled
 Fokker-Planck generator on densities.
 
+Every step system commutes with the reflection (x, v) -> (-x, -v), exactly
+and not just to roundoff: Grid1D mirrors its nodes and every potential is
+even, so the assembled entries repeat bit for bit under the reflection. On
+the row-major flattened state the reflection is the reversal y[::-1], so a
+step splits into an even and an odd sector of about n/2 unknowns each. Each
+sector is folded and factored on its own, the first time a right-hand side
+has a nonzero part in it; a sector whose part is exactly zero is skipped,
+since S x = 0 gives x = 0. Data with one parity (the kinetic bump is even)
+therefore factor and solve half the problem.
+
 Trajectories sample the squared mu-norm of the tracked state (f - f_star on
 integrable branches, f itself when no stationary state exists), the twisted
 entropy H, its dissipation D (directly and as a difference quotient of H),
@@ -71,14 +81,69 @@ class TrajectoryRecord:
 # single steps
 # ---------------------------------------------------------------------------
 
+def fold_sector(system, sign):
+    """The CSC matrix of an odd-order, reversal-symmetric system on the even
+    (sign +1, first m + 1 entries) or odd (sign -1, first m entries) sector."""
+    m = system.shape[0] // 2
+    half = m + 1 if sign > 0 else m
+    top = system[:half]
+    # column n-1-j of the full system acts on entry j of the sector
+    mirrored = sp.hstack([top[:, :m:-1], sp.csr_matrix((half, half - m))])
+    return (top[:, :half] + sign * mirrored).tocsc()
+
+
+class SectorLU:
+    """LU of a reversal-symmetric system, one factor per parity sector.
+
+    The system S has odd order n = 2m + 1 (grids have odd node counts) and
+    S[::-1, ::-1] == S, else NumericalError. A vector y splits into an even
+    part, kept as its first m + 1 entries, and an odd part, kept as its first
+    m (its middle entry is 0). S maps each part to the same parity, so S
+    folds onto an (m+1)-sized even and an m-sized odd sector matrix. solve()
+    solves each part that is not exactly zero with its sector's factor and
+    adds the two; `lus` maps a sector's sign (+1 even, -1 odd) to its
+    factor, made with SPLU_OPTIONS the first time that sector is needed.
+    """
+
+    def __init__(self, system):
+        system = system.tocsr()
+        if (system[::-1, ::-1] != system).nnz:
+            raise NumericalError("step system does not commute with the "
+                                 "reflection (x, v) -> (-x, -v)")
+        self.system = system
+        self.lus = {}
+
+    def _factor(self, sign):
+        if sign not in self.lus:
+            self.lus[sign] = splu(fold_sector(self.system, sign),
+                                  **SPLU_OPTIONS)
+        return self.lus[sign]
+
+    def solve(self, rhs):
+        m = rhs.size // 2
+        mirror = rhs[::-1]
+        even = 0.5 * (rhs[:m + 1] + mirror[:m + 1])
+        odd = 0.5 * (rhs[:m] - mirror[:m])
+        sol = np.zeros(rhs.size)
+        if even.any():
+            u = self._factor(1).solve(even)
+            sol[:m + 1] = u
+            sol[m + 1:] = u[m - 1::-1]
+        if odd.any():
+            u = self._factor(-1).solve(odd)
+            sol[:m] += u
+            sol[m + 1:] -= u[::-1]
+        return sol
+
+
 def _step_system(ops, mode, dt, scheme):
     """(lu, system, rhs_mat) of one implicit step, factored once per set.
 
     The generator is L_hat - T_hat on q for mode 'kinetic' and the macro
     generator on densities for 'macro'. Implicit Euler solves
     (I - dt G) y_new = y (rhs_mat None); Crank-Nicolson, kinetic only, solves
-    (I - dt/2 G) y_new = (I + dt/2 G) y. Cached in ops.step_cache under
-    (mode, scheme, dt).
+    (I - dt/2 G) y_new = (I + dt/2 G) y. lu is the SectorLU of system.
+    Cached in ops.step_cache under (mode, scheme, dt).
     """
     if dt <= 0:
         raise ValidationError("dt must be positive")
@@ -100,8 +165,8 @@ def _step_system(ops, mode, dt, scheme):
         else:
             system = eye - 0.5 * dt * gen
             rhs_mat = (eye + 0.5 * dt * gen).tocsr()
-        ops.step_cache[key] = (splu(system.tocsc(), **SPLU_OPTIONS),
-                               system.tocsr(), rhs_mat)
+        lu = SectorLU(system)
+        ops.step_cache[key] = (lu, lu.system, rhs_mat)
     return ops.step_cache[key]
 
 

@@ -256,7 +256,7 @@ def _envelope(record, prediction, delta, mode):
     return c_anchor * (1.0 + t) ** (-zeta)
 
 
-def run_scenario(config, out_dir=None):
+def run_scenario(config):
     """Build, evolve, fit, classify; returns a ReportBundle (never raises for
     a numerical failure of the trajectory, its envelope or its fit -- those
     produce a 'failed' bundle with the record as far as it got)."""

@@ -43,6 +43,12 @@ def test_traced_kinetic_run_counts_every_wrap_point():
     assert metrics["evolution.factorizations"] == 1
     # entropy_H one elliptic solve, dissipation_components four
     assert metrics["operators.elliptic_solves"] == 5 * samples
+    # the bump datum is even: only the even sector is factored and solved
+    lu = evolution._step_system(ops, "kinetic", 0.05, "implicit_euler")[0]
+    assert sorted(lu.lus) == [1]
+    even = lu.lus[1]
+    assert metrics["evolution.lu_fill"] == even.L.nnz + even.U.nnz
+    assert metrics["evolution.solves_per_step"] == 1.0
 
 
 def test_traced_scenario_counts_steps_time_and_report_bytes(tmp_path):

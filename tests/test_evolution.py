@@ -24,7 +24,9 @@ from kfplab import (
     total_mass,
     weighted_moment,
 )
-from kfplab.evolution import _step_system
+from kfplab import evolution
+from kfplab.evolution import SectorLU, _step_system
+from kfplab.operators import SPLU_OPTIONS
 
 
 # ---------------------------------------------------------------------------
@@ -106,14 +108,80 @@ def test_step_macro_mass_and_positivity(strong_strong):
 def test_kinetic_lu_fill_below_colamd(quadrants):
     # the shared LU options (minimum degree on A^T + A, diagonal pivots) keep
     # the kinetic factors well below COLAMD's fill; without the small pivot
-    # threshold, row swaps on the beta = 0.5 boxes multiply the fill instead
+    # threshold, row swaps on the beta = 0.5 boxes multiply the fill instead.
+    # A mixed right-hand side factors both parity sectors, and each sector
+    # holds about half the fill of the full system under the same options.
+    rng = np.random.default_rng(7)
     for key, (_, _, _, ops) in quadrants.items():
         for dt in (1.0, 0.05):
-            lu, system, _ = _step_system(ops, "kinetic", dt,
-                                         "implicit_euler")
+            _, system, _ = _step_system(ops, "kinetic", dt, "implicit_euler")
+            lu = SectorLU(system)
+            lu.solve(rng.standard_normal(system.shape[0]))
+            assert sorted(lu.lus) == [-1, 1]
+            fills = [f.L.nnz + f.U.nnz for f in lu.lus.values()]
             ref = splu(system.tocsc(), permc_spec="COLAMD")
-            ratio = (lu.L.nnz + lu.U.nnz) / (ref.L.nnz + ref.U.nnz)
+            ratio = sum(fills) / (ref.L.nnz + ref.U.nnz)
             assert ratio <= 0.7, (key, dt, ratio)
+            full = splu(system.tocsc(), **SPLU_OPTIONS)
+            for fill in fills:
+                share = fill / (full.L.nnz + full.U.nnz)
+                assert share <= 0.55, (key, dt, share)
+
+
+def test_sector_lu_matches_full_solve(quadrants, strong_weak):
+    systems = [_step_system(ops, "kinetic", 0.05, "implicit_euler")[1]
+               for _, _, _, ops in quadrants.values()]
+    systems.append(_step_system(strong_weak[3], "macro", 0.2,
+                                "implicit_euler")[1])
+    for i, system in enumerate(systems):
+        lu = SectorLU(system)
+        full = splu(system.tocsc(), **SPLU_OPTIONS)
+        r = np.random.default_rng(i).standard_normal(system.shape[0])
+        for name, rhs in (("even", r + r[::-1]), ("odd", r - r[::-1]),
+                          ("mixed", r)):
+            ref = full.solve(rhs)
+            err = np.linalg.norm(lu.solve(rhs) - ref) / np.linalg.norm(ref)
+            assert err <= 1e-12, (i, name, err)
+
+
+def test_sector_lu_factors_only_the_sectors_a_state_meets(strong_strong,
+                                                          monkeypatch):
+    # under (x, v) -> (-x, -v) the bump datum is exactly even, the odd_v
+    # perturbation f_star cos(pi x/2X) sin(pi v/V) exactly odd, and the
+    # shifted Gaussian has both parts; a sector whose part is exactly zero
+    # is never factored
+    _, grid, eq, ops = strong_strong
+    xg, vg = grid.x_grid, grid.v_grid
+    odd = Field(eq.f_star.values
+                * np.outer(np.cos(0.5 * np.pi * xg.nodes / xg.half_width),
+                           np.sin(np.pi * vg.nodes / vg.half_width)), grid)
+    real_splu = evolution.splu
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape[0])
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "splu", counting)
+    n = grid.shape[0] * grid.shape[1]
+    for f, sectors in ((initial_bump(eq, 0.5), [1]), (odd, [-1]),
+                       (initial_shifted_gaussian(eq), [-1, 1])):
+        fresh = dataclasses.replace(ops)        # an empty step cache
+        calls.clear()
+        step_kinetic(f, 0.05, eq, fresh)
+        lu = _step_system(fresh, "kinetic", 0.05, "implicit_euler")[0]
+        assert sorted(lu.lus) == sectors
+        assert sorted(calls) == sorted((n + s) // 2 for s in sectors)
+
+
+def test_sector_lu_rejects_a_system_without_reflection_symmetry(
+        strong_strong):
+    _, _, _, ops = strong_strong
+    lopsided = ops.L_hat.tolil()
+    lopsided[0, 0] *= 1.5
+    bent = dataclasses.replace(ops, L_hat=lopsided.tocsr())
+    with pytest.raises(NumericalError, match="reflection"):
+        _step_system(bent, "kinetic", 0.05, "implicit_euler")
 
 
 # ---------------------------------------------------------------------------
