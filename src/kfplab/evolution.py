@@ -10,12 +10,18 @@ Fokker-Planck generator on densities.
 Every step system commutes with the reflection (x, v) -> (-x, -v), exactly
 and not just to roundoff: Grid1D mirrors its nodes and every potential is
 even, so the assembled entries repeat bit for bit under the reflection. On
-the row-major flattened state the reflection is the reversal y[::-1], so a
-step splits into an even and an odd sector of about n/2 unknowns each. Each
-sector is folded and factored on its own, the first time a right-hand side
-has a nonzero part in it; a sector whose part is exactly zero is skipped,
-since S x = 0 gives x = 0. Data with one parity (the kinetic bump is even)
-therefore factor and solve half the problem.
+the row-major flattened state y (n = 2m + 1 entries) the reflection is the
+reversal y[::-1], so a step splits into an even and an odd sector. A state
+is carried in orthonormal sector coordinates: the even part as
+(y_i + y_{n-1-i}) / sqrt(2) for i < m followed by y_m, the odd part as
+(y_i - y_{n-1-i}) / sqrt(2) for i < m. The map is orthogonal, so each part's
+2-norm is the full-grid norm of the vector it stands for, and a residual
+check per sector certifies the same relative residual on the full grid.
+Each sector matrix is folded and factored on its own, the first time a part
+in it is nonzero; a part that is exactly zero stays zero and is never
+solved. Data with one parity (the kinetic bump is even) therefore factor
+and solve half the problem. Between samples run_trajectory keeps only the
+parts; the full vector is rebuilt at sample times.
 
 Trajectories sample the squared mu-norm of the tracked state (f - f_star on
 integrable branches, f itself when no stationary state exists), the twisted
@@ -28,7 +34,7 @@ import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from .errors import NumericalError, ValidationError
-from .grids import DensityField, Field, weighted_moment
+from .grids import DensityField, Field
 from .hypo import dissipation_components, entropy_H
 from .operators import SPLU_OPTIONS, solve_with_refinement
 
@@ -81,69 +87,92 @@ class TrajectoryRecord:
 # single steps
 # ---------------------------------------------------------------------------
 
+_SQRT2 = np.sqrt(2.0)
+
+
+def fold(y):
+    """{sign: part} of y in orthonormal sector coordinates (+1 even, -1 odd),
+    leaving out a part that is exactly zero."""
+    m = y.size // 2
+    head, tail = y[:m], y[:m:-1]          # tail[i] = y[n-1-i]
+    even = np.empty(m + 1)
+    even[:m] = (head + tail) / _SQRT2
+    even[m] = y[m]
+    odd = (head - tail) / _SQRT2
+    return {sign: part for sign, part in ((1, even), (-1, odd)) if part.any()}
+
+
+def unfold(parts, n):
+    """The length-n vector whose sector parts are `parts` (the inverse of fold)."""
+    m = n // 2
+    even = parts[1][:m] if 1 in parts else 0.0
+    odd = parts[-1] if -1 in parts else 0.0
+    y = np.zeros(n)
+    y[:m] = (even + odd) / _SQRT2
+    y[:m:-1] = (even - odd) / _SQRT2
+    if 1 in parts:
+        y[m] = parts[1][m]
+    return y
+
+
 def fold_sector(system, sign):
-    """The CSC matrix of an odd-order, reversal-symmetric system on the even
-    (sign +1, first m + 1 entries) or odd (sign -1, first m entries) sector."""
+    """The CSC matrix of an odd-order, reversal-symmetric system on its even
+    (sign +1, m + 1 unknowns) or odd (sign -1, m unknowns) sector, in the
+    orthonormal sector coordinates of fold."""
     m = system.shape[0] // 2
     half = m + 1 if sign > 0 else m
     top = system[:half]
     # column n-1-j of the full system acts on entry j of the sector
     mirrored = sp.hstack([top[:, :m:-1], sp.csr_matrix((half, half - m))])
-    return (top[:, :half] + sign * mirrored).tocsc()
+    folded = (top[:, :half] + sign * mirrored).tocoo()
+    if sign > 0:
+        # the centre entry is not scaled by sqrt(2): its row of the fold
+        # holds 2 S[m, j], its column S[i, m]; both become sqrt(2) S
+        folded.data[(folded.row == m) & (folded.col < m)] /= _SQRT2
+        folded.data[(folded.col == m) & (folded.row < m)] *= _SQRT2
+    return folded.tocsc()
 
 
 class SectorLU:
-    """LU of a reversal-symmetric system, one factor per parity sector.
+    """A reversal-symmetric step system, folded and factored per parity sector.
 
     The system S has odd order n = 2m + 1 (grids have odd node counts) and
-    S[::-1, ::-1] == S, else NumericalError. A vector y splits into an even
-    part, kept as its first m + 1 entries, and an odd part, kept as its first
-    m (its middle entry is 0). S maps each part to the same parity, so S
-    folds onto an (m+1)-sized even and an m-sized odd sector matrix. solve()
-    solves each part that is not exactly zero with its sector's factor and
-    adds the two; `lus` maps a sector's sign (+1 even, -1 odd) to its
-    factor, made with SPLU_OPTIONS the first time that sector is needed.
+    S[::-1, ::-1] == S, else NumericalError; rhs_mat (Crank-Nicolson's
+    right-hand side matrix, or None) shares the symmetry. S maps each sector
+    to itself, so it folds onto an (m+1)-sized even and an m-sized odd
+    sector matrix. sector(sign) returns that sector's (factor, matrix,
+    folded rhs_mat or None), folding and factoring it with SPLU_OPTIONS the
+    first time; `lus` maps each sign met so far (+1 even, -1 odd) to its
+    factor.
     """
 
-    def __init__(self, system):
+    def __init__(self, system, rhs_mat=None):
         system = system.tocsr()
         if (system[::-1, ::-1] != system).nnz:
             raise NumericalError("step system does not commute with the "
                                  "reflection (x, v) -> (-x, -v)")
-        self.system = system
+        self._full = (system, rhs_mat)
+        self._sectors = {}
         self.lus = {}
 
-    def _factor(self, sign):
-        if sign not in self.lus:
-            self.lus[sign] = splu(fold_sector(self.system, sign),
-                                  **SPLU_OPTIONS)
-        return self.lus[sign]
-
-    def solve(self, rhs):
-        m = rhs.size // 2
-        mirror = rhs[::-1]
-        even = 0.5 * (rhs[:m + 1] + mirror[:m + 1])
-        odd = 0.5 * (rhs[:m] - mirror[:m])
-        sol = np.zeros(rhs.size)
-        if even.any():
-            u = self._factor(1).solve(even)
-            sol[:m + 1] = u
-            sol[m + 1:] = u[m - 1::-1]
-        if odd.any():
-            u = self._factor(-1).solve(odd)
-            sol[:m] += u
-            sol[m + 1:] -= u[::-1]
-        return sol
+    def sector(self, sign):
+        if sign not in self._sectors:
+            system, rhs_mat = self._full
+            matrix = fold_sector(system, sign)
+            folded_rhs = (None if rhs_mat is None
+                          else fold_sector(rhs_mat, sign).tocsr())
+            self.lus[sign] = splu(matrix, **SPLU_OPTIONS)
+            self._sectors[sign] = (self.lus[sign], matrix, folded_rhs)
+        return self._sectors[sign]
 
 
-def _step_system(ops, mode, dt, scheme):
-    """(lu, system, rhs_mat) of one implicit step, factored once per set.
+def _step_matrices(ops, mode, dt, scheme):
+    """(system, rhs_mat) of one implicit step.
 
     The generator is L_hat - T_hat on q for mode 'kinetic' and the macro
     generator on densities for 'macro'. Implicit Euler solves
     (I - dt G) y_new = y (rhs_mat None); Crank-Nicolson, kinetic only, solves
-    (I - dt/2 G) y_new = (I + dt/2 G) y. lu is the SectorLU of system.
-    Cached in ops.step_cache under (mode, scheme, dt).
+    (I - dt/2 G) y_new = (I + dt/2 G) y.
     """
     if dt <= 0:
         raise ValidationError("dt must be positive")
@@ -152,40 +181,50 @@ def _step_system(ops, mode, dt, scheme):
                               "'crank_nicolson'")
     if mode == "macro" and scheme != "implicit_euler":
         raise ValidationError("macro stepping supports implicit_euler only")
+    if mode == "kinetic":
+        gen = (ops.L_hat - ops.T_hat).tocsr()
+    else:
+        gen = ops.macro_generator
+    eye = sp.identity(gen.shape[0], format="csr")
+    if scheme == "implicit_euler":
+        return eye - dt * gen, None
+    return eye - 0.5 * dt * gen, (eye + 0.5 * dt * gen).tocsr()
+
+
+def _step_system(ops, mode, dt, scheme):
+    """The SectorLU of one implicit step, cached in ops.step_cache under
+    (mode, scheme, dt)."""
     key = (mode, scheme, float(dt))
     if key not in ops.step_cache:
-        if mode == "kinetic":
-            gen = (ops.L_hat - ops.T_hat).tocsr()
-        else:
-            gen = ops.macro_generator
-        eye = sp.identity(gen.shape[0], format="csr")
-        if scheme == "implicit_euler":
-            system = eye - dt * gen
-            rhs_mat = None
-        else:
-            system = eye - 0.5 * dt * gen
-            rhs_mat = (eye + 0.5 * dt * gen).tocsr()
-        lu = SectorLU(system)
-        ops.step_cache[key] = (lu, lu.system, rhs_mat)
+        ops.step_cache[key] = SectorLU(*_step_matrices(ops, mode, dt, scheme))
     return ops.step_cache[key]
 
 
-def _advance(y, ops, mode, dt, scheme):
+def _advance(parts, lu, what):
+    """The sector parts one step later, one solve per part."""
+    out = {}
+    for sign, part in parts.items():
+        factor, matrix, rhs_mat = lu.sector(sign)
+        rhs = part if rhs_mat is None else rhs_mat @ part
+        out[sign] = solve_with_refinement(factor, matrix, rhs, what)
+    return out
+
+
+def _step(y, ops, mode, dt, scheme):
     """The state vector y one step later (q for kinetic, rho for macro)."""
-    lu, system, rhs_mat = _step_system(ops, mode, dt, scheme)
-    rhs = y if rhs_mat is None else rhs_mat @ y
-    return solve_with_refinement(lu, system, rhs, mode + " step")
+    lu = _step_system(ops, mode, dt, scheme)
+    return unfold(_advance(fold(y), lu, mode + " step"), y.size)
 
 
 def step_kinetic(f, dt, eq, ops, scheme="implicit_euler"):
     """One implicit step of df/dt + Tf = Lf; mass-conservative by construction."""
-    q = _advance(f.values.ravel() / ops.sqrt_f, ops, "kinetic", dt, scheme)
+    q = _step(f.values.ravel() / ops.sqrt_f, ops, "kinetic", dt, scheme)
     return Field((q * ops.sqrt_f).reshape(f.grid.shape), f.grid)
 
 
 def step_macro(rho, dt, eq, ops, scheme="implicit_euler"):
     """One implicit step of the macroscopic Fokker-Planck equation."""
-    return DensityField(_advance(rho.values, ops, "macro", dt, scheme),
+    return DensityField(_step(rho.values, ops, "macro", dt, scheme),
                         eq.grid.x_grid)
 
 
@@ -294,22 +333,29 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
         y, mass_w, mass_f0, sample = _macro_sampler(f0, eq, ops, j_powers)
     else:
         raise ValidationError("mode must be 'kinetic' or 'macro'")
-    _step_system(ops, mode, dt, scheme)   # reject a bad scheme before sampling
-    mass0 = float(mass_w @ y)
+    lu = _step_system(ops, mode, dt, scheme)  # a bad scheme fails here
+    parts = fold(y)
+    mass_parts = fold(mass_w)       # mass(y) = sum of part . folded weights
+
+    def mass(parts):
+        return sum(float(mass_parts[sign] @ part)
+                   for sign, part in parts.items() if sign in mass_parts)
+
+    mass0 = mass(parts)
     mass_tol = _MASS_TOL * max(abs(mass0) + mass_f0, 1e-300)
 
     rows = [(0.0,) + sample(y)]
     t = 0.0
     try:
         for n in range(1, n_steps + 1):
-            y = _advance(y, ops, mode, dt, scheme)
-            if not np.all(np.isfinite(y)):
+            parts = _advance(parts, lu, mode + " step")
+            if not all(np.all(np.isfinite(p)) for p in parts.values()):
                 raise NumericalError("non-finite state detected")
-            if abs(float(mass_w @ y) - mass0) > mass_tol:
+            if abs(mass(parts) - mass0) > mass_tol:
                 raise NumericalError("mass drift beyond tolerance")
             t = n * dt
             if n % stride == 0 or n == n_steps:
-                rows.append((t,) + sample(y))
+                rows.append((t,) + sample(unfold(parts, y.size)))
     except NumericalError as exc:
         err = NumericalError("%s; last good time %.6g" % (exc, t))
         err.last_good_time = t
@@ -355,16 +401,28 @@ def _kinetic_sampler(f0, eq, ops, delta, j_powers, k_powers):
     shape = eq.grid.shape
     base = fstar if eq.integrable else 0.0
     q0 = ((f0.values - base) / fstar).ravel() * sqrt_f  # q = y / sqrt(f_star)
+    # J_k = sum_i wx_i <x_i>^k sum_j wv_j p_ij^2 with p = f / sqrt(f_star),
+    # K_l likewise with the sums swapped
+    xg, vg = eq.grid.x_grid, eq.grid.v_grid
+    if min(tuple(j_powers) + tuple(k_powers), default=0.0) < 0:
+        raise ValidationError("moment power must be >= 0")
+    j_weights = [xg.weights * np.sqrt(1.0 + xg.nodes ** 2) ** float(k)
+                 for k in j_powers]
+    k_weights = [vg.weights * np.sqrt(1.0 + vg.nodes ** 2) ** float(k)
+                 for k in k_powers]
+    base_q = sqrt_f.reshape(shape) if eq.integrable else 0.0
 
     def sample(q):
         y = Field((q * sqrt_f).reshape(shape), eq.grid)
-        f_phys = Field(y.values + base, eq.grid)
+        p = q.reshape(shape) + base_q
+        p_sq = p * p
+        x_marginal, v_marginal = p_sq @ vg.weights, xg.weights @ p_sq
         return (max(float((ops.w_flat * q) @ q), 0.0),
                 entropy_H(y, delta, eq, ops),
                 dissipation_components(y, delta, eq, ops)["D"],
-                [weighted_moment(f_phys, "x", k, eq) for k in j_powers],
-                [weighted_moment(f_phys, "v", k, eq) for k in k_powers],
-                _max_principle_ok(f_phys.values, c_bound, fstar))
+                [float(w @ x_marginal) for w in j_weights],
+                [float(v_marginal @ w) for w in k_weights],
+                _max_principle_ok(y.values + base, c_bound, fstar))
 
     # mass(y) = (w_flat sqrt_f) . q
     return (q0, ops.w_flat * sqrt_f,

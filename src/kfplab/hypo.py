@@ -11,31 +11,39 @@ positive semidefinite, with X = ||(1-Pi)f||_beta and Y = <ATPi f, Pi f>^(1/2)
 and K_M = lambda_M / (1 + lambda_M).
 
 H, D and the H4 ratio are evaluated in q = f/sqrt(f_star) coordinates (see
-operators.py). A only produces local equilibria, A g = u_g f_star, with the
-nx-sized profile
+operators.py), with Q the q-form read as an nx x nv matrix. A only produces
+local equilibria, A g = u_g f_star, with the nx-sized profile
 
-    u_g = (I + N)^-1 B g_q,    B = Mrho^-1 C^T W = (TPi)* in q,
+    u_g = (I + N)^-1 B g_q,    B = Mrho^-1 C^T W = (TPi)* in q.
 
-so every A-term costs one sparse product and one elliptic solve. With W the
-trapezoid weights, m = Mrho the profile weights (m u_f = wx rho_f for
-Pi f = u_f f_star) and P_hat u the q-form of u f_star:
+operators.q_profiles gives m u_f, B q, B T(1-Pi) q and B L_hat q from the
+nx x 9 product of Q with nine fixed velocity profiles, so no full-grid
+sparse product is formed. With W the trapezoid weights and m = Mrho the
+profile weights (m u_f = wx rho_f for Pi f = u_f f_star):
 
-    T Pi f in q          = C u_f = T_hat P_hat u_f
-    <A g, f>_mu          = u_g . (m u_f)
-    <T A f, f>_mu        = u_Af . (m B f_q)      (T A f = T Pi A f, B = C^*)
-    ||A g||_mu^2         = u_g . (m u_g)
-    ||(1-Pi)f||_beta^2   = sum W <v>^{-2(1-beta)_+} (f_q - P_hat u_f)^2
+    <A g, f>_mu           = u_g . (m u_f)
+    <T A f, f>_mu         = u_Af . (m B q)       (T A f = T Pi A f, B = C^*)
+    B T (1-Pi) f          = B T_hat q - N u_f    (B C = N)
+    <A T Pi f, Pi f>_mu   = u . N_sym u + ||N u||_m^2,   u = (I + N)^-1 u_f
+    -<L f, f>_mu          = sum_i wx_i |v_gradient Q_i|^2   (v-flux form)
+    ||A g||_mu^2          = u_g . (m u_g)
+    ||(1-Pi)f||_beta^2    = sum W <v>^{-2(1-beta)_+} (Q - (r u_f) (x) s)^2
 
 A maps into the range of Pi, so <ATPi f, f> = <ATPi f, Pi f>: D and the
-coercivity denominator share the one solve of atpi_quadratic_form.
+coercivity denominator share that term. entropy_H makes one elliptic solve,
+dissipation_components one with four right-hand sides (u_f, B q,
+B T(1-Pi) q, B L q) and bounded_auxiliary_ratio one with two.
 """
 
 import numpy as np
 
 from .errors import (GridMismatchError, InfeasibleError, NumericalError,
                      ValidationError)
-from .grids import Field, inner_product_mu, velocity_weight
-from .operators import atpi_quadratic_form, twist_profile
+# solve_elliptic is looked up on its module at each call, so that a wrapper
+# installed there (instrumentation, tests) sees every elliptic solve
+from . import operators
+from .grids import Field, velocity_weight
+from .operators import atpi_form, q_profiles
 from .spectral import macroscopic_gap, microscopic_coercivity_constant
 
 _WINDOW_SLACK = 1e-9
@@ -158,32 +166,34 @@ def _verify_psd_form(lambda_m, c_M, delta, k_M, s):
 # entropy, dissipation, envelopes
 # ---------------------------------------------------------------------------
 
-def _q_form(f, eq, ops):
-    """q = f / sqrt(f_star), flattened, and m u_f = wx rho_f (Pi f = u_f f_star)."""
+def _q(f, eq, ops):
+    """q = f / sqrt(f_star), flattened."""
     if f.values.shape != eq.grid.shape:
         raise GridMismatchError("field and equilibrium live on different grids")
-    q = f.values.ravel() / ops.sqrt_f
-    return q, eq.grid.x_grid.weights * (f.values @ eq.grid.v_grid.weights)
+    return f.values.ravel() / ops.sqrt_f
 
 
-def _micro_beta_sq(q, m_u, eq, ops):
-    """(1-Pi)f in q and ||(1-Pi)f||_beta^2 = sum W <v>^{-2(1-beta)+} micro^2."""
-    micro = q - ops.P_hat @ (m_u / ops.mrho)
+def _micro_beta_sq(q, u_f, eq, ops):
+    """||(1-Pi)f||_beta^2 = sum W <v>^{-2(1-beta)+} (Q - (r u_f) (x) s)^2."""
+    shape = eq.grid.shape
+    micro = q.reshape(shape) - u_f[:, None] * ops.sqrt_f.reshape(shape)
+    micro *= micro
     vg = eq.grid.v_grid
     weight_v = vg.weights * velocity_weight(eq.spec.beta, vg.nodes)
-    sq = (micro * micro).reshape(eq.grid.shape) @ weight_v
-    return micro, float(eq.grid.x_grid.weights @ sq)
+    return float(eq.grid.x_grid.weights @ (micro @ weight_v))
 
 
 def entropy_H(f, delta, eq, ops):
     """H[f] = 1/2 ||f||_mu^2 + delta <Af, f>_mu (sandwiched by (2 +- delta)/4 ||f||^2)."""
     if not 0.0 <= delta < 2.0:
         raise ValidationError("entropy needs 0 <= delta < 2")
-    half_sq = 0.5 * inner_product_mu(f, f, eq)
+    q = _q(f, eq, ops)
+    half_sq = 0.5 * float(q @ (ops.w_flat * q))
     if delta == 0.0:
         return half_sq
-    q, m_u = _q_form(f, eq, ops)
-    return half_sq + delta * float(twist_profile(q, eq, ops) @ m_u)
+    m_u, b_q = q_profiles(q, ops)[:2]
+    u_af = operators.solve_elliptic(b_q, eq, ops)
+    return half_sq + delta * float(u_af @ m_u)
 
 
 def dissipation_components(f, delta, eq, ops):
@@ -193,22 +203,23 @@ def dissipation_components(f, delta, eq, ops):
     D[f] = -<Lf,f> + delta <ATPi f, f>
            - delta (<TAf,f> - <AT(1-Pi)f,f> + <ALf,f>).
     """
-    q, m_u = _q_form(f, eq, ops)
-    lq = ops.L_hat @ q
-    tq = ops.T_hat @ q
-    t_pi = ops.C @ (m_u / ops.mrho)     # T Pi f in q
+    q = _q(f, eq, ops)
+    m_u, b_q, bt_micro_q, bl_q = q_profiles(q, ops)
+    u_f = m_u / ops.mrho
+    u_pi, u_af, u_at_micro, u_al = operators.solve_elliptic(
+        np.column_stack([u_f, b_q, bt_micro_q, bl_q]), eq, ops).T
 
-    minus_lff = -float((ops.w_flat * lq) @ q)
-    atpi_ff = atpi_quadratic_form(f, eq, ops)   # <ATPi f, f> = <ATPi f, Pi f>
-    u_af = twist_profile(q, eq, ops)
-    ta_ff = float(u_af @ (ops.mrho * (ops.B @ q)))
-    at_micro_ff = float(twist_profile(tq - t_pi, eq, ops) @ m_u)
-    al_ff = float(twist_profile(lq, eq, ops) @ m_u)
+    grad = ops.v_gradient @ q.reshape(eq.grid.shape).T     # one row per face
+    minus_lff = float(np.einsum("ji,ji->i", grad, grad)
+                      @ eq.grid.x_grid.weights)
+    atpi_ff = atpi_form(u_pi, ops)   # <ATPi f, f> = <ATPi f, Pi f>
+    ta_ff = float(u_af @ (ops.mrho * b_q))
+    at_micro_ff = float(u_at_micro @ m_u)
+    al_ff = float(u_al @ m_u)
 
     dissipation = (minus_lff + delta * atpi_ff
                    - delta * (ta_ff - at_micro_ff + al_ff))
-    _, micro_sq = _micro_beta_sq(q, m_u, eq, ops)
-    kappa_den = micro_sq + atpi_ff
+    kappa_den = _micro_beta_sq(q, u_f, eq, ops) + atpi_ff
     return {
         "minus_Lf_f": minus_lff,
         "ATPi_f_f": atpi_ff,
@@ -238,9 +249,15 @@ def decay_envelope(kind, h0, rate_or_pair, times):
 # ---------------------------------------------------------------------------
 
 def _smooth(values, rounds):
+    # edge-padded five-point average, the padding refilled in place each round
+    pad = np.empty((values.shape[0] + 2, values.shape[1] + 2))
     out = values
     for _ in range(rounds):
-        pad = np.pad(out, 1, mode="edge")
+        pad[1:-1, 1:-1] = out
+        pad[0, 1:-1] = out[0]
+        pad[-1, 1:-1] = out[-1]
+        pad[:, 0] = pad[:, 1]
+        pad[:, -1] = pad[:, -2]
         out = 0.25 * (pad[:-2, 1:-1] + pad[2:, 1:-1]
                       + pad[1:-1, :-2] + pad[1:-1, 2:])
     return out
@@ -283,14 +300,13 @@ def _random_suite(eq, sample_count, seed):
 
 def bounded_auxiliary_ratio(f, eq, ops):
     """(||AT(1-Pi)f|| + ||ALf||) / ||(1-Pi)f||_beta, the measured H4 ratio."""
-    q, m_u = _q_form(f, eq, ops)
-    micro, micro_sq = _micro_beta_sq(q, m_u, eq, ops)
+    q = _q(f, eq, ops)
+    m_u, _, bt_micro_q, bl_q = q_profiles(q, ops)
+    micro_sq = _micro_beta_sq(q, m_u / ops.mrho, eq, ops)
     if micro_sq == 0.0:
         raise ValidationError("f must have a microscopic part")
-    u_at = twist_profile(ops.T_hat @ micro, eq, ops)
-    u_al = twist_profile(ops.L_hat @ q, eq, ops)
-    norm_at, norm_al = (np.sqrt(float(u @ (ops.mrho * u)))
-                        for u in (u_at, u_al))
+    u = operators.solve_elliptic(np.column_stack([bt_micro_q, bl_q]), eq, ops)
+    norm_at, norm_al = np.sqrt(np.sum(u * (ops.mrho[:, None] * u), axis=0))
     return (norm_at + norm_al) / np.sqrt(micro_sq)
 
 

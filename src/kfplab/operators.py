@@ -4,6 +4,8 @@ Construction notes (the structural identities everything rests on):
 
 * Work in q = f/sqrt(f_star) coordinates, where <f,g>_mu becomes the plain
   weighted product sum(w_ij q_f q_g) with trapezoid weights w_ij = wx_i wv_j.
+  With sqrt(f_star) = r (x) s, r = sqrt(rho_star) and s = sqrt(g_star), a
+  q-form is also read as the nx x nv matrix Q (rows x, columns v).
 
 * Transport: T_hat = psi_t(v) * Dx - phi_t(x) * Dv with Dx = Wx^-1 Kx, where
   Kx is the antisymmetric centered-difference core (zero extension at the
@@ -17,14 +19,25 @@ Construction notes (the structural identities everything rests on):
 * Collision: per x-slice, in h = f/f_star coordinates, the flux form
   -Mv^-1 Gv^T E Gv with midpoint weights E ~ e^{-psi(v_{j+1/2})}. Exactly
   symmetric, nonpositive, annihilates constants (so L f_star = 0 exactly),
-  conserves mass per slice exactly.
+  conserves mass per slice exactly. L_hat = I (x) Lv_hat acts on Q as
+  Q Lv_hat^T.
 
 * The macroscopic operator (T Pi)*(T Pi) restricted to local equilibria
   u f_star is assembled as the exact sparse composition N = Mrho^-1 C^T W C
-  with C = T_hat P_hat. B = Mrho^-1 C^T W is (TPi)* from q-forms to
-  profiles, so N = B C. elliptic_matrix = I + N, so apply_A realizes
-  (1 + (TPi)*(TPi))^-1 (TPi)* exactly in the discrete Hilbert space and the
-  abstract operator estimates hold to roundoff.
+  with C = T_hat P_hat, where P_hat u = (r u) (x) s is the q-form of u f_star.
+  elliptic_matrix = I + N, so apply_A realizes (1 + (TPi)*(TPi))^-1 (TPi)*
+  exactly in the discrete Hilbert space and the abstract operator estimates
+  hold to roundoff.
+
+* C factors through two fixed velocity profiles:
+  C = X1 (x) c1 - X2 (x) c2 with X1 = Dx diag(r), c1 = psi_t s,
+  X2 = diag(phi_t r) and c2 = Dv s. So the adjoint B = Mrho^-1 C^T W = (TPi)*
+  of any q-form built from Q by T_hat or L_hat needs only Q against the nine
+  columns of v_profiles, V = [s wv, a_k, psi_t a_k, Dv^T a_k, Lv_hat^T a_k]
+  with a_k = wv c_k (k = 1, 2, interleaved), followed by nx-sized sparse
+  maps (profile_map). q_profiles returns m u_f (Pi f = u_f f_star), B q,
+  B T_hat (1-Pi) q = B T_hat q - N u_f and B L_hat q that way, without a
+  full-grid sparse product.
 """
 
 import dataclasses
@@ -63,6 +76,11 @@ def _antisym_core(n):
     return sp.diags([off, -off], [1, -1], format="csr")
 
 
+def _forward_difference(n):
+    return sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1],
+                    shape=(n - 1, n), format="csr")
+
+
 def flux_stiffness(grid, face_weight):
     """S = G^T diag(face_weight/h) G on a Grid1D, G the forward difference.
 
@@ -70,10 +88,15 @@ def flux_stiffness(grid, face_weight):
     Dirichlet form behind the collision slice, the macro generator and the
     spectral pencils.
     """
-    n = grid.count
-    G = sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1],
-                 shape=(n - 1, n), format="csr")
+    G = _forward_difference(grid.count)
     return (G.T @ sp.diags(face_weight / grid.spacing) @ G).tocsr()
+
+
+def _collision_faces(eq):
+    # midpoint face weights e^{-psi}, on the scale of the stored g_star_v
+    vg = eq.grid.v_grid
+    mid = 0.5 * (vg.nodes[:-1] + vg.nodes[1:])
+    return eq.g_scale * np.exp(-eval_potential(eq.spec, "v", mid))
 
 
 def collision_v_forms(eq):
@@ -85,12 +108,7 @@ def collision_v_forms(eq):
     lower bound for the very same discrete form.
     """
     vg = eq.grid.v_grid
-    mid = 0.5 * (vg.nodes[:-1] + vg.nodes[1:])
-    # face weights share the scale of the stored g_star_v factor
-    face = eq.g_scale * np.exp(-eval_potential(eq.spec, "v", mid))
-    S = flux_stiffness(vg, face)
-    mass = vg.weights * eq.g_star_v
-    return S, mass
+    return flux_stiffness(vg, _collision_faces(eq)), vg.weights * eq.g_star_v
 
 
 @dataclasses.dataclass(eq=False)
@@ -99,24 +117,25 @@ class OperatorSet:
 
     T_hat and L_hat are the transport and collision matrices on q (n = nx nv
     unknowns); sqrt_f and w_flat the flattened sqrt(f_star) and trapezoid
-    weights W. P_hat maps a profile u to the q-form of u f_star, C = T_hat
-    P_hat, mrho the profile weights Mrho, N_sym = C^T W C = Mrho N and
-    B = Mrho^-1 C^T W = (TPi)*. elliptic_matrix = I + N with its LU
-    elliptic_lu; macro_generator is the sigma-scaled Fokker-Planck generator
-    on densities and Sx_macro its flux stiffness. step_cache holds the
-    factored time-step systems of this set; dataclasses.replace starts a new,
-    empty one.
+    weights W. v_profiles (nv x 9) and profile_map (4 nx x 9 nx) give
+    q_profiles; v_gradient is the (nv-1) x nv flux gradient with
+    -<L_hat q, q>_W = sum_i wx_i |v_gradient Q_i|^2. mrho holds the profile
+    weights Mrho and N_sym = C^T W C = Mrho N. elliptic_matrix = I + N with
+    its LU elliptic_lu; macro_generator is the sigma-scaled Fokker-Planck
+    generator on densities and Sx_macro its flux stiffness. step_cache holds
+    the factored time-step systems of this set; dataclasses.replace starts a
+    new, empty one.
     """
 
     T_hat: sp.csr_matrix
     L_hat: sp.csr_matrix
     sqrt_f: np.ndarray
     w_flat: np.ndarray
-    P_hat: sp.csr_matrix
-    C: sp.csr_matrix
+    v_profiles: np.ndarray
+    profile_map: sp.csr_matrix
+    v_gradient: sp.csr_matrix
     mrho: np.ndarray
     N_sym: sp.csr_matrix
-    B: sp.csr_matrix
     elliptic_matrix: sp.csr_matrix
     elliptic_lu: object
     macro_generator: sp.csr_matrix
@@ -146,11 +165,12 @@ def assemble(eq, spec, grid):
     r = np.sqrt(rho)
     s = np.sqrt(gv)
     sqrt_f = np.outer(r, s).ravel()
+    wx, wv = xg.weights, vg.weights
     w_flat = grid.weight_matrix.ravel()
 
     # --- transport in q coordinates ---------------------------------------
-    Dx = sp.diags(1.0 / xg.weights) @ _antisym_core(nx)
-    Dv = sp.diags(1.0 / vg.weights) @ _antisym_core(nv)
+    Dx = sp.diags(1.0 / wx) @ _antisym_core(nx)
+    Dv = sp.diags(1.0 / wv) @ _antisym_core(nv)
     psi_t = -2.0 * (Dv @ s) / s
     phi_t = -2.0 * (Dx @ r) / r
     T_hat = (sp.diags(np.tile(psi_t, nx)) @ sp.kron(Dx, sp.identity(nv), format="csr")
@@ -158,31 +178,53 @@ def assemble(eq, spec, grid):
     T_hat = T_hat.tocsr()
 
     # --- collision in q coordinates (x-independent slice operator) --------
-    Sv, _ = collision_v_forms(eq)
-    Lv_hat = -sp.diags(1.0 / (vg.weights * s)) @ Sv @ sp.diags(1.0 / s)
+    faces = _collision_faces(eq)
+    Sv = flux_stiffness(vg, faces)
+    Lv_hat = -sp.diags(1.0 / (wv * s)) @ Sv @ sp.diags(1.0 / s)
     L_hat = sp.kron(sp.identity(nx), Lv_hat, format="csr")
+    v_gradient = (sp.diags(np.sqrt(faces / vg.spacing))
+                  @ _forward_difference(nv) @ sp.diags(1.0 / s)).tocsr()
 
     # --- macroscopic pieces -------------------------------------------------
     # exact composition N = Mrho^-1 C^T W C, C = T_hat P_hat
     P_hat = sp.kron(sp.diags(r), sp.csr_matrix(s.reshape(nv, 1)), format="csr")
     C = (T_hat @ P_hat).tocsr()
-    mrho = eq.g_mass * xg.weights * rho
+    mrho = eq.g_mass * wx * rho
     N_sym = (C.T @ sp.diags(w_flat) @ C).tocsr()     # = Mrho N, symmetric PSD
     N = (sp.diags(1.0 / mrho) @ N_sym).tocsr()
-    B = (sp.diags(1.0 / mrho) @ C.T @ sp.diags(w_flat)).tocsr()  # (TPi)*
     elliptic_matrix = (sp.identity(nx, format="csr") + N).tocsr()
+
+    # --- C = X1 (x) c1 - X2 (x) c2 and the profiles of q_profiles ----------
+    # B = K1 (Q a1) - K2 (Q a2) with K1 = Mrho^-1 X1^T Wx, K2 = Mrho^-1 X2 Wx;
+    # (T_hat Q) a_k = Dx Q (psi_t a_k) - phi_t Q (Dv^T a_k),
+    # (L_hat Q) a_k = Q (Lv_hat^T a_k), and B T_hat Pi q = N u_f with
+    # u_f = Mrho^-1 wx r (Q s wv)
+    X1 = Dx @ sp.diags(r)
+    K1 = sp.diags(1.0 / mrho) @ X1.T @ sp.diags(wx)
+    K2 = sp.diags(phi_t * r * wx / mrho)
+    a = np.column_stack([wv * psi_t * s, wv * (Dv @ s)])
+    v_profiles = np.column_stack([s * wv, a, psi_t[:, None] * a, Dv.T @ a,
+                                  Lv_hat.T @ a])
+    phi = sp.diags(phi_t)
+    profile_map = sp.bmat([
+        [sp.diags(wx * r)] + [None] * 8,
+        [None, K1, -K2] + [None] * 6,
+        [-N @ sp.diags(wx * r / mrho), None, None, K1 @ Dx, -K2 @ Dx,
+         -K1 @ phi, K2 @ phi, None, None],
+        [None] * 7 + [K1, -K2],
+    ], format="csr")
 
     # sigma-scaled Fokker-Planck generator on densities, flux form
     xmid = 0.5 * (xg.nodes[:-1] + xg.nodes[1:])
     face_x = eq.rho_scale * np.exp(-eval_potential(eq.spec, "x", xmid))
     Sx = flux_stiffness(xg, face_x)
     macro_generator = (-eq.sigma_normalized
-                       * sp.diags(1.0 / xg.weights) @ Sx @ sp.diags(1.0 / rho)).tocsr()
+                       * sp.diags(1.0 / wx) @ Sx @ sp.diags(1.0 / rho)).tocsr()
 
     return OperatorSet(
-        T_hat=T_hat, L_hat=L_hat, sqrt_f=sqrt_f, w_flat=w_flat, P_hat=P_hat,
-        C=C, mrho=mrho, N_sym=N_sym, B=B,
-        elliptic_matrix=elliptic_matrix,
+        T_hat=T_hat, L_hat=L_hat, sqrt_f=sqrt_f, w_flat=w_flat,
+        v_profiles=v_profiles, profile_map=profile_map, v_gradient=v_gradient,
+        mrho=mrho, N_sym=N_sym, elliptic_matrix=elliptic_matrix,
         elliptic_lu=splu(elliptic_matrix.tocsc(), **SPLU_OPTIONS),
         macro_generator=macro_generator, Sx_macro=Sx)
 
@@ -206,63 +248,76 @@ def macro_profile(f, eq):
 def solve_with_refinement(lu, system, rhs, what):
     """Solve system @ x = rhs with the factorization lu of system.
 
-    Up to three rounds of iterative refinement bring the relative residual
-    ||rhs - system @ x|| below 1e-10 ||rhs||; a solve that stalls above it
-    raises NumericalError naming `what`.
+    rhs is a vector or an (n, k) block of k right-hand sides. Up to three
+    rounds of iterative refinement bring each column's relative residual
+    ||rhs - system @ x|| below 1e-10 ||rhs|| of that column; a column that
+    stalls above it raises NumericalError naming `what`.
     """
+    axis = None if rhs.ndim == 1 else 0        # column norms of a block
     sol = lu.solve(rhs)
-    scale = np.linalg.norm(rhs)
-    if scale == 0.0:
-        return sol
+    scale = np.linalg.norm(rhs, axis=axis)
     for _ in range(3):
         res = rhs - system @ sol
-        if np.linalg.norm(res) < _RESIDUAL_TOL * scale:
+        # a zero column has the zero solution; NaN never passes
+        stalled = ((~(np.linalg.norm(res, axis=axis) < _RESIDUAL_TOL * scale))
+                   & (scale > 0.0))
+        if not stalled.any():
             return sol
-        sol = sol + lu.solve(res)
-    res = np.linalg.norm(rhs - system @ sol) / scale
+        sol = sol + np.where(stalled, lu.solve(res), 0.0)
+    err = np.linalg.norm(rhs - system @ sol, axis=axis) / np.where(
+        scale > 0.0, scale, 1.0)
     raise NumericalError("%s solve stalled at relative residual %.2e"
-                         % (what, res))
+                         % (what, np.max(err)))
 
 
 def solve_elliptic(rhs, eq, ops):
-    """Solve (I + N) u = rhs on densities to relative residual < 1e-10.
+    """Solve (I + N) u = rhs on profiles to relative residual < 1e-10.
 
     N is the exact discrete (TPi)*(TPi) on local-equilibrium profiles; the
     system I + N is factored directly and solved by solve_with_refinement.
+    rhs is a DensityField, and then so is the result, or an (nx,) or (nx, k)
+    array, solved column by column in one call.
     """
-    u = solve_with_refinement(ops.elliptic_lu, ops.elliptic_matrix,
-                              rhs.values, "elliptic")
-    return DensityField(u, eq.grid.x_grid)
+    values = rhs.values if isinstance(rhs, DensityField) else rhs
+    u = solve_with_refinement(ops.elliptic_lu, ops.elliptic_matrix, values,
+                              "elliptic")
+    return DensityField(u, eq.grid.x_grid) if isinstance(rhs, DensityField) \
+        else u
 
 
-def twist_profile(g_q, eq, ops):
-    """The profile u_g with A g = u_g f_star, for g given by its q-form g_q.
+def q_profiles(q, ops):
+    """(m u_f, B q, B T_hat (1-Pi) q, B L_hat q) of a q-form q, each of
+    length nx.
 
-    u_g = (I + N)^-1 B g_q with B = Mrho^-1 C^T W, the adjoint (TPi)* in q
-    coordinates: one sparse product with an nx x n matrix and one nx-sized
-    elliptic solve, without building a full-grid Field.
+    m u_f = wx rho_f is the weighted profile of Pi f = u_f f_star and
+    B = Mrho^-1 C^T W = (TPi)*; B T_hat (1-Pi) q = B T_hat q - N u_f since
+    B C = N. All four come from the nx x 9 product Q @ v_profiles and one
+    sparse product with profile_map (see the module notes); no full-grid
+    operator is applied.
     """
-    rhs = DensityField(ops.B @ g_q, eq.grid.x_grid)
-    return solve_elliptic(rhs, eq, ops).values
+    moments = q.reshape(ops.mrho.size, -1) @ ops.v_profiles
+    return (ops.profile_map @ moments.ravel(order="F")).reshape(4, -1)
+
+
+def atpi_form(u, ops):
+    """<A T Pi f, Pi f>_mu from u = (I + N)^-1 u_f, Pi f = u_f f_star.
+
+    It equals ||T Pi (u f_star)||_mu^2 + ||(TPi)*(TPi)(u f_star)||_mu^2 =
+    u . N_sym u + ||N u||_Mrho^2 — the discrete counterpart of
+    sigma int |grad u|^2 rho_star + sigma^2 int |div(rho_star grad u)|^2 / rho_star.
+    """
+    n_sym_u = ops.N_sym @ u
+    return float(u @ n_sym_u) + float(np.sum(n_sym_u * n_sym_u / ops.mrho))
 
 
 def apply_A(f, eq, ops):
     """A f = (1 + (TPi)*(TPi))^-1 (TPi)* f, returned as the field u f_star."""
-    u = twist_profile(f.values.ravel() / ops.sqrt_f, eq, ops)
+    b_q = q_profiles(f.values.ravel() / ops.sqrt_f, ops)[1]
+    u = solve_elliptic(b_q, eq, ops)
     return Field(u[:, np.newaxis] * eq.f_star.values, f.grid)
 
 
 def atpi_quadratic_form(f, eq, ops):
-    """<A T Pi f, Pi f>_mu through its exact two-term expression.
-
-    With u solving (I + N) u = u_f this equals ||T Pi (u f_star)||_mu^2 +
-    ||(TPi)*(TPi)(u f_star)||_mu^2 — the discrete counterpart of
-    sigma int |grad u|^2 rho_star + sigma^2 int |div(rho_star grad u)|^2 / rho_star.
-    """
-    u_f = macro_profile(f, eq)
-    u = solve_elliptic(u_f, eq, ops)
-    cu = ops.C @ u.values
-    term1 = float(np.sum(ops.w_flat * cu * cu))
-    nu = (ops.N_sym @ u.values) / ops.mrho   # N u = Mrho^-1 C^T W C u
-    term2 = float(np.sum(ops.mrho * nu * nu))
-    return term1 + term2
+    """<A T Pi f, Pi f>_mu through its exact two-term expression (atpi_form)."""
+    return atpi_form(solve_elliptic(macro_profile(f, eq), eq, ops).values,
+                     ops)

@@ -25,7 +25,8 @@ from kfplab import (
     weighted_moment,
 )
 from kfplab import evolution
-from kfplab.evolution import SectorLU, _step_system
+from kfplab.evolution import (SectorLU, _advance, _step_matrices,
+                              _step_system, fold, unfold)
 from kfplab.operators import SPLU_OPTIONS
 
 
@@ -114,9 +115,9 @@ def test_kinetic_lu_fill_below_colamd(quadrants):
     rng = np.random.default_rng(7)
     for key, (_, _, _, ops) in quadrants.items():
         for dt in (1.0, 0.05):
-            _, system, _ = _step_system(ops, "kinetic", dt, "implicit_euler")
+            system, _ = _step_matrices(ops, "kinetic", dt, "implicit_euler")
             lu = SectorLU(system)
-            lu.solve(rng.standard_normal(system.shape[0]))
+            _advance(fold(rng.standard_normal(system.shape[0])), lu, "step")
             assert sorted(lu.lus) == [-1, 1]
             fills = [f.L.nnz + f.U.nnz for f in lu.lus.values()]
             ref = splu(system.tocsc(), permc_spec="COLAMD")
@@ -129,19 +130,51 @@ def test_kinetic_lu_fill_below_colamd(quadrants):
 
 
 def test_sector_lu_matches_full_solve(quadrants, strong_weak):
-    systems = [_step_system(ops, "kinetic", 0.05, "implicit_euler")[1]
-               for _, _, _, ops in quadrants.values()]
-    systems.append(_step_system(strong_weak[3], "macro", 0.2,
-                                "implicit_euler")[1])
-    for i, system in enumerate(systems):
-        lu = SectorLU(system)
+    # implicit Euler on every quadrant and a macro system, Crank-Nicolson on
+    # every quadrant: the folded sector solves against the full system
+    steps = [_step_matrices(ops, "kinetic", 0.05, scheme)
+             for _, _, _, ops in quadrants.values()
+             for scheme in ("implicit_euler", "crank_nicolson")]
+    steps.append(_step_matrices(strong_weak[3], "macro", 0.2,
+                                "implicit_euler"))
+    for i, (system, rhs_mat) in enumerate(steps):
+        lu = SectorLU(system, rhs_mat)
         full = splu(system.tocsc(), **SPLU_OPTIONS)
-        r = np.random.default_rng(i).standard_normal(system.shape[0])
-        for name, rhs in (("even", r + r[::-1]), ("odd", r - r[::-1]),
-                          ("mixed", r)):
-            ref = full.solve(rhs)
-            err = np.linalg.norm(lu.solve(rhs) - ref) / np.linalg.norm(ref)
+        n = system.shape[0]
+        r = np.random.default_rng(i).standard_normal(n)
+        for name, y in (("even", r + r[::-1]), ("odd", r - r[::-1]),
+                        ("mixed", r)):
+            ref = full.solve(y if rhs_mat is None else rhs_mat @ y)
+            got = unfold(_advance(fold(y), lu, "step"), n)
+            err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
             assert err <= 1e-12, (i, name, err)
+
+
+def test_fold_is_orthogonal_and_keeps_mass(strong_strong):
+    # a part's 2-norm is the full-grid norm of the vector it stands for, the
+    # round trip is exact to roundoff, and the folded mass weights (all in
+    # the even sector) give the full mass
+    _, grid, _, ops = strong_strong
+    n = ops.sqrt_f.size
+    mass_w = ops.w_flat * ops.sqrt_f
+    folded_w = fold(mass_w)
+    assert sorted(folded_w) == [1]
+    xg, vg = grid.x_grid, grid.v_grid
+    odd = np.outer(np.cos(0.5 * np.pi * xg.nodes / xg.half_width),
+                   np.sin(np.pi * vg.nodes / vg.half_width)).ravel()
+    rng = np.random.default_rng(3)
+    for y, sectors in ((rng.standard_normal(n), [-1, 1]), (mass_w, [1]),
+                       (odd * ops.sqrt_f, [-1])):
+        parts = fold(y)
+        assert sorted(parts) == sectors
+        norm = np.sqrt(sum(float(p @ p) for p in parts.values()))
+        assert norm == pytest.approx(np.linalg.norm(y), rel=1e-14)
+        assert np.linalg.norm(unfold(parts, n) - y) \
+            <= 1e-15 * np.linalg.norm(y)
+        mass = sum(float(folded_w[s] @ p) for s, p in parts.items()
+                   if s in folded_w)
+        assert mass == pytest.approx(float(mass_w @ y), rel=1e-13,
+                                     abs=1e-15 * np.linalg.norm(y))
 
 
 def test_sector_lu_factors_only_the_sectors_a_state_meets(strong_strong,
@@ -169,7 +202,7 @@ def test_sector_lu_factors_only_the_sectors_a_state_meets(strong_strong,
         fresh = dataclasses.replace(ops)        # an empty step cache
         calls.clear()
         step_kinetic(f, 0.05, eq, fresh)
-        lu = _step_system(fresh, "kinetic", 0.05, "implicit_euler")[0]
+        lu = _step_system(fresh, "kinetic", 0.05, "implicit_euler")
         assert sorted(lu.lus) == sectors
         assert sorted(calls) == sorted((n + s) // 2 for s in sectors)
 

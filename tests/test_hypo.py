@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from kfplab import (
+    DensityField,
     Field,
     InfeasibleError,
     ValidationError,
@@ -21,9 +23,12 @@ from kfplab import (
     lambda_rate,
     norm_beta,
     norm_mu,
+    solve_elliptic,
     transport_coefficient_integrals,
+    velocity_weight,
     weighted_moment,
 )
+from kfplab import hypo
 
 
 def _random_states(eq, n, seed):
@@ -176,6 +181,97 @@ def test_diagnostics_match_field_route(quadrants, key):
             abs_tol = 1e-13 if name == "ratio" else tol
             assert got[name] == pytest.approx(value, rel=1e-10, abs=abs_tol), \
                 (name, got[name], value)
+
+
+def _sparse_reference(f, delta, eq, ops):
+    """H, the D entries, the H4 ratio and the profile of A f through explicit
+    sparse products with B, T_hat, L_hat and P_hat on the full grid, with one
+    elliptic solve per A-term."""
+    grid = eq.grid
+    xg, vg = grid.x_grid, grid.v_grid
+    r, s = np.sqrt(eq.rho_star.values), np.sqrt(eq.g_star_v)
+    p_hat = sp.kron(sp.diags(r), sp.csr_matrix(s[:, None]), format="csr")
+    C = (ops.T_hat @ p_hat).tocsr()
+    B = (sp.diags(1.0 / ops.mrho) @ C.T @ sp.diags(ops.w_flat)).tocsr()
+
+    def twist(g_q):
+        return solve_elliptic(DensityField(B @ g_q, xg), eq, ops).values
+
+    def m_norm(u):
+        return np.sqrt(u @ (ops.mrho * u))
+
+    q = f.values.ravel() / ops.sqrt_f
+    m_u = xg.weights * (f.values @ vg.weights)
+    u_f = m_u / ops.mrho
+    lq, tq = ops.L_hat @ q, ops.T_hat @ q
+    micro = q - p_hat @ u_f
+    weight_v = vg.weights * velocity_weight(eq.spec.beta, vg.nodes)
+    micro_sq = xg.weights @ ((micro * micro).reshape(grid.shape) @ weight_v)
+    u = solve_elliptic(DensityField(u_f, xg), eq, ops).values
+    cu = C @ u
+    atpi = np.sum(ops.w_flat * cu * cu) + m_norm(B @ cu) ** 2
+    u_af = twist(q)
+    ref = {
+        "H": 0.5 * np.sum(ops.w_flat * q * q) + delta * (u_af @ m_u),
+        "minus_Lf_f": -(ops.w_flat * lq) @ q,
+        "ATPi_f_f": atpi,
+        "TA_f_f": u_af @ (ops.mrho * (B @ q)),
+        "AT_micro_f_f": twist(tq - C @ u_f) @ m_u,
+        "AL_f_f": twist(lq) @ m_u,
+        "kappa_denominator": micro_sq + atpi,
+        "ratio": (m_norm(twist(ops.T_hat @ micro)) + m_norm(twist(lq)))
+        / np.sqrt(micro_sq),
+    }
+    ref["D"] = (ref["minus_Lf_f"] + delta * ref["ATPi_f_f"]
+                - delta * (ref["TA_f_f"] - ref["AT_micro_f_f"]
+                           + ref["AL_f_f"]))
+    return ref, u_af
+
+
+@pytest.mark.parametrize("key", [(2.0, 2.0), (2.0, 0.5), (0.5, 2.0),
+                                 (0.5, 0.5)],
+                         ids=["a2_b2", "a2_b0.5", "a0.5_b2", "a0.5_b0.5"])
+def test_profile_path_matches_sparse_reference(quadrants, key):
+    # the Q @ V sampling path against the full-grid sparse path, on states
+    # that are even, odd and of mixed parity under (x, v) -> (-x, -v)
+    _, grid, eq, ops = quadrants[key]
+    delta = 0.3
+    g = _random_states(eq, 1, 61)[0].values
+    for name, vals in (("even", g + g[::-1, ::-1]), ("odd", g - g[::-1, ::-1]),
+                       ("mixed", g)):
+        f = Field(vals, grid)
+        ref, u_af = _sparse_reference(f, delta, eq, ops)
+        got = dissipation_components(f, delta, eq, ops)
+        got["H"] = entropy_H(f, delta, eq, ops)
+        got["ratio"] = bounded_auxiliary_ratio(f, eq, ops)
+        assert sorted(got) == sorted(list(ref) + ["delta"])
+        for term, value in ref.items():
+            assert got[term] == pytest.approx(value, rel=1e-12), \
+                (name, term, got[term], value)
+        af = apply_A(f, eq, ops).values
+        expected = u_af[:, None] * eq.f_star.values
+        assert np.max(np.abs(af - expected)) \
+            <= 1e-12 * np.max(np.abs(expected)), name
+
+
+def _smooth_by_pad(values, rounds):
+    out = values
+    for _ in range(rounds):
+        pad = np.pad(out, 1, mode="edge")
+        out = 0.25 * (pad[:-2, 1:-1] + pad[2:, 1:-1]
+                      + pad[1:-1, :-2] + pad[1:-1, 2:])
+    return out
+
+
+def test_probe_suite_bit_identical_to_pad_smoothing(quadrants, monkeypatch):
+    # nine probes reach the 4-, 16- and 64-round smoothings
+    for key, (_, _, eq, _) in quadrants.items():
+        suite = hypo._random_suite(eq, 9, seed=5)
+        monkeypatch.setattr(hypo, "_smooth", _smooth_by_pad)
+        reference = hypo._random_suite(eq, 9, seed=5)
+        monkeypatch.undo()
+        for i, (a, b) in enumerate(zip(suite, reference)):
+            assert np.array_equal(a.values, b.values), (key, i)
 
 
 def test_auxiliary_estimates_random_suite(strong_strong):

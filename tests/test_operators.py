@@ -2,10 +2,13 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from kfplab import (
     DensityField,
     Field,
+    NumericalError,
     apply_A,
     apply_Pi,
     atpi_quadratic_form,
@@ -16,6 +19,7 @@ from kfplab import (
     norm_mu,
     solve_elliptic,
 )
+from kfplab.operators import _antisym_core, solve_with_refinement
 from conftest import make_problem
 
 
@@ -226,3 +230,56 @@ def test_diffusion_form_matches_continuum():
     rhs = eq.sigma_normalized * float(
         np.sum(grid.x_grid.weights * du ** 2 * eq.rho_star.values))
     assert abs(lhs - rhs) / rhs < 1e-4
+
+
+def test_transport_factors_through_two_velocity_profiles(quadrants):
+    # C = T_hat P_hat = X1 (x) c1 - X2 (x) c2 with X1 = Dx diag(r),
+    # c1 = psi_t s, X2 = diag(phi_t r), c2 = Dv s; the second and third
+    # columns of v_profiles are wv c1 and wv c2
+    for key, (_, grid, eq, ops) in quadrants.items():
+        xg, vg = grid.x_grid, grid.v_grid
+        r, s = np.sqrt(eq.rho_star.values), np.sqrt(eq.g_star_v)
+        Dx = sp.diags(1.0 / xg.weights) @ _antisym_core(xg.count)
+        Dv = sp.diags(1.0 / vg.weights) @ _antisym_core(vg.count)
+        psi_t, phi_t = -2.0 * (Dv @ s) / s, -2.0 * (Dx @ r) / r
+        c1, c2 = psi_t * s, Dv @ s
+        p_hat = sp.kron(sp.diags(r), sp.csr_matrix(s[:, None]))
+        C = (ops.T_hat @ p_hat).toarray()
+        factored = (sp.kron(Dx @ sp.diags(r), sp.csr_matrix(c1[:, None]))
+                    - sp.kron(sp.diags(phi_t * r),
+                              sp.csr_matrix(c2[:, None]))).toarray()
+        assert np.max(np.abs(C - factored)) <= 1e-14 * np.max(np.abs(C)), key
+        assert np.array_equal(ops.v_profiles[:, 1], vg.weights * c1), key
+        assert np.array_equal(ops.v_profiles[:, 2], vg.weights * c2), key
+
+
+def test_block_solve_checks_each_column():
+    # an LU of a slightly wrong matrix: refinement converges, but a column
+    # of norm 1e-8 next to one of norm 1e8 must meet its own tolerance
+    system = sp.identity(5, format="csr")
+    near = splu(sp.diags([1.0, 1.0, 1.0, 1.0, 1.0 + 1e-4]).tocsc())
+    rhs = np.zeros((5, 3))
+    rhs[0, 0] = 1e8
+    rhs[4, 1] = 1e-8                     # the third column is zero
+    sol = solve_with_refinement(near, system, rhs, "block")
+    for k in range(3):
+        res = np.linalg.norm(rhs[:, k] - system @ sol[:, k])
+        assert res <= 1e-10 * np.linalg.norm(rhs[:, k]), k
+    assert np.all(sol[:, 2] == 0.0)
+    # a vector right-hand side still comes back as a vector
+    assert solve_with_refinement(near, system, rhs[:, 1], "vector").shape \
+        == (5,)
+
+
+def test_block_solve_names_a_stalled_column():
+    # refinement with this factor amplifies the error in the last entry
+    # 99-fold per round: only the column that meets it stalls
+    system = sp.identity(4, format="csr")
+    wrong = splu(sp.diags([1.0, 1.0, 1.0, 0.01]).tocsc())
+    rhs = np.zeros((4, 2))
+    rhs[0, 0] = 1.0
+    assert np.array_equal(
+        solve_with_refinement(wrong, system, rhs[:, :1], "fine"), rhs[:, :1])
+    rhs[3, 1] = 1.0
+    with pytest.raises(NumericalError, match="probe block solve stalled"):
+        solve_with_refinement(wrong, system, rhs, "probe block")
