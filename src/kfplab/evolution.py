@@ -142,8 +142,8 @@ class SectorLU:
     to itself, so it folds onto an (m+1)-sized even and an m-sized odd
     sector matrix. sector(sign) returns that sector's (factor, matrix,
     folded rhs_mat or None), folding and factoring it with SPLU_OPTIONS the
-    first time; `lus` maps each sign met so far (+1 even, -1 odd) to its
-    factor.
+    first time, with the matrix in CSR. `lus` maps each sign met so far
+    (+1 even, -1 odd) to its factor.
     """
 
     def __init__(self, system, rhs_mat=None):
@@ -162,7 +162,8 @@ class SectorLU:
             folded_rhs = (None if rhs_mat is None
                           else fold_sector(rhs_mat, sign).tocsr())
             self.lus[sign] = splu(matrix, **SPLU_OPTIONS)
-            self._sectors[sign] = (self.lus[sign], matrix, folded_rhs)
+            # splu wants CSC; the per-step residual product is faster in CSR
+            self._sectors[sign] = (self.lus[sign], matrix.tocsr(), folded_rhs)
         return self._sectors[sign]
 
 

@@ -29,8 +29,14 @@ Reports: one CSV trajectory (columns exactly t, norm_sq_mu, entropy_H,
 dissipation_D, envelope, J_<k>..., K_<l>..., max_principle_ok) and one JSON
 summary per scenario; batch mode adds an index file. All outputs are
 deterministic for a fixed (config, seed).
+
+A config describes a problem (potential, grids, truncation_tol, seed and
+delta: what build_problem and compute_constants read) and a run on it.
+run_batch builds and certifies each distinct problem once and runs every
+config that describes it on that one problem.
 """
 
+import dataclasses
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -199,6 +205,24 @@ def build_problem(config):
     return spec, grid, eq, ops
 
 
+def certified_problem(config):
+    """(spec, grid, eq, ops, constants): build_problem(config) and its
+    hypocoercivity constants, the set-up every run on the problem shares."""
+    spec, grid, eq, ops = build_problem(config)
+    constants = hypo.compute_constants(eq, ops, delta=config.delta,
+                                       seed=config.seed)
+    return spec, grid, eq, ops, constants
+
+
+def problem_key(config):
+    """What build_problem and compute_constants read from a config: configs
+    with equal keys describe one problem."""
+    spec = config.potential
+    return (spec.x_mode, spec.alpha, spec.gamma, spec.beta,
+            config.x_half_width, config.nx, config.v_half_width, config.nv,
+            config.truncation_tol, config.seed, config.delta)
+
+
 def make_initial_state(config, eq):
     kind = config.initial_kind
     if config.mode == "macro":
@@ -256,13 +280,19 @@ def _envelope(record, prediction, delta, mode):
     return c_anchor * (1.0 + t) ** (-zeta)
 
 
-def run_scenario(config):
+def run_scenario(config, problem=None):
     """Build, evolve, fit, classify; returns a ReportBundle (never raises for
     a numerical failure of the trajectory, its envelope or its fit -- those
-    produce a 'failed' bundle with the record as far as it got)."""
-    spec, grid, eq, ops = build_problem(config)
-    constants = hypo.compute_constants(eq, ops, delta=config.delta,
-                                       seed=config.seed)
+    produce a 'failed' bundle with the record as far as it got).
+
+    problem is the certified_problem of a config with the same problem_key,
+    or None to build it here. The run steps on a copy of its operators with
+    an empty step cache, so runs that share a problem share no step factors.
+    """
+    if problem is None:
+        problem = certified_problem(config)
+    spec, grid, eq, ops, constants = problem
+    ops = dataclasses.replace(ops)
     dynamics = "macro" if config.mode == "macro" else "kinetic"
     if dynamics == "macro":
         # the macro exponential rate is 2 sigma C_P, not the kinetic lambda
@@ -398,9 +428,7 @@ def emit_report(bundle, out_dir):
 
 def emit_constants_report(config, out_dir):
     """The `constants` command: constants bundle only, no evolution."""
-    spec, grid, eq, ops = build_problem(config)
-    constants = hypo.compute_constants(eq, ops, delta=config.delta,
-                                       seed=config.seed)
+    _, _, eq, _, constants = certified_problem(config)
     payload = {
         "name": config.name,
         "constants": dict(constants.to_dict(), sigma=eq.sigma),
@@ -425,24 +453,33 @@ def emit_constants_report(config, out_dir):
 # batch execution
 # ---------------------------------------------------------------------------
 
-def _run_one(args):
-    path, out_dir, dt, t_final = args
+def _error_entry(path, exc):
+    status = ("invalid" if isinstance(exc, ValidationError)
+              else "failed" if isinstance(exc, NumericalError) else "io_error")
+    return {"config": path, "json": None, "status": status, "error": str(exc)}
+
+
+_ENTRY_ERRORS = (ValidationError, NumericalError, OSError)
+
+
+def _run_group(args):
+    """Index entries of configs that share one problem, built and certified
+    once; when it cannot be, every config gets that error."""
+    members, out_dir = args
     try:
-        config = ScenarioConfig.from_file(path)
-        if dt is not None or t_final is not None:
-            config = config.override(dt=dt, t_final=t_final)
-        bundle = run_scenario(config)
-        _, json_path = emit_report(bundle, out_dir)
-        return {"config": path, "json": json_path, "status": bundle.status}
-    except ValidationError as exc:
-        return {"config": path, "json": None, "status": "invalid",
-                "error": str(exc)}
-    except NumericalError as exc:
-        return {"config": path, "json": None, "status": "failed",
-                "error": str(exc)}
-    except OSError as exc:
-        return {"config": path, "json": None, "status": "io_error",
-                "error": str(exc)}
+        problem = certified_problem(members[0][1])
+    except _ENTRY_ERRORS as exc:
+        return [_error_entry(path, exc) for path, _ in members]
+    entries = []
+    for path, config in members:
+        try:
+            bundle = run_scenario(config, problem)
+            _, json_path = emit_report(bundle, out_dir)
+            entries.append({"config": path, "json": json_path,
+                            "status": bundle.status})
+        except _ENTRY_ERRORS as exc:
+            entries.append(_error_entry(path, exc))
+    return entries
 
 
 def run_batch(list_path, out_dir, workers=1, dt=None, t_final=None):
@@ -452,6 +489,11 @@ def run_batch(list_path, out_dir, workers=1, dt=None, t_final=None):
     returns the index entries in input order. A config that is invalid, fails
     numerically or cannot be read or written gets the status 'invalid',
     'failed' or 'io_error' with its error, and the others still run.
+
+    Configs with one problem_key form a group: its problem is built and
+    certified once, every config of it runs on that problem, and the problem
+    is released before the next group starts. With workers > 1 each group is
+    one task of the process pool.
     """
     with open(list_path, "r") as fh:
         base = os.path.dirname(os.path.abspath(list_path))
@@ -463,12 +505,28 @@ def run_batch(list_path, out_dir, workers=1, dt=None, t_final=None):
                              else os.path.join(base, body))
     if not paths:
         raise ValidationError("config list %r names no configs" % list_path)
-    jobs = [(p, out_dir, dt, t_final) for p in paths]
+    entries = [None] * len(paths)
+    groups = {}     # problem key -> [(position, path, config)]
+    for i, path in enumerate(paths):
+        try:
+            config = ScenarioConfig.from_file(path)
+            if dt is not None or t_final is not None:
+                config = config.override(dt=dt, t_final=t_final)
+        except _ENTRY_ERRORS as exc:
+            entries[i] = _error_entry(path, exc)
+        else:
+            groups.setdefault(problem_key(config), []).append(
+                (i, path, config))
+    tasks = [([(path, config) for _, path, config in members], out_dir)
+             for members in groups.values()]
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            entries = list(pool.map(_run_one, jobs))
+            results = list(pool.map(_run_group, tasks))
     else:
-        entries = [_run_one(j) for j in jobs]
+        results = map(_run_group, tasks)    # one group's problem at a time
+    for members, group_entries in zip(groups.values(), results):
+        for (i, _, _), entry in zip(members, group_entries):
+            entries[i] = entry
     os.makedirs(out_dir, exist_ok=True)
     index_path = os.path.join(out_dir, "batch_index.json")
     with open(index_path, "w") as fh:

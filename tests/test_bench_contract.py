@@ -71,3 +71,27 @@ def test_traced_scenario_counts_steps_time_and_report_bytes(tmp_path):
     assert tracer.counters[tracer.op]["evolution.sim_time"] == 5.0
     assert metrics["runner.report_bytes"] == sum(os.path.getsize(p)
                                                  for p in paths)
+
+
+def test_traced_batch_builds_each_problem_once(tmp_path):
+    # three configs, two of which describe one problem: two set-ups, each
+    # with its 64 c_M probes, and three scenario runs
+    tracing = _load_tracing()
+    text = ("potential.alpha = 2.0\ngrid.nx = 33\ngrid.nv = 33\n"
+            "schedule.dt = 0.05\nschedule.t_final = 2.0\n"
+            "schedule.sample_stride = 5\n")
+    texts = {"kin.cfg": text,
+             "mac.cfg": text + "mode = macro\n",
+             "seed.cfg": text + "seed = 1\n"}
+    for name, body in texts.items():
+        (tmp_path / name).write_text(body)
+    list_path = tmp_path / "batch.txt"
+    list_path.write_text("".join(name + "\n" for name in texts))
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer, full=True):
+        runner.run_batch(str(list_path), str(tmp_path / "out"), workers=1)
+    totals = tracer.operation_totals(tracer.op)
+    assert totals["runner.build_problem"][0] == 2
+    assert totals["hypo.compute_constants"][0] == 2
+    assert totals["runner.run_scenario"][0] == 3
+    assert tracer.layer_metrics(tracer.op)["hypo.cM_probes"] == 128

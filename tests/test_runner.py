@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 import kfplab.evolution
+from kfplab import runner
 from kfplab.cli import main
 from kfplab.errors import NumericalError, ValidationError
 from kfplab.evolution import TrajectoryRecord
@@ -303,6 +304,159 @@ def test_run_batch_records_unparsable_config(tmp_path, capsys):
     assert main(["batch", only_missing, "--out", out_cli]) == 3
     assert os.path.exists(os.path.join(out_cli, "batch_index.json"))
     capsys.readouterr()
+
+
+# ---------------------------------------------------------------------------
+# batch groups: one problem per distinct problem key
+# ---------------------------------------------------------------------------
+
+_POWER_BASE = {"potential.alpha": "2.0"}
+_LOG_BASE = {"potential.x_mode": "logarithmic", "potential.gamma": "3.0"}
+
+# every config key -> (problem | run, base mapping, changes to it); None
+# deletes a key. A new config key fails test_problem_key_partitions_config_
+# keys until it is classified here.
+_KEY_CLASSES = {
+    "name": ("run", _POWER_BASE, {"name": "other"}),
+    "mode": ("run", _POWER_BASE, {"mode": "macro"}),
+    "potential.x_mode": ("problem", _LOG_BASE,
+                         {"potential.x_mode": "zero",
+                          "potential.gamma": None}),
+    "potential.alpha": ("problem", _POWER_BASE, {"potential.alpha": "1.5"}),
+    "potential.gamma": ("problem", _LOG_BASE, {"potential.gamma": "4.0"}),
+    "beta": ("problem", _POWER_BASE, {"beta": "1.5"}),
+    "grid.x_half_width": ("problem", _POWER_BASE, {"grid.x_half_width": "9"}),
+    "grid.v_half_width": ("problem", _POWER_BASE, {"grid.v_half_width": "9"}),
+    "grid.nx": ("problem", _POWER_BASE, {"grid.nx": "131"}),
+    "grid.nv": ("problem", _POWER_BASE, {"grid.nv": "131"}),
+    "grid.truncation_tol": ("problem", _POWER_BASE,
+                            {"grid.truncation_tol": "1e-6"}),
+    "schedule.dt": ("run", _POWER_BASE, {"schedule.dt": "0.05"}),
+    "schedule.t_final": ("run", _POWER_BASE, {"schedule.t_final": "20"}),
+    "schedule.sample_stride": ("run", _POWER_BASE,
+                               {"schedule.sample_stride": "3"}),
+    "delta": ("problem", _POWER_BASE, {"delta": "0.01"}),
+    "moments.x": ("run", _POWER_BASE, {"moments.x": "4"}),
+    "moments.v": ("run", _POWER_BASE, {"moments.v": "4"}),
+    "rates.k": ("run", _POWER_BASE, {"rates.k": "3"}),
+    "rates.ell": ("run", _POWER_BASE, {"rates.ell": "3"}),
+    "initial.kind": ("run", _POWER_BASE, {"initial.kind": "odd_v"}),
+    "initial.epsilon": ("run", _POWER_BASE, {"initial.epsilon": "0.25"}),
+    "initial.center_x": ("run", _POWER_BASE, {"initial.center_x": "1.0"}),
+    "initial.center_v": ("run", _POWER_BASE, {"initial.center_v": "1.0"}),
+    "initial.width": ("run", _POWER_BASE, {"initial.width": "2.0"}),
+    "initial.clip_factor": ("run", _POWER_BASE,
+                            {"initial.clip_factor": "3.0"}),
+    "initial.s0": ("run", _POWER_BASE, {"initial.s0": "1.0"}),
+    "scheme": ("run", _POWER_BASE, {"scheme": "crank_nicolson"}),
+    "seed": ("problem", _POWER_BASE, {"seed": "5"}),
+    "output_dir": ("run", _POWER_BASE, {"output_dir": "elsewhere"}),
+}
+
+
+def test_problem_key_partitions_config_keys():
+    # a run key keeps the group, a problem key (one that build_problem or
+    # compute_constants reads) splits it
+    assert set(_KEY_CLASSES) == runner._KNOWN_KEYS
+    for key, (kind, base, changes) in _KEY_CLASSES.items():
+        assert key in changes
+        changed = {k: v for k, v in dict(base, **changes).items()
+                   if v is not None}
+        same = (runner.problem_key(ScenarioConfig(changed))
+                == runner.problem_key(ScenarioConfig(base)))
+        assert same == (kind == "run"), key
+
+
+_SMALL_KINETIC = _TINY_KINETIC + "grid.nx = 33\ngrid.nv = 33\n"
+
+
+def _batch_files(out):
+    """{file name: bytes} of a batch output directory, index paths made
+    relative so two output directories compare."""
+    files = {}
+    for name in sorted(os.listdir(out)):
+        with open(os.path.join(out, name), "rb") as fh:
+            files[name] = fh.read()
+    files["batch_index.json"] = files["batch_index.json"].replace(
+        (out + os.sep).encode(), b"")
+    return files
+
+
+def test_run_batch_shares_problems_and_matches_single_runs(tmp_path,
+                                                           monkeypatch):
+    # kinetic and macro on one problem, the kinetic run on another seed, and
+    # an invalid config: the batch builds two problems and writes exactly the
+    # files one-by-one runs write, with one or two workers
+    texts = {
+        "kin.cfg": _SMALL_KINETIC,
+        "bad.cfg": _SMALL_KINETIC + "grid.nx = 32\n",
+        "mac.cfg": _SMALL_KINETIC + "mode = macro\ninitial.kind = macro_bump\n",
+        "kin_seed.cfg": _SMALL_KINETIC + "seed = 3\n",
+    }
+    for name, text in texts.items():
+        _write(tmp_path, name, text)
+    list_path = _write(tmp_path, "batch.txt", "".join(
+        name + "\n" for name in texts))
+
+    single = tmp_path / "single"
+    for name in texts:
+        if name != "bad.cfg":
+            config = ScenarioConfig.from_file(str(tmp_path / name))
+            emit_report(run_scenario(config), str(single))
+
+    real_build = runner.build_problem
+    builds = []
+
+    def counting_build(config):
+        builds.append(config.name)
+        return real_build(config)
+
+    monkeypatch.setattr(runner, "build_problem", counting_build)
+    out1 = str(tmp_path / "w1")
+    entries = run_batch(list_path, out1, workers=1)
+    monkeypatch.undo()
+    assert builds == ["kin", "kin_seed"]
+    assert [e["status"] for e in entries] == ["ok", "invalid", "ok", "ok"]
+    assert "grid.nx" in entries[1]["error"]
+
+    files = _batch_files(out1)
+    for name in os.listdir(str(single)):
+        with open(str(single / name), "rb") as fh:
+            assert files[name] == fh.read(), name
+    assert sorted(files) == sorted(os.listdir(str(single))
+                                   + ["batch_index.json"])
+
+    out2 = str(tmp_path / "w2")
+    run_batch(list_path, out2, workers=2)
+    assert _batch_files(out2) == files
+
+
+def test_run_batch_failed_problem_gives_each_config_its_own_error(tmp_path):
+    # alpha = 0.5 does not fit the X = 8 box at tol 1e-8, and delta = 5 lies
+    # beyond delta_star: each member of the group gets the entry it gets
+    # when it is the only config of a batch
+    truncated = _SMALL_KINETIC + "potential.alpha = 0.5\n"
+    big_delta = _SMALL_KINETIC + "delta = 5\n"
+    texts = {
+        "trunc_kin.cfg": truncated,
+        "delta_kin.cfg": big_delta,
+        "trunc_mac.cfg": truncated + "mode = macro\n",
+        "delta_mac.cfg": big_delta + "mode = macro\n",
+    }
+    for name, text in texts.items():
+        _write(tmp_path, name, text)
+    entries = run_batch(_write(tmp_path, "batch.txt", "".join(
+        name + "\n" for name in texts)), str(tmp_path / "out"))
+    alone = []
+    for name in texts:
+        one = _write(tmp_path, name + ".txt", name + "\n")
+        alone += run_batch(one, str(tmp_path / "alone"))
+    assert entries == alone
+    assert [e["status"] for e in entries] == ["invalid"] * 4
+    assert "delta_star" in entries[1]["error"]
+    with pytest.raises(ValidationError) as exc:
+        run_scenario(ScenarioConfig.from_file(str(tmp_path / "trunc_mac.cfg")))
+    assert entries[2]["error"] == str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,7 @@ import scipy.linalg as sla
 from kfplab import (
     DensityField,
     Grid1D,
+    NumericalError,
     PotentialSpec,
     ValidationError,
     ckn_constant_estimate,
@@ -19,7 +20,8 @@ from kfplab import (
     poincare_constant,
     weighted_poincare_constant,
 )
-from kfplab.spectral import _stiffness_1d
+from kfplab.operators import flux_stiffness
+from kfplab.spectral import _stiffness_1d, macroscopic_gap
 
 
 # ---------------------------------------------------------------------------
@@ -70,6 +72,27 @@ def test_pencil_rejects_zero_sum_constraint():
     stiff = _stiffness_1d(g, np.ones(g.count - 1))
     with pytest.raises(ValidationError):
         pencil_min_eig(stiff, g.weights, np.linspace(-1.0, 1.0, g.count))
+
+
+def test_pencil_rejects_indefinite_mass_deflated_stiffness():
+    # one negative face weight keeps S symmetric with S 1 = 0 but gives it
+    # a negative eigenvalue below the constant mode's zero
+    g = Grid1D(2.0, 9)
+    weights = np.ones(g.count - 1)
+    weights[3] = -2.0
+    with pytest.raises(NumericalError, match="constant mode"):
+        pencil_min_eig(flux_stiffness(g, weights), g.weights, g.weights)
+
+
+def test_macroscopic_gap_matches_dense_reference(quadrants):
+    # lambda_M is the second eigenvalue of Mrho^-1/2 N_sym Mrho^-1/2; that
+    # spectrum comes in pairs, and on the alpha = 0.5 boxes the next pair is
+    # only 0.4 % higher, too close for inverse iteration within its step cap
+    for key, (_, _, _, ops) in quadrants.items():
+        scale = 1.0 / np.sqrt(ops.mrho)
+        dense = ops.N_sym.toarray() * np.outer(scale, scale)
+        reference = np.linalg.eigvalsh(0.5 * (dense + dense.T))[1]
+        assert macroscopic_gap(ops) == pytest.approx(reference, rel=1e-12), key
 
 
 # ---------------------------------------------------------------------------
