@@ -126,7 +126,7 @@ def run_check():
     good.append(_report("auxiliary-operator estimates on random states",
                         estimates_ok, detail))
 
-    constants = hypo.compute_constants(eq, ops, sample_count=32)
+    constants = hypo.compute_constants(eq, ops)
     kappa = hypo.empirical_kappa(eq, ops, delta=constants.delta,
                                  sample_count=30, seed=3)
     good.append(_report("dissipation coercive at delta_star/2 (kappa > 0)",

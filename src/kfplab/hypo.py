@@ -33,9 +33,27 @@ A maps into the range of Pi, so <ATPi f, f> = <ATPi f, Pi f>: D and the
 coercivity denominator share that term. entropy_H makes one elliptic solve,
 dissipation_components one with four right-hand sides (u_f, B q,
 B T(1-Pi) q, B L q) and bounded_auxiliary_ratio one with two.
+
+c_M is the H4 bound ||AT(1-Pi)f|| + ||ALf|| <= c_M ||(1-Pi)f||_beta of
+Dolbeault-Mouhot-Schmeiser, with the micro part in the beta-norm, and
+compute_constants takes it as the sum of the two exact operator norms. In
+z = (Wx (x) wv omega)^(1/2) q, omega = <v>^{-2(1-beta)_+}, the beta-norm of
+a micro state is the plain Euclidean norm of Z, and being micro says that
+every row of Z is orthogonal to one unit v-vector t, the normalized first
+column of Vt = diag(wv omega)^{-1/2} V. The profile B X (1-Pi) q of
+q_profiles is sum_c P_c Wx^{-1/2} Z Vp_c, with P_c the nx x nx blocks of the
+profile_map row of X and Vp = (I - t t^T) Vt. So, with the 9 x 9 Gram
+matrix Gamma = Vp^T Vp,
+
+    G = sum_{c,d} Gamma_cd P_c Wx^-1 P_d^T
+    ||A X (1-Pi)||^2 = lambda_max(Mrho^1/2 E^-1 G E^-T Mrho^1/2),  E = I + N
+
+and every matrix past V is nx x nx.
 """
 
 import numpy as np
+import scipy.linalg
+import scipy.sparse as sp
 
 from .errors import (GridMismatchError, InfeasibleError, NumericalError,
                      ValidationError)
@@ -310,19 +328,61 @@ def bounded_auxiliary_ratio(f, eq, ops):
     return (norm_at + norm_al) / np.sqrt(micro_sq)
 
 
-def compute_constants(eq, ops, delta=None, sample_count=64, seed=0):
+def _micro_profiles(eq, ops):
+    """The nine velocity profiles in z coordinates, diag(wv omega)^-1/2
+    v_profiles, less their component along the micro constraint t (Vp of
+    the module notes)."""
+    vg = eq.grid.v_grid
+    vt = ops.v_profiles / np.sqrt(
+        vg.weights * velocity_weight(eq.spec.beta, vg.nodes))[:, None]
+    t = vt[:, 0] / np.linalg.norm(vt[:, 0])
+    return vt - np.outer(t, t @ vt)
+
+
+def _profile_gram(row, eq, ops):
+    """Mrho^1/2 E^-1 G E^-T Mrho^1/2 for one row of profile_map (2: B T_hat
+    (1-Pi), 3: B L_hat); its top eigenvalue is the squared norm of A X (1-Pi)
+    from micro states in the beta-norm to the mu-norm."""
+    nx = ops.mrho.size
+    v_perp = _micro_profiles(eq, ops)
+    block = ops.profile_map[row * nx:(row + 1) * nx]
+    gram = sp.kron(v_perp.T @ v_perp,
+                   sp.diags(1.0 / eq.grid.x_grid.weights))
+    g = (block @ gram @ block.T).toarray()
+    half = operators.solve_elliptic(g, eq, ops)                   # E^-1 G
+    h = operators.solve_elliptic(np.ascontiguousarray(half.T), eq, ops)
+    root = np.sqrt(ops.mrho)
+    h = root[:, None] * h * root[None, :]
+    return 0.5 * (h + h.T)
+
+
+def auxiliary_operator_norms(eq, ops):
+    """(||AT(1-Pi)||, ||AL||) as maps from micro states in the beta-norm to
+    the mu-norm: the exact suprema of the two parts of
+    bounded_auxiliary_ratio, from two nx x nx eigenvalue problems."""
+    nx = ops.mrho.size
+    norms = []
+    for row in (2, 3):
+        top = scipy.linalg.eigvalsh(_profile_gram(row, eq, ops),
+                                    subset_by_index=[nx - 1, nx - 1])[0]
+        norms.append(float(np.sqrt(max(top, 0.0))))
+    return tuple(norms)
+
+
+def compute_constants(eq, ops, delta=None, seed=0):
     """Assemble HypoConstants for an equilibrium and its operators.
 
-    lambda_m and lambda_M are the exact same-grid coercivity constants; c_M
-    is 1.5 x the supremum of the measured H4 ratio over a seeded random
-    suite (the raw supremum is exposed as .c_M_empirical). delta defaults to
-    the midpoint delta_star / 2.
+    lambda_m and lambda_M are the exact same-grid coercivity constants and
+    c_M = ||AT(1-Pi)|| + ||AL|| (auxiliary_operator_norms) is the exact H4
+    constant of the same discrete problem; the two parts are exposed as
+    .c_M_parts = {"AT_micro", "AL"}. delta defaults to the midpoint
+    delta_star / 2. Nothing here is random: seed is accepted so that callers
+    may pass a config's seed, and is not read.
     """
     lam_m = microscopic_coercivity_constant(eq)
     lam_M = macroscopic_gap(ops)
-    sup_ratio = max(bounded_auxiliary_ratio(f, eq, ops)
-                    for f in _random_suite(eq, sample_count, seed))
-    c_M = 1.5 * sup_ratio
+    at_micro, al = auxiliary_operator_norms(eq, ops)
+    c_M = at_micro + al
     ds = delta_star(lam_m, lam_M, c_M)
     if delta is None:
         delta = 0.5 * ds
@@ -330,7 +390,7 @@ def compute_constants(eq, ops, delta=None, sample_count=64, seed=0):
         raise ValidationError("delta must lie in (0, delta_star=%g)" % ds)
     rate = lambda_rate(lam_m, lam_M, c_M, delta)
     constants = HypoConstants(lam_m, lam_M, c_M, ds, delta, rate)
-    constants.c_M_empirical = sup_ratio
+    constants.c_M_parts = {"AT_micro": at_micro, "AL": al}
     return constants
 
 

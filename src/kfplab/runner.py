@@ -30,8 +30,8 @@ dissipation_D, envelope, J_<k>..., K_<l>..., max_principle_ok) and one JSON
 summary per scenario; batch mode adds an index file. All outputs are
 deterministic for a fixed (config, seed).
 
-A config describes a problem (potential, grids, truncation_tol, seed and
-delta: what build_problem and compute_constants read) and a run on it.
+A config describes a problem (potential, grids, truncation_tol and delta:
+what build_problem and compute_constants read) and a run on it.
 run_batch builds and certifies each distinct problem once and runs every
 config that describes it on that one problem.
 """
@@ -209,8 +209,7 @@ def certified_problem(config):
     """(spec, grid, eq, ops, constants): build_problem(config) and its
     hypocoercivity constants, the set-up every run on the problem shares."""
     spec, grid, eq, ops = build_problem(config)
-    constants = hypo.compute_constants(eq, ops, delta=config.delta,
-                                       seed=config.seed)
+    constants = hypo.compute_constants(eq, ops, delta=config.delta)
     return spec, grid, eq, ops, constants
 
 
@@ -220,7 +219,7 @@ def problem_key(config):
     spec = config.potential
     return (spec.x_mode, spec.alpha, spec.gamma, spec.beta,
             config.x_half_width, config.nx, config.v_half_width, config.nv,
-            config.truncation_tol, config.seed, config.delta)
+            config.truncation_tol, config.delta)
 
 
 def make_initial_state(config, eq):
@@ -318,7 +317,7 @@ def run_scenario(config, problem=None):
                                        else prediction.exponent),
         "constants": dict(constants.to_dict(), sigma=eq.sigma),
         "sigma_normalized": eq.sigma_normalized,
-        "c_M_empirical": constants.c_M_empirical,
+        "c_M_parts": constants.c_M_parts,
         "grid": {"x_half_width": config.x_half_width,
                  "v_half_width": config.v_half_width,
                  "nx": config.nx, "nv": config.nv,
@@ -433,7 +432,7 @@ def emit_constants_report(config, out_dir):
         "name": config.name,
         "constants": dict(constants.to_dict(), sigma=eq.sigma),
         "sigma_normalized": eq.sigma_normalized,
-        "c_M_empirical": constants.c_M_empirical,
+        "c_M_parts": constants.c_M_parts,
         "z_constant": eq.z_constant,
         "transport_integrals": hypo.transport_coefficient_integrals(eq),
         "grid": {"x_half_width": config.x_half_width,
@@ -488,7 +487,9 @@ def run_batch(list_path, out_dir, workers=1, dt=None, t_final=None):
     Writes out_dir/batch_index.json mapping configs to their summaries and
     returns the index entries in input order. A config that is invalid, fails
     numerically or cannot be read or written gets the status 'invalid',
-    'failed' or 'io_error' with its error, and the others still run.
+    'failed' or 'io_error' with its error, and the others still run. Configs
+    that share a name would write one report, so each of them is 'invalid'
+    before anything runs.
 
     Configs with one problem_key form a group: its problem is built and
     certified once, every config of it runs on that problem, and the problem
@@ -506,7 +507,7 @@ def run_batch(list_path, out_dir, workers=1, dt=None, t_final=None):
     if not paths:
         raise ValidationError("config list %r names no configs" % list_path)
     entries = [None] * len(paths)
-    groups = {}     # problem key -> [(position, path, config)]
+    configs = {}    # position -> config
     for i, path in enumerate(paths):
         try:
             config = ScenarioConfig.from_file(path)
@@ -515,8 +516,21 @@ def run_batch(list_path, out_dir, workers=1, dt=None, t_final=None):
         except _ENTRY_ERRORS as exc:
             entries[i] = _error_entry(path, exc)
         else:
+            configs[i] = config
+    sharing = {}    # name -> positions of the configs that carry it
+    for i, config in configs.items():
+        sharing.setdefault(config.name, []).append(i)
+    groups = {}     # problem key -> [(position, path, config)]
+    for i, config in configs.items():
+        clash = sharing[config.name]
+        if len(clash) > 1:
+            entries[i] = _error_entry(paths[i], ValidationError(
+                "name %r is shared by %s; their reports would overwrite "
+                "each other" % (config.name,
+                                ", ".join(paths[j] for j in clash))))
+        else:
             groups.setdefault(problem_key(config), []).append(
-                (i, path, config))
+                (i, paths[i], config))
     tasks = [([(path, config) for _, path, config in members], out_dir)
              for members in groups.values()]
     if workers > 1:

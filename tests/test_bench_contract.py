@@ -74,15 +74,15 @@ def test_traced_scenario_counts_steps_time_and_report_bytes(tmp_path):
 
 
 def test_traced_batch_builds_each_problem_once(tmp_path):
-    # three configs, two of which describe one problem: two set-ups, each
-    # with its 64 c_M probes, and three scenario runs
+    # three configs, two of which describe one problem: two set-ups, whose
+    # c_M comes from exact norms and makes no probe, and three scenario runs
     tracing = _load_tracing()
     text = ("potential.alpha = 2.0\ngrid.nx = 33\ngrid.nv = 33\n"
             "schedule.dt = 0.05\nschedule.t_final = 2.0\n"
             "schedule.sample_stride = 5\n")
     texts = {"kin.cfg": text,
              "mac.cfg": text + "mode = macro\n",
-             "seed.cfg": text + "seed = 1\n"}
+             "nv.cfg": text + "grid.nv = 17\n"}
     for name, body in texts.items():
         (tmp_path / name).write_text(body)
     list_path = tmp_path / "batch.txt"
@@ -94,4 +94,4 @@ def test_traced_batch_builds_each_problem_once(tmp_path):
     assert totals["runner.build_problem"][0] == 2
     assert totals["hypo.compute_constants"][0] == 2
     assert totals["runner.run_scenario"][0] == 3
-    assert tracer.layer_metrics(tracer.op)["hypo.cM_probes"] == 128
+    assert tracer.layer_metrics(tracer.op)["hypo.cM_probes"] == 0

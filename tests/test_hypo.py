@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 import scipy.sparse as sp
 
 from kfplab import (
@@ -11,6 +12,7 @@ from kfplab import (
     ValidationError,
     apply_A,
     apply_Pi,
+    auxiliary_operator_norms,
     bounded_auxiliary_ratio,
     compute_constants,
     decay_envelope,
@@ -29,6 +31,9 @@ from kfplab import (
     weighted_moment,
 )
 from kfplab import hypo
+from kfplab.operators import q_profiles
+
+from conftest import make_problem
 
 
 def _random_states(eq, n, seed):
@@ -308,21 +313,99 @@ def test_auxiliary_estimate_weak_beta(strong_weak):
 
 def test_compute_constants_structure(strong_strong):
     _, _, eq, ops = strong_strong
-    consts = compute_constants(eq, ops, sample_count=32, seed=0)
+    consts = compute_constants(eq, ops, seed=0)
     d = consts.to_dict()
     assert sorted(d) == ["c_M", "delta", "delta_star", "lambda_M",
                          "lambda_m", "lambda_rate"]
     assert all(v > 0.0 for v in d.values())
     assert consts.delta == pytest.approx(0.5 * consts.delta_star)
     assert consts.delta_star < consts.lambda_m
-    # c_M carries a 1.5x headroom over the measured supremum
-    assert consts.c_M == pytest.approx(1.5 * consts.c_M_empirical, rel=1e-12)
-    assert consts.c_M_empirical > 0.1  # the suite actually probes the bound
+    # c_M is the sum of the two exact operator norms of H4
+    parts = consts.c_M_parts
+    assert sorted(parts) == ["AL", "AT_micro"]
+    assert consts.c_M == parts["AT_micro"] + parts["AL"]
+    assert (parts["AT_micro"], parts["AL"]) == auxiliary_operator_norms(eq,
+                                                                        ops)
     with pytest.raises(ValidationError):
-        # same suite, so the recomputed delta_star matches exactly and the
-        # open-interval check delta < delta_star must reject its endpoint
-        compute_constants(eq, ops, delta=consts.delta_star, sample_count=32,
-                          seed=0)
+        # the recomputed delta_star matches exactly, and the open-interval
+        # check delta < delta_star must reject its endpoint
+        compute_constants(eq, ops, delta=consts.delta_star, seed=1)
+
+
+def _micro_basis_map(eq, ops, row):
+    """The profile map of one row of q_profiles (2: B T_hat (1-Pi), 3:
+    B L_hat), followed by (I + N)^-1 and scaled to the mu-norm, assembled
+    column by column on a beta-orthonormal basis of the micro states: per
+    x-row, a (wv <v>^{-2(1-beta)+})-orthonormal basis of the wv-orthogonal
+    complement of sqrt(g_star)."""
+    xg, vg = eq.grid.x_grid, eq.grid.v_grid
+    weight_v = vg.weights * velocity_weight(eq.spec.beta, vg.nodes)
+    constraint = vg.weights * np.sqrt(eq.g_star_v) / np.sqrt(weight_v)
+    basis_v = scipy.linalg.null_space(constraint[None, :]) \
+        / np.sqrt(weight_v)[:, None]
+    columns = []
+    for i in range(xg.count):
+        for k in range(basis_v.shape[1]):
+            q = np.zeros(eq.grid.shape)
+            q[i] = basis_v[:, k] / np.sqrt(xg.weights[i])
+            columns.append(q_profiles(q.ravel(), ops)[row])
+    u = solve_elliptic(np.column_stack(columns), eq, ops)
+    return np.sqrt(ops.mrho)[:, None] * u
+
+
+@pytest.mark.parametrize("beta,v_half,tol", [(2.0, 8.0, 1e-8),
+                                             (0.5, 48.0, 1e-5)],
+                         ids=["a2_b2", "a2_b0.5"])
+def test_auxiliary_norms_match_dense_reference(beta, v_half, tol):
+    # on 33^2, the two exact norms are the top singular values of the
+    # micro-restricted maps assembled column by column
+    _, _, eq, ops = make_problem("power", beta, 8.0, 33, v_half, 33, tol=tol,
+                                 alpha=2.0)
+    norms = auxiliary_operator_norms(eq, ops)
+    for row, norm in zip((2, 3), norms):
+        top = np.linalg.svd(_micro_basis_map(eq, ops, row),
+                            compute_uv=False)[0]
+        assert norm == pytest.approx(top, rel=1e-10), (row, norm, top)
+
+
+def _at_micro_maximizer(eq, ops):
+    """The top right singular vector of AT(1-Pi) as a Field: the top
+    eigenvector y of the row-2 Gram matrix mapped back through
+    z = K^T E^-T Mrho^1/2 y, K Z = sum_c P_c Wx^-1/2 Z Vp_c, and
+    q = Wx^-1/2 Z diag(wv omega)^-1/2 (E^-T = Mrho E^-1 Mrho^-1)."""
+    vg = eq.grid.v_grid
+    root_v = np.sqrt(vg.weights * velocity_weight(eq.spec.beta, vg.nodes))
+    v_perp = hypo._micro_profiles(eq, ops)
+    y = np.linalg.eigh(hypo._profile_gram(2, eq, ops))[1][:, -1]
+    nx = ops.mrho.size
+    w = ops.mrho * solve_elliptic(y / np.sqrt(ops.mrho), eq, ops)
+    block = ops.profile_map[2 * nx:3 * nx]
+    u = (block.T @ w).reshape(-1, nx).T              # column c: P_c^T w
+    wx = eq.grid.x_grid.weights
+    q = (u @ v_perp.T) / wx[:, None] / root_v[None, :]
+    return Field(q * ops.sqrt_f.reshape(eq.grid.shape), eq.grid)
+
+
+@pytest.mark.parametrize("key", [(2.0, 2.0), (2.0, 0.5), (0.5, 2.0),
+                                 (0.5, 0.5)],
+                         ids=["a2_b2", "a2_b0.5", "a0.5_b2", "a0.5_b0.5"])
+def test_c_M_bounds_ratio_at_maximizer(quadrants, key):
+    # at the maximizing micro state the AT(1-Pi) part of the H4 ratio is
+    # the exact norm and the whole ratio stays below c_M; so does every
+    # state of the seeded probe suite
+    _, _, eq, ops = quadrants[key]
+    at_norm, al_norm = auxiliary_operator_norms(eq, ops)
+    c_M = at_norm + al_norm
+    f = _at_micro_maximizer(eq, ops)
+    q = f.values.ravel() / ops.sqrt_f
+    m_u, _, bt_micro_q, _ = q_profiles(q, ops)
+    u = solve_elliptic(bt_micro_q, eq, ops)
+    micro_sq = hypo._micro_beta_sq(q, m_u / ops.mrho, eq, ops)
+    assert np.sqrt(u @ (ops.mrho * u) / micro_sq) == pytest.approx(
+        at_norm, rel=1e-10)
+    assert bounded_auxiliary_ratio(f, eq, ops) <= c_M * (1.0 + 1e-12)
+    for probe in hypo._random_suite(eq, 16, seed=0):
+        assert bounded_auxiliary_ratio(probe, eq, ops) <= c_M
 
 
 def test_bounded_ratio_needs_micro_part(strong_strong):

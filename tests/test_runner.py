@@ -256,7 +256,7 @@ def test_emit_constants_report(tmp_path):
     json_path = emit_constants_report(cfg, str(tmp_path))
     with open(json_path) as fh:
         payload = json.load(fh)
-    for key in ("constants", "sigma_normalized", "c_M_empirical",
+    for key in ("constants", "sigma_normalized", "c_M_parts",
                 "z_constant", "transport_integrals", "grid", "config_echo"):
         assert key in payload
     assert payload["constants"]["delta_star"] > 0
@@ -349,7 +349,7 @@ _KEY_CLASSES = {
                             {"initial.clip_factor": "3.0"}),
     "initial.s0": ("run", _POWER_BASE, {"initial.s0": "1.0"}),
     "scheme": ("run", _POWER_BASE, {"scheme": "crank_nicolson"}),
-    "seed": ("problem", _POWER_BASE, {"seed": "5"}),
+    "seed": ("run", _POWER_BASE, {"seed": "5"}),
     "output_dir": ("run", _POWER_BASE, {"output_dir": "elsewhere"}),
 }
 
@@ -384,14 +384,16 @@ def _batch_files(out):
 
 def test_run_batch_shares_problems_and_matches_single_runs(tmp_path,
                                                            monkeypatch):
-    # kinetic and macro on one problem, the kinetic run on another seed, and
-    # an invalid config: the batch builds two problems and writes exactly the
-    # files one-by-one runs write, with one or two workers
+    # kinetic and macro on one problem, the kinetic run on another seed (a
+    # run key) and on another v-grid, and an invalid config: the batch builds
+    # two problems and writes exactly the files one-by-one runs write, with
+    # one or two workers
     texts = {
         "kin.cfg": _SMALL_KINETIC,
         "bad.cfg": _SMALL_KINETIC + "grid.nx = 32\n",
         "mac.cfg": _SMALL_KINETIC + "mode = macro\ninitial.kind = macro_bump\n",
         "kin_seed.cfg": _SMALL_KINETIC + "seed = 3\n",
+        "kin_nv.cfg": _SMALL_KINETIC + "grid.nv = 35\n",
     }
     for name, text in texts.items():
         _write(tmp_path, name, text)
@@ -415,8 +417,9 @@ def test_run_batch_shares_problems_and_matches_single_runs(tmp_path,
     out1 = str(tmp_path / "w1")
     entries = run_batch(list_path, out1, workers=1)
     monkeypatch.undo()
-    assert builds == ["kin", "kin_seed"]
-    assert [e["status"] for e in entries] == ["ok", "invalid", "ok", "ok"]
+    assert builds == ["kin", "kin_nv"]
+    assert [e["status"] for e in entries] == ["ok", "invalid", "ok", "ok",
+                                              "ok"]
     assert "grid.nx" in entries[1]["error"]
 
     files = _batch_files(out1)
@@ -429,6 +432,32 @@ def test_run_batch_shares_problems_and_matches_single_runs(tmp_path,
     out2 = str(tmp_path / "w2")
     run_batch(list_path, out2, workers=2)
     assert _batch_files(out2) == files
+
+
+def test_run_batch_rejects_repeated_names(tmp_path, capsys):
+    # a kinetic and a macro config both named `same` would write one
+    # same.json: both are invalid before anything runs, the rest of the
+    # batch still runs, and the CLI exits with the invalid code
+    texts = {
+        "kin.cfg": _SMALL_KINETIC + "name = same\n",
+        "mac.cfg": _SMALL_KINETIC + "name = same\nmode = macro\n"
+                   "initial.kind = macro_bump\n",
+        "other.cfg": _SMALL_KINETIC,
+    }
+    for name, text in texts.items():
+        _write(tmp_path, name, text)
+    list_path = _write(tmp_path, "batch.txt", "".join(
+        name + "\n" for name in texts))
+    out = str(tmp_path / "out")
+    entries = run_batch(list_path, out)
+    assert [e["status"] for e in entries] == ["invalid", "invalid", "ok"]
+    for entry in entries[:2]:
+        assert "'same'" in entry["error"]
+        assert "kin.cfg" in entry["error"] and "mac.cfg" in entry["error"]
+    assert sorted(os.listdir(out)) == ["batch_index.json", "other.csv",
+                                       "other.json"]
+    assert main(["batch", list_path, "--out", str(tmp_path / "cli")]) == 1
+    capsys.readouterr()
 
 
 def test_run_batch_failed_problem_gives_each_config_its_own_error(tmp_path):
