@@ -20,9 +20,9 @@ from .spectral import (InequalityEstimate, ckn_constant_estimate, ckn_exponent,
                        nash_constant_estimate, pencil_min_eig,
                        poincare_constant, weighted_poincare_constant)
 from .hypo import (HypoConstants, auxiliary_operator_norms,
-                   bounded_auxiliary_ratio, compute_constants, decay_envelope,
-                   delta_star, dissipation_components, empirical_kappa,
-                   entropy_H, lambda_rate, transport_coefficient_integrals)
+                   bounded_auxiliary_ratio, compute_constants, delta_star,
+                   dissipation_components, empirical_kappa, entropy_H,
+                   lambda_rate, transport_coefficient_integrals)
 from .evolution import (TrajectoryRecord, initial_bump, initial_macro_bump,
                         initial_macro_gaussian, initial_odd_v,
                         initial_shifted_gaussian, run_trajectory, step_kinetic,

@@ -193,8 +193,8 @@ def _step_matrices(ops, mode, dt, scheme):
 
 
 def _step_system(ops, mode, dt, scheme):
-    """The SectorLU of one implicit step, cached in ops.step_cache under
-    (mode, scheme, dt)."""
+    """The SectorLU of one implicit step for step_kinetic and step_macro,
+    cached in ops.step_cache under (mode, scheme, dt)."""
     key = (mode, scheme, float(dt))
     if key not in ops.step_cache:
         ops.step_cache[key] = SectorLU(*_step_matrices(ops, mode, dt, scheme))
@@ -323,6 +323,9 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     record's envelope column is NaN until the caller sets it. A failed solve,
     NaN or mass drift aborts with a NumericalError carrying .last_good_time
     and the .partial_record of the samples taken so far.
+
+    The run factors its own step system and leaves ops.step_cache untouched,
+    so runs that share ops share no step factors.
     """
     dt, n_steps, stride = _validate_schedule(schedule)
     j_powers, k_powers = moment_powers
@@ -334,7 +337,8 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
         y, mass_w, mass_f0, sample = _macro_sampler(f0, eq, ops, j_powers)
     else:
         raise ValidationError("mode must be 'kinetic' or 'macro'")
-    lu = _step_system(ops, mode, dt, scheme)  # a bad scheme fails here
+    # a bad scheme fails here
+    lu = SectorLU(*_step_matrices(ops, mode, dt, scheme))
     parts = fold(y)
     mass_parts = fold(mass_w)       # mass(y) = sum of part . folded weights
 

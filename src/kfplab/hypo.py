@@ -68,10 +68,11 @@ _WINDOW_SLACK = 1e-9
 
 
 class HypoConstants:
-    """The constant bundle (lambda_m, lambda_M, c_M, delta_star, delta, lambda_rate)."""
+    """The constant bundle (lambda_m, lambda_M, c_M, delta_star, delta,
+    lambda_rate) and c_M_parts, the two terms that make up c_M."""
 
     def __init__(self, lambda_m, lambda_M, c_M, delta_star_value, delta,
-                 lambda_rate_value):
+                 lambda_rate_value, c_M_parts):
         vals = [lambda_m, lambda_M, c_M, delta_star_value, delta,
                 lambda_rate_value]
         if any(not np.isfinite(v) for v in vals):
@@ -94,6 +95,7 @@ class HypoConstants:
         self.delta_star = float(delta_star_value)
         self.delta = float(delta)
         self.lambda_rate = float(lambda_rate_value)
+        self.c_M_parts = c_M_parts
 
     def to_dict(self):
         return {
@@ -181,7 +183,7 @@ def _verify_psd_form(lambda_m, c_M, delta, k_M, s):
 
 
 # ---------------------------------------------------------------------------
-# entropy, dissipation, envelopes
+# entropy and dissipation
 # ---------------------------------------------------------------------------
 
 def _q(f, eq, ops):
@@ -250,32 +252,15 @@ def dissipation_components(f, delta, eq, ops):
     }
 
 
-def decay_envelope(kind, h0, rate_or_pair, times):
-    """Pointwise decay envelope: h0 e^{-rate t} or h0 (1 + C h0^{1/zeta} t)^{-zeta}."""
-    times = np.asarray(times, dtype=float)
-    if kind == "exponential":
-        rate = float(rate_or_pair)
-        return h0 * np.exp(-rate * times)
-    if kind == "algebraic":
-        c, zeta = (float(rate_or_pair[0]), float(rate_or_pair[1]))
-        return h0 * (1.0 + c * h0 ** (1.0 / zeta) * times) ** (-zeta)
-    raise ValidationError("envelope kind must be 'exponential' or 'algebraic'")
-
-
 # ---------------------------------------------------------------------------
 # the assembled constant bundle
 # ---------------------------------------------------------------------------
 
 def _smooth(values, rounds):
-    # edge-padded five-point average, the padding refilled in place each round
-    pad = np.empty((values.shape[0] + 2, values.shape[1] + 2))
+    # edge-padded five-point average
     out = values
     for _ in range(rounds):
-        pad[1:-1, 1:-1] = out
-        pad[0, 1:-1] = out[0]
-        pad[-1, 1:-1] = out[-1]
-        pad[:, 0] = pad[:, 1]
-        pad[:, -1] = pad[:, -2]
+        pad = np.pad(out, 1, mode="edge")
         out = 0.25 * (pad[:-2, 1:-1] + pad[2:, 1:-1]
                       + pad[1:-1, :-2] + pad[1:-1, 2:])
     return out
@@ -389,9 +374,8 @@ def compute_constants(eq, ops, delta=None, seed=0):
     elif not 0.0 < delta < ds:
         raise ValidationError("delta must lie in (0, delta_star=%g)" % ds)
     rate = lambda_rate(lam_m, lam_M, c_M, delta)
-    constants = HypoConstants(lam_m, lam_M, c_M, ds, delta, rate)
-    constants.c_M_parts = {"AT_micro": at_micro, "AL": al}
-    return constants
+    return HypoConstants(lam_m, lam_M, c_M, ds, delta, rate,
+                         {"AT_micro": at_micro, "AL": al})
 
 
 def empirical_kappa(eq, ops, delta=None, sample_count=100, seed=1):

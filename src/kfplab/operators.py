@@ -123,8 +123,8 @@ class OperatorSet:
     weights Mrho and N_sym = C^T W C = Mrho N. elliptic_matrix = I + N with
     its LU elliptic_lu; macro_generator is the sigma-scaled Fokker-Planck
     generator on densities and Sx_macro its flux stiffness. step_cache holds
-    the factored time-step systems of this set; dataclasses.replace starts a
-    new, empty one.
+    the factored time-step systems of step_kinetic and step_macro;
+    dataclasses.replace starts a new, empty one.
     """
 
     T_hat: sp.csr_matrix
@@ -275,14 +275,11 @@ def solve_elliptic(rhs, eq, ops):
 
     N is the exact discrete (TPi)*(TPi) on local-equilibrium profiles; the
     system I + N is factored directly and solved by solve_with_refinement.
-    rhs is a DensityField, and then so is the result, or an (nx,) or (nx, k)
-    array, solved column by column in one call.
+    rhs is an (nx,) array or an (nx, k) block, solved column by column in
+    one call.
     """
-    values = rhs.values if isinstance(rhs, DensityField) else rhs
-    u = solve_with_refinement(ops.elliptic_lu, ops.elliptic_matrix, values,
-                              "elliptic")
-    return DensityField(u, eq.grid.x_grid) if isinstance(rhs, DensityField) \
-        else u
+    return solve_with_refinement(ops.elliptic_lu, ops.elliptic_matrix, rhs,
+                                 "elliptic")
 
 
 def q_profiles(q, ops):
@@ -319,5 +316,4 @@ def apply_A(f, eq, ops):
 
 def atpi_quadratic_form(f, eq, ops):
     """<A T Pi f, Pi f>_mu through its exact two-term expression (atpi_form)."""
-    return atpi_form(solve_elliptic(macro_profile(f, eq), eq, ops).values,
-                     ops)
+    return atpi_form(solve_elliptic(macro_profile(f, eq).values, eq, ops), ops)

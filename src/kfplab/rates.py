@@ -45,43 +45,17 @@ class RegimePrediction:
                 % (self.regime, self.exponent, self.rate, self.source))
 
 
-def _potential_mode(alpha_mode):
-    """Normalize the x-potential description to (mode, parameter)."""
-    if alpha_mode is None:
-        return "zero", None
-    if hasattr(alpha_mode, "x_mode"):
-        spec = alpha_mode
-        if spec.x_mode == "power":
-            return "power", spec.alpha
-        if spec.x_mode == "logarithmic":
-            return "logarithmic", spec.gamma
-        return "zero", None
-    if isinstance(alpha_mode, str):
-        if alpha_mode == "zero":
-            return "zero", None
-        raise ValidationError("string alpha_mode must be 'zero'")
-    if isinstance(alpha_mode, (tuple, list)) and len(alpha_mode) == 2:
-        mode, value = alpha_mode
-        if mode not in ("power", "logarithmic", "zero"):
-            raise ValidationError("unknown potential mode %r" % (mode,))
-        return mode, (None if mode == "zero" else float(value))
-    return "power", float(alpha_mode)
-
-
-def classify_regime(alpha_mode, beta, k=None, ell=None, d=1,
-                    dynamics="kinetic", rate=None):
+def classify_regime(spec, k=None, ell=None, d=1, dynamics="kinetic",
+                    rate=None):
     """Predicted decay/convergence regime for the squared norm.
 
-    alpha_mode is a PotentialSpec, a bare alpha (power potential), the string
-    'zero', or a pair ('power'|'logarithmic'|'zero', value). k and ell are
-    the x- and v-moment parameters entering the algebraic exponents; rate is
-    the (externally computed) exponential rate, embedded when available.
+    spec is the PotentialSpec of the problem: its x_mode, alpha or gamma and
+    beta decide the case. k and ell are the x- and v-moment parameters
+    entering the algebraic exponents; rate is the (externally computed)
+    exponential rate, embedded when available.
     """
-    mode, value = _potential_mode(alpha_mode)
-    beta = float(beta)
+    mode, beta, alpha, gamma = spec.x_mode, spec.beta, spec.alpha, spec.gamma
     d = int(d)
-    if beta <= 0:
-        raise ValidationError("beta must be positive")
     if d < 1:
         raise ValidationError("d must be a positive integer")
     if dynamics not in ("kinetic", "macro"):
@@ -96,7 +70,6 @@ def classify_regime(alpha_mode, beta, k=None, ell=None, d=1,
         if mode == "zero":
             return RegimePrediction("algebraic", 0.5 * d, None, "table1.nash")
         if mode == "logarithmic":
-            gamma = value
             if gamma < d:
                 return RegimePrediction("algebraic", 0.5 * (d - gamma), None,
                                         "table1.ckn")
@@ -105,7 +78,6 @@ def classify_regime(alpha_mode, beta, k=None, ell=None, d=1,
                                         "table1.hardy_poincare")
             raise ValidationError("gamma = d sits on the boundary of the "
                                   "classification")
-        alpha = value
         if alpha >= 1.0:
             return RegimePrediction("exponential", None, rate,
                                     "table1.poincare")
@@ -122,9 +94,6 @@ def classify_regime(alpha_mode, beta, k=None, ell=None, d=1,
             return RegimePrediction("algebraic", 0.5 * d, None, "thm2.case5")
         zeta = min(0.5 * d, need("ell", ell) / (2.0 * (1.0 - beta)))
         return RegimePrediction("algebraic", zeta, None, "thm2.case6")
-    alpha = value
-    if alpha <= 0:
-        raise ValidationError("alpha must be positive")
     if beta >= 1.0 and alpha >= 1.0:
         return RegimePrediction("exponential", None, rate, "thm2.case1")
     if beta < 1.0 and alpha >= 1.0:

@@ -36,7 +36,6 @@ run_batch builds and certifies each distinct problem once and runs every
 config that describes it on that one problem.
 """
 
-import dataclasses
 import json
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -110,6 +109,11 @@ class ScenarioConfig:
             return tuple(_parse_number(key, p, float) for p in items if p)
 
         self.name = str(get("name", name or "scenario"))
+        if self.name in ("", ".", "..") or "/" in self.name \
+                or os.sep in self.name:
+            raise ValidationError("name = %r must be a plain file name: not "
+                                  "empty, '.' or '..', and without a path "
+                                  "separator" % self.name)
         self.mode = str(get("mode", "kinetic"))
         if self.mode not in ("kinetic", "macro"):
             raise ValidationError("mode must be 'kinetic' or 'macro'")
@@ -285,23 +289,27 @@ def run_scenario(config, problem=None):
     produce a 'failed' bundle with the record as far as it got).
 
     problem is the certified_problem of a config with the same problem_key,
-    or None to build it here. The run steps on a copy of its operators with
-    an empty step cache, so runs that share a problem share no step factors.
+    or None to build it here. The run leaves the problem's operators as it
+    found them, so runs can share one problem.
+
+    The predicted macro exponential rate is 2 sigma_normalized lambda, with
+    lambda the smallest nonzero eigenvalue of the pencil (Sx_macro, wx
+    rho_star): the exact decay rate of the squared norm under the
+    semi-discrete flow the run steps.
     """
     if problem is None:
         problem = certified_problem(config)
     spec, grid, eq, ops, constants = problem
-    ops = dataclasses.replace(ops)
     dynamics = "macro" if config.mode == "macro" else "kinetic"
     if dynamics == "macro":
-        # the macro exponential rate is 2 sigma C_P, not the kinetic lambda
         rate_hint = None
         if spec.x_mode == "power" and spec.alpha >= 1.0:
-            gap = spectral.poincare_constant(spec, grid.x_grid)
-            rate_hint = 2.0 * eq.sigma_normalized * gap.constant
+            m = grid.x_grid.weights * eq.rho_star.values
+            rate_hint = (2.0 * eq.sigma_normalized
+                         * spectral.pencil_min_eig(ops.Sx_macro, m, m))
     else:
         rate_hint = constants.lambda_rate
-    prediction = rates.classify_regime(spec, config.beta, k=config.rates_k,
+    prediction = rates.classify_regime(spec, k=config.rates_k,
                                        ell=config.rates_ell, d=1,
                                        dynamics=dynamics, rate=rate_hint)
     f0 = make_initial_state(config, eq)
@@ -379,6 +387,13 @@ def _moment_columns(config):
             [("K_%g" % p, p) for p in sorted(set(config.moments_v))])
 
 
+def _write_json(path, payload):
+    """payload as sorted, indented JSON (non-finite floats as null)."""
+    with open(path, "w") as fh:
+        json.dump(_json_safe(payload), fh, indent=2, sort_keys=True)
+        fh.write("\n")
+
+
 def _json_safe(obj):
     if isinstance(obj, dict):
         return {str(k): _json_safe(v) for k, v in obj.items()}
@@ -417,11 +432,8 @@ def emit_report(bundle, out_dir):
     with open(csv_path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
 
-    summary = dict(bundle.summary)
-    summary["csv_path"] = os.path.basename(csv_path)
-    with open(json_path, "w") as fh:
-        json.dump(_json_safe(summary), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(json_path, dict(bundle.summary,
+                                csv_path=os.path.basename(csv_path)))
     return csv_path, json_path
 
 
@@ -442,9 +454,7 @@ def emit_constants_report(config, out_dir):
     }
     os.makedirs(out_dir, exist_ok=True)
     json_path = os.path.join(out_dir, config.name + "_constants.json")
-    with open(json_path, "w") as fh:
-        json.dump(_json_safe(payload), fh, indent=2, sort_keys=True)
-        fh.write("\n")
+    _write_json(json_path, payload)
     return json_path
 
 
@@ -459,6 +469,7 @@ def _error_entry(path, exc):
 
 
 _ENTRY_ERRORS = (ValidationError, NumericalError, OSError)
+_INDEX_NAME = "batch_index"     # the index is <out>/batch_index.json
 
 
 def _run_group(args):
@@ -489,7 +500,8 @@ def run_batch(list_path, out_dir, workers=1, dt=None, t_final=None):
     numerically or cannot be read or written gets the status 'invalid',
     'failed' or 'io_error' with its error, and the others still run. Configs
     that share a name would write one report, so each of them is 'invalid'
-    before anything runs.
+    before anything runs; so is a config named batch_index, whose summary
+    the index would overwrite.
 
     Configs with one problem_key form a group: its problem is built and
     certified once, every config of it runs on that problem, and the problem
@@ -523,7 +535,10 @@ def run_batch(list_path, out_dir, workers=1, dt=None, t_final=None):
     groups = {}     # problem key -> [(position, path, config)]
     for i, config in configs.items():
         clash = sharing[config.name]
-        if len(clash) > 1:
+        if config.name == _INDEX_NAME:
+            entries[i] = _error_entry(paths[i], ValidationError(
+                "name %r would overwrite the batch index" % _INDEX_NAME))
+        elif len(clash) > 1:
             entries[i] = _error_entry(paths[i], ValidationError(
                 "name %r is shared by %s; their reports would overwrite "
                 "each other" % (config.name,
@@ -542,9 +557,6 @@ def run_batch(list_path, out_dir, workers=1, dt=None, t_final=None):
         for (i, _, _), entry in zip(members, group_entries):
             entries[i] = entry
     os.makedirs(out_dir, exist_ok=True)
-    index_path = os.path.join(out_dir, "batch_index.json")
-    with open(index_path, "w") as fh:
-        json.dump(_json_safe({"entries": entries}), fh, indent=2,
-                  sort_keys=True)
-        fh.write("\n")
+    _write_json(os.path.join(out_dir, _INDEX_NAME + ".json"),
+                {"entries": entries})
     return entries

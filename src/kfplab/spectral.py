@@ -70,9 +70,11 @@ class InequalityEstimate:
 # ---------------------------------------------------------------------------
 
 _ROUNDOFF = 1e-12     # relative size of a roundoff-level asymmetry or zero
+_INVERSE_TOL = 1e-12  # relative change that ends the inverse iteration
+_INVERSE_MAX_ITER = 1000
 
 
-def pencil_min_eig(stiffness, mass, constraint, tol=1e-12, max_iter=1000):
+def pencil_min_eig(stiffness, mass, constraint):
     """Smallest eigenvalue of S u = lam M u on {u : constraint . u = 0}.
 
     When c = M 1 and S is symmetric with S 1 = 0, this is the smallest
@@ -80,7 +82,7 @@ def pencil_min_eig(stiffness, mass, constraint, tol=1e-12, max_iter=1000):
     (see the module docstring). For any other weight vector c it is the
     best constant of the Rayleigh quotient with the c-weighted average
     subtracted, found by inverse iteration on the bordered system
-    [[S, c], [c^T, 0]] to relative change tol within max_iter steps.
+    [[S, c], [c^T, 0]] to a relative change of 1e-12 within 1000 steps.
 
     mass is the diagonal of the mass matrix, a vector.
     """
@@ -105,19 +107,20 @@ def pencil_min_eig(stiffness, mass, constraint, tol=1e-12, max_iter=1000):
     u = np.cos(np.linspace(0.0, 3.0, n)) + np.linspace(-1.0, 1.0, n)
     u -= c * (c @ u) / (c @ c)
     lam_old = np.inf
-    for _ in range(max_iter):
+    for _ in range(_INVERSE_MAX_ITER):
         y = lu.solve(np.concatenate([mass * u, [0.0]]))[:n]
         norm = np.sqrt(y @ (mass * y))
         if not np.isfinite(norm) or norm == 0.0:
             raise NumericalError("inverse iteration produced a degenerate vector")
         u = y / norm
         lam = float((u @ (stiffness @ u)))  # u is mass-normalized
-        if abs(lam - lam_old) <= tol * max(abs(lam), 1e-300):
+        if abs(lam - lam_old) <= _INVERSE_TOL * max(abs(lam), 1e-300):
             return lam
         lam_old = lam
     if abs(lam - lam_old) <= 1e-9 * max(abs(lam), 1e-300):
         return lam
-    raise NumericalError("inverse iteration did not converge in %d steps" % max_iter)
+    raise NumericalError("inverse iteration did not converge in %d steps"
+                         % _INVERSE_MAX_ITER)
 
 
 def _mass_deflated_eig(stiffness, mass):

@@ -44,10 +44,11 @@ def test_traced_kinetic_run_counts_every_wrap_point():
     # entropy_H one elliptic solve, dissipation_components one with four
     # right-hand sides
     assert metrics["operators.elliptic_solves"] == 2 * samples
+    # the run factors its own step system and leaves the cache empty
+    assert ops.step_cache == {}
     # the bump datum is even: only the even sector is factored and solved
-    lu = evolution._step_system(ops, "kinetic", 0.05, "implicit_euler")
-    assert sorted(lu.lus) == [1]
-    even = lu.lus[1]
+    even = evolution.SectorLU(*evolution._step_matrices(
+        ops, "kinetic", 0.05, "implicit_euler")).sector(1)[0]
     assert metrics["evolution.lu_fill"] == even.L.nnz + even.U.nnz
     assert metrics["evolution.solves_per_step"] == 1.0
 

@@ -262,6 +262,18 @@ def test_run_trajectory_macro(strong_strong):
     assert np.all(rec.dissipation_D >= -1e-12 * rec.entropy_H[0])
 
 
+def test_run_trajectory_leaves_shared_operators_untouched(strong_strong):
+    # each run factors its own step system, so runs on one shared ops keep
+    # no step factors in it
+    _, _, eq, ops = strong_strong
+    shared = dataclasses.replace(ops)           # an empty step cache
+    run_trajectory(initial_bump(eq, 0.5), (0.05, 1.0, 4), "kinetic", eq,
+                   shared, delta=0.3)
+    run_trajectory(initial_macro_bump(eq, 0.5), (0.05, 1.0, 4), "macro", eq,
+                   shared)
+    assert shared.step_cache == {}
+
+
 def test_run_trajectory_validation(strong_strong):
     _, _, eq, ops = strong_strong
     f0 = initial_bump(eq, 0.5)

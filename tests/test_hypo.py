@@ -6,7 +6,6 @@ import scipy.linalg
 import scipy.sparse as sp
 
 from kfplab import (
-    DensityField,
     Field,
     InfeasibleError,
     ValidationError,
@@ -15,7 +14,6 @@ from kfplab import (
     auxiliary_operator_norms,
     bounded_auxiliary_ratio,
     compute_constants,
-    decay_envelope,
     delta_star,
     dissipation_components,
     empirical_kappa,
@@ -200,7 +198,7 @@ def _sparse_reference(f, delta, eq, ops):
     B = (sp.diags(1.0 / ops.mrho) @ C.T @ sp.diags(ops.w_flat)).tocsr()
 
     def twist(g_q):
-        return solve_elliptic(DensityField(B @ g_q, xg), eq, ops).values
+        return solve_elliptic(B @ g_q, eq, ops)
 
     def m_norm(u):
         return np.sqrt(u @ (ops.mrho * u))
@@ -212,7 +210,7 @@ def _sparse_reference(f, delta, eq, ops):
     micro = q - p_hat @ u_f
     weight_v = vg.weights * velocity_weight(eq.spec.beta, vg.nodes)
     micro_sq = xg.weights @ ((micro * micro).reshape(grid.shape) @ weight_v)
-    u = solve_elliptic(DensityField(u_f, xg), eq, ops).values
+    u = solve_elliptic(u_f, eq, ops)
     cu = C @ u
     atpi = np.sum(ops.w_flat * cu * cu) + m_norm(B @ cu) ** 2
     u_af = twist(q)
@@ -257,26 +255,6 @@ def test_profile_path_matches_sparse_reference(quadrants, key):
         expected = u_af[:, None] * eq.f_star.values
         assert np.max(np.abs(af - expected)) \
             <= 1e-12 * np.max(np.abs(expected)), name
-
-
-def _smooth_by_pad(values, rounds):
-    out = values
-    for _ in range(rounds):
-        pad = np.pad(out, 1, mode="edge")
-        out = 0.25 * (pad[:-2, 1:-1] + pad[2:, 1:-1]
-                      + pad[1:-1, :-2] + pad[1:-1, 2:])
-    return out
-
-
-def test_probe_suite_bit_identical_to_pad_smoothing(quadrants, monkeypatch):
-    # nine probes reach the 4-, 16- and 64-round smoothings
-    for key, (_, _, eq, _) in quadrants.items():
-        suite = hypo._random_suite(eq, 9, seed=5)
-        monkeypatch.setattr(hypo, "_smooth", _smooth_by_pad)
-        reference = hypo._random_suite(eq, 9, seed=5)
-        monkeypatch.undo()
-        for i, (a, b) in enumerate(zip(suite, reference)):
-            assert np.array_equal(a.values, b.values), (key, i)
 
 
 def test_auxiliary_estimates_random_suite(strong_strong):
@@ -433,17 +411,6 @@ def test_transport_coefficient_integrals(strong_strong, strong_weak):
         assert 0.0 < ints["kappa_sq"] < 1.0
         assert ints["sigma_hat"] == pytest.approx(eq.sigma_normalized,
                                                   rel=1e-2)
-
-
-def test_decay_envelope_shapes():
-    t = np.linspace(0.0, 5.0, 11)
-    exp_env = decay_envelope("exponential", 2.0, 0.7, t)
-    assert exp_env[0] == pytest.approx(2.0)
-    assert np.allclose(exp_env, 2.0 * np.exp(-0.7 * t))
-    alg_env = decay_envelope("algebraic", 2.0, (0.5, 2.0), t)
-    assert np.allclose(alg_env, 2.0 * (1.0 + 0.5 * np.sqrt(2.0) * t) ** -2.0)
-    with pytest.raises(ValidationError):
-        decay_envelope("polynomial", 1.0, 1.0, t)
 
 
 def test_moment_bound_from_max_principle(strong_strong):

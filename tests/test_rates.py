@@ -27,69 +27,80 @@ def _record_from(times, values):
 # classification
 # ---------------------------------------------------------------------------
 
+def _power(alpha, beta):
+    return PotentialSpec("power", beta, alpha=alpha)
+
+
 def test_kinetic_case_table():
     # (alpha, beta) quadrants of the kinetic classification
-    p = classify_regime(2.0, 2.0, rate=0.25)
+    p = classify_regime(_power(2.0, 2.0), rate=0.25)
     assert (p.regime, p.source, p.rate) == ("exponential", "thm2.case1", 0.25)
 
-    p = classify_regime(2.0, 0.5, ell=2.0)
+    p = classify_regime(_power(2.0, 0.5), ell=2.0)
     assert (p.regime, p.source) == ("algebraic", "thm2.case2")
     assert p.exponent == pytest.approx(2.0)   # ell / (2 (1 - beta))
 
-    p = classify_regime(0.5, 2.0, k=2.0)
+    p = classify_regime(_power(0.5, 2.0), k=2.0)
     assert (p.regime, p.source) == ("algebraic", "thm2.case3")
     assert p.exponent == pytest.approx(2.0)   # k / (2 (1 - alpha))
 
-    p = classify_regime(0.5, 0.5, k=2.0, ell=3.0)
+    p = classify_regime(_power(0.5, 0.5), k=2.0, ell=3.0)
     assert (p.regime, p.source) == ("algebraic", "thm2.case4")
     assert p.exponent == pytest.approx(2.0)   # min{2, 3}
 
-    p = classify_regime(None, 2.0)
+    p = classify_regime(PotentialSpec("zero", 2.0))
     assert (p.regime, p.source) == ("algebraic", "thm2.case5")
     assert p.exponent == pytest.approx(0.5)   # d / 2
 
-    p = classify_regime("zero", 0.5, ell=0.5)
+    p = classify_regime(PotentialSpec("zero", 0.5), ell=0.5)
     assert (p.regime, p.source) == ("algebraic", "thm2.case6")
     assert p.exponent == pytest.approx(0.5)   # min{d/2, ell/(2(1-beta))}
 
 
 def test_macro_case_table():
-    p = classify_regime("zero", 2.0, dynamics="macro")
+    p = classify_regime(PotentialSpec("zero", 2.0), dynamics="macro")
     assert (p.source, p.exponent) == ("table1.nash", 0.5)
 
-    p = classify_regime(("logarithmic", 0.5), 2.0, dynamics="macro")
+    p = classify_regime(PotentialSpec("logarithmic", 2.0, gamma=0.5),
+                        dynamics="macro")
     assert (p.source, p.exponent) == ("table1.ckn", 0.25)
 
-    p = classify_regime(("logarithmic", 3.0), 2.0, k=1.0, dynamics="macro")
+    p = classify_regime(PotentialSpec("logarithmic", 2.0, gamma=3.0), k=1.0,
+                        dynamics="macro")
     assert (p.source, p.exponent) == ("table1.hardy_poincare", 0.5)
 
-    p = classify_regime(2.0, 2.0, dynamics="macro", rate=1.9)
+    p = classify_regime(_power(2.0, 2.0), dynamics="macro", rate=1.9)
     assert (p.source, p.regime, p.rate) == ("table1.poincare", "exponential",
                                             1.9)
 
-    p = classify_regime(0.5, 2.0, k=2.0, dynamics="macro")
+    p = classify_regime(_power(0.5, 2.0), k=2.0, dynamics="macro")
     assert (p.source, p.exponent) == ("table1.weighted_poincare", 2.0)
 
 
 def test_classification_accepts_potential_spec():
-    spec = PotentialSpec("power", 0.5, alpha=2.0)
-    p = classify_regime(spec, 0.5, ell=2.0)
+    # spec.beta decides the case: alpha = 2 is case 2 with beta = 0.5 and
+    # case 1 with beta = 2
+    p = classify_regime(PotentialSpec("power", 0.5, alpha=2.0), ell=2.0)
     assert p.source == "thm2.case2"
+    assert p.exponent == pytest.approx(2.0)   # ell / (2 (1 - 0.5))
+    p = classify_regime(PotentialSpec("power", 2.0, alpha=2.0), ell=2.0)
+    assert p.source == "thm2.case1"
 
 
 def test_classification_validation():
+    with pytest.raises(ValidationError):            # kinetic + log
+        classify_regime(PotentialSpec("logarithmic", 2.0, gamma=3.0), k=1.0)
+    with pytest.raises(ValidationError):            # gamma = d
+        classify_regime(PotentialSpec("logarithmic", 2.0, gamma=1.0), k=1.0,
+                        dynamics="macro")
     with pytest.raises(ValidationError):
-        classify_regime(("logarithmic", 3.0), 2.0, k=1.0)  # kinetic + log
+        classify_regime(_power(0.5, 2.0))           # k missing for case 3
     with pytest.raises(ValidationError):
-        classify_regime(("logarithmic", 1.0), 2.0, k=1.0, dynamics="macro")
+        classify_regime(_power(2.0, 0.5))           # ell missing for case 2
     with pytest.raises(ValidationError):
-        classify_regime(0.5, 2.0)                # k missing for case 3
+        classify_regime(_power(2.0, 2.0), d=0)
     with pytest.raises(ValidationError):
-        classify_regime(2.0, 0.5)                # ell missing for case 2
-    with pytest.raises(ValidationError):
-        classify_regime(2.0, 0.0)
-    with pytest.raises(ValidationError):
-        classify_regime(2.0, 2.0, dynamics="stationary")
+        classify_regime(_power(2.0, 2.0), dynamics="stationary")
 
 
 # ---------------------------------------------------------------------------

@@ -104,6 +104,50 @@ def test_scenario_config_defaults_and_validation():
                                      "schedule.t_final": "5.1"}))
 
 
+def test_scenario_config_rejects_names_that_leave_the_output_dir(tmp_path,
+                                                               capsys):
+    # the name becomes <out>/<name>.csv and .json: a path in it would write
+    # outside --out, an empty or dot name would write hidden files
+    base = {"potential.alpha": "2.0"}
+    for name in ("", ".", "..", "../escaped", "sub/case", "/abs"):
+        with pytest.raises(ValidationError, match="name"):
+            ScenarioConfig(dict(base, name=name))
+    cfg = _write(tmp_path, "esc.cfg", _TINY_KINETIC + "name = ../escaped\n")
+    out = tmp_path / "run" / "out"
+    assert main(["run", cfg, "--out", str(out)]) == 1
+    assert "name" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+def test_run_batch_rejects_a_name_that_leaves_the_output_dir(tmp_path):
+    _write(tmp_path, "esc.cfg", _SMALL_KINETIC + "name = ../escaped\n")
+    _write(tmp_path, "other.cfg", _SMALL_KINETIC)
+    out = tmp_path / "run" / "out"
+    entries = run_batch(_write(tmp_path, "batch.txt", "esc.cfg\nother.cfg\n"),
+                        str(out))
+    assert [e["status"] for e in entries] == ["invalid", "ok"]
+    assert "name" in entries[0]["error"]
+    assert sorted(os.listdir(tmp_path / "run")) == ["out"]
+    assert sorted(os.listdir(out)) == ["batch_index.json", "other.csv",
+                                       "other.json"]
+
+
+def test_run_batch_rejects_the_index_name(tmp_path):
+    # a config named batch_index would write the summary the index then
+    # overwrites: it is invalid before anything runs
+    _write(tmp_path, "idx.cfg", _SMALL_KINETIC + "name = batch_index\n")
+    _write(tmp_path, "other.cfg", _SMALL_KINETIC)
+    out = str(tmp_path / "out")
+    entries = run_batch(_write(tmp_path, "batch.txt", "idx.cfg\nother.cfg\n"),
+                        out)
+    assert [e["status"] for e in entries] == ["invalid", "ok"]
+    assert "batch_index" in entries[0]["error"]
+    with open(os.path.join(out, "batch_index.json")) as fh:
+        assert json.load(fh) == {"entries": entries}
+    assert sorted(os.listdir(out)) == ["batch_index.json", "other.csv",
+                                       "other.json"]
+
+
 def test_scenario_config_from_file_and_override(tmp_path):
     path = _write(tmp_path, "case1.cfg", _TINY_KINETIC)
     cfg = ScenarioConfig.from_file(path)
@@ -184,11 +228,15 @@ def test_macro_scenario(tmp_path):
     assert bundle.status == "ok"
     assert bundle.summary["regime"] == "exponential"
     assert bundle.summary["paper_case"].startswith("table1.")
-    # the predicted macro rate 2 sigma C_P is sharp, so the fitted rate must
-    # land on it up to the implicit-Euler lag log(1 + dt*r)/dt
+    # the predicted macro rate r is the exact decay rate of the semi-discrete
+    # flow, so the fitted rate is its implicit-Euler image
+    # 2 log(1 + dt r/2)/dt once the higher modes have died out
     predicted = bundle.summary["predicted_exponent_or_rate"]
     assert predicted == pytest.approx(2.0, rel=0.05)
     assert bundle.summary["fitted_value"] == pytest.approx(predicted, rel=0.15)
+    dt = bundle.config.dt
+    assert bundle.summary["fitted_value"] == pytest.approx(
+        2.0 * np.log1p(0.5 * dt * predicted) / dt, rel=1e-6)
 
 
 def test_failed_scenario_bundle(tmp_path, monkeypatch):
