@@ -63,7 +63,7 @@ def run_check():
     spec = PotentialSpec("power", 2.0, alpha=2.0)
     grid = PhaseGrid(Grid1D(8.0, 65), Grid1D(8.0, 65))
     eq = build_equilibrium(spec, grid)
-    ops = assemble(eq, spec, grid)
+    ops = assemble(eq)
     rng = np.random.default_rng(11)
     f = Field(rng.standard_normal(grid.shape), grid)
     g = Field(rng.standard_normal(grid.shape), grid)

@@ -212,7 +212,7 @@ def entropy_H(f, delta, eq, ops):
     if delta == 0.0:
         return half_sq
     m_u, b_q = q_profiles(q, ops)[:2]
-    u_af = operators.solve_elliptic(b_q, eq, ops)
+    u_af = operators.solve_elliptic(b_q, ops)
     return half_sq + delta * float(u_af @ m_u)
 
 
@@ -227,7 +227,7 @@ def dissipation_components(f, delta, eq, ops):
     m_u, b_q, bt_micro_q, bl_q = q_profiles(q, ops)
     u_f = m_u / ops.mrho
     u_pi, u_af, u_at_micro, u_al = operators.solve_elliptic(
-        np.column_stack([u_f, b_q, bt_micro_q, bl_q]), eq, ops).T
+        np.column_stack([u_f, b_q, bt_micro_q, bl_q]), ops).T
 
     grad = ops.v_gradient @ q.reshape(eq.grid.shape).T     # one row per face
     minus_lff = float(np.einsum("ji,ji->i", grad, grad)
@@ -308,7 +308,7 @@ def bounded_auxiliary_ratio(f, eq, ops):
     micro_sq = _micro_beta_sq(q, m_u / ops.mrho, eq, ops)
     if micro_sq == 0.0:
         raise ValidationError("f must have a microscopic part")
-    u = operators.solve_elliptic(np.column_stack([bt_micro_q, bl_q]), eq, ops)
+    u = operators.solve_elliptic(np.column_stack([bt_micro_q, bl_q]), ops)
     norm_at, norm_al = np.sqrt(np.sum(u * (ops.mrho[:, None] * u), axis=0))
     return (norm_at + norm_al) / np.sqrt(micro_sq)
 
@@ -334,8 +334,8 @@ def _profile_gram(row, eq, ops):
     gram = sp.kron(v_perp.T @ v_perp,
                    sp.diags(1.0 / eq.grid.x_grid.weights))
     g = (block @ gram @ block.T).toarray()
-    half = operators.solve_elliptic(g, eq, ops)                   # E^-1 G
-    h = operators.solve_elliptic(np.ascontiguousarray(half.T), eq, ops)
+    half = operators.solve_elliptic(g, ops)                       # E^-1 G
+    h = operators.solve_elliptic(np.ascontiguousarray(half.T), ops)
     root = np.sqrt(ops.mrho)
     h = root[:, None] * h * root[None, :]
     return 0.5 * (h + h.T)

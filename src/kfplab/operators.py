@@ -153,9 +153,10 @@ class OperatorSet:
                       * self.sqrt_f).reshape(f.grid.shape), f.grid)
 
 
-def assemble(eq, spec, grid):
-    """Build the OperatorSet; raises InvalidEquilibriumError on nonpositive weights."""
-    xg, vg = grid.x_grid, grid.v_grid
+def assemble(eq):
+    """Build the OperatorSet of eq on its own grid; raises
+    InvalidEquilibriumError on nonpositive weights."""
+    xg, vg = eq.grid.x_grid, eq.grid.v_grid
     nx, nv = xg.count, vg.count
     rho = eq.rho_star.values
     gv = eq.g_star_v
@@ -166,7 +167,7 @@ def assemble(eq, spec, grid):
     s = np.sqrt(gv)
     sqrt_f = np.outer(r, s).ravel()
     wx, wv = xg.weights, vg.weights
-    w_flat = grid.weight_matrix.ravel()
+    w_flat = eq.grid.weight_matrix.ravel()
 
     # --- transport in q coordinates ---------------------------------------
     Dx = sp.diags(1.0 / wx) @ _antisym_core(nx)
@@ -270,7 +271,7 @@ def solve_with_refinement(lu, system, rhs, what):
                          % (what, np.max(err)))
 
 
-def solve_elliptic(rhs, eq, ops):
+def solve_elliptic(rhs, ops):
     """Solve (I + N) u = rhs on profiles to relative residual < 1e-10.
 
     N is the exact discrete (TPi)*(TPi) on local-equilibrium profiles; the
@@ -310,10 +311,10 @@ def atpi_form(u, ops):
 def apply_A(f, eq, ops):
     """A f = (1 + (TPi)*(TPi))^-1 (TPi)* f, returned as the field u f_star."""
     b_q = q_profiles(f.values.ravel() / ops.sqrt_f, ops)[1]
-    u = solve_elliptic(b_q, eq, ops)
+    u = solve_elliptic(b_q, ops)
     return Field(u[:, np.newaxis] * eq.f_star.values, f.grid)
 
 
 def atpi_quadratic_form(f, eq, ops):
     """<A T Pi f, Pi f>_mu through its exact two-term expression (atpi_form)."""
-    return atpi_form(solve_elliptic(macro_profile(f, eq).values, eq, ops), ops)
+    return atpi_form(solve_elliptic(macro_profile(f, eq).values, ops), ops)

@@ -205,7 +205,7 @@ def build_problem(config):
     grid = PhaseGrid(Grid1D(config.x_half_width, config.nx),
                      Grid1D(config.v_half_width, config.nv))
     eq = build_equilibrium(spec, grid, truncation_tol=config.truncation_tol)
-    ops = assemble(eq, spec, grid)
+    ops = assemble(eq)
     return spec, grid, eq, ops
 
 
@@ -506,8 +506,10 @@ def run_batch(list_path, out_dir, workers=1, dt=None, t_final=None):
     Configs with one problem_key form a group: its problem is built and
     certified once, every config of it runs on that problem, and the problem
     is released before the next group starts. With workers > 1 each group is
-    one task of the process pool.
+    one task of the process pool; workers < 1 is a ValidationError.
     """
+    if workers < 1:
+        raise ValidationError("workers must be at least 1, got %d" % workers)
     with open(list_path, "r") as fh:
         base = os.path.dirname(os.path.abspath(list_path))
         paths = []

@@ -5,23 +5,21 @@ inequality behind the slow alpha < 1 regimes, the Hardy-Poincare inequality
 behind the logarithmic regimes, and the exact discrete microscopic and
 macroscopic coercivity constants) are the smallest eigenvalues of
 generalized pencils (stiffness S, diagonal mass M) on the hyperplane
-{u : c . u = 0}. pencil_min_eig takes one of two paths:
+{u : c . u = 0}. pencil_min_eig takes one of two direct paths, and either
+raises NumericalError when S is not positive on the hyperplane:
 
-* Mass deflation, c = M 1 with S symmetric and S 1 = 0 (both checked to
-  roundoff): the constant mode is the pencil's zero eigenvector and the
-  hyperplane is its M-orthogonal complement, so the wanted eigenvalue is
-  the second smallest of the banded matrix M^-1/2 S M^-1/2, found by one
-  banded symmetric eigen-solve (LAPACK bisection). This serves lambda_M,
-  lambda_m for beta >= 1, and the Poincare, weighted Poincare and
-  Hardy-Poincare ('mass' average) ladders. A smallest eigenvalue that is not
-  a roundoff-level zero raises NumericalError. Inverse iteration does not
-  serve these pencils: the deflated spectrum of (N_sym, m_rho) comes in
-  pairs equal to about 1e-14, and on alpha = 0.5 boxes the next pair lies
-  only 0.4 % higher, so the iteration contracts by 0.996 per step and
-  stops at its iteration cap short of convergence.
+* Mass deflation, c = M 1 with S 1 = 0 (checked to roundoff): the constant
+  mode is the pencil's zero eigenvector and the hyperplane is its
+  M-orthogonal complement, so the wanted eigenvalue is the second smallest
+  of the banded matrix M^-1/2 S M^-1/2, found by one banded symmetric
+  eigen-solve (LAPACK bisection). This serves lambda_M, lambda_m for
+  beta >= 1 and the Poincare, weighted Poincare and Hardy-Poincare ('mass'
+  average) ladders.
 * Any other weight c (lambda_m for beta < 1, Hardy-Poincare with the 'lhs'
-  average): inverse iteration on the bordered system [[S, c], [c^T, 0]],
-  factored once with SPLU_OPTIONS.
+  average): the bordered matrix K = [[S, c], [c^T, 0]], factored once with
+  SPLU_OPTIONS. The leading n x n block of K^-1 inverts the pencil on the
+  hyperplane, so M^1/2 (K^-1)_nn M^1/2 has the eigenvalues 1/lam and one
+  zero, and lam = 1 / its largest eigenvalue (one dense eigen-solve).
 
 Nash and Caffarelli-Kohn-Nirenberg constants are not quadratic-form ratios;
 they are lower-bounded by the maximum of the defining ratio over an explicit
@@ -70,19 +68,18 @@ class InequalityEstimate:
 # ---------------------------------------------------------------------------
 
 _ROUNDOFF = 1e-12     # relative size of a roundoff-level asymmetry or zero
-_INVERSE_TOL = 1e-12  # relative change that ends the inverse iteration
-_INVERSE_MAX_ITER = 1000
 
 
 def pencil_min_eig(stiffness, mass, constraint):
     """Smallest eigenvalue of S u = lam M u on {u : constraint . u = 0}.
 
-    When c = M 1 and S is symmetric with S 1 = 0, this is the smallest
-    NONZERO eigenvalue of the free pencil, found by one banded eigen-solve
-    (see the module docstring). For any other weight vector c it is the
-    best constant of the Rayleigh quotient with the c-weighted average
-    subtracted, found by inverse iteration on the bordered system
-    [[S, c], [c^T, 0]] to a relative change of 1e-12 within 1000 steps.
+    When c = M 1 and S 1 = 0, this is the smallest NONZERO eigenvalue of the
+    free pencil; for any other weight vector c it is the best constant of the
+    Rayleigh quotient with the c-weighted average subtracted. Both come from
+    direct eigen-solves (see the module docstring). A stiffness that is not
+    symmetric to roundoff, or a mass that is not positive, raises
+    ValidationError; a pencil that is not positive on the hyperplane raises
+    NumericalError.
 
     mass is the diagonal of the mass matrix, a vector.
     """
@@ -90,37 +87,29 @@ def pencil_min_eig(stiffness, mass, constraint):
     c = np.asarray(constraint, dtype=float)
     if abs(np.sum(c)) <= 0.0:
         raise ValidationError("deflation weight must not annihilate constants")
-    if np.array_equal(c, mass) and np.all(mass > 0.0):
-        sym = sp.csr_matrix(stiffness)
-        scale = abs(sym).max()
-        if (abs(sym - sym.T).max() <= _ROUNDOFF * scale
-                and np.max(np.abs(sym @ np.ones(n))) <= _ROUNDOFF * scale):
-            return _mass_deflated_eig(sym, mass)
-    bordered = sp.bmat([[sp.csr_matrix(stiffness), sp.csr_matrix(c.reshape(n, 1))],
+    sym = sp.csr_matrix(stiffness)
+    scale = abs(sym).max()
+    if not (abs(sym - sym.T).max() <= _ROUNDOFF * scale and np.all(mass > 0.0)):
+        raise ValidationError("pencil needs a symmetric stiffness and a "
+                              "positive mass")
+    if (np.array_equal(c, mass)
+            and np.max(np.abs(sym @ np.ones(n))) <= _ROUNDOFF * scale):
+        return _mass_deflated_eig(sym, mass)
+    bordered = sp.bmat([[sym, sp.csr_matrix(c.reshape(n, 1))],
                         [sp.csr_matrix(c.reshape(1, n)), None]], format="csc")
     try:
         lu = splu(bordered, **SPLU_OPTIONS)
     except RuntimeError as exc:
         raise NumericalError("bordered pencil factorization failed: %s" % exc)
-
-    # deterministic nonconstant start vector, projected onto the constraint
-    u = np.cos(np.linspace(0.0, 3.0, n)) + np.linspace(-1.0, 1.0, n)
-    u -= c * (c @ u) / (c @ c)
-    lam_old = np.inf
-    for _ in range(_INVERSE_MAX_ITER):
-        y = lu.solve(np.concatenate([mass * u, [0.0]]))[:n]
-        norm = np.sqrt(y @ (mass * y))
-        if not np.isfinite(norm) or norm == 0.0:
-            raise NumericalError("inverse iteration produced a degenerate vector")
-        u = y / norm
-        lam = float((u @ (stiffness @ u)))  # u is mass-normalized
-        if abs(lam - lam_old) <= _INVERSE_TOL * max(abs(lam), 1e-300):
-            return lam
-        lam_old = lam
-    if abs(lam - lam_old) <= 1e-9 * max(abs(lam), 1e-300):
-        return lam
-    raise NumericalError("inverse iteration did not converge in %d steps"
-                         % _INVERSE_MAX_ITER)
+    root = np.sqrt(mass)
+    columns = np.vstack([np.diag(root), np.zeros(n)])     # diag(M^1/2), 0
+    block = root[:, np.newaxis] * lu.solve(columns)[:n]
+    inverse = sla.eigvalsh(0.5 * (block + block.T), check_finite=False)
+    if not (inverse[-1] > 0.0 and inverse[0] >= -_ROUNDOFF * inverse[-1]):
+        raise NumericalError("pencil is not positive on the hyperplane: "
+                             "1/lam spans [%.3e, %.3e]"
+                             % (inverse[0], inverse[-1]))
+    return float(1.0 / inverse[-1])
 
 
 def _mass_deflated_eig(stiffness, mass):

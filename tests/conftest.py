@@ -14,7 +14,7 @@ def make_problem(x_mode, beta, x_half, nx, v_half, nv, tol=1e-8, **kwargs):
     spec = PotentialSpec(x_mode, beta, **kwargs)
     grid = PhaseGrid(Grid1D(x_half, nx), Grid1D(v_half, nv))
     eq = build_equilibrium(spec, grid, truncation_tol=tol)
-    ops = assemble(eq, spec, grid)
+    ops = assemble(eq)
     return spec, grid, eq, ops
 
 

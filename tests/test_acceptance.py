@@ -206,7 +206,7 @@ def test_criterion_05_heat_decay():
         spec = PotentialSpec("zero", 2.0)
         grid = PhaseGrid(Grid1D(12.0, 481), Grid1D(8.0, 65))
         eq = build_equilibrium(spec, grid)
-        ops = assemble(eq, spec, grid)
+        ops = assemble(eq)
         rho0 = initial_macro_gaussian(grid.x_grid, s0=2.0)
         rec = run_trajectory(rho0, (0.0025, 3.0, 40), "macro", eq, ops)
         fitted, r_sq = rates.fit_rate(rec, "algebraic")

@@ -198,7 +198,7 @@ def _sparse_reference(f, delta, eq, ops):
     B = (sp.diags(1.0 / ops.mrho) @ C.T @ sp.diags(ops.w_flat)).tocsr()
 
     def twist(g_q):
-        return solve_elliptic(B @ g_q, eq, ops)
+        return solve_elliptic(B @ g_q, ops)
 
     def m_norm(u):
         return np.sqrt(u @ (ops.mrho * u))
@@ -210,7 +210,7 @@ def _sparse_reference(f, delta, eq, ops):
     micro = q - p_hat @ u_f
     weight_v = vg.weights * velocity_weight(eq.spec.beta, vg.nodes)
     micro_sq = xg.weights @ ((micro * micro).reshape(grid.shape) @ weight_v)
-    u = solve_elliptic(u_f, eq, ops)
+    u = solve_elliptic(u_f, ops)
     cu = C @ u
     atpi = np.sum(ops.w_flat * cu * cu) + m_norm(B @ cu) ** 2
     u_af = twist(q)
@@ -327,7 +327,7 @@ def _micro_basis_map(eq, ops, row):
             q = np.zeros(eq.grid.shape)
             q[i] = basis_v[:, k] / np.sqrt(xg.weights[i])
             columns.append(q_profiles(q.ravel(), ops)[row])
-    u = solve_elliptic(np.column_stack(columns), eq, ops)
+    u = solve_elliptic(np.column_stack(columns), ops)
     return np.sqrt(ops.mrho)[:, None] * u
 
 
@@ -356,7 +356,7 @@ def _at_micro_maximizer(eq, ops):
     v_perp = hypo._micro_profiles(eq, ops)
     y = np.linalg.eigh(hypo._profile_gram(2, eq, ops))[1][:, -1]
     nx = ops.mrho.size
-    w = ops.mrho * solve_elliptic(y / np.sqrt(ops.mrho), eq, ops)
+    w = ops.mrho * solve_elliptic(y / np.sqrt(ops.mrho), ops)
     block = ops.profile_map[2 * nx:3 * nx]
     u = (block.T @ w).reshape(-1, nx).T              # column c: P_c^T w
     wx = eq.grid.x_grid.weights
@@ -377,7 +377,7 @@ def test_c_M_bounds_ratio_at_maximizer(quadrants, key):
     f = _at_micro_maximizer(eq, ops)
     q = f.values.ravel() / ops.sqrt_f
     m_u, _, bt_micro_q, _ = q_profiles(q, ops)
-    u = solve_elliptic(bt_micro_q, eq, ops)
+    u = solve_elliptic(bt_micro_q, ops)
     micro_sq = hypo._micro_beta_sq(q, m_u / ops.mrho, eq, ops)
     assert np.sqrt(u @ (ops.mrho * u) / micro_sq) == pytest.approx(
         at_norm, rel=1e-10)

@@ -175,7 +175,7 @@ def test_solve_elliptic_residual(strong_strong):
     rng = np.random.default_rng(12)
     for _ in range(5):
         rhs = rng.standard_normal(grid.x_grid.count)
-        u = solve_elliptic(rhs, eq, ops)
+        u = solve_elliptic(rhs, ops)
         # residual of (I + N) u = rhs through the assembled I + N
         res = rhs - ops.elliptic_matrix @ u
         assert np.linalg.norm(res) <= 1e-10 * np.linalg.norm(rhs)

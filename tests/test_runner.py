@@ -588,6 +588,19 @@ def test_cli_batch_flags_invalid(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("workers", ["0", "-3"])
+def test_cli_batch_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
+    # refused before any config runs: no report and no index
+    _write(tmp_path, "good.cfg", _TINY_KINETIC)
+    list_path = _write(tmp_path, "batch.txt", "good.cfg\n")
+    out = str(tmp_path / "out")
+    assert main(["batch", list_path, "--out", out, "--workers", workers]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: ") and "workers" in err
+    assert len(err.splitlines()) == 1, err
+    assert not os.path.exists(out)
+
+
 def _console_script():
     """The command line that runs the `kfplab` console script.
 

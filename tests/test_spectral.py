@@ -31,7 +31,7 @@ from kfplab.spectral import _stiffness_1d, macroscopic_gap
 def test_pencil_against_dense_reduction():
     # project onto the constraint's null space and call a dense solver
     rng = np.random.default_rng(3)
-    for _ in range(20):
+    for _ in range(200):
         n = 12
         a = rng.standard_normal((n, n))
         stiff = a.T @ a + 0.1 * np.eye(n)
@@ -41,7 +41,7 @@ def test_pencil_against_dense_reduction():
         z = sla.null_space(c.reshape(1, n))
         w = sla.eigh(z.T @ stiff @ z, z.T @ np.diag(mass) @ z,
                      eigvals_only=True)
-        assert lam == pytest.approx(w[0], rel=1e-8)
+        assert lam == pytest.approx(w[0], rel=1e-12)
 
 
 def test_pencil_neumann_closed_form():
@@ -84,10 +84,37 @@ def test_pencil_rejects_indefinite_mass_deflated_stiffness():
         pencil_min_eig(flux_stiffness(g, weights), g.weights, g.weights)
 
 
+def test_pencil_rejects_indefinite_bordered_stiffness():
+    # the same negative face weight under a constraint other than the mass:
+    # the smallest eigenvalue on the hyperplane is negative, and no nearer
+    # positive one may stand in for it
+    g = Grid1D(2.0, 9)
+    weights = np.ones(g.count - 1)
+    weights[3] = -2.0
+    c = g.weights * np.linspace(1.0, 2.0, g.count)
+    with pytest.raises(NumericalError, match="not positive"):
+        pencil_min_eig(flux_stiffness(g, weights), g.weights, c)
+
+
+def test_pencil_rejects_nonsymmetric_stiffness_and_nonpositive_mass():
+    # on either path: the mass itself as the constraint, or another weight
+    g = Grid1D(2.0, 9)
+    stiff = flux_stiffness(g, np.ones(g.count - 1))
+    skewed = stiff.tolil()
+    skewed[2, 3] += 0.5
+    mass = g.weights
+    for c in (mass, mass * np.linspace(1.0, 2.0, g.count)):
+        with pytest.raises(ValidationError, match="symmetric"):
+            pencil_min_eig(skewed.tocsr(), mass, c)
+        with pytest.raises(ValidationError, match="positive mass"):
+            pencil_min_eig(stiff, np.where(np.arange(g.count) == 4, 0.0, mass),
+                           c)
+
+
 def test_macroscopic_gap_matches_dense_reference(quadrants):
     # lambda_M is the second eigenvalue of Mrho^-1/2 N_sym Mrho^-1/2; that
     # spectrum comes in pairs, and on the alpha = 0.5 boxes the next pair is
-    # only 0.4 % higher, too close for inverse iteration within its step cap
+    # only 0.4 % higher, so the banded solve must resolve a close pair
     for key, (_, _, _, ops) in quadrants.items():
         scale = 1.0 / np.sqrt(ops.mrho)
         dense = ops.N_sym.toarray() * np.outer(scale, scale)
