@@ -119,6 +119,9 @@ def build_equilibrium(spec, grid, truncation_tol=1e-8):
     phi = eval_potential(spec, "x", xg.nodes)
     gv_raw = np.exp(-psi)
     ex_raw = np.exp(-phi)
+    if not (gv_raw.max() > 0.0 and ex_raw.max() > 0.0):
+        # an all-zero factor would make every ratio below 0/0
+        raise NumericalError("f_star underflowed to zero on this box")
 
     ratio_v = max(gv_raw[0], gv_raw[-1]) / gv_raw.max()
     if ratio_v > truncation_tol:

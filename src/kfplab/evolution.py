@@ -259,13 +259,19 @@ def initial_shifted_gaussian(eq, center=(0.5, 0.5), width=1.0, clip_factor=4.0):
     if width <= 0 or clip_factor <= 0:
         raise ValidationError("width and clip_factor must be positive")
     xg, vg = eq.grid.x_grid, eq.grid.v_grid
-    gx = np.exp(-((xg.nodes - center[0]) ** 2) / (2.0 * width ** 2))
-    gv = np.exp(-((vg.nodes - center[1]) ** 2) / (2.0 * width ** 2))
+    # a far center or a vanishing width gives exp(-inf) = 0 off the center
+    # (NaN at a node on it when width^2 underflows); the mass test catches both
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        gx = np.exp(-((xg.nodes - center[0]) ** 2) / (2.0 * width ** 2))
+        gv = np.exp(-((vg.nodes - center[1]) ** 2) / (2.0 * width ** 2))
     raw = np.outer(gx, gv)
     raw = np.minimum(raw, clip_factor * eq.f_star.values)
+    mass_raw = float(np.sum(eq.grid.weight_matrix * raw))
+    if not mass_raw > 0.0:
+        raise ValidationError("shifted Gaussian at center %r, width %r has "
+                              "no mass on the grid" % (tuple(center), width))
     if eq.integrable:
         mass_star = float(np.sum(eq.grid.weight_matrix * eq.f_star.values))
-        mass_raw = float(np.sum(eq.grid.weight_matrix * raw))
         raw = raw * (mass_star / mass_raw)
         raw = np.minimum(raw, 2.0 * clip_factor * eq.f_star.values)
     return Field(raw, eq.grid)

@@ -51,6 +51,8 @@ matrix Gamma = Vp^T Vp,
 and every matrix past V is nx x nx.
 """
 
+import math
+
 import numpy as np
 import scipy.linalg
 import scipy.sparse as sp
@@ -136,13 +138,18 @@ def _rate_quadratic_coeffs(lambda_m, lambda_M, c_M, delta):
 
 
 def lambda_rate(lambda_m, lambda_M, c_M, delta):
-    """The decay rate lambda = 2 s with s the admissible root of the quadratic.
+    """The decay rate lambda = 2 s with s the smaller root of the quadratic.
 
-    Admissible means s in [0, min(lambda_m - delta, delta K_M)], the window
-    where both diagonal coefficients of the (X, Y) form are nonnegative; for
-    0 < delta < delta_star exactly one root lands there. The returned value
-    is checked against the quadratic (residual < 1e-12) and the form is
-    verified positive semidefinite.
+    For 0 < delta < delta_star the coefficients have a2 = delta^2 - 4 < 0,
+    a1 > 0 and a0 < 0 (a0 = 0 exactly at delta_star), and the quadratic is
+    >= 0 at s_max = min(lambda_m - delta, delta K_M), where one factor of its
+    product term vanishes. So the smaller root is the one root in the
+    admissible window [0, s_max], and s = -2 a0 / (a1 + sqrt(a1^2 - 4 a2 a0))
+    computes it without cancellation. The window is where both diagonal
+    coefficients of the (X, Y) form are nonnegative, and the form's
+    determinant 4 (lambda_m - delta - s)(delta K_M - s) - delta^2 (c_M + s)^2
+    is minus the quadratic, so the window test and the residual check
+    (< 1e-12) certify the form positive semidefinite.
     """
     if min(lambda_m, lambda_M, c_M) <= 0:
         raise ValidationError("lambda_rate needs positive constants")
@@ -151,35 +158,17 @@ def lambda_rate(lambda_m, lambda_M, c_M, delta):
         raise ValidationError("delta must lie in (0, delta_star=%g)" % ds)
     a2, a1, a0, k_M = _rate_quadratic_coeffs(lambda_m, lambda_M, c_M, delta)
     s_max = min(lambda_m - delta, delta * k_M)
-    roots = np.roots([a2, a1, a0])
-    real = [float(r.real) for r in roots if abs(r.imag) <= 1e-10 * max(1.0, abs(r))]
-    admissible = [s for s in real if -_WINDOW_SLACK <= s <= s_max + _WINDOW_SLACK]
-    if not admissible:
+    s = -2.0 * a0 / (a1 + math.sqrt(a1 * a1 - 4.0 * a2 * a0))
+    if not -_WINDOW_SLACK <= s <= s_max + _WINDOW_SLACK:
         raise InfeasibleError(
-            "no root of the rate quadratic in [0, %g]; constants inconsistent"
-            % s_max)
-    s = min(admissible)
-    # one Newton polish, then certify
-    deriv = 2.0 * a2 * s + a1
-    if deriv != 0.0:
-        s = s - (a2 * s * s + a1 * s + a0) / deriv
-    s = min(max(s, 0.0), s_max)
+            "root %g of the rate quadratic outside [0, %g]; constants "
+            "inconsistent" % (s, s_max))
+    s = min(max(s, 0.0), s_max)     # an ulp past s_max is roundoff
     scale = max(abs(a2 * s * s), abs(a1 * s), abs(a0), 1e-300)
     residual = abs(a2 * s * s + a1 * s + a0) / scale
     if residual >= 1e-12:
         raise NumericalError("rate quadratic residual %.3e too large" % residual)
-    _verify_psd_form(lambda_m, c_M, delta, k_M, s)
     return 2.0 * s
-
-
-def _verify_psd_form(lambda_m, c_M, delta, k_M, s):
-    diag_x = lambda_m - delta - s
-    diag_y = delta * k_M - s
-    det = 4.0 * diag_x * diag_y - delta ** 2 * (c_M + s) ** 2
-    scale = max(abs(diag_x), abs(diag_y), delta * (c_M + s), 1.0)
-    if diag_x < -1e-12 * scale or diag_y < -1e-12 * scale \
-            or det < -1e-12 * scale ** 2:
-        raise InfeasibleError("rate form not positive semidefinite at s=%g" % s)
 
 
 # ---------------------------------------------------------------------------
@@ -361,8 +350,9 @@ def compute_constants(eq, ops, delta=None, seed=0):
     c_M = ||AT(1-Pi)|| + ||AL|| (auxiliary_operator_norms) is the exact H4
     constant of the same discrete problem; the two parts are exposed as
     .c_M_parts = {"AT_micro", "AL"}. delta defaults to the midpoint
-    delta_star / 2. Nothing here is random: seed is accepted so that callers
-    may pass a config's seed, and is not read.
+    delta_star / 2; lambda_rate refuses one outside (0, delta_star). Nothing
+    here is random: seed is accepted so that callers may pass a config's
+    seed, and is not read.
     """
     lam_m = microscopic_coercivity_constant(eq)
     lam_M = macroscopic_gap(ops)
@@ -371,8 +361,6 @@ def compute_constants(eq, ops, delta=None, seed=0):
     ds = delta_star(lam_m, lam_M, c_M)
     if delta is None:
         delta = 0.5 * ds
-    elif not 0.0 < delta < ds:
-        raise ValidationError("delta must lie in (0, delta_star=%g)" % ds)
     rate = lambda_rate(lam_m, lam_M, c_M, delta)
     return HypoConstants(lam_m, lam_M, c_M, ds, delta, rate,
                          {"AT_micro": at_micro, "AL": al})

@@ -142,6 +142,8 @@ def fit_rate(record, kind, window=None):
     if int(np.count_nonzero(mask)) < 10:
         raise FittingError("need at least 10 samples in the window")
     y = record.norm_sq_mu[mask]
+    if not np.all(np.isfinite(y)):
+        raise FittingError("norm series must be finite inside the window")
     if np.any(y <= 0.0):
         raise FittingError("norm series must be positive inside the window")
     x = t[mask] if kind == "exponential" else np.log1p(t[mask])

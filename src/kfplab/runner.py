@@ -48,8 +48,10 @@ from .errors import NumericalError, ValidationError
 from .grids import Grid1D, PhaseGrid
 from .operators import assemble
 
-_INITIAL_KINDS = ("bump", "odd_v", "shifted_gaussian", "macro_gaussian",
-                  "macro_bump")
+# initial.kind -> the mode whose state it generates
+_INITIAL_KINDS = {"bump": "kinetic", "odd_v": "kinetic",
+                  "shifted_gaussian": "kinetic", "macro_gaussian": "macro",
+                  "macro_bump": "macro"}
 
 
 def parse_config_text(text):
@@ -161,6 +163,11 @@ class ScenarioConfig:
                                     else "macro_bump"))
         if self.initial_kind not in _INITIAL_KINDS:
             raise ValidationError("unknown initial.kind %r" % self.initial_kind)
+        if _INITIAL_KINDS[self.initial_kind] != self.mode:
+            raise ValidationError("initial.kind = %s is for mode = %s, not %s"
+                                  % (self.initial_kind,
+                                     _INITIAL_KINDS[self.initial_kind],
+                                     self.mode))
         self.initial_epsilon = number("initial.epsilon", 0.5)
         self.initial_center = (number("initial.center_x", 0.5),
                                number("initial.center_v", 0.5))
@@ -227,23 +234,20 @@ def problem_key(config):
 
 
 def make_initial_state(config, eq):
+    """The initial state of config.initial_kind, which suits config.mode."""
     kind = config.initial_kind
-    if config.mode == "macro":
-        if kind == "macro_gaussian":
-            return evolution.initial_macro_gaussian(eq.grid.x_grid,
-                                                    config.initial_s0)
-        if kind == "macro_bump":
-            return evolution.initial_macro_bump(eq, config.initial_epsilon)
-        raise ValidationError("initial.kind %r is not a macro generator" % kind)
+    if kind == "macro_gaussian":
+        return evolution.initial_macro_gaussian(eq.grid.x_grid,
+                                                config.initial_s0)
+    if kind == "macro_bump":
+        return evolution.initial_macro_bump(eq, config.initial_epsilon)
     if kind == "bump":
         return evolution.initial_bump(eq, config.initial_epsilon)
     if kind == "odd_v":
         return evolution.initial_odd_v(eq, config.initial_epsilon)
-    if kind == "shifted_gaussian":
-        return evolution.initial_shifted_gaussian(
-            eq, config.initial_center, config.initial_width,
-            config.initial_clip_factor)
-    raise ValidationError("initial.kind %r is not a kinetic generator" % kind)
+    return evolution.initial_shifted_gaussian(
+        eq, config.initial_center, config.initial_width,
+        config.initial_clip_factor)
 
 
 class ReportBundle:

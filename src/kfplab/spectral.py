@@ -17,9 +17,10 @@ raises NumericalError when S is not positive on the hyperplane:
   average) ladders.
 * Any other weight c (lambda_m for beta < 1, Hardy-Poincare with the 'lhs'
   average): the bordered matrix K = [[S, c], [c^T, 0]], factored once with
-  SPLU_OPTIONS. The leading n x n block of K^-1 inverts the pencil on the
-  hyperplane, so M^1/2 (K^-1)_nn M^1/2 has the eigenvalues 1/lam and one
-  zero, and lam = 1 / its largest eigenvalue (one dense eigen-solve).
+  SPLU_OPTIONS and solved through the residual-checked
+  solve_with_refinement. The leading n x n block of K^-1 inverts the pencil
+  on the hyperplane, so M^1/2 (K^-1)_nn M^1/2 has the eigenvalues 1/lam and
+  one zero, and lam = 1 / its largest eigenvalue (one dense eigen-solve).
 
 Nash and Caffarelli-Kohn-Nirenberg constants are not quadratic-form ratios;
 they are lower-bounded by the maximum of the defining ratio over an explicit
@@ -38,7 +39,8 @@ from scipy.sparse.linalg import splu
 from .equilibria import eval_potential
 from .errors import NumericalError, ValidationError
 from .grids import velocity_weight
-from .operators import SPLU_OPTIONS, collision_v_forms, flux_stiffness
+from .operators import (SPLU_OPTIONS, collision_v_forms, flux_stiffness,
+                        solve_with_refinement)
 
 _KINDS = ("poincare", "weighted_poincare", "hardy_poincare", "nash", "ckn")
 
@@ -103,7 +105,8 @@ def pencil_min_eig(stiffness, mass, constraint):
         raise NumericalError("bordered pencil factorization failed: %s" % exc)
     root = np.sqrt(mass)
     columns = np.vstack([np.diag(root), np.zeros(n)])     # diag(M^1/2), 0
-    block = root[:, np.newaxis] * lu.solve(columns)[:n]
+    block = root[:, np.newaxis] * solve_with_refinement(
+        lu, bordered.tocsr(), columns, "bordered pencil")[:n]
     inverse = sla.eigvalsh(0.5 * (block + block.T), check_finite=False)
     if not (inverse[-1] > 0.0 and inverse[0] >= -_ROUNDOFF * inverse[-1]):
         raise NumericalError("pencil is not positive on the hyperplane: "

@@ -1,5 +1,7 @@
 """Constant algebra, the modified entropy, and its dissipation."""
 
+import decimal
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -90,6 +92,29 @@ def test_lambda_rate_psd_form():
         # PSD of [[a, -c/2], [-c/2, b]] with c = delta (C_M + lam/2)
         cross = delta * (c_M + 0.5 * lam)
         assert 4.0 * a * b >= cross ** 2 - 1e-9 * max(1.0, cross ** 2)
+
+
+def _decimal_rate(lam_m, lam_M, c_M, delta):
+    """2 s, s the smaller root of the rate quadratic, in 60-digit decimal
+    arithmetic from the textbook root formula."""
+    with decimal.localcontext() as ctx:
+        ctx.prec = 60
+        lm, lM, c, d = (decimal.Decimal(float(x))
+                        for x in (lam_m, lam_M, c_M, delta))
+        k = lM / (1 + lM)
+        a2 = d * d - 4
+        a1 = 2 * d * d * c + 4 * (lm - d) + 4 * d * k
+        a0 = d * d * c * c - 4 * (lm - d) * d * k
+        return float((a1 - (a1 * a1 - 4 * a2 * a0).sqrt()) / -a2)
+
+
+def test_lambda_rate_matches_a_60_digit_root():
+    rng = np.random.default_rng(300)
+    for _ in range(200):
+        lam_m, lam_M, c_M = rng.uniform(0.05, 5.0, size=3)
+        delta = rng.uniform(0.05, 0.95) * delta_star(lam_m, lam_M, c_M)
+        assert lambda_rate(lam_m, lam_M, c_M, delta) == pytest.approx(
+            _decimal_rate(lam_m, lam_M, c_M, delta), rel=1e-13)
 
 
 def test_lambda_rate_validation():

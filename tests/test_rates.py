@@ -138,10 +138,13 @@ def test_fit_rate_window_validation():
         fit_rate(rec, "exponential", window=(8.0, 20.0))   # beyond the data
     with pytest.raises(FittingError):
         fit_rate(rec, "exponential", window=(9.5, 10.0))   # < 10 samples
-    vals = np.exp(-t)
-    vals[40] = 0.0
-    with pytest.raises(FittingError):
-        fit_rate(_record_from(t, vals), "exponential", window=(5.0, 10.0))
+    # a sample that is not positive, or not finite (an overflowed norm is
+    # inf), has no logarithm to fit
+    for bad in (0.0, np.inf, np.nan):
+        vals = np.exp(-t)
+        vals[40] = bad
+        with pytest.raises(FittingError):
+            fit_rate(_record_from(t, vals), "exponential", window=(5.0, 10.0))
 
 
 def test_fit_rate_sensitivity_windows():

@@ -52,6 +52,11 @@ def _write(tmp_path, name, text):
     return str(path)
 
 
+def _read(path, mode="r"):
+    with open(path, mode) as fh:
+        return fh.read()
+
+
 # ---------------------------------------------------------------------------
 # config parsing and validation
 # ---------------------------------------------------------------------------
@@ -192,7 +197,7 @@ def test_run_scenario_envelope_dominates(tiny_bundle):
 
 def test_emit_report_csv_and_json(tiny_bundle, tmp_path):
     csv_path, json_path = emit_report(tiny_bundle, str(tmp_path))
-    lines = open(csv_path).read().splitlines()
+    lines = _read(csv_path).splitlines()
     assert lines[0] == ("t,norm_sq_mu,entropy_H,dissipation_D,envelope,"
                         "J_2,K_2,max_principle_ok")
     assert len(lines) == 1 + tiny_bundle.record.times.size
@@ -216,8 +221,7 @@ def test_reports_are_deterministic(tmp_path):
         out = tmp_path / sub
         bundle = run_scenario(ScenarioConfig.from_file(path))
         csv_path, json_path = emit_report(bundle, str(out))
-        blobs.append((open(csv_path, "rb").read(),
-                      open(json_path, "rb").read()))
+        blobs.append((_read(csv_path, "rb"), _read(json_path, "rb")))
     assert blobs[0] == blobs[1]
 
 
@@ -258,7 +262,7 @@ def test_failed_scenario_bundle(tmp_path, monkeypatch):
     assert bundle.record.times.size == 2
 
     csv_path, json_path = emit_report(bundle, str(tmp_path / "out"))
-    lines = open(csv_path).read().splitlines()
+    lines = _read(csv_path).splitlines()
     assert lines == ["t,norm_sq_mu,entropy_H,dissipation_D,envelope,"
                      "J_2,K_2,max_principle_ok",
                      "0.0,1.0,0.5,0.2,nan,3.0,1.0,1",
@@ -287,8 +291,8 @@ def test_failed_run_csv_matches_ok_columns(tmp_path, monkeypatch):
     bundle = run_scenario(cfg)
     assert bundle.status == "failed"
     failed_csv, _ = emit_report(bundle, str(tmp_path / "failed"))
-    ok_lines = open(ok_csv).read().splitlines()
-    failed_lines = open(failed_csv).read().splitlines()
+    ok_lines = _read(ok_csv).splitlines()
+    failed_lines = _read(failed_csv).splitlines()
     assert failed_lines[0] == ok_lines[0] == (
         "t,norm_sq_mu,entropy_H,dissipation_D,envelope,J_2,J_4,K_2,"
         "max_principle_ok")
@@ -601,6 +605,77 @@ def test_cli_batch_rejects_fewer_than_one_worker(tmp_path, capsys, workers):
     assert not os.path.exists(out)
 
 
+# a small quadratic problem; the lines added to it push one input to an
+# extreme that used to escape as a ZeroDivisionError or a NaN fit
+_EXTREME_BASE = """
+potential.alpha = 2
+grid.nx = 17
+grid.nv = 17
+schedule.dt = 0.1
+schedule.t_final = 2
+schedule.sample_stride = 1
+"""
+
+
+@pytest.mark.parametrize("extra, code, prefix", [
+    # e^{-psi} or e^{-phi} underflows to zero at every node
+    ("beta = 1e-3\n", 2, "numerical error: f_star underflowed"),
+    ("potential.alpha = 1e-6\n", 2, "numerical error: f_star underflowed"),
+    # the clipped Gaussian datum has no quadrature mass
+    ("initial.kind = shifted_gaussian\ninitial.width = 1e-300\n", 1,
+     "validation error: shifted Gaussian"),
+    ("initial.kind = shifted_gaussian\ninitial.center_x = 1e300\n", 1,
+     "validation error: shifted Gaussian"),
+])
+def test_cli_run_extreme_inputs_exit_in_one_line(tmp_path, capsys, extra,
+                                                 code, prefix):
+    # in process, so a numpy warning on the way (an error under pytest) fails
+    cfg = _write(tmp_path, "extreme.cfg", _EXTREME_BASE + extra)
+    capsys.readouterr()
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == code
+    err = capsys.readouterr().err
+    assert err.startswith(prefix), err
+    assert len(err.splitlines()) == 1, err
+
+
+def test_cli_batch_runs_past_an_underflowing_equilibrium(tmp_path, capsys):
+    _write(tmp_path, "good.cfg", _EXTREME_BASE)
+    _write(tmp_path, "flat.cfg", _EXTREME_BASE + "beta = 1e-3\n")
+    list_path = _write(tmp_path, "batch.txt", "good.cfg\nflat.cfg\n")
+    out = str(tmp_path / "out")
+    assert main(["batch", list_path, "--out", out]) == 2
+    with open(os.path.join(out, "batch_index.json")) as fh:
+        entries = json.load(fh)["entries"]
+    assert [e["status"] for e in entries] == ["ok", "failed"]
+    assert "f_star underflowed" in entries[1]["error"]
+    capsys.readouterr()
+
+
+def test_initial_kind_must_suit_the_mode(tmp_path, capsys, monkeypatch):
+    # refused at parse time, before any problem is built
+    def no_build(config):
+        raise AssertionError("build_problem ran for a mismatched config")
+
+    monkeypatch.setattr(runner, "build_problem", no_build)
+    mixed = {"to_macro.cfg": "mode = macro\ninitial.kind = bump\n",
+             "to_kinetic.cfg": "initial.kind = macro_gaussian\n"}
+    for name, extra in mixed.items():
+        cfg = _write(tmp_path, name, _EXTREME_BASE + extra)
+        capsys.readouterr()
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: initial.kind = "), err
+        assert len(err.splitlines()) == 1, err
+    list_path = _write(tmp_path, "batch.txt", "\n".join(mixed) + "\n")
+    out = str(tmp_path / "out")
+    assert main(["batch", list_path, "--out", out]) == 1
+    with open(os.path.join(out, "batch_index.json")) as fh:
+        entries = json.load(fh)["entries"]
+    assert [e["status"] for e in entries] == ["invalid", "invalid"]
+    assert all("initial.kind" in e["error"] for e in entries)
+    capsys.readouterr()
+
+
 def _console_script():
     """The command line that runs the `kfplab` console script.
 
@@ -621,21 +696,40 @@ def _console_script():
             % (module, func.split(".")[0], func)]
 
 
-def test_console_script_constants_and_check(tmp_path):
-    cmd = _console_script()
-    # a separate process in its own directory, importing this source tree
+def _run_console_script(args, cwd):
+    """The console script with args, as a separate process in cwd that
+    imports this source tree."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    return subprocess.run(_console_script() + args, capture_output=True,
+                          text=True, timeout=600, cwd=cwd, env=env)
+
+
+def test_console_script_constants_and_check(tmp_path):
     cfg = _write(tmp_path, "tiny.cfg", _TINY_KINETIC)
     out = str(tmp_path / "out")
-    proc = subprocess.run(cmd + ["constants", cfg, "--out", out],
-                          capture_output=True, text=True, timeout=600,
-                          cwd=tmp_path, env=env)
+    proc = _run_console_script(["constants", cfg, "--out", out], tmp_path)
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(os.path.join(out, "tiny_constants.json"))
 
-    proc = subprocess.run(cmd + ["check"], capture_output=True, text=True,
-                          timeout=600, cwd=tmp_path, env=env)
+    proc = _run_console_script(["check"], tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "FAIL" not in proc.stdout
     assert proc.stdout.count("PASS") >= 10
+
+
+def test_console_script_run_with_an_overflowing_norm_fails(tmp_path):
+    # s0 = 1e-320 overflows every norm_sq_mu sample to inf: the fit refuses
+    # it, so the run writes a failed bundle and exits 2. numpy's overflow
+    # warnings are errors under pytest, hence the separate process.
+    cfg = _write(tmp_path, "overflow.cfg", _EXTREME_BASE + (
+        "mode = macro\ninitial.kind = macro_gaussian\ninitial.s0 = 1e-320\n"))
+    out = str(tmp_path / "out")
+    proc = _run_console_script(["run", cfg, "--out", out], tmp_path)
+    assert proc.returncode == 2, proc.stdout + proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines()[-1] == (
+        "scenario failed: norm series must be finite inside the window")
+    with open(os.path.join(out, "overflow.json")) as fh:
+        summary = json.load(fh)
+    assert (summary["status"], summary["fitted_value"]) == ("failed", None)

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 import scipy.linalg as sla
 
+import kfplab.spectral
 from kfplab import (
     DensityField,
     Grid1D,
@@ -94,6 +95,22 @@ def test_pencil_rejects_indefinite_bordered_stiffness():
     c = g.weights * np.linspace(1.0, 2.0, g.count)
     with pytest.raises(NumericalError, match="not positive"):
         pencil_min_eig(flux_stiffness(g, weights), g.weights, c)
+
+
+def test_bordered_pencil_solves_through_the_checked_path(monkeypatch):
+    # the bordered solve goes through solve_with_refinement, so a residual
+    # that stalls raises; the mass-deflated path solves nothing
+    g = Grid1D(2.0, 9)
+    stiff = flux_stiffness(g, np.ones(g.count - 1))
+
+    def stalled(lu, system, rhs, what):
+        raise NumericalError("%s solve stalled" % what)
+
+    monkeypatch.setattr(kfplab.spectral, "solve_with_refinement", stalled)
+    with pytest.raises(NumericalError, match="bordered pencil"):
+        pencil_min_eig(stiff, g.weights,
+                       g.weights * np.linspace(1.0, 2.0, g.count))
+    assert pencil_min_eig(stiff, g.weights, g.weights) > 0.0
 
 
 def test_pencil_rejects_nonsymmetric_stiffness_and_nonpositive_mass():
