@@ -19,9 +19,10 @@ is carried in orthonormal sector coordinates: the even part as
 check per sector certifies the same relative residual on the full grid.
 Each sector matrix is folded and factored on its own, the first time a part
 in it is nonzero; a part that is exactly zero stays zero and is never
-solved. Data with one parity (the kinetic bump is even) therefore factor
-and solve half the problem. Between samples run_trajectory keeps only the
-parts; the full vector is rebuilt at sample times.
+solved. Data with one parity (the kinetic bump is even, the odd_v and
+macro bump deviations are odd) therefore factor and solve half the
+problem. Between samples run_trajectory keeps only the parts; the full
+vector is rebuilt at sample times.
 
 Trajectories sample the squared mu-norm of the tracked state (f - f_star on
 integrable branches, f itself when no stationary state exists), the twisted
@@ -133,10 +134,23 @@ def fold_sector(system, sign):
     return folded.tocsc()
 
 
+def _reversal_symmetric(matrix):
+    """matrix[::-1, ::-1] == matrix, read from the arrays of a canonical CSR
+    matrix (sorted indices, no stored zeros): the reversal reverses data,
+    sends the index list to n - 1 - indices[::-1] and indptr to
+    nnz - indptr[::-1], so equality is equality of the three arrays."""
+    n = matrix.shape[0]
+    data, indices, indptr = matrix.data, matrix.indices, matrix.indptr
+    return (np.array_equal(indptr, indptr[-1] - indptr[::-1])
+            and np.array_equal(indices, n - 1 - indices[::-1])
+            and np.array_equal(data, data[::-1]))
+
+
 class SectorLU:
     """A reversal-symmetric step system, folded and factored per parity sector.
 
-    The system S has odd order n = 2m + 1 (grids have odd node counts) and
+    The system S is a canonical CSR matrix (as _step_matrices returns it)
+    of odd order n = 2m + 1 (grids have odd node counts) with
     S[::-1, ::-1] == S, else NumericalError; rhs_mat (Crank-Nicolson's
     right-hand side matrix, or None) shares the symmetry. S maps each sector
     to itself, so it folds onto an (m+1)-sized even and an m-sized odd
@@ -147,8 +161,7 @@ class SectorLU:
     """
 
     def __init__(self, system, rhs_mat=None):
-        system = system.tocsr()
-        if (system[::-1, ::-1] != system).nnz:
+        if not _reversal_symmetric(system):
             raise NumericalError("step system does not commute with the "
                                  "reflection (x, v) -> (-x, -v)")
         self._full = (system, rhs_mat)
@@ -168,7 +181,8 @@ class SectorLU:
 
 
 def _step_matrices(ops, mode, dt, scheme):
-    """(system, rhs_mat) of one implicit step.
+    """(system, rhs_mat) of one implicit step, as canonical CSR matrices
+    (sorted indices, no stored zeros).
 
     The generator is L_hat - T_hat on q for mode 'kinetic' and the macro
     generator on densities for 'macro'. Implicit Euler solves
@@ -182,14 +196,16 @@ def _step_matrices(ops, mode, dt, scheme):
                               "'crank_nicolson'")
     if mode == "macro" and scheme != "implicit_euler":
         raise ValidationError("macro stepping supports implicit_euler only")
-    if mode == "kinetic":
-        gen = (ops.L_hat - ops.T_hat).tocsr()
-    else:
-        gen = ops.macro_generator
+    gen = ops.L_hat - ops.T_hat if mode == "kinetic" else ops.macro_generator
     eye = sp.identity(gen.shape[0], format="csr")
+    # a sparse sum stores no zeros; sorting its indices makes it canonical
     if scheme == "implicit_euler":
-        return eye - dt * gen, None
-    return eye - 0.5 * dt * gen, (eye + 0.5 * dt * gen).tocsr()
+        system, rhs_mat = eye - dt * gen, None
+    else:
+        system, rhs_mat = eye - 0.5 * dt * gen, eye + 0.5 * dt * gen
+        rhs_mat.sort_indices()
+    system.sort_indices()
+    return system, rhs_mat
 
 
 def _step_system(ops, mode, dt, scheme):
@@ -243,14 +259,30 @@ def initial_bump(eq, epsilon=0.5):
     return Field(eq.f_star.values * (1.0 + epsilon * bump), eq.grid)
 
 
+def _perturbed(base, deviation):
+    """base + deviation (|deviation| < base), rounded so that subtracting
+    base gives back deviation with each |deviation_i| rounded once onto the
+    floating-point spacing of base_i and its sign kept.
+
+    fl(base + |d|) - base is exact (Sterbenz), and so is base plus or minus
+    it. So the tracked state f - base keeps the reflection parity of the
+    deviation exactly: an odd perturbation of an even base leaves no even
+    part of roundoff size for the stepper to factor and solve.
+    """
+    step = (base + np.abs(deviation)) - base
+    return base + np.copysign(step, deviation)
+
+
 def initial_odd_v(eq, epsilon=0.5):
-    """f_star (1 + eps cos(pi x/(2X)) sin(pi v/V)): microscopic-heavy, mass-neutral."""
+    """f_star (1 + eps cos(pi x/(2X)) sin(pi v/V)): microscopic-heavy,
+    mass-neutral, and f - f_star exactly odd under (x, v) -> (-x, -v)."""
     if not 0.0 < epsilon < 1.0:
         raise ValidationError("epsilon must lie in (0,1) to keep f nonnegative")
     xg, vg = eq.grid.x_grid, eq.grid.v_grid
     bump = np.outer(np.cos(0.5 * np.pi * xg.nodes / xg.half_width),
                     np.sin(np.pi * vg.nodes / vg.half_width))
-    return Field(eq.f_star.values * (1.0 + epsilon * bump), eq.grid)
+    fstar = eq.f_star.values
+    return Field(_perturbed(fstar, epsilon * fstar * bump), eq.grid)
 
 
 def initial_shifted_gaussian(eq, center=(0.5, 0.5), width=1.0, clip_factor=4.0):
@@ -281,16 +313,21 @@ def initial_macro_gaussian(x_grid, s0=2.0):
     """Unit-mass Gaussian density of variance s0 (the heat-decay initial state)."""
     if s0 <= 0:
         raise ValidationError("s0 must be positive")
-    vals = np.exp(-x_grid.nodes ** 2 / (2.0 * s0)) / np.sqrt(2.0 * np.pi * s0)
+    # a tiny s0 overflows x^2 / (2 s0) to inf off the centre: exp(-inf) = 0
+    with np.errstate(over="ignore"):
+        vals = (np.exp(-x_grid.nodes ** 2 / (2.0 * s0))
+                / np.sqrt(2.0 * np.pi * s0))
     return DensityField(vals, x_grid)
 
 
 def initial_macro_bump(eq, epsilon=0.5):
-    """rho_star (1 + eps sin(pi x/X)): mass-neutral macro perturbation."""
+    """rho_star (1 + eps sin(pi x/X)): mass-neutral macro perturbation, with
+    rho - rho_star exactly odd under x -> -x."""
     xg = eq.grid.x_grid
-    vals = eq.rho_star.values * (1.0 + epsilon * np.sin(np.pi * xg.nodes
-                                                        / xg.half_width))
-    return DensityField(vals, xg)
+    rho_star = eq.rho_star.values
+    return DensityField(
+        _perturbed(rho_star, epsilon * rho_star
+                   * np.sin(np.pi * xg.nodes / xg.half_width)), xg)
 
 
 # ---------------------------------------------------------------------------
@@ -327,8 +364,9 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     the equilibrium is integrable, else the raw state; moments and the
     maximum principle always refer to the physical, untracked solution. The
     record's envelope column is NaN until the caller sets it. A failed solve,
-    NaN or mass drift aborts with a NumericalError carrying .last_good_time
-    and the .partial_record of the samples taken so far.
+    NaN or mass drift, or a sample that is not finite, aborts with a
+    NumericalError carrying .last_good_time and the .partial_record of the
+    samples taken so far (none if the initial sample fails).
 
     The run factors its own step system and leaves ops.step_cache untouched,
     so runs that share ops share no step factors.
@@ -355,7 +393,15 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     mass0 = mass(parts)
     mass_tol = _MASS_TOL * max(abs(mass0) + mass_f0, 1e-300)
 
-    rows = [(0.0,) + sample(y)]
+    def row(t, y):
+        # a finite state can still overflow its diagnostics
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            values = sample(y)
+        if not np.all(np.isfinite(np.hstack(values[:5]))):
+            raise NumericalError("non-finite sample at t = %.6g" % t)
+        return (t,) + values
+
+    rows = [row(0.0, y)]
     t = 0.0
     try:
         for n in range(1, n_steps + 1):
@@ -364,9 +410,9 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
                 raise NumericalError("non-finite state detected")
             if abs(mass(parts) - mass0) > mass_tol:
                 raise NumericalError("mass drift beyond tolerance")
-            t = n * dt
             if n % stride == 0 or n == n_steps:
-                rows.append((t,) + sample(unfold(parts, y.size)))
+                rows.append(row(n * dt, unfold(parts, y.size)))
+            t = n * dt
     except NumericalError as exc:
         err = NumericalError("%s; last good time %.6g" % (exc, t))
         err.last_good_time = t

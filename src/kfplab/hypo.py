@@ -313,21 +313,24 @@ def _micro_profiles(eq, ops):
     return vt - np.outer(t, t @ vt)
 
 
-def _profile_gram(row, eq, ops):
-    """Mrho^1/2 E^-1 G E^-T Mrho^1/2 for one row of profile_map (2: B T_hat
-    (1-Pi), 3: B L_hat); its top eigenvalue is the squared norm of A X (1-Pi)
-    from micro states in the beta-norm to the mu-norm."""
+def _profile_grams(eq, ops):
+    """Mrho^1/2 E^-1 G E^-T Mrho^1/2 for the B T_hat (1-Pi) and the B L_hat
+    rows of profile_map (rows 2 and 3); the top eigenvalue of each is the
+    squared norm of A X (1-Pi) from micro states in the beta-norm to the
+    mu-norm."""
     nx = ops.mrho.size
     v_perp = _micro_profiles(eq, ops)
-    block = ops.profile_map[row * nx:(row + 1) * nx]
-    gram = sp.kron(v_perp.T @ v_perp,
-                   sp.diags(1.0 / eq.grid.x_grid.weights))
-    g = (block @ gram @ block.T).toarray()
-    half = operators.solve_elliptic(g, ops)                       # E^-1 G
-    h = operators.solve_elliptic(np.ascontiguousarray(half.T), ops)
+    gram = sp.kron(v_perp.T @ v_perp, sp.diags(1.0 / eq.grid.x_grid.weights))
     root = np.sqrt(ops.mrho)
-    h = root[:, None] * h * root[None, :]
-    return 0.5 * (h + h.T)
+    grams = []
+    for row in (2, 3):
+        block = ops.profile_map[row * nx:(row + 1) * nx]
+        g = (block @ gram @ block.T).toarray()
+        half = operators.solve_elliptic(g, ops)                   # E^-1 G
+        h = operators.solve_elliptic(np.ascontiguousarray(half.T), ops)
+        h = root[:, None] * h * root[None, :]
+        grams.append(0.5 * (h + h.T))
+    return grams
 
 
 def auxiliary_operator_norms(eq, ops):
@@ -336,9 +339,8 @@ def auxiliary_operator_norms(eq, ops):
     bounded_auxiliary_ratio, from two nx x nx eigenvalue problems."""
     nx = ops.mrho.size
     norms = []
-    for row in (2, 3):
-        top = scipy.linalg.eigvalsh(_profile_gram(row, eq, ops),
-                                    subset_by_index=[nx - 1, nx - 1])[0]
+    for h in _profile_grams(eq, ops):
+        top = scipy.linalg.eigvalsh(h, subset_by_index=[nx - 1, nx - 1])[0]
         norms.append(float(np.sqrt(max(top, 0.0))))
     return tuple(norms)
 

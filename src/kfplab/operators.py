@@ -14,25 +14,35 @@ Construction notes (the structural identities everything rests on):
   logarithmic derivatives psi_t = -2 (Dv sqrt(g_star))/sqrt(g_star) (and the
   analogue in x), so T_hat sqrt(f_star) = 0 holds with floating-point-exact
   cancellation: mass is conserved to solver precision, not to O(spacing^2).
-  psi_t = psi' + O(spacing^2), so consistency is unaffected.
+  psi_t = psi' + O(spacing^2), so consistency is unaffected. T_hat is
+  assembled from its four diagonals, psi_t(v) Dx (x) I on offsets +-nv and
+  -phi_t(x) I (x) Dv on offsets +-1, as canonical CSR (sorted indices, no
+  stored zeros); the entries equal the Kronecker-product build bit for bit.
 
 * Collision: per x-slice, in h = f/f_star coordinates, the flux form
   -Mv^-1 Gv^T E Gv with midpoint weights E ~ e^{-psi(v_{j+1/2})}. Exactly
   symmetric, nonpositive, annihilates constants (so L f_star = 0 exactly),
   conserves mass per slice exactly. L_hat = I (x) Lv_hat acts on Q as
-  Q Lv_hat^T.
+  Q Lv_hat^T; it is assembled from the three diagonals of Lv_hat, with no
+  entry across an x-slice boundary, as canonical CSR.
 
 * The macroscopic operator (T Pi)*(T Pi) restricted to local equilibria
-  u f_star is assembled as the exact sparse composition N = Mrho^-1 C^T W C
-  with C = T_hat P_hat, where P_hat u = (r u) (x) s is the q-form of u f_star.
-  elliptic_matrix = I + N, so apply_A realizes (1 + (TPi)*(TPi))^-1 (TPi)*
-  exactly in the discrete Hilbert space and the abstract operator estimates
-  hold to roundoff.
+  u f_star is N = Mrho^-1 C^T W C with C = T_hat P_hat, where
+  P_hat u = (r u) (x) s is the q-form of u f_star. C factors through two
+  fixed velocity profiles: C = X1 (x) c1 - X2 (x) c2 with X1 = Dx diag(r),
+  c1 = psi_t s, X2 = diag(phi_t r) and c2 = Dv s. With W = Wx (x) Wv and
+  the 2 x 2 Gram matrix g_kl = c_k^T Wv c_l,
 
-* C factors through two fixed velocity profiles:
-  C = X1 (x) c1 - X2 (x) c2 with X1 = Dx diag(r), c1 = psi_t s,
-  X2 = diag(phi_t r) and c2 = Dv s. So the adjoint B = Mrho^-1 C^T W = (TPi)*
-  of any q-form built from Q by T_hat or L_hat needs only Q against the nine
+      N_sym = C^T W C = g11 X1^T Wx X1 - g12 (X1^T Wx X2 + X2^T Wx X1)
+                        + g22 X2^T Wx X2,
+
+  so neither P_hat nor C is formed. Assembling it as H + H^T, with H the
+  half of each term, makes it exactly symmetric. elliptic_matrix = I + N,
+  so apply_A realizes (1 + (TPi)*(TPi))^-1 (TPi)* in the discrete Hilbert
+  space and the abstract operator estimates hold to roundoff.
+
+* By the same factorization, the adjoint B = Mrho^-1 C^T W = (TPi)* of
+  any q-form built from Q by T_hat or L_hat needs only Q against the nine
   columns of v_profiles, V = [s wv, a_k, psi_t a_k, Dv^T a_k, Lv_hat^T a_k]
   with a_k = wv c_k (k = 1, 2, interleaved), followed by nx-sized sparse
   maps (profile_map). q_profiles returns m u_f (Pi f = u_f f_star), B q,
@@ -74,6 +84,16 @@ def _antisym_core(n):
     # (K q)_i = (q_{i+1} - q_{i-1}) / 2 with zero extension outside
     off = 0.5 * np.ones(n - 1)
     return sp.diags([off, -off], [1, -1], format="csr")
+
+
+def _banded_csr(diagonals):
+    """The canonical CSR matrix (sorted indices, no stored zeros) with entry
+    diagonals[k][p] in row p and column p + k, each array read in row-major
+    order; entries whose column p + k leaves the matrix are ignored."""
+    n = next(iter(diagonals.values())).size
+    offsets = sorted(diagonals)
+    return sp.diags([diagonals[k].ravel()[max(-k, 0):n - max(k, 0)]
+                     for k in offsets], offsets, shape=(n, n), format="csr")
 
 
 def _forward_difference(n):
@@ -120,7 +140,10 @@ class OperatorSet:
     weights W. v_profiles (nv x 9) and profile_map (4 nx x 9 nx) give
     q_profiles; v_gradient is the (nv-1) x nv flux gradient with
     -<L_hat q, q>_W = sum_i wx_i |v_gradient Q_i|^2. mrho holds the profile
-    weights Mrho and N_sym = C^T W C = Mrho N. elliptic_matrix = I + N with
+    weights Mrho and N_sym = C^T W C = Mrho N, formed from the nx-sized
+    pieces of C = X1 (x) c1 - X2 (x) c2 (module notes), exactly symmetric.
+    T_hat, L_hat and the step systems built from them are canonical CSR
+    (sorted indices, no stored zeros). elliptic_matrix = I + N with
     its LU elliptic_lu; macro_generator is the sigma-scaled Fokker-Planck
     generator on densities and Sx_macro its flux stiffness. step_cache holds
     the factored time-step systems of step_kinetic and step_macro;
@@ -174,24 +197,41 @@ def assemble(eq):
     Dv = sp.diags(1.0 / wv) @ _antisym_core(nv)
     psi_t = -2.0 * (Dv @ s) / s
     phi_t = -2.0 * (Dx @ r) / r
-    T_hat = (sp.diags(np.tile(psi_t, nx)) @ sp.kron(Dx, sp.identity(nv), format="csr")
-             - sp.diags(np.repeat(phi_t, nv)) @ sp.kron(sp.identity(nx), Dv, format="csr"))
-    T_hat = T_hat.tocsr()
+    # psi_t(v) Dx (x) I on offsets +-nv, -phi_t(x) I (x) Dv on offsets +-1
+    # (each block is padded to nx x nv where the neighbour leaves the grid)
+    T_hat = _banded_csr({
+        -nv: np.pad(np.outer(Dx.diagonal(-1), psi_t), ((1, 0), (0, 0))),
+        -1: np.pad(-np.outer(phi_t, Dv.diagonal(-1)), ((0, 0), (1, 0))),
+        1: np.pad(-np.outer(phi_t, Dv.diagonal(1)), ((0, 0), (0, 1))),
+        nv: np.pad(np.outer(Dx.diagonal(1), psi_t), ((0, 1), (0, 0))),
+    })
 
     # --- collision in q coordinates (x-independent slice operator) --------
     faces = _collision_faces(eq)
     Sv = flux_stiffness(vg, faces)
     Lv_hat = -sp.diags(1.0 / (wv * s)) @ Sv @ sp.diags(1.0 / s)
-    L_hat = sp.kron(sp.identity(nx), Lv_hat, format="csr")
+    # I (x) Lv_hat: the tridiagonal slice operator in every x-row, with no
+    # entry across a slice boundary
+    L_hat = _banded_csr({
+        -1: np.tile(np.pad(Lv_hat.diagonal(-1), (1, 0)), (nx, 1)),
+        0: np.tile(Lv_hat.diagonal(0), (nx, 1)),
+        1: np.tile(np.pad(Lv_hat.diagonal(1), (0, 1)), (nx, 1)),
+    })
     v_gradient = (sp.diags(np.sqrt(faces / vg.spacing))
                   @ _forward_difference(nv) @ sp.diags(1.0 / s)).tocsr()
 
     # --- macroscopic pieces -------------------------------------------------
-    # exact composition N = Mrho^-1 C^T W C, C = T_hat P_hat
-    P_hat = sp.kron(sp.diags(r), sp.csr_matrix(s.reshape(nv, 1)), format="csr")
-    C = (T_hat @ P_hat).tocsr()
+    # N_sym = C^T W C from X1 = Dx diag(r), X2 = diag(phi_t r) and the Gram
+    # matrix g = c^T Wv c of c1 = psi_t s, c2 = Dv s (module notes)
+    X1 = Dx @ sp.diags(r)
+    x2 = phi_t * r
+    c = np.column_stack([psi_t * s, Dv @ s])
+    a = np.column_stack([wv * psi_t * s, wv * c[:, 1]])      # a_k = wv c_k
+    g = c.T @ a
+    H = (X1.T @ sp.diags(wx) @ (0.5 * g[0, 0] * X1 - g[0, 1] * sp.diags(x2))
+         + sp.diags(0.5 * g[1, 1] * wx * x2 * x2))
+    N_sym = (H + H.T).tocsr()                        # = Mrho N, symmetric PSD
     mrho = eq.g_mass * wx * rho
-    N_sym = (C.T @ sp.diags(w_flat) @ C).tocsr()     # = Mrho N, symmetric PSD
     N = (sp.diags(1.0 / mrho) @ N_sym).tocsr()
     elliptic_matrix = (sp.identity(nx, format="csr") + N).tocsr()
 
@@ -200,10 +240,8 @@ def assemble(eq):
     # (T_hat Q) a_k = Dx Q (psi_t a_k) - phi_t Q (Dv^T a_k),
     # (L_hat Q) a_k = Q (Lv_hat^T a_k), and B T_hat Pi q = N u_f with
     # u_f = Mrho^-1 wx r (Q s wv)
-    X1 = Dx @ sp.diags(r)
     K1 = sp.diags(1.0 / mrho) @ X1.T @ sp.diags(wx)
     K2 = sp.diags(phi_t * r * wx / mrho)
-    a = np.column_stack([wv * psi_t * s, wv * (Dv @ s)])
     v_profiles = np.column_stack([s * wv, a, psi_t[:, None] * a, Dv.T @ a,
                                   Lv_hat.T @ a])
     phi = sp.diags(phi_t)

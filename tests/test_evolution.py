@@ -295,6 +295,54 @@ def test_run_trajectory_validation(strong_strong):
                        eq, ops, scheme="crank_nicolson")
 
 
+def test_odd_data_factor_only_the_odd_sector(strong_strong, monkeypatch):
+    # f - f_star of odd_v and rho - rho_star of macro_bump are exactly odd
+    # under the reflection, so neither run factors or solves the even sector
+    _, _, eq, ops = strong_strong
+    made = []
+
+    class Recording(SectorLU):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
+    monkeypatch.setattr(evolution, "SectorLU", Recording)
+    f0 = initial_odd_v(eq, 0.5)
+    rho0 = initial_macro_bump(eq, 0.5)
+    for dev in (f0.values - eq.f_star.values,
+                rho0.values - eq.rho_star.values):
+        assert np.array_equal(dev.ravel()[::-1], -dev.ravel())
+    # within a few roundings of the product form f_star (1 + eps bump)
+    xg, vg = eq.grid.x_grid, eq.grid.v_grid
+    bump = np.outer(np.cos(0.5 * np.pi * xg.nodes / xg.half_width),
+                    np.sin(np.pi * vg.nodes / vg.half_width))
+    assert np.allclose(f0.values, eq.f_star.values * (1.0 + 0.5 * bump),
+                       rtol=1e-15, atol=0.0)
+    run_trajectory(f0, (0.05, 0.5, 5), "kinetic", eq, ops, delta=0.3)
+    run_trajectory(rho0, (0.05, 0.5, 5), "macro", eq, ops)
+    assert [sorted(lu.lus) for lu in made] == [[-1], [-1]]
+
+
+def test_non_finite_sample_aborts_the_run(strong_strong, monkeypatch):
+    # a state can stay finite while a diagnostic overflows; the run stops at
+    # that sample and keeps the ones before it
+    _, _, eq, ops = strong_strong
+    real_entropy = evolution.entropy_H
+    calls = {"n": 0}
+
+    def overflowing(*args):
+        calls["n"] += 1
+        return real_entropy(*args) if calls["n"] < 3 else np.inf
+
+    monkeypatch.setattr(evolution, "entropy_H", overflowing)
+    with pytest.raises(NumericalError, match="non-finite sample at t = 0.2"
+                       ) as err:
+        run_trajectory(initial_bump(eq, 0.5), (0.05, 1.0, 2), "kinetic", eq,
+                       ops, delta=0.3)
+    assert err.value.last_good_time == pytest.approx(0.15)
+    assert list(err.value.partial_record.times) == pytest.approx([0.0, 0.1])
+
+
 def test_abort_carries_partial_record(strong_strong, monkeypatch):
     # corrupt the state after three good steps, once with NaN and once with
     # a mass drift, and check the payload

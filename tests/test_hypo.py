@@ -379,7 +379,7 @@ def _at_micro_maximizer(eq, ops):
     vg = eq.grid.v_grid
     root_v = np.sqrt(vg.weights * velocity_weight(eq.spec.beta, vg.nodes))
     v_perp = hypo._micro_profiles(eq, ops)
-    y = np.linalg.eigh(hypo._profile_gram(2, eq, ops))[1][:, -1]
+    y = np.linalg.eigh(hypo._profile_grams(eq, ops)[0])[1][:, -1]
     nx = ops.mrho.size
     w = ops.mrho * solve_elliptic(y / np.sqrt(ops.mrho), ops)
     block = ops.profile_map[2 * nx:3 * nx]

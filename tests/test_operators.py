@@ -18,7 +18,9 @@ from kfplab import (
     norm_mu,
     solve_elliptic,
 )
-from kfplab.operators import _antisym_core, solve_with_refinement
+from kfplab.evolution import _step_matrices, fold_sector
+from kfplab.operators import (SPLU_OPTIONS, _antisym_core, _collision_faces,
+                              flux_stiffness, solve_with_refinement)
 from conftest import make_problem
 
 
@@ -281,3 +283,77 @@ def test_block_solve_names_a_stalled_column():
     rhs[3, 1] = 1.0
     with pytest.raises(NumericalError, match="probe block solve stalled"):
         solve_with_refinement(wrong, system, rhs, "probe block")
+
+
+# ---------------------------------------------------------------------------
+# diagonal assembly against the Kronecker-product reference
+# ---------------------------------------------------------------------------
+
+def _kron_reference(eq):
+    """(T_hat, L_hat, C^T W C) built from full-grid Kronecker and sparse
+    products: T_hat = diag(psi_t) Dx (x) I - diag(phi_t) I (x) Dv,
+    L_hat = I (x) Lv_hat and C = T_hat P_hat with P_hat u = (r u) (x) s."""
+    xg, vg = eq.grid.x_grid, eq.grid.v_grid
+    nx, nv = xg.count, vg.count
+    r, s = np.sqrt(eq.rho_star.values), np.sqrt(eq.g_star_v)
+    Dx = sp.diags(1.0 / xg.weights) @ _antisym_core(nx)
+    Dv = sp.diags(1.0 / vg.weights) @ _antisym_core(nv)
+    psi_t, phi_t = -2.0 * (Dv @ s) / s, -2.0 * (Dx @ r) / r
+    T_hat = (sp.diags(np.tile(psi_t, nx))
+             @ sp.kron(Dx, sp.identity(nv), format="csr")
+             - sp.diags(np.repeat(phi_t, nv))
+             @ sp.kron(sp.identity(nx), Dv, format="csr")).tocsr()
+    Sv = flux_stiffness(vg, _collision_faces(eq))
+    Lv_hat = -sp.diags(1.0 / (vg.weights * s)) @ Sv @ sp.diags(1.0 / s)
+    L_hat = sp.kron(sp.identity(nx), Lv_hat, format="csr")
+    P_hat = sp.kron(sp.diags(r), sp.csr_matrix(s.reshape(nv, 1)),
+                    format="csr")
+    C = (T_hat @ P_hat).tocsr()
+    w = eq.grid.weight_matrix.ravel()
+    return T_hat, L_hat, (C.T @ sp.diags(w) @ C).tocsr()
+
+
+def _assert_same_arrays(matrix, reference, what):
+    # matrix canonical as built; reference compared in sorted form
+    ref = reference.copy()
+    ref.sort_indices()
+    assert matrix.has_sorted_indices and np.all(matrix.data != 0.0), what
+    assert np.array_equal(matrix.indptr, ref.indptr), what
+    assert np.array_equal(matrix.indices, ref.indices), what
+    assert np.array_equal(matrix.data, ref.data), what
+
+
+def _step_systems(ops, T_ref, L_ref):
+    """The kinetic implicit-Euler step system at dt = 0.05 and the same
+    system built from the reference T_hat and L_hat."""
+    system, _ = _step_matrices(ops, "kinetic", 0.05, "implicit_euler")
+    return system, (sp.identity(system.shape[0], format="csr")
+                    - 0.05 * (L_ref - T_ref).tocsr())
+
+
+def test_diagonal_assembly_matches_kron_reference(quadrants):
+    # T_hat and L_hat bit for bit, so the step systems and their folded
+    # sectors are too; N_sym from the 2 x 2 Gram identity to roundoff and
+    # exactly symmetric
+    for key, (_, _, eq, ops) in quadrants.items():
+        T_ref, L_ref, N_ref = _kron_reference(eq)
+        _assert_same_arrays(ops.T_hat, T_ref, (key, "T_hat"))
+        _assert_same_arrays(ops.L_hat, L_ref, (key, "L_hat"))
+        system, ref_system = _step_systems(ops, T_ref, L_ref)
+        for sign in (1, -1):
+            _assert_same_arrays(fold_sector(system, sign).tocsr(),
+                                fold_sector(ref_system, sign).tocsr(),
+                                (key, "sector", sign))
+        scale = abs(N_ref).max()
+        assert abs(ops.N_sym - N_ref).max() <= 1e-14 * scale, key
+        assert (ops.N_sym != ops.N_sym.T).nnz == 0, key
+
+
+def test_kinetic_lu_fill_matches_kron_reference(quadrants):
+    # a change of the step pattern or its index order would change the
+    # fill-reducing ordering, and show only as a slower kinetic solve
+    for key, (_, _, eq, ops) in quadrants.items():
+        T_ref, L_ref, _ = _kron_reference(eq)
+        fills = [splu(fold_sector(m, 1), **SPLU_OPTIONS)
+                 for m in _step_systems(ops, T_ref, L_ref)]
+        assert len({lu.L.nnz + lu.U.nnz for lu in fills}) == 1, key

@@ -718,18 +718,22 @@ def test_console_script_constants_and_check(tmp_path):
     assert proc.stdout.count("PASS") >= 10
 
 
-def test_console_script_run_with_an_overflowing_norm_fails(tmp_path):
-    # s0 = 1e-320 overflows every norm_sq_mu sample to inf: the fit refuses
-    # it, so the run writes a failed bundle and exits 2. numpy's overflow
-    # warnings are errors under pytest, hence the separate process.
+def test_cli_run_with_an_overflowing_sample_fails_in_one_line(tmp_path,
+                                                             capsys):
+    # s0 = 1e-320 gives a finite datum (about 4e159 at the centre) whose
+    # squared norm overflows: the first sample aborts the run before any
+    # step, which writes a failed bundle with no rows and exits 2. In
+    # process, so any numpy warning on the way (an error under pytest)
+    # fails the test.
     cfg = _write(tmp_path, "overflow.cfg", _EXTREME_BASE + (
         "mode = macro\ninitial.kind = macro_gaussian\ninitial.s0 = 1e-320\n"))
     out = str(tmp_path / "out")
-    proc = _run_console_script(["run", cfg, "--out", out], tmp_path)
-    assert proc.returncode == 2, proc.stdout + proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert proc.stderr.splitlines()[-1] == (
-        "scenario failed: norm series must be finite inside the window")
+    capsys.readouterr()
+    assert main(["run", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err == "scenario failed: non-finite sample at t = 0\n", err
     with open(os.path.join(out, "overflow.json")) as fh:
         summary = json.load(fh)
-    assert (summary["status"], summary["fitted_value"]) == ("failed", None)
+    assert (summary["status"], summary["fitted_value"],
+            summary["last_good_time"]) == ("failed", None, None)
+    assert _read(os.path.join(out, "overflow.csv")).count("\n") == 1
