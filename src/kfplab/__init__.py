@@ -12,13 +12,11 @@ from .equilibria import (Equilibrium, PotentialSpec, build_equilibrium,
                          diffusion_sigma, eval_potential, moment_closed_form,
                          psi_mass)
 from .operators import (OperatorSet, apply_A, apply_Pi, assemble,
-                        atpi_quadratic_form, collision_v_forms, macro_profile,
-                        solve_elliptic)
-from .spectral import (InequalityEstimate, ckn_constant_estimate, ckn_exponent,
-                       hardy_poincare_constant, inequality_ratio,
+                        collision_v_forms, macro_profile, solve_elliptic)
+from .spectral import (InequalityEstimate, hardy_poincare_constant,
                        macroscopic_gap, microscopic_coercivity_constant,
-                       nash_constant_estimate, pencil_min_eig,
-                       poincare_constant, weighted_poincare_constant)
+                       pencil_min_eig, poincare_constant,
+                       weighted_poincare_constant)
 from .hypo import (HypoConstants, auxiliary_operator_norms,
                    bounded_auxiliary_ratio, compute_constants, delta_star,
                    dissipation_components, empirical_kappa, entropy_H,

@@ -287,7 +287,11 @@ def initial_odd_v(eq, epsilon=0.5):
 
 def initial_shifted_gaussian(eq, center=(0.5, 0.5), width=1.0, clip_factor=4.0):
     """Product Gaussian at `center`, clipped to clip_factor * f_star and
-    rescaled to the equilibrium mass on integrable branches."""
+    rescaled to the equilibrium mass on integrable branches.
+
+    A rescaled datum above 2 * clip_factor * f_star is a ValidationError:
+    clipping it again would lose mass, and f - f_star would then carry mass
+    that no decay removes."""
     if width <= 0 or clip_factor <= 0:
         raise ValidationError("width and clip_factor must be positive")
     xg, vg = eq.grid.x_grid, eq.grid.v_grid
@@ -305,7 +309,12 @@ def initial_shifted_gaussian(eq, center=(0.5, 0.5), width=1.0, clip_factor=4.0):
     if eq.integrable:
         mass_star = float(np.sum(eq.grid.weight_matrix * eq.f_star.values))
         raw = raw * (mass_star / mass_raw)
-        raw = np.minimum(raw, 2.0 * clip_factor * eq.f_star.values)
+        if np.any(raw > 2.0 * clip_factor * eq.f_star.values):
+            raise ValidationError(
+                "shifted Gaussian at center %r, width %r exceeds "
+                "2 * clip_factor * f_star once rescaled to the equilibrium "
+                "mass; widen it or raise clip_factor"
+                % (tuple(center), width))
     return Field(raw, eq.grid)
 
 

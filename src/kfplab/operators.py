@@ -351,8 +351,3 @@ def apply_A(f, eq, ops):
     b_q = q_profiles(f.values.ravel() / ops.sqrt_f, ops)[1]
     u = solve_elliptic(b_q, ops)
     return Field(u[:, np.newaxis] * eq.f_star.values, f.grid)
-
-
-def atpi_quadratic_form(f, eq, ops):
-    """<A T Pi f, Pi f>_mu through its exact two-term expression (atpi_form)."""
-    return atpi_form(solve_elliptic(macro_profile(f, eq).values, ops), ops)

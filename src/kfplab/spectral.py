@@ -13,18 +13,17 @@ raises NumericalError when S is not positive on the hyperplane:
   M-orthogonal complement, so the wanted eigenvalue is the second smallest
   of the banded matrix M^-1/2 S M^-1/2, found by one banded symmetric
   eigen-solve (LAPACK bisection). This serves lambda_M, lambda_m for
-  beta >= 1 and the Poincare, weighted Poincare and Hardy-Poincare ('mass'
-  average) ladders.
-* Any other weight c (lambda_m for beta < 1, Hardy-Poincare with the 'lhs'
-  average): the bordered matrix K = [[S, c], [c^T, 0]], factored once with
-  SPLU_OPTIONS and solved through the residual-checked
-  solve_with_refinement. The leading n x n block of K^-1 inverts the pencil
-  on the hyperplane, so M^1/2 (K^-1)_nn M^1/2 has the eigenvalues 1/lam and
-  one zero, and lam = 1 / its largest eigenvalue (one dense eigen-solve).
+  beta >= 1 and the Poincare, weighted Poincare and Hardy-Poincare
+  ladders.
+* Any other weight c (lambda_m for beta < 1): the bordered matrix
+  K = [[S, c], [c^T, 0]], factored once with SPLU_OPTIONS and solved
+  through the residual-checked solve_with_refinement. The leading n x n
+  block of K^-1 inverts the pencil on the hyperplane, so
+  M^1/2 (K^-1)_nn M^1/2 has the eigenvalues 1/lam and one zero, and
+  lam = 1 / its largest eigenvalue (one dense eigen-solve).
 
-Nash and Caffarelli-Kohn-Nirenberg constants are not quadratic-form ratios;
-they are lower-bounded by the maximum of the defining ratio over an explicit
-family of profiles, which is all the decay envelopes need.
+The Nash and Caffarelli-Kohn-Nirenberg columns of the classification take
+closed-form exponents (rates.classify_regime) and no constant.
 
 All constants live on the truncated box: they converge to the whole-line
 constants only as the half-width grows. The `converged` flag refers to grid
@@ -42,7 +41,7 @@ from .grids import velocity_weight
 from .operators import (SPLU_OPTIONS, collision_v_forms, flux_stiffness,
                         solve_with_refinement)
 
-_KINDS = ("poincare", "weighted_poincare", "hardy_poincare", "nash", "ckn")
+_KINDS = ("poincare", "weighted_poincare", "hardy_poincare")
 
 
 class InequalityEstimate:
@@ -208,37 +207,29 @@ def weighted_poincare_constant(alpha, grid):
     return _eig_ladder("weighted_poincare", grid, solve_on)
 
 
-def hardy_poincare_constant(gamma, k, grid, average="mass", d=1):
+def hardy_poincare_constant(gamma, k, grid):
     """Best constant of int |u'|^2 <x>^{k-gamma} >= C int |u-ubar|^2 <x>^{k-2-gamma}.
 
     The weights are <x>^k e^{-phi} with phi = gamma log<x> on the integrable
-    branch gamma > d. Which average ubar makes the whole-line inequality true
-    is a property of k - gamma that the truncated problem does not see; by
-    default ubar is taken against the mass-side measure <x>^{k-2-gamma}, and
-    average='lhs' switches to the stiffness-side weight <x>^{k-gamma}.
+    branch gamma > 1 (d = 1). ubar is the average against the mass-side
+    measure <x>^{k-2-gamma}, which the deflation realizes exactly.
     """
     gamma = float(gamma)
     k = float(k)
-    if gamma <= d:
-        raise ValidationError("Hardy-Poincare requires gamma > d")
+    if gamma <= 1.0:
+        raise ValidationError("Hardy-Poincare requires gamma > 1")
     if k <= 0.0:
         raise ValidationError("Hardy-Poincare requires k > 0")
-    if k >= gamma + 2.0 - d:
+    if k >= gamma + 1.0:
         # the <x>^{k-2-gamma} measure must stay integrable on the whole line
-        raise ValidationError("Hardy-Poincare requires k < gamma + 2 - d")
-    if average not in ("mass", "lhs"):
-        raise ValidationError("average must be 'mass' or 'lhs'")
+        raise ValidationError("Hardy-Poincare requires k < gamma + 1")
 
     def solve_on(g):
         mid = 0.5 * (g.nodes[:-1] + g.nodes[1:])
         S = _stiffness_1d(g, np.sqrt(1.0 + mid ** 2) ** (k - gamma))
         bracket = np.sqrt(1.0 + g.nodes ** 2)
         mass = g.weights * bracket ** (k - 2.0 - gamma)
-        if average == "mass":
-            c = mass
-        else:
-            c = g.weights * bracket ** (k - gamma)
-        return pencil_min_eig(S, mass, c)
+        return pencil_min_eig(S, mass, mass)
 
     return _eig_ladder("hardy_poincare", grid, solve_on)
 
@@ -271,101 +262,3 @@ def macroscopic_gap(ops):
     Poincare constant of e^{-phi}.
     """
     return pencil_min_eig(ops.N_sym, ops.mrho, ops.mrho)
-
-
-# ---------------------------------------------------------------------------
-# Nash / Caffarelli-Kohn-Nirenberg ratios (not eigenvalues)
-# ---------------------------------------------------------------------------
-
-def ckn_exponent(k, gamma, d=1):
-    """a = (d + 2k - gamma) / (d + 2 + 2k - gamma); must land in (0, 1)."""
-    a = (d + 2.0 * k - gamma) / (d + 2.0 + 2.0 * k - gamma)
-    if not 0.0 < a < 1.0:
-        raise ValidationError("inadmissible (k, gamma): exponent a = %g" % a)
-    return a
-
-
-def inequality_ratio(kind, u, params=None):
-    """Defining ratio LHS/RHS-product of the Nash or CKN inequality at u.
-
-    kind='nash':  ||u||_2 / (||u'||_2^{d/(d+2)} ||u||_1^{2/(d+2)}), d = 1.
-    kind='ckn' with params=(k, gamma):
-        int u^2 <x>^{-gamma} / [ (int |u'|^2 <x>^{-gamma})^a
-                                 (int u <x>^{k-gamma})^{2(1-a)} ].
-
-    The maximum of the ratio over any family of admissible profiles is a
-    lower bound on the best constant.
-    """
-    vals = u.values
-    g = u.x_grid
-    if not np.any(vals):
-        raise ValidationError("test function must be nonzero")
-    if np.min(vals) < 0.0:
-        raise ValidationError("test function must be nonnegative")
-    du = np.diff(vals) / g.spacing
-    if not np.any(du):
-        raise ValidationError("test function must be nonconstant")
-    if kind == "nash":
-        l2_sq = float(np.sum(g.weights * vals ** 2))
-        l1 = float(np.sum(g.weights * vals))
-        grad_sq = float(np.sum(du ** 2) * g.spacing)
-        return np.sqrt(l2_sq) / (grad_sq ** (1.0 / 6.0) * l1 ** (2.0 / 3.0))
-    if kind == "ckn":
-        if params is None:
-            raise ValidationError("ckn needs params=(k, gamma)")
-        k, gamma = float(params[0]), float(params[1])
-        a = ckn_exponent(k, gamma)
-        bracket = np.sqrt(1.0 + g.nodes ** 2)
-        mid = 0.5 * (g.nodes[:-1] + g.nodes[1:])
-        bracket_mid = np.sqrt(1.0 + mid ** 2)
-        lhs = float(np.sum(g.weights * vals ** 2 * bracket ** (-gamma)))
-        grad = float(np.sum(bracket_mid ** (-gamma) * du ** 2) * g.spacing)
-        mom = float(np.sum(g.weights * vals * bracket ** (k - gamma)))
-        return lhs / (grad ** a * mom ** (2.0 * (1.0 - a)))
-    raise ValidationError("kind must be 'nash' or 'ckn'")
-
-
-def _profile_family(grid):
-    """Nonnegative test profiles: bump shapes swept over centers and widths.
-
-    Wall-centered half-profiles matter because on the truncated box the nash
-    ratio peaks AT the wall (losing half a bump shrinks every norm but the
-    exponent bookkeeping nets a gain), and box-scale widths matter because
-    the weighted ckn ratios peak on wide central lumps.
-    """
-    from .grids import DensityField
-
-    x = grid.nodes
-    X = grid.half_width
-    shapes = (
-        lambda t: np.exp(-0.5 * t ** 2),
-        lambda t: np.where(np.abs(t) <= 1.0, 1.0 + np.cos(np.pi * t), 0.0),
-        lambda t: np.maximum(0.0, 1.0 - t ** 2),
-        lambda t: np.maximum(0.0, 1.0 - t ** 2) ** 2,
-        lambda t: np.maximum(0.0, 1.0 - np.abs(t)),
-        lambda t: 1.0 / np.cosh(t) ** 2,
-    )
-    family = []
-    for shape in shapes:
-        for center in (0.0, 0.25 * X, 0.5 * X, 0.75 * X, X):
-            for width in (0.5, 1.0, 2.0, 0.25 * X, 0.5 * X):
-                vals = shape((x - center) / width)
-                if np.any(vals > 0.0):
-                    family.append(vals)
-    return [DensityField(f, grid) for f in family]
-
-
-def nash_constant_estimate(grid):
-    """Family-maximum lower bound on the Nash constant (d = 1)."""
-    def solve_on(g):
-        return max(inequality_ratio("nash", u) for u in _profile_family(g))
-    return _eig_ladder("nash", grid, solve_on)
-
-
-def ckn_constant_estimate(k, gamma, grid):
-    """Family-maximum lower bound on the CKN constant for weights (k, gamma)."""
-    ckn_exponent(k, gamma)
-    def solve_on(g):
-        return max(inequality_ratio("ckn", u, (k, gamma))
-                   for u in _profile_family(g))
-    return _eig_ladder("ckn", grid, solve_on)

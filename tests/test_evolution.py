@@ -50,6 +50,10 @@ def test_initial_data_mass_and_positivity(strong_strong):
         initial_bump(eq, 1.5)
     with pytest.raises(ValidationError):
         initial_shifted_gaussian(eq, width=0.0)
+    # rescaled to the equilibrium mass, a narrow datum exceeds the 2x clip;
+    # clipping it again would lose mass, so it is refused
+    with pytest.raises(ValidationError):
+        initial_shifted_gaussian(eq, width=0.2)
 
 
 def test_initial_macro_data(strong_strong):

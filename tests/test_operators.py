@@ -10,7 +10,6 @@ from kfplab import (
     NumericalError,
     apply_A,
     apply_Pi,
-    atpi_quadratic_form,
     inner_product_mu,
     macro_profile,
     macroscopic_gap,
@@ -20,7 +19,8 @@ from kfplab import (
 )
 from kfplab.evolution import _step_matrices, fold_sector
 from kfplab.operators import (SPLU_OPTIONS, _antisym_core, _collision_faces,
-                              flux_stiffness, solve_with_refinement)
+                              atpi_form, flux_stiffness,
+                              solve_with_refinement)
 from conftest import make_problem
 
 
@@ -194,12 +194,13 @@ def test_apply_A_lands_in_macro_range(strong_strong):
 
 def test_atpi_quadratic_form_dual_route(strong_strong):
     # composition route <A T Pi f, f> must agree with the two-term
-    # elliptic-form expression
+    # elliptic-form expression atpi_form of u = (I + N)^-1 u_f
     _, _, eq, ops = strong_strong
     for f in _random_states(eq, 5, 14):
         direct = inner_product_mu(
             apply_A(ops.apply_transport(apply_Pi(f, eq)), eq, ops), f, eq)
-        form = atpi_quadratic_form(f, eq, ops)
+        form = atpi_form(solve_elliptic(macro_profile(f, eq).values, ops),
+                         ops)
         assert form >= 0.0
         assert direct == pytest.approx(form, rel=1e-10, abs=1e-13)
 
@@ -235,8 +236,13 @@ def test_diffusion_form_matches_continuum():
 def test_transport_factors_through_two_velocity_profiles(quadrants):
     # C = T_hat P_hat = X1 (x) c1 - X2 (x) c2 with X1 = Dx diag(r),
     # c1 = psi_t s, X2 = diag(phi_t r), c2 = Dv s; the second and third
-    # columns of v_profiles are wv c1 and wv c2
-    for key, (_, grid, eq, ops) in quadrants.items():
+    # columns of v_profiles are wv c1 and wv c2, the first formed as
+    # (wv psi_t) s. The 33^2 box has the non-dyadic spacing 0.375, where
+    # the grouping of that product shows in the last bit.
+    problems = dict(quadrants)
+    problems["33^2, X = V = 6"] = make_problem("power", 2.0, 6.0, 33, 6.0,
+                                               33, tol=1e-5, alpha=2.0)
+    for key, (_, grid, eq, ops) in problems.items():
         xg, vg = grid.x_grid, grid.v_grid
         r, s = np.sqrt(eq.rho_star.values), np.sqrt(eq.g_star_v)
         Dx = sp.diags(1.0 / xg.weights) @ _antisym_core(xg.count)
@@ -249,7 +255,8 @@ def test_transport_factors_through_two_velocity_profiles(quadrants):
                     - sp.kron(sp.diags(phi_t * r),
                               sp.csr_matrix(c2[:, None]))).toarray()
         assert np.max(np.abs(C - factored)) <= 1e-14 * np.max(np.abs(C)), key
-        assert np.array_equal(ops.v_profiles[:, 1], vg.weights * c1), key
+        assert np.array_equal(ops.v_profiles[:, 1],
+                              (vg.weights * psi_t) * s), key
         assert np.array_equal(ops.v_profiles[:, 2], vg.weights * c2), key
 
 

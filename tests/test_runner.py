@@ -626,6 +626,9 @@ schedule.sample_stride = 1
      "validation error: shifted Gaussian"),
     ("initial.kind = shifted_gaussian\ninitial.center_x = 1e300\n", 1,
      "validation error: shifted Gaussian"),
+    # rescaled to the equilibrium mass, the datum exceeds 2 * clip * f_star
+    ("initial.kind = shifted_gaussian\ninitial.width = 0.2\n"
+     "grid.nx = 65\ngrid.nv = 65\n", 1, "validation error: shifted Gaussian"),
 ])
 def test_cli_run_extreme_inputs_exit_in_one_line(tmp_path, capsys, extra,
                                                  code, prefix):
