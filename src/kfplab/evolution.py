@@ -37,7 +37,8 @@ from scipy.sparse.linalg import splu
 from .errors import NumericalError, ValidationError
 from .grids import DensityField, Field
 from .hypo import dissipation_components, entropy_H
-from .operators import SPLU_OPTIONS, solve_with_refinement
+from .operators import (SPLU_OPTIONS, band_diagonals, dia_csr,
+                        solve_with_refinement)
 
 _MASS_TOL = 1e-9
 _MAXP_TOL = 1e-6
@@ -117,33 +118,73 @@ def unfold(parts, n):
 
 
 def fold_sector(system, sign):
-    """The CSC matrix of an odd-order, reversal-symmetric system on its even
-    (sign +1, m + 1 unknowns) or odd (sign -1, m unknowns) sector, in the
-    orthonormal sector coordinates of fold."""
-    m = system.shape[0] // 2
+    """The canonical CSR matrix of an odd-order, reversal-symmetric canonical
+    CSR system on its even (sign +1, m + 1 unknowns) or odd (sign -1, m
+    unknowns) sector, in the orthonormal sector coordinates of fold.
+
+    Entry (i, j) of the fold is S[i, j] + sign S[i, n-1-j] for j < m; the
+    even sector keeps column m as sqrt(2) S[i, m] (i < m) and divides row m
+    by sqrt(2) (j < m), so that S[m, m] stays as it is. It is read off the
+    CSR arrays of the first half rows: rows with no entry in column m or
+    beyond are copied, and only the rows from the first one that has such
+    an entry are remapped, merged and sorted.
+    """
+    n = system.shape[0]
+    m = n // 2
     half = m + 1 if sign > 0 else m
-    top = system[:half]
-    # column n-1-j of the full system acts on entry j of the sector
-    mirrored = sp.hstack([top[:, :m:-1], sp.csr_matrix((half, half - m))])
-    folded = (top[:, :half] + sign * mirrored).tocoo()
+    indptr, indices, data = system.indptr, system.indices, system.data
+    end = indptr[half]
+    # the first row with an entry in column m or beyond starts the tail
+    reach = np.flatnonzero(indices[:end] >= m)
+    first = (np.searchsorted(indptr, reach[0], side="right") - 1
+             if reach.size else half)
+    start = indptr[first]
+    rows = np.repeat(np.arange(first, half), np.diff(indptr[first:half + 1]))
+    cols = indices[start:end].astype(np.intp)
+    vals = data[start:end]
+    # column n-1-j of the full system acts on entry j of the sector; the
+    # odd sector has no centre column m
+    mirrored = cols > m
+    cols = np.where(mirrored, n - 1 - cols, cols)
+    vals = np.where(mirrored, sign * vals, vals)
+    keep = cols < half
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
+    order = np.argsort(rows * half + cols, kind="stable")
+    rows, cols, vals = rows[order], cols[order], vals[order]
+    # a column reached directly and through its mirror holds two terms
+    pair = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
+    vals[pair] = vals[pair] + vals[pair + 1]
+    keep = np.ones(vals.size, dtype=bool)
+    keep[pair + 1] = False
+    keep &= vals != 0.0
+    rows, cols, vals = rows[keep], cols[keep], vals[keep]
     if sign > 0:
         # the centre entry is not scaled by sqrt(2): its row of the fold
         # holds 2 S[m, j], its column S[i, m]; both become sqrt(2) S
-        folded.data[(folded.row == m) & (folded.col < m)] /= _SQRT2
-        folded.data[(folded.col == m) & (folded.row < m)] *= _SQRT2
-    return folded.tocsc()
+        vals[(rows == m) & (cols < m)] /= _SQRT2
+        vals[(cols == m) & (rows < m)] *= _SQRT2
+    tail_ptr = start + np.cumsum(np.bincount(rows - first,
+                                             minlength=half - first))
+    return sp.csr_matrix(
+        (np.concatenate([data[:start], vals]),
+         np.concatenate([indices[:start], cols.astype(indices.dtype)]),
+         np.concatenate([indptr[:first + 1], tail_ptr.astype(indptr.dtype)])),
+        shape=(half, half))
 
 
 def _reversal_symmetric(matrix):
     """matrix[::-1, ::-1] == matrix, read from the arrays of a canonical CSR
     matrix (sorted indices, no stored zeros): the reversal reverses data,
     sends the index list to n - 1 - indices[::-1] and indptr to
-    nnz - indptr[::-1], so equality is equality of the three arrays."""
+    nnz - indptr[::-1], so equality is equality of the three arrays. Each
+    array equals its image when its first half, middle entry included,
+    does."""
     n = matrix.shape[0]
     data, indices, indptr = matrix.data, matrix.indices, matrix.indptr
-    return (np.array_equal(indptr, indptr[-1] - indptr[::-1])
-            and np.array_equal(indices, n - 1 - indices[::-1])
-            and np.array_equal(data, data[::-1]))
+    h, r = (data.size + 1) // 2, (n + 2) // 2
+    return (np.array_equal(indptr[:r], indptr[-1] - indptr[:-r - 1:-1])
+            and np.array_equal(indices[:h], n - 1 - indices[:-h - 1:-1])
+            and np.array_equal(data[:h], data[:-h - 1:-1]))
 
 
 class SectorLU:
@@ -155,9 +196,9 @@ class SectorLU:
     right-hand side matrix, or None) shares the symmetry. S maps each sector
     to itself, so it folds onto an (m+1)-sized even and an m-sized odd
     sector matrix. sector(sign) returns that sector's (factor, matrix,
-    folded rhs_mat or None), folding and factoring it with SPLU_OPTIONS the
-    first time, with the matrix in CSR. `lus` maps each sign met so far
-    (+1 even, -1 odd) to its factor.
+    folded rhs_mat or None), both matrices canonical CSR from fold_sector,
+    folding and factoring it with SPLU_OPTIONS (on a CSC copy) the first
+    time. `lus` maps each sign met so far (+1 even, -1 odd) to its factor.
     """
 
     def __init__(self, system, rhs_mat=None):
@@ -173,10 +214,9 @@ class SectorLU:
             system, rhs_mat = self._full
             matrix = fold_sector(system, sign)
             folded_rhs = (None if rhs_mat is None
-                          else fold_sector(rhs_mat, sign).tocsr())
-            self.lus[sign] = splu(matrix, **SPLU_OPTIONS)
-            # splu wants CSC; the per-step residual product is faster in CSR
-            self._sectors[sign] = (self.lus[sign], matrix.tocsr(), folded_rhs)
+                          else fold_sector(rhs_mat, sign))
+            self.lus[sign] = splu(matrix.tocsc(), **SPLU_OPTIONS)
+            self._sectors[sign] = (self.lus[sign], matrix, folded_rhs)
         return self._sectors[sign]
 
 
@@ -184,10 +224,14 @@ def _step_matrices(ops, mode, dt, scheme):
     """(system, rhs_mat) of one implicit step, as canonical CSR matrices
     (sorted indices, no stored zeros).
 
-    The generator is L_hat - T_hat on q for mode 'kinetic' and the macro
+    The generator G is L_hat - T_hat on q for mode 'kinetic' and the macro
     generator on densities for 'macro'. Implicit Euler solves
     (I - dt G) y_new = y (rhs_mat None); Crank-Nicolson, kinetic only, solves
-    (I - dt/2 G) y_new = (I + dt/2 G) y.
+    (I - dt/2 G) y_new = (I + dt/2 G) y. Both come from the diagonals of G,
+    read off the CSR operators (the stencil -nv, -1, 0, 1, nv of the
+    kinetic generator, the tridiagonal macro one), and become CSR through
+    the one constructor dia_csr, each entry formed as the sparse sums
+    I -+ h (L_hat - T_hat) form it.
     """
     if dt <= 0:
         raise ValidationError("dt must be positive")
@@ -196,16 +240,34 @@ def _step_matrices(ops, mode, dt, scheme):
                               "'crank_nicolson'")
     if mode == "macro" and scheme != "implicit_euler":
         raise ValidationError("macro stepping supports implicit_euler only")
-    gen = ops.L_hat - ops.T_hat if mode == "kinetic" else ops.macro_generator
-    eye = sp.identity(gen.shape[0], format="csr")
-    # a sparse sum stores no zeros; sorting its indices makes it canonical
-    if scheme == "implicit_euler":
-        system, rhs_mat = eye - dt * gen, None
+    if mode == "kinetic":
+        nv = ops.v_profiles.shape[0]
+        offsets = (-nv, -1, 0, 1, nv)
+        collision = band_diagonals(ops.L_hat, (-1, 0, 1))
+        transport = band_diagonals(ops.T_hat, (-nv, -1, 1, nv))
     else:
-        system, rhs_mat = eye - 0.5 * dt * gen, eye + 0.5 * dt * gen
-        rhs_mat.sort_indices()
-    system.sort_indices()
-    return system, rhs_mat
+        offsets = (-1, 0, 1)
+        collision = band_diagonals(ops.macro_generator, offsets)
+        transport = {}
+    n = collision[0].size
+    h = dt if scheme == "implicit_euler" else 0.5 * dt
+    # G in DIA layout (diagonal k from column max(k, 0) on), each entry
+    # L_ij - T_ij with 0 for an operator that has no entry there
+    system = np.zeros((len(offsets), n))
+    for row, k in zip(system, offsets):
+        np.subtract(collision.get(k, 0.0), transport.get(k, 0.0),
+                    out=row[max(k, 0):n + min(k, 0)])
+    # I -+ h G: off the diagonal 0 -+ h g is g (-+h), bit for bit, and on
+    # it g (-+h) + 1 is 1 -+ h g
+    centre = offsets.index(0)
+    rhs_mat = None
+    if scheme == "crank_nicolson":
+        rhs = system * h
+        rhs[centre] += 1.0
+        rhs_mat = dia_csr(rhs, offsets, (n, n))
+    system *= -h
+    system[centre] += 1.0
+    return dia_csr(system, offsets, (n, n)), rhs_mat
 
 
 def _step_system(ops, mode, dt, scheme):

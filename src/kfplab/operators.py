@@ -14,17 +14,16 @@ Construction notes (the structural identities everything rests on):
   logarithmic derivatives psi_t = -2 (Dv sqrt(g_star))/sqrt(g_star) (and the
   analogue in x), so T_hat sqrt(f_star) = 0 holds with floating-point-exact
   cancellation: mass is conserved to solver precision, not to O(spacing^2).
-  psi_t = psi' + O(spacing^2), so consistency is unaffected. T_hat is
-  assembled from its four diagonals, psi_t(v) Dx (x) I on offsets +-nv and
-  -phi_t(x) I (x) Dv on offsets +-1, as canonical CSR (sorted indices, no
-  stored zeros); the entries equal the Kronecker-product build bit for bit.
+  psi_t = psi' + O(spacing^2), so consistency is unaffected. T_hat has
+  four diagonals, psi_t(v) Dx (x) I on offsets +-nv and -phi_t(x) I (x) Dv
+  on offsets +-1.
 
 * Collision: per x-slice, in h = f/f_star coordinates, the flux form
   -Mv^-1 Gv^T E Gv with midpoint weights E ~ e^{-psi(v_{j+1/2})}. Exactly
   symmetric, nonpositive, annihilates constants (so L f_star = 0 exactly),
   conserves mass per slice exactly. L_hat = I (x) Lv_hat acts on Q as
-  Q Lv_hat^T; it is assembled from the three diagonals of Lv_hat, with no
-  entry across an x-slice boundary, as canonical CSR.
+  Q Lv_hat^T: the three diagonals of Lv_hat in every x-row, with no entry
+  across an x-slice boundary.
 
 * The macroscopic operator (T Pi)*(T Pi) restricted to local equilibria
   u f_star is N = Mrho^-1 C^T W C with C = T_hat P_hat, where
@@ -48,6 +47,18 @@ Construction notes (the structural identities everything rests on):
   maps (profile_map). q_profiles returns m u_f (Pi f = u_f f_star), B q,
   B T_hat (1-Pi) q = B T_hat q - N u_f and B L_hat q that way, without a
   full-grid sparse product.
+
+* Every operator here is banded, so assemble computes each one as numpy
+  arrays of diagonals (T_hat and L_hat straight into scipy's DIA layout,
+  where their nx x nv grids are outer products and tiled slices) and turns
+  it into a canonical CSR matrix (sorted indices, no stored zeros) once,
+  through dia_csr. Products of banded factors are formed diagonal by
+  diagonal, each entry with the same factors, grouping and summation order
+  (from zero, lowest column first) as the scipy.sparse product, sum or
+  Kronecker build they replace, so every stored matrix equals that build
+  bit for bit (tests/test_operators.py keeps it as the reference). The step
+  systems of evolution are built the same way, from the diagonals of
+  T_hat, L_hat and macro_generator.
 """
 
 import dataclasses
@@ -80,25 +91,102 @@ SPLU_OPTIONS = {
 _RESIDUAL_TOL = 1e-10
 
 
-def _antisym_core(n):
-    # (K q)_i = (q_{i+1} - q_{i-1}) / 2 with zero extension outside
-    off = 0.5 * np.ones(n - 1)
-    return sp.diags([off, -off], [1, -1], format="csr")
+def dia_csr(stage, offsets, shape):
+    """The canonical CSR matrix (sorted indices, no stored zeros) of the
+    given shape whose diagonal offsets[s] holds stage[s, j] in column j
+    (scipy's DIA layout, so row j - offsets[s]). Entries that fall outside
+    the matrix are never read; zero entries are left out. Every banded
+    matrix of the package becomes CSR here, once, by scipy's one-pass DIA
+    to CSR conversion."""
+    return sp.dia_matrix((stage, offsets), shape=shape).tocsr()
 
 
-def _banded_csr(diagonals):
-    """The canonical CSR matrix (sorted indices, no stored zeros) with entry
-    diagonals[k][p] in row p and column p + k, each array read in row-major
-    order; entries whose column p + k leaves the matrix are ignored."""
-    n = next(iter(diagonals.values())).size
+def banded_csr(diagonals, shape):
+    """dia_csr of a matrix given by its diagonals: diagonals[k] holds
+    diagonal k as csr_matrix.diagonal(k) returns it, entry i in row
+    max(-k, 0) + i and column max(k, 0) + i, spanning the whole diagonal."""
+    n_rows, n_cols = shape
     offsets = sorted(diagonals)
-    return sp.diags([diagonals[k].ravel()[max(-k, 0):n - max(k, 0)]
-                     for k in offsets], offsets, shape=(n, n), format="csr")
+    stage = np.empty((len(offsets), n_cols))
+    for row, k in zip(stage, offsets):
+        row[max(k, 0):min(n_rows + k, n_cols)] = diagonals[k]
+    return dia_csr(stage, offsets, shape)
 
 
-def _forward_difference(n):
-    return sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1],
-                    shape=(n - 1, n), format="csr")
+def band_diagonals(matrix, offsets):
+    """{k: matrix.diagonal(k)} for the offsets k of a canonical CSR matrix
+    (no stored zeros), in banded_csr's convention; NumericalError if the
+    matrix holds an entry off those diagonals."""
+    diagonals = {k: matrix.diagonal(k) for k in offsets}
+    if sum(np.count_nonzero(d) for d in diagonals.values()) != matrix.nnz:
+        raise NumericalError("banded operator has entries off its diagonals "
+                             "%s" % (tuple(offsets),))
+    return diagonals
+
+
+def _banded_apply(diagonals, u):
+    """M @ u for a square M given by its diagonals (as banded_csr takes
+    them) and u a vector or an (n, k) block. Each row sums its terms from
+    zero, lowest column first, as scipy's CSR product does; with the
+    diagonals of _transposed(M) it is M^T @ u summed as scipy's product of
+    the CSC transpose does it."""
+    out = np.zeros(u.shape)
+    for k in sorted(diagonals):
+        d = diagonals[k]
+        i, j = max(-k, 0), max(k, 0)
+        out[i:i + d.size] += (d.reshape((-1,) + (1,) * (u.ndim - 1))
+                              * u[j:j + d.size])
+    return out
+
+
+def _banded_product(a, b):
+    """The diagonals of A @ B for square A and B given by their diagonals
+    (as banded_csr takes them). Each entry sums its terms from zero, inner
+    index ascending, as scipy's sparse product does."""
+    k, d = next(iter(a.items()))
+    n = d.size + abs(k)
+
+    def padded(k, d):
+        # M[i, i + k] at position n + i, zero off the matrix
+        out = np.zeros(3 * n)
+        out[n + max(-k, 0):n + max(-k, 0) + d.size] = d
+        return out
+
+    sums = {}
+    for ka in sorted(a):
+        left = padded(ka, a[ka])[n:2 * n]
+        for kb in sorted(b):
+            right = padded(kb, b[kb])[n + ka:2 * n + ka]   # B[i+ka, i+ka+kb]
+            sums[ka + kb] = sums.get(ka + kb, 0.0) + left * right
+    return {k: d[max(-k, 0):n - max(k, 0)] for k, d in sums.items()}
+
+
+def _scaled(diagonals, left, right):
+    """The diagonals of diag(left) M diag(right), each entry formed as
+    (left_i M_ij) right_j."""
+    out = {}
+    for k, d in diagonals.items():
+        i, j = max(-k, 0), max(k, 0)
+        out[k] = left[i:i + d.size] * d * right[j:j + d.size]
+    return out
+
+
+def _transposed(diagonals):
+    return {-k: d for k, d in diagonals.items()}
+
+
+def _centered_difference(weights):
+    """Diagonals {-1, 1} of W^-1 K, with K the antisymmetric centered
+    difference core (K q)_i = (q_{i+1} - q_{i-1}) / 2 (zero extension)."""
+    inverse = 1.0 / weights
+    return {-1: inverse[1:] * -0.5, 1: inverse[:-1] * 0.5}
+
+
+def _stiffness_diagonals(grid, face_weight):
+    """Diagonals {-1, 0, 1} of S = G^T diag(face_weight/h) G, G the forward
+    difference: -w_j off the diagonal, w_{j-1} + w_j on it."""
+    w = face_weight / grid.spacing
+    return {-1: -w, 0: np.append(w, 0.0) + np.insert(w, 0, 0.0), 1: -w}
 
 
 def flux_stiffness(grid, face_weight):
@@ -108,8 +196,8 @@ def flux_stiffness(grid, face_weight):
     Dirichlet form behind the collision slice, the macro generator and the
     spectral pencils.
     """
-    G = _forward_difference(grid.count)
-    return (G.T @ sp.diags(face_weight / grid.spacing) @ G).tocsr()
+    return banded_csr(_stiffness_diagonals(grid, face_weight),
+                      (grid.count, grid.count))
 
 
 def _collision_faces(eq):
@@ -142,12 +230,12 @@ class OperatorSet:
     -<L_hat q, q>_W = sum_i wx_i |v_gradient Q_i|^2. mrho holds the profile
     weights Mrho and N_sym = C^T W C = Mrho N, formed from the nx-sized
     pieces of C = X1 (x) c1 - X2 (x) c2 (module notes), exactly symmetric.
-    T_hat, L_hat and the step systems built from them are canonical CSR
-    (sorted indices, no stored zeros). elliptic_matrix = I + N with
-    its LU elliptic_lu; macro_generator is the sigma-scaled Fokker-Planck
-    generator on densities and Sx_macro its flux stiffness. step_cache holds
-    the factored time-step systems of step_kinetic and step_macro;
-    dataclasses.replace starts a new, empty one.
+    Every stored matrix, and every step system built from them, is
+    canonical CSR (sorted indices, no stored zeros). elliptic_matrix =
+    I + N with its LU elliptic_lu; macro_generator is the sigma-scaled
+    Fokker-Planck generator on densities and Sx_macro its flux stiffness.
+    step_cache holds the factored time-step systems of step_kinetic and
+    step_macro; dataclasses.replace starts a new, empty one.
     """
 
     T_hat: sp.csr_matrix
@@ -176,11 +264,28 @@ class OperatorSet:
                       * self.sqrt_f).reshape(f.grid.shape), f.grid)
 
 
+def _block_banded_csr(blocks, size, shape):
+    """banded_csr of a matrix of size x size blocks, blocks[(r, c)] holding
+    the diagonals of block (r, c); each block's diagonals must be zero
+    where they would leave the block."""
+    diagonals = {}
+    for (br, bc), block in blocks.items():
+        for k, d in block.items():
+            offset = (bc - br) * size + k
+            if offset not in diagonals:
+                diagonals[offset] = np.zeros(min(shape[0] + min(offset, 0),
+                                                 shape[1] - max(offset, 0)))
+            start = br * size + max(-k, 0) - max(-offset, 0)
+            diagonals[offset][start:start + d.size] = d
+    return banded_csr(diagonals, shape)
+
+
 def assemble(eq):
     """Build the OperatorSet of eq on its own grid; raises
     InvalidEquilibriumError on nonpositive weights."""
     xg, vg = eq.grid.x_grid, eq.grid.v_grid
     nx, nv = xg.count, vg.count
+    n = nx * nv
     rho = eq.rho_star.values
     gv = eq.g_star_v
     if rho.min() <= 0 or gv.min() <= 0:
@@ -191,81 +296,96 @@ def assemble(eq):
     sqrt_f = np.outer(r, s).ravel()
     wx, wv = xg.weights, vg.weights
     w_flat = eq.grid.weight_matrix.ravel()
+    ones = np.ones(nx)
 
     # --- transport in q coordinates ---------------------------------------
-    Dx = sp.diags(1.0 / wx) @ _antisym_core(nx)
-    Dv = sp.diags(1.0 / wv) @ _antisym_core(nv)
-    psi_t = -2.0 * (Dv @ s) / s
-    phi_t = -2.0 * (Dx @ r) / r
-    # psi_t(v) Dx (x) I on offsets +-nv, -phi_t(x) I (x) Dv on offsets +-1
-    # (each block is padded to nx x nv where the neighbour leaves the grid)
-    T_hat = _banded_csr({
-        -nv: np.pad(np.outer(Dx.diagonal(-1), psi_t), ((1, 0), (0, 0))),
-        -1: np.pad(-np.outer(phi_t, Dv.diagonal(-1)), ((0, 0), (1, 0))),
-        1: np.pad(-np.outer(phi_t, Dv.diagonal(1)), ((0, 0), (0, 1))),
-        nv: np.pad(np.outer(Dx.diagonal(1), psi_t), ((0, 1), (0, 0))),
-    })
+    dx = _centered_difference(wx)
+    dv = _centered_difference(wv)
+    dv_s = _banded_apply(dv, s)
+    psi_t = -2.0 * dv_s / s
+    phi_t = -2.0 * _banded_apply(dx, r) / r
+    # psi_t(v) Dx (x) I on offsets +-nv, -phi_t(x) I (x) Dv on offsets +-1.
+    # In DIA layout, read as nx x nv grids, diagonal +-nv is the outer
+    # product shifted by one x-row and diagonal +-1 the outer product
+    # shifted by one v-column, zero where the neighbour leaves the slice.
+    stage = np.empty((4, nx, nv))
+    np.multiply.outer(dx[-1], psi_t, out=stage[0, :-1])
+    np.multiply.outer(-phi_t, dv[-1], out=stage[1, :, :-1])
+    np.multiply.outer(-phi_t, dv[1], out=stage[2, :, 1:])
+    np.multiply.outer(dx[1], psi_t, out=stage[3, 1:])
+    stage[1, :, -1] = stage[2, :, 0] = 0.0
+    T_hat = dia_csr(stage.reshape(4, n), (-nv, -1, 1, nv), (n, n))
 
     # --- collision in q coordinates (x-independent slice operator) --------
     faces = _collision_faces(eq)
-    Sv = flux_stiffness(vg, faces)
-    Lv_hat = -sp.diags(1.0 / (wv * s)) @ Sv @ sp.diags(1.0 / s)
+    lv = _scaled(_stiffness_diagonals(vg, faces), -(1.0 / (wv * s)), 1.0 / s)
     # I (x) Lv_hat: the tridiagonal slice operator in every x-row, with no
-    # entry across a slice boundary
-    L_hat = _banded_csr({
-        -1: np.tile(np.pad(Lv_hat.diagonal(-1), (1, 0)), (nx, 1)),
-        0: np.tile(Lv_hat.diagonal(0), (nx, 1)),
-        1: np.tile(np.pad(Lv_hat.diagonal(1), (0, 1)), (nx, 1)),
-    })
-    v_gradient = (sp.diags(np.sqrt(faces / vg.spacing))
-                  @ _forward_difference(nv) @ sp.diags(1.0 / s)).tocsr()
+    # entry across a slice boundary (same DIA grids, in T_hat's buffer)
+    stage = stage[:3]
+    stage[0, :, :-1], stage[1], stage[2, :, 1:] = lv[-1], lv[0], lv[1]
+    stage[0, :, -1] = stage[2, :, 0] = 0.0
+    L_hat = dia_csr(stage.reshape(3, n), (-1, 0, 1), (n, n))
+    root = np.sqrt(faces / vg.spacing)
+    v_gradient = banded_csr({0: -root * (1.0 / s)[:-1],
+                              1: root * (1.0 / s)[1:]}, (nv - 1, nv))
 
     # --- macroscopic pieces -------------------------------------------------
     # N_sym = C^T W C from X1 = Dx diag(r), X2 = diag(phi_t r) and the Gram
     # matrix g = c^T Wv c of c1 = psi_t s, c2 = Dv s (module notes)
-    X1 = Dx @ sp.diags(r)
+    x1 = {-1: dx[-1] * r[:-1], 1: dx[1] * r[1:]}
     x2 = phi_t * r
-    c = np.column_stack([psi_t * s, Dv @ s])
+    c = np.column_stack([psi_t * s, dv_s])
     a = np.column_stack([wv * psi_t * s, wv * c[:, 1]])      # a_k = wv c_k
     g = c.T @ a
-    H = (X1.T @ sp.diags(wx) @ (0.5 * g[0, 0] * X1 - g[0, 1] * sp.diags(x2))
-         + sp.diags(0.5 * g[1, 1] * wx * x2 * x2))
-    N_sym = (H + H.T).tocsr()                        # = Mrho N, symmetric PSD
+    # H = E M with E = X1^T Wx and M = g11/2 X1 - g12 X2, plus g22/2 X2 Wx X2
+    m = {k: 0.5 * g[0, 0] * d for k, d in x1.items()}
+    m[0] = -(g[0, 1] * x2)
+    h = _banded_product(_scaled(_transposed(x1), ones, wx), m)
+    h[0] = h[0] + 0.5 * g[1, 1] * wx * x2 * x2
+    # N_sym = H + H^T, exactly symmetric: = Mrho N, symmetric PSD
+    n_sym = {k: h[k] + h[-k] for k in (-2, -1, 1, 2)}
+    n_sym[0] = h[0] + h[0]
+    N_sym = banded_csr(n_sym, (nx, nx))
     mrho = eq.g_mass * wx * rho
-    N = (sp.diags(1.0 / mrho) @ N_sym).tocsr()
-    elliptic_matrix = (sp.identity(nx, format="csr") + N).tocsr()
+    n_diag = _scaled(n_sym, 1.0 / mrho, ones)
+    elliptic_matrix = banded_csr({**n_diag, 0: 1.0 + n_diag[0]}, (nx, nx))
 
     # --- C = X1 (x) c1 - X2 (x) c2 and the profiles of q_profiles ----------
     # B = K1 (Q a1) - K2 (Q a2) with K1 = Mrho^-1 X1^T Wx, K2 = Mrho^-1 X2 Wx;
     # (T_hat Q) a_k = Dx Q (psi_t a_k) - phi_t Q (Dv^T a_k),
     # (L_hat Q) a_k = Q (Lv_hat^T a_k), and B T_hat Pi q = N u_f with
     # u_f = Mrho^-1 wx r (Q s wv)
-    K1 = sp.diags(1.0 / mrho) @ X1.T @ sp.diags(wx)
-    K2 = sp.diags(phi_t * r * wx / mrho)
-    v_profiles = np.column_stack([s * wv, a, psi_t[:, None] * a, Dv.T @ a,
-                                  Lv_hat.T @ a])
-    phi = sp.diags(phi_t)
-    profile_map = sp.bmat([
-        [sp.diags(wx * r)] + [None] * 8,
-        [None, K1, -K2] + [None] * 6,
-        [-N @ sp.diags(wx * r / mrho), None, None, K1 @ Dx, -K2 @ Dx,
-         -K1 @ phi, K2 @ phi, None, None],
-        [None] * 7 + [K1, -K2],
-    ], format="csr")
+    k1 = _scaled(_transposed(x1), 1.0 / mrho, wx)
+    k2 = phi_t * r * wx / mrho
+    v_profiles = np.column_stack([s * wv, a, psi_t[:, None] * a,
+                                  _banded_apply(_transposed(dv), a),
+                                  _banded_apply(_transposed(lv), a)])
+    profile_map = _block_banded_csr({
+        (0, 0): {0: wx * r},
+        (1, 1): k1, (1, 2): {0: -k2},
+        (2, 0): _scaled({k: -d for k, d in n_diag.items()}, ones,
+                        wx * r / mrho),
+        (2, 3): _banded_product(k1, dx),
+        (2, 4): {-1: -k2[1:] * dx[-1], 1: -k2[:-1] * dx[1]},
+        (2, 5): _scaled({k: -d for k, d in k1.items()}, ones, phi_t),
+        (2, 6): {0: k2 * phi_t},
+        (3, 7): k1, (3, 8): {0: -k2},
+    }, nx, (4 * nx, 9 * nx))
 
     # sigma-scaled Fokker-Planck generator on densities, flux form
     xmid = 0.5 * (xg.nodes[:-1] + xg.nodes[1:])
     face_x = eq.rho_scale * np.exp(-eval_potential(eq.spec, "x", xmid))
-    Sx = flux_stiffness(xg, face_x)
-    macro_generator = (-eq.sigma_normalized
-                       * sp.diags(1.0 / wx) @ Sx @ sp.diags(1.0 / rho)).tocsr()
+    sx = _stiffness_diagonals(xg, face_x)
+    macro_generator = banded_csr(
+        _scaled(sx, -eq.sigma_normalized * (1.0 / wx), 1.0 / rho), (nx, nx))
 
     return OperatorSet(
         T_hat=T_hat, L_hat=L_hat, sqrt_f=sqrt_f, w_flat=w_flat,
         v_profiles=v_profiles, profile_map=profile_map, v_gradient=v_gradient,
         mrho=mrho, N_sym=N_sym, elliptic_matrix=elliptic_matrix,
         elliptic_lu=splu(elliptic_matrix.tocsc(), **SPLU_OPTIONS),
-        macro_generator=macro_generator, Sx_macro=Sx)
+        macro_generator=macro_generator,
+        Sx_macro=banded_csr(sx, (nx, nx)))
 
 
 # ---------------------------------------------------------------------------

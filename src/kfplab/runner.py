@@ -106,9 +106,14 @@ class ScenarioConfig:
             text = get(key)
             return default if text is None else _parse_number(key, text, kind)
 
-        def numbers(key, default):
+        def powers(key, default):
+            # distinct powers: the report keys each moment column by power
             items = [p.strip() for p in str(get(key, default)).split(",")]
-            return tuple(_parse_number(key, p, float) for p in items if p)
+            values = tuple(_parse_number(key, p, float) for p in items if p)
+            if len(set(values)) != len(values):
+                raise ValidationError("%s = %r repeats a power"
+                                      % (key, get(key)))
+            return values
 
         self.name = str(get("name", name or "scenario"))
         if self.name in ("", ".", "..") or "/" in self.name \
@@ -146,9 +151,9 @@ class ScenarioConfig:
         auto_delta = str(get("delta", "auto")) == "auto"
         self.delta = None if auto_delta else number("delta", None)
 
-        self.moments_x = numbers("moments.x", "2")
+        self.moments_x = powers("moments.x", "2")
         default_mv = "" if self.mode == "macro" else "2"
-        self.moments_v = numbers("moments.v", default_mv)
+        self.moments_v = powers("moments.v", default_mv)
         if self.mode == "macro" and self.moments_v:
             raise ValidationError("moments.v is kinetic-only; macro runs "
                                   "have no velocity moments")
@@ -386,9 +391,9 @@ def _fmt(x):
 
 
 def _moment_columns(config):
-    """[(column, power)] of the x- and v-moments: sorted, distinct powers."""
-    return ([("J_%g" % p, p) for p in sorted(set(config.moments_x))],
-            [("K_%g" % p, p) for p in sorted(set(config.moments_v))])
+    """[(column, power)] of the x- and v-moments, by increasing power."""
+    return ([("J_%g" % p, p) for p in sorted(config.moments_x)],
+            [("K_%g" % p, p) for p in sorted(config.moments_v)])
 
 
 def _write_json(path, payload):

@@ -17,9 +17,9 @@ from kfplab import (
     norm_mu,
     solve_elliptic,
 )
-from kfplab.evolution import _step_matrices, fold_sector
-from kfplab.operators import (SPLU_OPTIONS, _antisym_core, _collision_faces,
-                              atpi_form, flux_stiffness,
+from kfplab.equilibria import eval_potential
+from kfplab.evolution import SectorLU, _step_matrices
+from kfplab.operators import (SPLU_OPTIONS, _collision_faces, atpi_form,
                               solve_with_refinement)
 from conftest import make_problem
 
@@ -237,12 +237,8 @@ def test_transport_factors_through_two_velocity_profiles(quadrants):
     # C = T_hat P_hat = X1 (x) c1 - X2 (x) c2 with X1 = Dx diag(r),
     # c1 = psi_t s, X2 = diag(phi_t r), c2 = Dv s; the second and third
     # columns of v_profiles are wv c1 and wv c2, the first formed as
-    # (wv psi_t) s. The 33^2 box has the non-dyadic spacing 0.375, where
-    # the grouping of that product shows in the last bit.
-    problems = dict(quadrants)
-    problems["33^2, X = V = 6"] = make_problem("power", 2.0, 6.0, 33, 6.0,
-                                               33, tol=1e-5, alpha=2.0)
-    for key, (_, grid, eq, ops) in problems.items():
+    # (wv psi_t) s, whose grouping shows in the last bit on the 33^2 box
+    for key, (_, grid, eq, ops) in _reference_problems(quadrants).items():
         xg, vg = grid.x_grid, grid.v_grid
         r, s = np.sqrt(eq.rho_star.values), np.sqrt(eq.g_star_v)
         Dx = sp.diags(1.0 / xg.weights) @ _antisym_core(xg.count)
@@ -293,74 +289,194 @@ def test_block_solve_names_a_stalled_column():
 
 
 # ---------------------------------------------------------------------------
-# diagonal assembly against the Kronecker-product reference
+# diagonal assembly against the sparse-product and Kronecker references
 # ---------------------------------------------------------------------------
 
-def _kron_reference(eq):
-    """(T_hat, L_hat, C^T W C) built from full-grid Kronecker and sparse
-    products: T_hat = diag(psi_t) Dx (x) I - diag(phi_t) I (x) Dv,
-    L_hat = I (x) Lv_hat and C = T_hat P_hat with P_hat u = (r u) (x) s."""
+def _antisym_core(n):
+    # (K q)_i = (q_{i+1} - q_{i-1}) / 2 with zero extension outside
+    off = 0.5 * np.ones(n - 1)
+    return sp.diags([off, -off], [1, -1], format="csr")
+
+
+def _forward_difference(n):
+    return sp.diags([-np.ones(n - 1), np.ones(n - 1)], [0, 1],
+                    shape=(n - 1, n), format="csr")
+
+
+def _stiffness_reference(grid, face_weight):
+    G = _forward_difference(grid.count)
+    return (G.T @ sp.diags(face_weight / grid.spacing) @ G).tocsr()
+
+
+def _sparse_reference(eq):
+    """The stored matrices of assemble(eq) built by scipy.sparse products and
+    sums (sp.diags, @, +, bmat), entry by entry the arithmetic that the
+    diagonal build reproduces, plus v_profiles."""
     xg, vg = eq.grid.x_grid, eq.grid.v_grid
     nx, nv = xg.count, vg.count
-    r, s = np.sqrt(eq.rho_star.values), np.sqrt(eq.g_star_v)
-    Dx = sp.diags(1.0 / xg.weights) @ _antisym_core(nx)
-    Dv = sp.diags(1.0 / vg.weights) @ _antisym_core(nv)
-    psi_t, phi_t = -2.0 * (Dv @ s) / s, -2.0 * (Dx @ r) / r
+    rho = eq.rho_star.values
+    r, s = np.sqrt(rho), np.sqrt(eq.g_star_v)
+    wx, wv = xg.weights, vg.weights
+    Dx = sp.diags(1.0 / wx) @ _antisym_core(nx)
+    Dv = sp.diags(1.0 / wv) @ _antisym_core(nv)
+    psi_t = -2.0 * (Dv @ s) / s
+    phi_t = -2.0 * (Dx @ r) / r
     T_hat = (sp.diags(np.tile(psi_t, nx))
              @ sp.kron(Dx, sp.identity(nv), format="csr")
              - sp.diags(np.repeat(phi_t, nv))
              @ sp.kron(sp.identity(nx), Dv, format="csr")).tocsr()
-    Sv = flux_stiffness(vg, _collision_faces(eq))
-    Lv_hat = -sp.diags(1.0 / (vg.weights * s)) @ Sv @ sp.diags(1.0 / s)
+    faces = _collision_faces(eq)
+    Sv = _stiffness_reference(vg, faces)
+    Lv_hat = -sp.diags(1.0 / (wv * s)) @ Sv @ sp.diags(1.0 / s)
     L_hat = sp.kron(sp.identity(nx), Lv_hat, format="csr")
+    v_gradient = (sp.diags(np.sqrt(faces / vg.spacing))
+                  @ _forward_difference(nv) @ sp.diags(1.0 / s)).tocsr()
+    X1 = Dx @ sp.diags(r)
+    x2 = phi_t * r
+    c = np.column_stack([psi_t * s, Dv @ s])
+    a = np.column_stack([wv * psi_t * s, wv * c[:, 1]])
+    g = c.T @ a
+    H = (X1.T @ sp.diags(wx) @ (0.5 * g[0, 0] * X1 - g[0, 1] * sp.diags(x2))
+         + sp.diags(0.5 * g[1, 1] * wx * x2 * x2))
+    N_sym = (H + H.T).tocsr()
+    mrho = eq.g_mass * wx * rho
+    N = (sp.diags(1.0 / mrho) @ N_sym).tocsr()
+    K1 = sp.diags(1.0 / mrho) @ X1.T @ sp.diags(wx)
+    K2 = sp.diags(phi_t * r * wx / mrho)
+    phi = sp.diags(phi_t)
+    profile_map = sp.bmat([
+        [sp.diags(wx * r)] + [None] * 8,
+        [None, K1, -K2] + [None] * 6,
+        [-N @ sp.diags(wx * r / mrho), None, None, K1 @ Dx, -K2 @ Dx,
+         -K1 @ phi, K2 @ phi, None, None],
+        [None] * 7 + [K1, -K2],
+    ], format="csr")
+    xmid = 0.5 * (xg.nodes[:-1] + xg.nodes[1:])
+    Sx = _stiffness_reference(
+        xg, eq.rho_scale * np.exp(-eval_potential(eq.spec, "x", xmid)))
+    return {
+        "T_hat": T_hat, "L_hat": L_hat, "v_gradient": v_gradient,
+        "N_sym": N_sym,
+        "elliptic_matrix": (sp.identity(nx, format="csr") + N).tocsr(),
+        "profile_map": profile_map,
+        "macro_generator": (-eq.sigma_normalized * sp.diags(1.0 / wx) @ Sx
+                            @ sp.diags(1.0 / rho)).tocsr(),
+        "Sx_macro": Sx,
+        "v_profiles": np.column_stack([s * wv, a, psi_t[:, None] * a,
+                                       Dv.T @ a, Lv_hat.T @ a]),
+    }
+
+
+def _step_reference(matrices, mode, dt, scheme):
+    """(system, rhs_mat) of one step by sparse sums of the reference
+    generator, as _step_matrices documents them."""
+    gen = (matrices["L_hat"] - matrices["T_hat"] if mode == "kinetic"
+           else matrices["macro_generator"])
+    eye = sp.identity(gen.shape[0], format="csr")
+    if scheme == "implicit_euler":
+        return eye - dt * gen, None
+    return eye - 0.5 * dt * gen, eye + 0.5 * dt * gen
+
+
+def _fold_reference(system, sign):
+    """The sector matrix of fold_sector by slicing, column reversal, hstack
+    and a COO rescaling of the centre row and column, as CSC."""
+    m = system.shape[0] // 2
+    half = m + 1 if sign > 0 else m
+    top = system[:half]
+    mirrored = sp.hstack([top[:, :m:-1], sp.csr_matrix((half, half - m))])
+    folded = (top[:, :half] + sign * mirrored).tocoo()
+    if sign > 0:
+        folded.data[(folded.row == m) & (folded.col < m)] /= np.sqrt(2.0)
+        folded.data[(folded.col == m) & (folded.row < m)] *= np.sqrt(2.0)
+    return folded.tocsc()
+
+
+def _kron_reference(eq, T_hat):
+    """C^T W C with C = T_hat P_hat and P_hat u = (r u) (x) s, from
+    full-grid Kronecker and sparse products."""
+    nv = eq.grid.v_grid.count
+    r, s = np.sqrt(eq.rho_star.values), np.sqrt(eq.g_star_v)
     P_hat = sp.kron(sp.diags(r), sp.csr_matrix(s.reshape(nv, 1)),
                     format="csr")
     C = (T_hat @ P_hat).tocsr()
     w = eq.grid.weight_matrix.ravel()
-    return T_hat, L_hat, (C.T @ sp.diags(w) @ C).tocsr()
+    return (C.T @ sp.diags(w) @ C).tocsr()
 
 
 def _assert_same_arrays(matrix, reference, what):
     # matrix canonical as built; reference compared in sorted form
-    ref = reference.copy()
+    ref = sp.csr_matrix(reference, copy=True)
     ref.sort_indices()
+    assert matrix.format == "csr", what
     assert matrix.has_sorted_indices and np.all(matrix.data != 0.0), what
     assert np.array_equal(matrix.indptr, ref.indptr), what
     assert np.array_equal(matrix.indices, ref.indices), what
     assert np.array_equal(matrix.data, ref.data), what
 
 
-def _step_systems(ops, T_ref, L_ref):
-    """The kinetic implicit-Euler step system at dt = 0.05 and the same
-    system built from the reference T_hat and L_hat."""
-    system, _ = _step_matrices(ops, "kinetic", 0.05, "implicit_euler")
-    return system, (sp.identity(system.shape[0], format="csr")
-                    - 0.05 * (L_ref - T_ref).tocsr())
+def _reference_problems(quadrants):
+    # the four quadrant fixtures and a 33^2 box whose spacing 0.375 is not
+    # dyadic, where the grouping of a product shows in the last bit
+    problems = dict(quadrants)
+    problems["33^2, X = V = 6"] = make_problem("power", 2.0, 6.0, 33, 6.0,
+                                               33, tol=1e-5, alpha=2.0)
+    return problems
 
 
 def test_diagonal_assembly_matches_kron_reference(quadrants):
-    # T_hat and L_hat bit for bit, so the step systems and their folded
-    # sectors are too; N_sym from the 2 x 2 Gram identity to roundoff and
-    # exactly symmetric
-    for key, (_, _, eq, ops) in quadrants.items():
-        T_ref, L_ref, N_ref = _kron_reference(eq)
-        _assert_same_arrays(ops.T_hat, T_ref, (key, "T_hat"))
-        _assert_same_arrays(ops.L_hat, L_ref, (key, "L_hat"))
-        system, ref_system = _step_systems(ops, T_ref, L_ref)
-        for sign in (1, -1):
-            _assert_same_arrays(fold_sector(system, sign).tocsr(),
-                                fold_sector(ref_system, sign).tocsr(),
-                                (key, "sector", sign))
-        scale = abs(N_ref).max()
-        assert abs(ops.N_sym - N_ref).max() <= 1e-14 * scale, key
+    # every stored matrix of the diagonal build, and v_profiles, equals the
+    # scipy.sparse build (T_hat and L_hat by Kronecker products) in indptr,
+    # indices and data; N_sym, from the 2 x 2 Gram identity, is exactly
+    # symmetric and C^T W C to roundoff
+    for key, (_, _, eq, ops) in _reference_problems(quadrants).items():
+        ref = _sparse_reference(eq)
+        for name in ("T_hat", "L_hat", "v_gradient", "N_sym",
+                     "elliptic_matrix", "profile_map", "macro_generator",
+                     "Sx_macro"):
+            _assert_same_arrays(getattr(ops, name), ref[name], (key, name))
+        assert np.array_equal(ops.v_profiles, ref["v_profiles"]), key
+        N_ref = _kron_reference(eq, ref["T_hat"])
+        assert abs(ops.N_sym - N_ref).max() <= 1e-14 * abs(N_ref).max(), key
         assert (ops.N_sym != ops.N_sym.T).nnz == 0, key
+
+
+def test_step_sectors_match_fold_reference(quadrants):
+    # the step systems from the diagonals of the CSR operators and their
+    # index-arithmetic folds equal the sparse sums and the slice-and-hstack
+    # folds: kinetic implicit Euler, Crank-Nicolson with its folded
+    # right-hand side, and macro, in both sectors
+    cases = (("kinetic", 0.05, "implicit_euler"),
+             ("kinetic", 0.05, "crank_nicolson"),
+             ("macro", 0.2, "implicit_euler"))
+    for key, (_, _, eq, ops) in _reference_problems(quadrants).items():
+        ref = _sparse_reference(eq)
+        for case in cases:
+            system, rhs_mat = _step_matrices(ops, *case)
+            ref_system, ref_rhs = _step_reference(ref, *case)
+            what = (key,) + case
+            _assert_same_arrays(system, ref_system, what)
+            assert (rhs_mat is None) == (ref_rhs is None), what
+            if rhs_mat is not None:
+                _assert_same_arrays(rhs_mat, ref_rhs, what)
+            lu = SectorLU(system, rhs_mat)
+            for sign in (1, -1):
+                _, matrix, folded_rhs = lu.sector(sign)
+                _assert_same_arrays(matrix, _fold_reference(ref_system, sign),
+                                    what + (sign,))
+                if rhs_mat is not None:
+                    _assert_same_arrays(folded_rhs,
+                                        _fold_reference(ref_rhs, sign),
+                                        what + (sign, "rhs"))
 
 
 def test_kinetic_lu_fill_matches_kron_reference(quadrants):
     # a change of the step pattern or its index order would change the
     # fill-reducing ordering, and show only as a slower kinetic solve
     for key, (_, _, eq, ops) in quadrants.items():
-        T_ref, L_ref, _ = _kron_reference(eq)
-        fills = [splu(fold_sector(m, 1), **SPLU_OPTIONS)
-                 for m in _step_systems(ops, T_ref, L_ref)]
-        assert len({lu.L.nnz + lu.U.nnz for lu in fills}) == 1, key
+        system, _ = _step_matrices(ops, "kinetic", 0.05, "implicit_euler")
+        even = SectorLU(system).sector(1)[0]
+        ref_system, _ = _step_reference(_sparse_reference(eq), "kinetic",
+                                        0.05, "implicit_euler")
+        ref = splu(_fold_reference(ref_system, 1), **SPLU_OPTIONS)
+        assert even.L.nnz + even.U.nnz == ref.L.nnz + ref.U.nnz, key

@@ -275,7 +275,7 @@ def test_failed_run_csv_matches_ok_columns(tmp_path, monkeypatch):
     # an abort after three steps writes the ok run's header and every
     # computed column; only the envelope, attached after the run, is nan
     text = (_TINY_KINETIC + "grid.nx = 33\ngrid.nv = 33\n"
-            "schedule.sample_stride = 1\nmoments.x = 4, 2, 2\n")
+            "schedule.sample_stride = 1\nmoments.x = 4, 2\n")
     cfg = ScenarioConfig(parse_config_text(text), name="cols")
     ok_csv, _ = emit_report(run_scenario(cfg), str(tmp_path / "ok"))
 
@@ -577,6 +577,20 @@ def test_cli_run_rejects_bad_values_in_one_line(tmp_path, capsys):
         assert text.split(" =")[0] in err
 
 
+def test_cli_run_rejects_a_repeated_moment_power(tmp_path, capsys):
+    # the report keys each moment column by its power, so a repeat (2 and
+    # 2.0 included) would be echoed in the JSON but written once to the CSV
+    for key, value in (("moments.x", "2, 2"), ("moments.v", "2, 2.0")):
+        cfg = _write(tmp_path, "repeat.cfg", _TINY_KINETIC
+                     + "grid.nx = 17\ngrid.nv = 17\n%s = %s\n" % (key, value))
+        capsys.readouterr()
+        assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("validation error: ") and key in err, err
+        assert len(err.splitlines()) == 1, err
+    assert not os.path.exists(str(tmp_path / "out"))
+
+
 def test_cli_batch_flags_invalid(tmp_path, capsys):
     good = _write(tmp_path, "good.cfg", _TINY_KINETIC)
     bad = _write(tmp_path, "bad.cfg", _TINY_KINETIC + "mode = nope\n")
@@ -719,6 +733,21 @@ def test_console_script_constants_and_check(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "FAIL" not in proc.stdout
     assert proc.stdout.count("PASS") >= 10
+
+
+def test_python_m_kfplab_writes_constants(tmp_path):
+    # `python -m kfplab` runs the same command line without an installed
+    # console script
+    cfg = _write(tmp_path, "tiny.cfg", _TINY_KINETIC
+                 + "grid.nx = 17\ngrid.nv = 17\n")
+    out = str(tmp_path / "out")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-m", "kfplab", "constants", cfg,
+                           "--out", out], capture_output=True, text=True,
+                          timeout=600, cwd=tmp_path, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert os.path.exists(os.path.join(out, "tiny_constants.json"))
 
 
 def test_cli_run_with_an_overflowing_sample_fails_in_one_line(tmp_path,
