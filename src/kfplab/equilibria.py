@@ -7,9 +7,9 @@ is not integrable (zero mode, logarithmic with gamma <= d) the raw weights are
 kept and `integrable` is False — the measure dmu stays well defined on the box.
 """
 
+import math
+
 import numpy as np
-from scipy import integrate
-from scipy.special import gamma as gamma_fn
 
 from .errors import NumericalError, TruncationError, ValidationError
 from .grids import DensityField, Field
@@ -158,20 +158,74 @@ def build_equilibrium(spec, grid, truncation_tol=1e-8):
 
 
 # ---------------------------------------------------------------------------
-# closed-form coefficients (general dimension, adaptive radial quadrature)
+# closed-form coefficients (general dimension, double-exponential radial rule)
+#
+# Every radial integral int_0^inf f(r) dr is an exp-sinh rule (Takahasi-Mori):
+# r = exp(pi/2 sinh t), dr = r pi/2 cosh t dt, trapezoidal in t on the nodes
+# t = k h of [-t_max, t_max]. f comes as log f at s = log r, so neither r nor
+# <r> is formed where it would overflow. From h = 1/2 and t_max = 4, t_max
+# widens by 1 (up to 8) until the sum is positive and both end terms are at
+# most 1e-20 of it; then h halves (adding the midpoints) until two levels
+# agree to 1e-15 relative. NumericalError if a node value is not finite, if
+# the tail is still unresolved at t_max = 8, or if the last two levels
+# differ by more than 1e-9 relative.
 # ---------------------------------------------------------------------------
+
+_HALF_PI = 0.5 * np.pi
+_DE_T_MAX = 8
+_DE_HALVINGS = 8
+
 
 def _surface_factor(d):
     # |S^{d-1}| = 2 pi^{d/2} / Gamma(d/2)
-    return 2.0 * np.pi ** (0.5 * d) / gamma_fn(0.5 * d)
+    return 2.0 * math.pi ** (0.5 * d) / math.gamma(0.5 * d)
 
 
-def _radial_quad(integrand, d):
-    val, err = integrate.quad(integrand, 0.0, np.inf, limit=200,
-                              epsabs=1e-13, epsrel=1e-12)
-    if not np.isfinite(val) or err > 1e-9 * max(abs(val), 1.0):
-        raise NumericalError("radial quadrature did not converge (err=%.2e)" % err)
-    return _surface_factor(d) * val
+def _log_bracket(s):
+    # log <r> = log(1 + r^2) / 2 at s = log r, without forming r^2
+    return np.maximum(s, 0.0) + 0.5 * np.log1p(np.exp(-2.0 * np.abs(s)))
+
+
+def _de_terms(log_integrand, t):
+    s = _HALF_PI * np.sinh(t)
+    # an overflowing <r>^beta gives the node e^-inf = 0; an overflowing node
+    # value is refused below
+    with np.errstate(over="ignore"):
+        terms = np.exp(log_integrand(s) + s + np.log(_HALF_PI * np.cosh(t)))
+    if not np.all(np.isfinite(terms)):
+        raise NumericalError("radial quadrature did not converge: "
+                             "a node value is not finite")
+    return terms
+
+
+def _radial_quad(log_integrand, d):
+    """|S^{d-1}| * int_0^inf f(r) dr, with log_integrand(s) = log f(e^s)."""
+    h, t_max = 0.5, 4
+    while True:
+        n = round(t_max / h)
+        terms = _de_terms(log_integrand, h * np.arange(-n, n + 1))
+        total = terms.sum()
+        # a zero sum has not reached the integrand: widen as for a tail
+        if 0.0 < total and max(terms[0], terms[-1]) <= 1e-20 * total:
+            break
+        if t_max == _DE_T_MAX:
+            raise NumericalError("radial quadrature did not converge: the "
+                                 "tail is unresolved at t_max = %d" % t_max)
+        t_max += 1
+    value = h * total
+    for _ in range(_DE_HALVINGS):
+        n = round(t_max / h)
+        total += _de_terms(log_integrand, h * (np.arange(-n, n) + 0.5)).sum()
+        h *= 0.5
+        value, change = h * total, abs(h * total - value)
+        if change <= 1e-15 * value:
+            break
+    else:
+        if change > 1e-9 * value:
+            raise NumericalError("radial quadrature did not converge: the "
+                                 "last two levels differ by %.2e relative"
+                                 % (change / value))
+    return _surface_factor(d) * value
 
 
 def diffusion_sigma(beta, d):
@@ -181,11 +235,11 @@ def diffusion_sigma(beta, d):
     if beta <= 0 or d < 1:
         raise ValidationError("need beta > 0 and d >= 1")
 
-    def integrand(r):
-        br = np.sqrt(1.0 + r * r)
-        return r ** (d + 1) * br ** (2.0 * beta - 4.0) * np.exp(-br ** beta / beta)
+    def log_integrand(s):
+        lb = _log_bracket(s)
+        return (d + 1) * s + (2.0 * beta - 4.0) * lb - np.exp(beta * lb) / beta
 
-    return _radial_quad(integrand, d) / d
+    return _radial_quad(log_integrand, d) / d
 
 
 def psi_mass(beta, d):
@@ -195,17 +249,17 @@ def psi_mass(beta, d):
     if beta <= 0 or d < 1:
         raise ValidationError("need beta > 0 and d >= 1")
 
-    def integrand(r):
-        br = np.sqrt(1.0 + r * r)
-        return r ** (d - 1) * np.exp(-br ** beta / beta)
+    def log_integrand(s):
+        return (d - 1) * s - np.exp(beta * _log_bracket(s)) / beta
 
-    return _radial_quad(integrand, d)
+    return _radial_quad(log_integrand, d)
 
 
 def moment_closed_form(k, eta, d):
     """(exact, upper_bound) for M = integral of <x>^k e^{-<x>^eta/eta} over R^d.
 
-    exact is adaptive quadrature; the bound is the Gamma-function expression
+    exact is the double-exponential radial rule above (NumericalError when it
+    does not converge); the bound is the Gamma-function expression
     max{1, 2^{k/2-1}} (2 pi^{d/2}/Gamma(d/2)) eta^{(d-eta)/eta}
         (Gamma(d/eta) + eta^{k/eta} Gamma((d+k)/eta)).
     """
@@ -215,18 +269,17 @@ def moment_closed_form(k, eta, d):
     if k < 0 or eta <= 0 or d < 1:
         raise ValidationError("need k >= 0, eta > 0, d >= 1")
 
-    def integrand(r):
-        br = np.sqrt(1.0 + r * r)
-        return r ** (d - 1) * br ** k * np.exp(-br ** eta / eta)
+    def log_integrand(s):
+        lb = _log_bracket(s)
+        return (d - 1) * s + k * lb - np.exp(eta * lb) / eta
 
-    exact = _radial_quad(integrand, d)
-    with np.errstate(over="raise"):
-        try:
-            head = max(1.0, 2.0 ** (0.5 * k - 1.0))
-            gammas = gamma_fn(d / eta) + eta ** (k / eta) * gamma_fn((d + k) / eta)
-            bound = head * _surface_factor(d) * eta ** ((d - eta) / eta) * gammas
-        except (FloatingPointError, OverflowError):
-            raise ValidationError("Gamma arguments out of range for (k=%g, eta=%g)" % (k, eta))
-    if not np.isfinite(bound):
+    exact = _radial_quad(log_integrand, d)
+    try:
+        head = max(1.0, 2.0 ** (0.5 * k - 1.0))
+        gammas = math.gamma(d / eta) + eta ** (k / eta) * math.gamma((d + k) / eta)
+        bound = head * _surface_factor(d) * eta ** ((d - eta) / eta) * gammas
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
         raise ValidationError("Gamma arguments out of range for (k=%g, eta=%g)" % (k, eta))
     return exact, bound

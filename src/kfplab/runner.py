@@ -38,7 +38,6 @@ config that describes it on that one problem.
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 
 import numpy as np
 
@@ -52,6 +51,8 @@ from .operators import assemble
 _INITIAL_KINDS = {"bump": "kinetic", "odd_v": "kinetic",
                   "shifted_gaussian": "kinetic", "macro_gaussian": "macro",
                   "macro_bump": "macro"}
+# a moment column is J_<power> or K_<power>, the power in this format
+_POWER_NAME = "%g"
 
 
 def parse_config_text(text):
@@ -107,11 +108,15 @@ class ScenarioConfig:
             return default if text is None else _parse_number(key, text, kind)
 
         def powers(key, default):
-            # distinct powers: the report keys each moment column by power
+            # the report names each moment column J_%g / K_%g after its
+            # power, so no two powers may print alike (2 and 2.0, or 2 and
+            # 2.0000001)
             items = [p.strip() for p in str(get(key, default)).split(",")]
             values = tuple(_parse_number(key, p, float) for p in items if p)
-            if len(set(values)) != len(values):
-                raise ValidationError("%s = %r repeats a power"
+            names = [_POWER_NAME % p for p in values]
+            if len(set(names)) != len(names):
+                raise ValidationError("%s = %r repeats a power or has two "
+                                      "that share a report column name"
                                       % (key, get(key)))
             return values
 
@@ -392,8 +397,8 @@ def _fmt(x):
 
 def _moment_columns(config):
     """[(column, power)] of the x- and v-moments, by increasing power."""
-    return ([("J_%g" % p, p) for p in sorted(config.moments_x)],
-            [("K_%g" % p, p) for p in sorted(config.moments_v)])
+    return ([("J_" + _POWER_NAME % p, p) for p in sorted(config.moments_x)],
+            [("K_" + _POWER_NAME % p, p) for p in sorted(config.moments_v)])
 
 
 def _write_json(path, payload):
@@ -560,6 +565,9 @@ def run_batch(list_path, out_dir, workers=1, dt=None, t_final=None):
     tasks = [([(path, config) for _, path, config in members], out_dir)
              for members in groups.values()]
     if workers > 1:
+        # imported here: the pool's multiprocessing machinery would
+        # otherwise be loaded by every process that imports kfplab
+        from concurrent.futures import ProcessPoolExecutor
         with ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(_run_group, tasks))
     else:

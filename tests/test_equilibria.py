@@ -1,10 +1,13 @@
 """Potentials, Gibbs states, closed-form constants, and truncation checks."""
 
+import math
+
 import numpy as np
 import pytest
 
 from kfplab import (
     Grid1D,
+    NumericalError,
     PhaseGrid,
     PotentialSpec,
     TruncationError,
@@ -102,6 +105,59 @@ def test_moment_bound_dominates_exact():
                 assert exact <= bound * (1.0 + 1e-12), (k, eta, d)
     with pytest.raises(ValidationError):
         moment_closed_form(-1.0, 2.0, 1)
+
+
+def _mp_radial(a, c, beta, d):
+    """|S^{d-1}| int_0^inf r^a <r>^c e^{-<r>^beta/beta} dr to 20 digits.
+
+    mpmath integrates f(e^u) e^u du over finite breakpoints (an infinite
+    endpoint hangs): the peak of the integrand in u and the points where it
+    has fallen by e^15, e^60 on either side, found on a float grid.
+    """
+    mp = pytest.importorskip("mpmath")
+    u = np.linspace(-200.0, 400.0, 6001)
+    lb = np.logaddexp(0.0, 2.0 * u) / 2.0     # log <e^u>
+    with np.errstate(over="ignore"):
+        log_g = (a + 1) * u + c * lb - np.exp(beta * lb) / beta
+    pts = set()
+    for drop in (0.0, 15.0, 60.0):
+        inside = np.flatnonzero(log_g >= log_g.max() - drop)
+        pts.update((u[inside[0]], u[inside[-1]]))
+    with mp.workdps(20):
+        b = mp.mpf(beta)
+
+        def g(t):
+            r = mp.exp(t)
+            br = mp.sqrt(1 + r * r)
+            return r ** a * br ** c * mp.exp(-br ** b / b) * r
+
+        half_d = mp.mpf(d) / 2
+        return float(2 * mp.pi ** half_d / mp.gamma(half_d)
+                     * mp.quad(g, sorted(pts)))
+
+
+@pytest.mark.parametrize("beta", [0.05, 0.1, 0.5, 2.0, 10.0, 50.0])
+def test_radial_integrals_match_mpmath(beta):
+    # relative accuracy also where the integral is far below 1 (beta = 0.05:
+    # sigma is about 1.4e-9 at d = 1) and where <r>^beta overflows (beta >= 10)
+    for d in (1, 2, 3):
+        for value, ref in (
+                (diffusion_sigma(beta, d),
+                 _mp_radial(d + 1, 2.0 * beta - 4.0, beta, d) / d),
+                (psi_mass(beta, d), _mp_radial(d - 1, 0.0, beta, d)),
+                (moment_closed_form(2.0, beta, d)[0],
+                 _mp_radial(d - 1, 2.0, beta, d))):
+            assert abs(value / ref - 1.0) <= 1e-13, (d, value, ref)
+
+
+def test_radial_rule_refuses_what_it_cannot_resolve():
+    # <r>^2000 e^{-<r>^2/2} peaks near e^6600: a node value overflows
+    with pytest.raises(NumericalError, match="not finite"):
+        moment_closed_form(2000.0, 2.0, 1)
+    # with eta = 4e-4 the mass of <r>^{e-1} e^{-<r>^eta/eta} dr lies near
+    # log r = 1/eta = 2500, past the last node (t = 8, log r = 2341)
+    with pytest.raises(NumericalError, match="tail is unresolved"):
+        moment_closed_form(math.e - 1.0, 4e-4, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -578,9 +578,12 @@ def test_cli_run_rejects_bad_values_in_one_line(tmp_path, capsys):
 
 
 def test_cli_run_rejects_a_repeated_moment_power(tmp_path, capsys):
-    # the report keys each moment column by its power, so a repeat (2 and
-    # 2.0 included) would be echoed in the JSON but written once to the CSV
-    for key, value in (("moments.x", "2, 2"), ("moments.v", "2, 2.0")):
+    # the report names each moment column J_%g / K_%g after its power, so a
+    # repeat (2 and 2.0 included) would be echoed in the JSON but written
+    # once to the CSV, and 2 and 2.0000001 would head two columns J_2
+    for key, value in (("moments.x", "2, 2"), ("moments.v", "2, 2.0"),
+                       ("moments.x", "2, 2.0000001"),
+                       ("moments.v", "2.0000001, 2")):
         cfg = _write(tmp_path, "repeat.cfg", _TINY_KINETIC
                      + "grid.nx = 17\ngrid.nv = 17\n%s = %s\n" % (key, value))
         capsys.readouterr()
@@ -589,6 +592,8 @@ def test_cli_run_rejects_a_repeated_moment_power(tmp_path, capsys):
         assert err.startswith("validation error: ") and key in err, err
         assert len(err.splitlines()) == 1, err
     assert not os.path.exists(str(tmp_path / "out"))
+    assert ScenarioConfig(parse_config_text(
+        _TINY_KINETIC + "moments.x = 2, 2.001\n")).moments_x == (2.0, 2.001)
 
 
 def test_cli_batch_flags_invalid(tmp_path, capsys):
@@ -748,6 +753,19 @@ def test_python_m_kfplab_writes_constants(tmp_path):
                           timeout=600, cwd=tmp_path, env=env)
     assert proc.returncode == 0, proc.stderr
     assert os.path.exists(os.path.join(out, "tiny_constants.json"))
+
+
+def test_import_loads_no_quadrature_or_special_functions():
+    # in a fresh interpreter: this process may already hold these modules
+    code = ("import sys, kfplab; print(sorted(m for m in sys.modules if "
+            "m.startswith(('scipy.integrate', 'scipy.optimize', "
+            "'scipy.special'))))")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [_SRC, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, timeout=600, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n", proc.stdout
 
 
 def test_cli_run_with_an_overflowing_sample_fails_in_one_line(tmp_path,
