@@ -59,6 +59,7 @@ class PotentialSpec:
         return "PotentialSpec(zero, beta=%g)" % self.beta
 
 
+@np.errstate(over="ignore")   # inf: build_equilibrium refuses e^{-inf} = 0
 def eval_potential(spec, variable, point):
     """phi(point) for variable='x', psi(point) = <point>^beta/beta for variable='v'."""
     z = np.asarray(point, dtype=float)

@@ -37,8 +37,7 @@ from scipy.sparse.linalg import splu
 from .errors import NumericalError, ValidationError
 from .grids import DensityField, Field
 from .hypo import dissipation_components, entropy_H
-from .operators import (SPLU_OPTIONS, band_diagonals, dia_csr,
-                        solve_with_refinement)
+from .operators import SPLU_OPTIONS, solve_with_refinement
 
 _MASS_TOL = 1e-9
 _MAXP_TOL = 1e-6
@@ -227,11 +226,8 @@ def _step_matrices(ops, mode, dt, scheme):
     The generator G is L_hat - T_hat on q for mode 'kinetic' and the macro
     generator on densities for 'macro'. Implicit Euler solves
     (I - dt G) y_new = y (rhs_mat None); Crank-Nicolson, kinetic only, solves
-    (I - dt/2 G) y_new = (I + dt/2 G) y. Both come from the diagonals of G,
-    read off the CSR operators (the stencil -nv, -1, 0, 1, nv of the
-    kinetic generator, the tridiagonal macro one), and become CSR through
-    the one constructor dia_csr, each entry formed as the sparse sums
-    I -+ h (L_hat - T_hat) form it.
+    (I - dt/2 G) y_new = (I + dt/2 G) y. Each matrix is the sparse sum
+    I -+ h G of the stored generator, formed in place on a copy of G.
     """
     if dt <= 0:
         raise ValidationError("dt must be positive")
@@ -240,34 +236,24 @@ def _step_matrices(ops, mode, dt, scheme):
                               "'crank_nicolson'")
     if mode == "macro" and scheme != "implicit_euler":
         raise ValidationError("macro stepping supports implicit_euler only")
-    if mode == "kinetic":
-        nv = ops.v_profiles.shape[0]
-        offsets = (-nv, -1, 0, 1, nv)
-        collision = band_diagonals(ops.L_hat, (-1, 0, 1))
-        transport = band_diagonals(ops.T_hat, (-nv, -1, 1, nv))
-    else:
-        offsets = (-1, 0, 1)
-        collision = band_diagonals(ops.macro_generator, offsets)
-        transport = {}
-    n = collision[0].size
+    system = (ops.L_hat - ops.T_hat if mode == "kinetic"
+              else ops.macro_generator.copy())
     h = dt if scheme == "implicit_euler" else 0.5 * dt
-    # G in DIA layout (diagonal k from column max(k, 0) on), each entry
-    # L_ij - T_ij with 0 for an operator that has no entry there
-    system = np.zeros((len(offsets), n))
-    for row, k in zip(system, offsets):
-        np.subtract(collision.get(k, 0.0), transport.get(k, 0.0),
-                    out=row[max(k, 0):n + min(k, 0)])
-    # I -+ h G: off the diagonal 0 -+ h g is g (-+h), bit for bit, and on
-    # it g (-+h) + 1 is 1 -+ h g
-    centre = offsets.index(0)
     rhs_mat = None
     if scheme == "crank_nicolson":
-        rhs = system * h
-        rhs[centre] += 1.0
-        rhs_mat = dia_csr(rhs, offsets, (n, n))
-    system *= -h
-    system[centre] += 1.0
-    return dia_csr(system, offsets, (n, n)), rhs_mat
+        rhs_mat = _shifted(system.copy(), h)
+    return _shifted(system, -h), rhs_mat
+
+
+def _shifted(gen, h):
+    """I + h gen in place in the canonical CSR matrix gen, bit for bit the
+    sparse sum. setdiag only overwrites: assemble refuses a nonpositive
+    rho_star or g_star, and each node's inner face weight is at least its
+    own, so no diagonal entry of a generator is zero."""
+    gen.data *= h
+    gen.setdiag(gen.diagonal() + 1.0)
+    gen.eliminate_zeros()
+    return gen
 
 
 def _step_system(ops, mode, dt, scheme):

@@ -57,8 +57,7 @@ Construction notes (the structural identities everything rests on):
   (from zero, lowest column first) as the scipy.sparse product, sum or
   Kronecker build they replace, so every stored matrix equals that build
   bit for bit (tests/test_operators.py keeps it as the reference). The step
-  systems of evolution are built the same way, from the diagonals of
-  T_hat, L_hat and macro_generator.
+  systems of evolution are the sparse sums I -+ h G of the stored G.
 """
 
 import dataclasses
@@ -95,9 +94,9 @@ def dia_csr(stage, offsets, shape):
     """The canonical CSR matrix (sorted indices, no stored zeros) of the
     given shape whose diagonal offsets[s] holds stage[s, j] in column j
     (scipy's DIA layout, so row j - offsets[s]). Entries that fall outside
-    the matrix are never read; zero entries are left out. Every banded
-    matrix of the package becomes CSR here, once, by scipy's one-pass DIA
-    to CSR conversion."""
+    the matrix are never read; zero entries are left out. Every operator
+    of assemble becomes CSR here, once, by scipy's one-pass DIA to CSR
+    conversion."""
     return sp.dia_matrix((stage, offsets), shape=shape).tocsr()
 
 
@@ -111,17 +110,6 @@ def banded_csr(diagonals, shape):
     for row, k in zip(stage, offsets):
         row[max(k, 0):min(n_rows + k, n_cols)] = diagonals[k]
     return dia_csr(stage, offsets, shape)
-
-
-def band_diagonals(matrix, offsets):
-    """{k: matrix.diagonal(k)} for the offsets k of a canonical CSR matrix
-    (no stored zeros), in banded_csr's convention; NumericalError if the
-    matrix holds an entry off those diagonals."""
-    diagonals = {k: matrix.diagonal(k) for k in offsets}
-    if sum(np.count_nonzero(d) for d in diagonals.values()) != matrix.nnz:
-        raise NumericalError("banded operator has entries off its diagonals "
-                             "%s" % (tuple(offsets),))
-    return diagonals
 
 
 def _banded_apply(diagonals, u):

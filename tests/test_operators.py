@@ -442,10 +442,11 @@ def test_diagonal_assembly_matches_kron_reference(quadrants):
 
 
 def test_step_sectors_match_fold_reference(quadrants):
-    # the step systems from the diagonals of the CSR operators and their
-    # index-arithmetic folds equal the sparse sums and the slice-and-hstack
-    # folds: kinetic implicit Euler, Crank-Nicolson with its folded
-    # right-hand side, and macro, in both sectors
+    # the step systems formed in place on copies of the stored generators
+    # and their index-arithmetic folds equal the sparse sums and the
+    # slice-and-hstack folds: kinetic implicit Euler, Crank-Nicolson with its
+    # folded right-hand side, and macro, in both sectors; the stored
+    # operators, shared by every later run on the problem, are left as built
     cases = (("kinetic", 0.05, "implicit_euler"),
              ("kinetic", 0.05, "crank_nicolson"),
              ("macro", 0.2, "implicit_euler"))
@@ -468,6 +469,8 @@ def test_step_sectors_match_fold_reference(quadrants):
                     _assert_same_arrays(folded_rhs,
                                         _fold_reference(ref_rhs, sign),
                                         what + (sign, "rhs"))
+        for name in ("T_hat", "L_hat", "macro_generator"):
+            _assert_same_arrays(getattr(ops, name), ref[name], (key, name))
 
 
 def test_kinetic_lu_fill_matches_kron_reference(quadrants):

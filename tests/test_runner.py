@@ -640,6 +640,9 @@ schedule.sample_stride = 1
     # e^{-psi} or e^{-phi} underflows to zero at every node
     ("beta = 1e-3\n", 2, "numerical error: f_star underflowed"),
     ("potential.alpha = 1e-6\n", 2, "numerical error: f_star underflowed"),
+    # <z>^beta or <z>^alpha overflows to inf, so e^{-psi} or e^{-phi} is 0
+    ("beta = 1000\n", 2, "numerical error: f_star underflowed"),
+    ("potential.alpha = 1000\n", 2, "numerical error: f_star underflowed"),
     # the clipped Gaussian datum has no quadrature mass
     ("initial.kind = shifted_gaussian\ninitial.width = 1e-300\n", 1,
      "validation error: shifted Gaussian"),
