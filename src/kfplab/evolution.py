@@ -17,12 +17,49 @@ is carried in orthonormal sector coordinates: the even part as
 (y_i - y_{n-1-i}) / sqrt(2) for i < m. The map is orthogonal, so each part's
 2-norm is the full-grid norm of the vector it stands for, and a residual
 check per sector certifies the same relative residual on the full grid.
-Each sector matrix is folded and factored on its own, the first time a part
-in it is nonzero; a part that is exactly zero stays zero and is never
+Each sector matrix is folded and factored on its own, and only for a part
+that is nonzero; a part that is exactly zero stays zero and is never
 solved. Data with one parity (the kinetic bump is even, the odd_v and
 macro bump deviations are odd) therefore factor and solve half the
-problem. Between samples run_trajectory keeps only the parts; the full
-vector is rebuilt at sample times.
+problem. run_trajectory factors its datum's sectors up front and then drops
+the full-grid system; step_kinetic and step_macro fold a sector when a
+state first meets it. Between samples run_trajectory keeps only the parts;
+the full vector is rebuilt at sample times.
+
+Long kinetic implicit-Euler runs are sampled from a Krylov space instead of
+stepped. With A = (I - gamma G)^-1 the step is (I - dt G)^-1 = f(A) with
+f(z) = z / ((1 - r) z + r), r = dt / gamma, so the state after k steps is
+f(A)^k q0: a rational function of G with one repeated pole, analytic on the
+field of values of A. Because G is dissipative in the mu-inner product,
+that field lies in the disc |z - 1/2| <= 1/2 and the pole of f^k sits
+outside it at z = -r / (1 - r), so polynomials in A approximate f^k there
+and the Krylov space of A and q0 (the RD-rational space of Moret-Novati,
+BIT 2004, and van den Eshof-Hochbruck, SISC 2006) holds the iterates. The
+run factors I - gamma G once per occupied sector, gamma = 4 dt: the pole
+then sits at -1/3; with gamma = t_final / 100 (20 dt for acceptance
+criterion 8) it sat at -1/19 and the first basis of that run agreed on no
+sample. Arnoldi in the mu-inner product (the sector's head of w_flat) gives
+a mu-orthonormal basis V_m and H_m = V_m^T W A V_m, one solve per vector;
+G_m = (I - H_m^-1) / gamma is dissipative as well, and every sample is read
+as beta V_m (I - dt G_m)^-k e_1, k its step count.
+
+Error control: a basis grows until the approximation of every sample still
+to come agrees, in the mu-norm, with the one from a vector fewer to 1e-10
+relative. It is capped at nnz(L + U) / n_sector vectors (at most 100), so
+it never holds more numbers than its factor, in one buffer per sector that
+every window reuses. At the cap the run keeps the leading samples that
+agree and restarts from the last of them; a window that agrees on none
+steps the rest of the run on a factor of I - dt G. A guard sends a run down
+this path only when its step count is large for its sector size (see
+_krylov_pays), before anything is factored, so every run factors once
+unless a window falls back; macro and Crank-Nicolson runs always step.
+
+Checks: every solve, stepped or Krylov, passes solve_with_refinement's
+1e-10 relative residual check, and every Krylov vector a finiteness check.
+Every state the run checks (each step when stepping, each sample on the
+Krylov path) must be finite and keep its mass to 1e-9, and every sample's
+diagnostics must be finite. On the Krylov path the last good time of an
+aborted run is therefore its last accepted sample.
 
 Trajectories sample the squared mu-norm of the tracked state (f - f_star on
 integrable branches, f itself when no stationary state exists), the twisted
@@ -198,15 +235,23 @@ class SectorLU:
     folded rhs_mat or None), both matrices canonical CSR from fold_sector,
     folding and factoring it with SPLU_OPTIONS (on a CSC copy) the first
     time. `lus` maps each sign met so far (+1 even, -1 odd) to its factor.
+    Given `signs`, it factors those sectors at once and keeps no reference
+    to the full-grid system.
     """
 
-    def __init__(self, system, rhs_mat=None):
+    def __init__(self, system, rhs_mat=None, signs=None):
         if not _reversal_symmetric(system):
             raise NumericalError("step system does not commute with the "
                                  "reflection (x, v) -> (-x, -v)")
         self._full = (system, rhs_mat)
         self._sectors = {}
         self.lus = {}
+        if signs is not None:
+            # a run factors the sectors its datum occupies up front and then
+            # drops the full-grid system; later sectors are not reachable
+            for sign in signs:
+                self.sector(sign)
+            self._full = None
 
     def sector(self, sign):
         if sign not in self._sectors:
@@ -217,6 +262,13 @@ class SectorLU:
             self.lus[sign] = splu(matrix.tocsc(), **SPLU_OPTIONS)
             self._sectors[sign] = (self.lus[sign], matrix, folded_rhs)
         return self._sectors[sign]
+
+
+def check_scheme(scheme):
+    """ValidationError unless scheme names a time-stepping scheme."""
+    if scheme not in ("implicit_euler", "crank_nicolson"):
+        raise ValidationError("scheme must be 'implicit_euler' or "
+                              "'crank_nicolson'")
 
 
 def _step_matrices(ops, mode, dt, scheme):
@@ -231,9 +283,7 @@ def _step_matrices(ops, mode, dt, scheme):
     """
     if dt <= 0:
         raise ValidationError("dt must be positive")
-    if scheme not in ("implicit_euler", "crank_nicolson"):
-        raise ValidationError("scheme must be 'implicit_euler' or "
-                              "'crank_nicolson'")
+    check_scheme(scheme)
     if mode == "macro" and scheme != "implicit_euler":
         raise ValidationError("macro stepping supports implicit_euler only")
     system = (ops.L_hat - ops.T_hat if mode == "kinetic"
@@ -253,6 +303,9 @@ def _shifted(gen, h):
     gen.data *= h
     gen.setdiag(gen.diagonal() + 1.0)
     gen.eliminate_zeros()
+    # a sparse difference such as L_hat - T_hat leaves data and indices as
+    # views of a buffer sized for nnz(L_hat) + nnz(T_hat)
+    gen.data, gen.indices = gen.data.copy(), gen.indices.copy()
     return gen
 
 
@@ -425,8 +478,10 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     NumericalError carrying .last_good_time and the .partial_record of the
     samples taken so far (none if the initial sample fails).
 
-    The run factors its own step system and leaves ops.step_cache untouched,
-    so runs that share ops share no step factors.
+    A kinetic implicit-Euler run with many steps for its size samples its
+    states from shift-invert Krylov spaces (see the module docstring); every
+    other run steps. Either way the run factors its own system and leaves
+    ops.step_cache untouched, so runs that share ops share no step factors.
     """
     dt, n_steps, stride = _validate_schedule(schedule)
     j_powers, k_powers = moment_powers
@@ -438,9 +493,14 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
         y, mass_w, mass_f0, sample = _macro_sampler(f0, eq, ops, j_powers)
     else:
         raise ValidationError("mode must be 'kinetic' or 'macro'")
-    # a bad scheme fails here
-    lu = SectorLU(*_step_matrices(ops, mode, dt, scheme))
     parts = fold(y)
+    if (mode == "kinetic" and scheme == "implicit_euler"
+            and _krylov_pays(n_steps, y.size // 2 + 1)):
+        states = _krylov_states(parts, ops, dt, n_steps, stride)
+    else:
+        # a bad scheme fails here
+        lu = SectorLU(*_step_matrices(ops, mode, dt, scheme), list(parts))
+        states = _stepped_states(parts, lu, n_steps, mode + " step")
     mass_parts = fold(mass_w)       # mass(y) = sum of part . folded weights
 
     def mass(parts):
@@ -461,8 +521,7 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     rows = [row(0.0, y)]
     t = 0.0
     try:
-        for n in range(1, n_steps + 1):
-            parts = _advance(parts, lu, mode + " step")
+        for n, parts in states:
             if not all(np.all(np.isfinite(p)) for p in parts.values()):
                 raise NumericalError("non-finite state detected")
             if abs(mass(parts) - mass0) > mass_tol:
@@ -476,6 +535,167 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
         err.partial_record = _record(rows, j_powers, k_powers)
         raise err
     return _record(rows, j_powers, k_powers)
+
+
+def _stepped_states(parts, lu, n_steps, what):
+    """(n, parts after step n) for every step n of the run."""
+    for n in range(1, n_steps + 1):
+        parts = _advance(parts, lu, what)
+        yield n, parts
+
+
+# ---------------------------------------------------------------------------
+# implicit-Euler samples from one shift-invert Krylov space
+# ---------------------------------------------------------------------------
+
+_KRYLOV_TOL = 1e-10     # successive approximations agree, relative mu-norm
+_MAX_BASIS = 100        # vectors per basis at most, whatever nnz(LU)/n allows
+_SHIFT_STEPS = 4        # gamma = 4 dt
+_BLOCK = 8              # samples formed from a basis per product
+
+
+def _krylov_pays(n_steps, n_sector):
+    """Whether a run of n_steps kinetic implicit-Euler steps on sectors of
+    up to n_sector unknowns samples from Krylov spaces.
+
+    A basis is capped at nnz(LU)/n_sector vectors, about 4 n_sector^(1/4)
+    with SPLU_OPTIONS on these grids (32 at 65^2, 40 at 129^2, 47 at 193^2,
+    53 at 257^2), and a run takes up to two caps of solves, each dearer than
+    a step's by its orthogonalization. Below six caps' worth of steps that
+    saves little or nothing: 100 steps on 33^2 took 75 solves, 100 steps on
+    193^2 took 77.
+    """
+    return n_steps >= 24.0 * n_sector ** 0.25
+
+
+def _krylov_states(parts, ops, dt, n_steps, stride):
+    """(n, parts after n implicit-Euler steps of dt) for every sampled step
+    n (the multiples of stride, and n_steps), each sector sampled by
+    _krylov_part from one factor of I - gamma G, gamma = _SHIFT_STEPS dt."""
+    sample_steps = np.arange(stride, n_steps + 1, stride)
+    if n_steps % stride:
+        sample_steps = np.append(sample_steps, n_steps)
+    lu = SectorLU(*_step_matrices(ops, "kinetic", _SHIFT_STEPS * dt,
+                                  "implicit_euler"), list(parts))
+    sectors = [_krylov_part(sign, part, lu, ops, dt, sample_steps)
+               for sign, part in parts.items()]
+    for n, *new in zip(sample_steps, *sectors):
+        yield int(n), dict(zip(parts, new))
+
+
+def _krylov_part(sign, part, lu, ops, dt, steps):
+    """The sector part after each of the increasing step counts `steps` of
+    implicit Euler, sampled window by window from lu's factor of the sector.
+
+    Each window grows a basis from the last sample the previous one agreed
+    on and yields the samples its approximations agree on. A window that
+    agrees on none leaves the rest of the run to the stepping loop, on a
+    factor of I - dt G.
+    """
+    factor, matrix, _ = lu.sector(sign)
+    # w_flat is reversal-symmetric: its head weighs the folded coordinates
+    weights = ops.w_flat[:part.size]
+    # factor.nnz counts the stored L and U entries; factor.L would copy them
+    cap = min(_MAX_BASIS, factor.nnz // part.size)
+    basis = np.empty((cap, part.size))
+    hess = np.zeros((cap + 1, cap))
+    done = 0
+    while steps.size:
+        beta = np.sqrt(part @ (weights * part))
+        m, coeffs, agreed = _arnoldi_window(factor, matrix, weights,
+                                            part / beta, basis, hess,
+                                            steps - done)
+        if not agreed:
+            del basis, hess
+            stepping = SectorLU(*_step_matrices(ops, "kinetic", dt,
+                                                "implicit_euler"), [sign])
+            for n, parts in _stepped_states({sign: part}, stepping,
+                                            steps[-1] - done, "kinetic step"):
+                if done + n in steps:
+                    yield parts[sign]
+            return
+        for first in range(0, agreed, _BLOCK):
+            block = coeffs[:, first:min(first + _BLOCK, agreed)]
+            for part in (beta * block).T @ basis[:m]:
+                yield part
+        done, steps = steps[agreed - 1], steps[agreed:]
+
+
+def _arnoldi_window(factor, matrix, weights, start, basis, hess, offsets):
+    """(m, coefficients, agreed) of one basis grown from the unit vector
+    start.
+
+    basis holds mu-orthonormal rows of the Krylov space of (I - gamma G)^-1
+    and hess its Hessenberg matrix, one solve per vector. After m vectors,
+    column i of coefficients holds the approximation of
+    (I - dt G)^-offsets[i] start in the first m rows of basis. The basis
+    grows until every offset's approximation agrees with the one from a
+    vector fewer to _KRYLOV_TOL relative, or until basis is full; agreed
+    counts the leading offsets that agree.
+    """
+    cap = basis.shape[0]
+    basis[0] = start
+    previous, agreed = None, 0
+    for j in range(cap):
+        x = solve_with_refinement(factor, matrix, basis[j], "kinetic krylov")
+        if not np.all(np.isfinite(x)):
+            raise NumericalError("non-finite state detected")
+        # classical Gram-Schmidt, repeated when it cancels 9/10 of x
+        v = basis[:j + 1]
+        before = np.sqrt(x @ (weights * x))
+        h = v @ (weights * x)
+        x -= h @ v
+        hess[j + 1, j] = np.sqrt(x @ (weights * x))
+        if hess[j + 1, j] < 0.1 * before:
+            again = v @ (weights * x)
+            x -= again @ v
+            h += again
+            hess[j + 1, j] = np.sqrt(x @ (weights * x))
+        hess[:j + 1, j] = h
+        coeffs = _coefficients(hess[:j + 1, :j + 1], offsets)
+        if not hess[j + 1, j] > 0.0:
+            # an invariant subspace: the approximations are exact
+            return j + 1, coeffs, offsets.size
+        if previous is not None:
+            change = np.sqrt(np.sum((coeffs[:j] - previous) ** 2, axis=0)
+                             + coeffs[j] ** 2)
+            agree = change <= _KRYLOV_TOL * np.linalg.norm(coeffs, axis=0)
+            agreed = agree.size if agree.all() else int(np.argmin(agree))
+            if agreed == offsets.size:
+                return j + 1, coeffs, agreed
+        if j + 1 < cap:
+            basis[j + 1] = x / hess[j + 1, j]
+        previous = coeffs
+    return cap, coeffs, agreed
+
+
+def _coefficients(hess, offsets):
+    """Columns (I - dt G_m)^-k e_1 for k in offsets, with
+    G_m = (I - hess^-1) / gamma.
+
+    With r = dt / gamma = 1 / _SHIFT_STEPS, I - dt G_m is
+    hess^-1 ((1 - r) hess + r I), so one step is the product with
+    prop = ((1 - r) hess + r I)^-1 hess. The offsets are the multiples of
+    offsets[0] but for perhaps the last; their powers come by doubling from
+    prop^offsets[0].
+    """
+    m = hess.shape[0]
+    ratio = 1.0 / _SHIFT_STEPS
+    prop = np.linalg.solve((1.0 - ratio) * hess + ratio * np.eye(m), hess)
+    jump = np.linalg.matrix_power(prop, int(offsets[0]))
+    regular = offsets.size - int(offsets[-1] % offsets[0] != 0)
+    out = np.empty((m, offsets.size))
+    out[:, 0] = jump[:, 0]
+    filled = 1
+    while filled < regular:
+        take = min(filled, regular - filled)
+        out[:, filled:filled + take] = jump @ out[:, :take]
+        jump = jump @ jump
+        filled += take
+    if regular < offsets.size:
+        out[:, -1] = np.linalg.matrix_power(
+            prop, int(offsets[-1] - offsets[-2])) @ out[:, -2]
+    return out
 
 
 def _record(rows, j_powers, k_powers):

@@ -186,6 +186,7 @@ class ScenarioConfig:
         self.initial_s0 = number("initial.s0", 2.0)
 
         self.scheme = str(get("scheme", "implicit_euler"))
+        evolution.check_scheme(self.scheme)
         if self.mode == "macro" and self.scheme != "implicit_euler":
             raise ValidationError("scheme = %s is kinetic-only; macro runs "
                                   "use implicit_euler" % self.scheme)

@@ -96,3 +96,28 @@ def test_traced_batch_builds_each_problem_once(tmp_path):
     assert totals["hypo.compute_constants"][0] == 2
     assert totals["runner.run_scenario"][0] == 3
     assert tracer.layer_metrics(tracer.op)["hypo.cM_probes"] == 0
+
+
+def test_traced_krylov_run_factors_once_and_solves_less_than_it_steps():
+    # 400 implicit-Euler steps on 65^2 clear the step-count guard: the run
+    # samples from the one factor of I - gamma G (gamma = 4 dt) and makes
+    # fewer solves than steps, while sampling as often as stepping would
+    tracing = _load_tracing()
+    _, _, eq, ops = make_problem("power", 2.0, 8.0, 65, 8.0, 65, alpha=2.0)
+    f0 = initial_bump(eq, 0.5)
+    dt = 0.05
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer, full=True):
+        rec = evolution.run_trajectory(f0, (dt, 20.0, 10), "kinetic", eq,
+                                       ops, delta=0.3)
+    samples = rec.times.size
+    assert samples == 41                # t = 0, 0.5, ..., 20
+    metrics = tracer.layer_metrics(tracer.op)
+    assert metrics["evolution.factorizations"] == 1
+    assert metrics["evolution.solves"] < metrics["evolution.steps"] == 400
+    assert metrics["hypo.samples"] == samples
+    assert metrics["operators.elliptic_solves"] == 2 * samples
+    even = evolution.SectorLU(*evolution._step_matrices(
+        ops, "kinetic", evolution._SHIFT_STEPS * dt,
+        "implicit_euler")).sector(1)[0]
+    assert metrics["evolution.lu_fill"] == even.L.nnz + even.U.nnz

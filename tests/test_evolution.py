@@ -29,6 +29,8 @@ from kfplab.evolution import (SectorLU, _advance, _step_matrices,
                               _step_system, fold, unfold)
 from kfplab.operators import SPLU_OPTIONS
 
+from conftest import make_problem
+
 
 # ---------------------------------------------------------------------------
 # initial data library
@@ -415,3 +417,175 @@ def test_kinetic_tracks_macro_in_diffusion_scaling(strong_strong):
             den = np.sqrt(np.sum(wrho * dev_mac ** 2))
             errs.append(num / den)
     assert max(errs) <= 0.10, errs
+
+
+# ---------------------------------------------------------------------------
+# implicit-Euler samples from one shift-invert Krylov space
+# ---------------------------------------------------------------------------
+
+_COLUMNS = ("times", "norm_sq_mu", "entropy_H", "dissipation_D")
+
+
+def _worst_relative_gap(got, ref):
+    """The largest relative difference over every column of two records."""
+    pairs = [(getattr(got, c), getattr(ref, c)) for c in _COLUMNS]
+    pairs += [(got.moments_J[k], ref.moments_J[k]) for k in ref.moments_J]
+    pairs += [(got.moments_K[k], ref.moments_K[k]) for k in ref.moments_K]
+    assert np.array_equal(got.max_principle_ok, ref.max_principle_ok)
+    assert [a.size for a, _ in pairs] == [b.size for _, b in pairs]
+    return max(float(np.max(np.abs(a - b) / np.maximum(np.abs(b), 1e-300)))
+               for a, b in pairs)
+
+
+def _krylov_and_stepped(f0, schedule, eq, ops, monkeypatch):
+    """The records of one run on the Krylov path and on the stepping loop,
+    the solves the Krylov path took and the (m, agreed) of its windows."""
+    real_solve, real_window = (evolution.solve_with_refinement,
+                               evolution._arnoldi_window)
+    calls, windows = {"n": 0}, []
+
+    def counting(*args):
+        calls["n"] += 1
+        return real_solve(*args)
+
+    def recording(*args):
+        m, coeffs, agreed = real_window(*args)
+        windows.append((m, agreed))
+        return m, coeffs, agreed
+
+    monkeypatch.setattr(evolution, "solve_with_refinement", counting)
+    monkeypatch.setattr(evolution, "_arnoldi_window", recording)
+    monkeypatch.setattr(evolution, "_krylov_pays", lambda *args: True)
+    got = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=0.3)
+    solves = calls["n"]
+    monkeypatch.setattr(evolution, "_krylov_pays", lambda *args: False)
+    ref = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=0.3)
+    return got, ref, solves, windows
+
+
+_DATA = {"bump": lambda eq: initial_bump(eq, 0.5),           # even
+         "odd_v": lambda eq: initial_odd_v(eq, 0.5),         # odd
+         "shifted_gaussian": initial_shifted_gaussian}       # both sectors
+
+
+@pytest.mark.parametrize("kind", sorted(_DATA))
+@pytest.mark.parametrize("quadrant", [None, (2.0, 2.0), (2.0, 0.5),
+                                      (0.5, 2.0), (0.5, 0.5)])
+def test_krylov_samples_match_stepping(quadrants, kind, quadrant,
+                                       monkeypatch):
+    # None is the 33^2 box; each run takes 100 steps on the Krylov path
+    if quadrant is None:
+        _, _, eq, ops = make_problem("power", 2.0, 8.0, 33, 8.0, 33,
+                                     alpha=2.0)
+        schedule = (0.05, 5.0, 10)
+    else:
+        _, _, eq, ops = quadrants[quadrant]
+        schedule = (0.1, 10.0, 10)
+    f0 = _DATA[kind](eq)
+    sectors = len(fold(f0.values.ravel() - eq.f_star.values.ravel()))
+    assert sectors == (2 if kind == "shifted_gaussian" else 1)
+    got, ref, _, windows = _krylov_and_stepped(f0, schedule, eq, ops,
+                                               monkeypatch)
+    # every sample came from a basis: no window fell back to stepping
+    assert all(agreed > 0 for _, agreed in windows)
+    assert sum(agreed for _, agreed in windows) == 10 * sectors
+    assert _worst_relative_gap(got, ref) <= 1e-10
+
+
+def test_krylov_restarts_from_its_last_agreed_sample(strong_strong,
+                                                     monkeypatch):
+    # a basis of 16 vectors cannot reach t = 10 in one window: each window
+    # restarts from the last sample its approximations agreed on
+    _, _, eq, ops = strong_strong
+    monkeypatch.setattr(evolution, "_MAX_BASIS", 16)
+    got, ref, _, windows = _krylov_and_stepped(
+        initial_bump(eq, 0.5), (0.05, 10.0, 5), eq, ops, monkeypatch)
+    assert len(windows) >= 3
+    assert all(m <= 16 and agreed > 0 for m, agreed in windows)
+    assert sum(agreed for _, agreed in windows) == 40
+    assert _worst_relative_gap(got, ref) <= 1e-10
+
+
+def test_krylov_window_that_cannot_agree_falls_back_to_stepping(
+        strong_strong, monkeypatch):
+    # one vector never has a predecessor to agree with, so the first window
+    # agrees on no sample and the run steps instead, factoring I - dt G
+    _, _, eq, ops = strong_strong
+    real_splu = evolution.splu
+    factored = []
+
+    def counting(*args, **kwargs):
+        factored.append(args[0].shape[0])
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "_MAX_BASIS", 1)
+    monkeypatch.setattr(evolution, "splu", counting)
+    got, ref, solves, windows = _krylov_and_stepped(
+        initial_bump(eq, 0.5), (0.05, 10.0, 5), eq, ops, monkeypatch)
+    assert windows == [(1, 0)]
+    assert solves == 1 + 200
+    assert len(factored) == 2 + 1     # I - gamma G, I - dt G; the reference
+    assert _worst_relative_gap(got, ref) == 0.0
+
+
+def _krylov_failure(eq, ops, monkeypatch, corrupt_from, corrupt):
+    """The NumericalError of a Krylov run of 16-vector windows whose solves
+    are corrupted from call corrupt_from on, and the clean record."""
+    schedule = (0.05, 10.0, 5)
+    monkeypatch.setattr(evolution, "_MAX_BASIS", 16)
+    clean = run_trajectory(initial_bump(eq, 0.5), schedule, "kinetic", eq,
+                           ops, delta=0.3)
+    real_solve = evolution.solve_with_refinement
+    calls = {"n": 0}
+
+    def flaky(lu, system, rhs, what):
+        calls["n"] += 1
+        sol = real_solve(lu, system, rhs, what)
+        return corrupt(sol) if calls["n"] >= corrupt_from else sol
+
+    monkeypatch.setattr(evolution, "solve_with_refinement", flaky)
+    with pytest.raises(NumericalError) as err:
+        run_trajectory(initial_bump(eq, 0.5), schedule, "kinetic", eq, ops,
+                       delta=0.3)
+    return err.value, clean
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda sol: sol * np.nan, "non-finite state"),
+    (lambda sol: sol + 1e-3, "mass drift"),
+])
+def test_krylov_abort_keeps_the_accepted_samples(strong_strong, monkeypatch,
+                                                 corrupt, message):
+    # the first window (16 solves) is clean; the second one goes bad
+    _, _, eq, ops = strong_strong
+    err, clean = _krylov_failure(eq, ops, monkeypatch, 17, corrupt)
+    assert message in str(err)
+    partial = err.partial_record
+    accepted = partial.times.size
+    assert 2 <= accepted < clean.times.size
+    assert err.last_good_time == partial.times[-1]
+    assert np.array_equal(partial.times, clean.times[:accepted])
+    for name in ("norm_sq_mu", "entropy_H", "dissipation_D"):
+        assert np.array_equal(getattr(partial, name),
+                              getattr(clean, name)[:accepted])
+    assert np.all(np.isnan(partial.envelope))
+
+
+def test_krylov_overflowing_diagnostic_aborts_at_its_sample(strong_strong,
+                                                            monkeypatch):
+    _, _, eq, ops = strong_strong
+    real_entropy = evolution.entropy_H
+    calls = {"n": 0}
+
+    def overflowing(*args):
+        calls["n"] += 1
+        return real_entropy(*args) if calls["n"] < 5 else np.inf
+
+    monkeypatch.setattr(evolution, "entropy_H", overflowing)
+    with pytest.raises(NumericalError, match="non-finite sample at t = 1"
+                       ) as err:
+        run_trajectory(initial_bump(eq, 0.5), (0.05, 10.0, 5), "kinetic",
+                       eq, ops, delta=0.3)
+    assert err.value.last_good_time == pytest.approx(0.75)
+    assert list(err.value.partial_record.times) == pytest.approx(
+        [0.0, 0.25, 0.5, 0.75])

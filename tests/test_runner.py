@@ -790,3 +790,57 @@ def test_cli_run_with_an_overflowing_sample_fails_in_one_line(tmp_path,
     assert (summary["status"], summary["fitted_value"],
             summary["last_good_time"]) == ("failed", None, None)
     assert _read(os.path.join(out, "overflow.csv")).count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["run", "constants"])
+def test_cli_refuses_an_unknown_scheme_before_set_up(tmp_path, capsys,
+                                                     monkeypatch, command):
+    # refused when the config is read: no problem is built, no report
+    # written, and the message is the stepper's own one line
+    def no_build(config):
+        raise AssertionError("build_problem ran for an unknown scheme")
+
+    monkeypatch.setattr(runner, "build_problem", no_build)
+    cfg = _write(tmp_path, "rk4.cfg", _EXTREME_BASE + "scheme = rk4\n")
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main([command, cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == ("validation error: scheme must be 'implicit_euler' or "
+                   "'crank_nicolson'\n"), err
+    assert not os.path.exists(out)
+
+
+def test_krylov_run_failure_writes_a_failed_bundle(tmp_path, monkeypatch):
+    # 200 implicit-Euler steps on 65^2 take the Krylov path; a NaN solve in
+    # its second window ends the run at the last sample the first accepted
+    text = _TINY_KINETIC + "schedule.t_final = 10.0\n"
+    cfg = ScenarioConfig(parse_config_text(text), name="krylov")
+    monkeypatch.setattr(kfplab.evolution, "_MAX_BASIS", 29)
+    ok_csv, _ = emit_report(run_scenario(cfg), str(tmp_path / "ok"))
+
+    real_solve = kfplab.evolution.solve_with_refinement
+    calls = {"n": 0}
+
+    def flaky(lu, system, rhs, what):
+        calls["n"] += 1
+        sol = real_solve(lu, system, rhs, what)
+        return sol * np.nan if calls["n"] > 29 else sol
+
+    monkeypatch.setattr(kfplab.evolution, "solve_with_refinement", flaky)
+    bundle = run_scenario(cfg)
+    assert bundle.status == "failed"
+    assert "non-finite state" in bundle.summary["error"]
+    accepted = bundle.record.times.size
+    assert 2 <= accepted < 41
+    assert bundle.summary["last_good_time"] == bundle.record.times[-1]
+    failed_csv, failed_json = emit_report(bundle, str(tmp_path / "failed"))
+    with open(failed_json) as fh:
+        assert json.load(fh)["status"] == "failed"
+    ok_lines = _read(ok_csv).splitlines()
+    failed_lines = _read(failed_csv).splitlines()
+    assert failed_lines[0] == ok_lines[0]
+    assert len(failed_lines) == 1 + accepted
+    for ok_line, failed_line in zip(ok_lines[1:], failed_lines[1:]):
+        ok_row, failed_row = ok_line.split(","), failed_line.split(",")
+        assert failed_row[:4] + failed_row[5:] == ok_row[:4] + ok_row[5:]
