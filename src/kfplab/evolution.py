@@ -21,10 +21,10 @@ Each sector matrix is folded and factored on its own, and only for a part
 that is nonzero; a part that is exactly zero stays zero and is never
 solved. Data with one parity (the kinetic bump is even, the odd_v and
 macro bump deviations are odd) therefore factor and solve half the
-problem. run_trajectory factors its datum's sectors up front and then drops
-the full-grid system; step_kinetic and step_macro fold a sector when a
-state first meets it. Between samples run_trajectory keeps only the parts;
-the full vector is rebuilt at sample times.
+problem. Each call that steps factors its state's sectors up front
+(SectorLU) and drops the full-grid system; the operator set keeps no step
+factors. Between samples run_trajectory keeps only the parts; the full
+vector is rebuilt at sample times.
 
 Long kinetic implicit-Euler runs are sampled from a Krylov space instead of
 stepped. With A = (I - gamma G)^-1 the step is (I - dt G)^-1 = f(A) with
@@ -224,43 +224,31 @@ def _reversal_symmetric(matrix):
 
 
 class SectorLU:
-    """A reversal-symmetric step system, folded and factored per parity sector.
+    """The step system of (mode, dt, scheme) on ops, factored per sector.
 
-    The system S is a canonical CSR matrix (as _step_matrices returns it)
-    of odd order n = 2m + 1 (grids have odd node counts) with
-    S[::-1, ::-1] == S, else NumericalError; rhs_mat (Crank-Nicolson's
-    right-hand side matrix, or None) shares the symmetry. S maps each sector
-    to itself, so it folds onto an (m+1)-sized even and an m-sized odd
-    sector matrix. sector(sign) returns that sector's (factor, matrix,
-    folded rhs_mat or None), both matrices canonical CSR from fold_sector,
-    folding and factoring it with SPLU_OPTIONS (on a CSC copy) the first
-    time. `lus` maps each sign met so far (+1 even, -1 odd) to its factor.
-    Given `signs`, it factors those sectors at once and keeps no reference
-    to the full-grid system.
+    _step_matrices gives S, canonical CSR of odd order n = 2m + 1 with
+    S[::-1, ::-1] == S (else NumericalError), and Crank-Nicolson's rhs_mat
+    with the same symmetry. Each sign in signs (+1 even, -1 odd) is folded
+    by fold_sector and factored with SPLU_OPTIONS here, one at a time, and
+    the full-grid system is then dropped; sector(sign) is that sector's
+    (factor, matrix, folded rhs_mat or None), lus maps each sign to its LU.
     """
 
-    def __init__(self, system, rhs_mat=None, signs=None):
+    def __init__(self, ops, mode, dt, scheme, signs):
+        system, rhs_mat = _step_matrices(ops, mode, dt, scheme)
         if not _reversal_symmetric(system):
             raise NumericalError("step system does not commute with the "
                                  "reflection (x, v) -> (-x, -v)")
-        self._full = (system, rhs_mat)
         self._sectors = {}
         self.lus = {}
-        if signs is not None:
-            # a run factors the sectors its datum occupies up front and then
-            # drops the full-grid system; later sectors are not reachable
-            for sign in signs:
-                self.sector(sign)
-            self._full = None
-
-    def sector(self, sign):
-        if sign not in self._sectors:
-            system, rhs_mat = self._full
+        for sign in signs:
             matrix = fold_sector(system, sign)
             folded_rhs = (None if rhs_mat is None
                           else fold_sector(rhs_mat, sign))
             self.lus[sign] = splu(matrix.tocsc(), **SPLU_OPTIONS)
             self._sectors[sign] = (self.lus[sign], matrix, folded_rhs)
+
+    def sector(self, sign):
         return self._sectors[sign]
 
 
@@ -309,15 +297,6 @@ def _shifted(gen, h):
     return gen
 
 
-def _step_system(ops, mode, dt, scheme):
-    """The SectorLU of one implicit step for step_kinetic and step_macro,
-    cached in ops.step_cache under (mode, scheme, dt)."""
-    key = (mode, scheme, float(dt))
-    if key not in ops.step_cache:
-        ops.step_cache[key] = SectorLU(*_step_matrices(ops, mode, dt, scheme))
-    return ops.step_cache[key]
-
-
 def _advance(parts, lu, what):
     """The sector parts one step later, one solve per part."""
     out = {}
@@ -330,8 +309,9 @@ def _advance(parts, lu, what):
 
 def _step(y, ops, mode, dt, scheme):
     """The state vector y one step later (q for kinetic, rho for macro)."""
-    lu = _step_system(ops, mode, dt, scheme)
-    return unfold(_advance(fold(y), lu, mode + " step"), y.size)
+    parts = fold(y)
+    lu = SectorLU(ops, mode, dt, scheme, parts)
+    return unfold(_advance(parts, lu, mode + " step"), y.size)
 
 
 def step_kinetic(f, dt, eq, ops, scheme="implicit_euler"):
@@ -481,7 +461,7 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     A kinetic implicit-Euler run with many steps for its size samples its
     states from shift-invert Krylov spaces (see the module docstring); every
     other run steps. Either way the run factors its own system and leaves
-    ops.step_cache untouched, so runs that share ops share no step factors.
+    ops as it found it, so runs can share one ops.
     """
     dt, n_steps, stride = _validate_schedule(schedule)
     j_powers, k_powers = moment_powers
@@ -499,7 +479,7 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
         states = _krylov_states(parts, ops, dt, n_steps, stride)
     else:
         # a bad scheme fails here
-        lu = SectorLU(*_step_matrices(ops, mode, dt, scheme), list(parts))
+        lu = SectorLU(ops, mode, dt, scheme, parts)
         states = _stepped_states(parts, lu, n_steps, mode + " step")
     mass_parts = fold(mass_w)       # mass(y) = sum of part . folded weights
 
@@ -575,8 +555,7 @@ def _krylov_states(parts, ops, dt, n_steps, stride):
     sample_steps = np.arange(stride, n_steps + 1, stride)
     if n_steps % stride:
         sample_steps = np.append(sample_steps, n_steps)
-    lu = SectorLU(*_step_matrices(ops, "kinetic", _SHIFT_STEPS * dt,
-                                  "implicit_euler"), list(parts))
+    lu = SectorLU(ops, "kinetic", _SHIFT_STEPS * dt, "implicit_euler", parts)
     sectors = [_krylov_part(sign, part, lu, ops, dt, sample_steps)
                for sign, part in parts.items()]
     for n, *new in zip(sample_steps, *sectors):
@@ -607,8 +586,7 @@ def _krylov_part(sign, part, lu, ops, dt, steps):
                                             steps - done)
         if not agreed:
             del basis, hess
-            stepping = SectorLU(*_step_matrices(ops, "kinetic", dt,
-                                                "implicit_euler"), [sign])
+            stepping = SectorLU(ops, "kinetic", dt, "implicit_euler", [sign])
             for n, parts in _stepped_states({sign: part}, stepping,
                                             steps[-1] - done, "kinetic step"):
                 if done + n in steps:

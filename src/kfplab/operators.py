@@ -207,7 +207,7 @@ def collision_v_forms(eq):
     return flux_stiffness(vg, _collision_faces(eq)), vg.weights * eq.g_star_v
 
 
-@dataclasses.dataclass(eq=False)
+@dataclasses.dataclass(eq=False, frozen=True)
 class OperatorSet:
     """Assembled discrete operators for one equilibrium, in q = f/sqrt(f_star).
 
@@ -222,8 +222,8 @@ class OperatorSet:
     canonical CSR (sorted indices, no stored zeros). elliptic_matrix =
     I + N with its LU elliptic_lu; macro_generator is the sigma-scaled
     Fokker-Planck generator on densities and Sx_macro its flux stiffness.
-    step_cache holds the factored time-step systems of step_kinetic and
-    step_macro; dataclasses.replace starts a new, empty one.
+    The set is frozen and holds no step factors: every call that steps
+    factors its own, so runs can share one set.
     """
 
     T_hat: sp.csr_matrix
@@ -239,8 +239,6 @@ class OperatorSet:
     elliptic_lu: object
     macro_generator: sp.csr_matrix
     Sx_macro: sp.csr_matrix
-    step_cache: dict = dataclasses.field(init=False, default_factory=dict,
-                                         repr=False)
 
     # -- convenience applications on Fields ---------------------------------
     def apply_collision(self, f):

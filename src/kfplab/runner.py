@@ -247,6 +247,10 @@ def problem_key(config):
 def make_initial_state(config, eq):
     """The initial state of config.initial_kind, which suits config.mode."""
     kind = config.initial_kind
+    if not eq.integrable and kind in ("bump", "odd_v", "macro_bump"):
+        raise ValidationError(
+            "initial.kind = %s perturbs an equilibrium this potential does "
+            "not have; use shifted_gaussian or macro_gaussian" % kind)
     if kind == "macro_gaussian":
         return evolution.initial_macro_gaussian(eq.grid.x_grid,
                                                 config.initial_s0)

@@ -44,11 +44,9 @@ def test_traced_kinetic_run_counts_every_wrap_point():
     # entropy_H one elliptic solve, dissipation_components one with four
     # right-hand sides
     assert metrics["operators.elliptic_solves"] == 2 * samples
-    # the run factors its own step system and leaves the cache empty
-    assert ops.step_cache == {}
     # the bump datum is even: only the even sector is factored and solved
-    even = evolution.SectorLU(*evolution._step_matrices(
-        ops, "kinetic", 0.05, "implicit_euler")).sector(1)[0]
+    even = evolution.SectorLU(ops, "kinetic", 0.05, "implicit_euler",
+                              [1]).sector(1)[0]
     assert metrics["evolution.lu_fill"] == even.L.nnz + even.U.nnz
     assert metrics["evolution.solves_per_step"] == 1.0
 
@@ -117,7 +115,6 @@ def test_traced_krylov_run_factors_once_and_solves_less_than_it_steps():
     assert metrics["evolution.solves"] < metrics["evolution.steps"] == 400
     assert metrics["hypo.samples"] == samples
     assert metrics["operators.elliptic_solves"] == 2 * samples
-    even = evolution.SectorLU(*evolution._step_matrices(
-        ops, "kinetic", evolution._SHIFT_STEPS * dt,
-        "implicit_euler")).sector(1)[0]
+    even = evolution.SectorLU(ops, "kinetic", evolution._SHIFT_STEPS * dt,
+                              "implicit_euler", [1]).sector(1)[0]
     assert metrics["evolution.lu_fill"] == even.L.nnz + even.U.nnz

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.sparse.linalg import splu
 
 from kfplab import (
@@ -25,8 +26,7 @@ from kfplab import (
     weighted_moment,
 )
 from kfplab import evolution
-from kfplab.evolution import (SectorLU, _advance, _step_matrices,
-                              _step_system, fold, unfold)
+from kfplab.evolution import SectorLU, _advance, _step_matrices, fold, unfold
 from kfplab.operators import SPLU_OPTIONS
 
 from conftest import make_problem
@@ -122,8 +122,8 @@ def test_kinetic_lu_fill_below_colamd(quadrants):
     for key, (_, _, _, ops) in quadrants.items():
         for dt in (1.0, 0.05):
             system, _ = _step_matrices(ops, "kinetic", dt, "implicit_euler")
-            lu = SectorLU(system)
-            _advance(fold(rng.standard_normal(system.shape[0])), lu, "step")
+            lu = SectorLU(ops, "kinetic", dt, "implicit_euler",
+                          fold(rng.standard_normal(system.shape[0])))
             assert sorted(lu.lus) == [-1, 1]
             fills = [f.L.nnz + f.U.nnz for f in lu.lus.values()]
             ref = splu(system.tocsc(), permc_spec="COLAMD")
@@ -138,13 +138,13 @@ def test_kinetic_lu_fill_below_colamd(quadrants):
 def test_sector_lu_matches_full_solve(quadrants, strong_weak):
     # implicit Euler on every quadrant and a macro system, Crank-Nicolson on
     # every quadrant: the folded sector solves against the full system
-    steps = [_step_matrices(ops, "kinetic", 0.05, scheme)
+    steps = [(ops, "kinetic", 0.05, scheme)
              for _, _, _, ops in quadrants.values()
              for scheme in ("implicit_euler", "crank_nicolson")]
-    steps.append(_step_matrices(strong_weak[3], "macro", 0.2,
-                                "implicit_euler"))
-    for i, (system, rhs_mat) in enumerate(steps):
-        lu = SectorLU(system, rhs_mat)
+    steps.append((strong_weak[3], "macro", 0.2, "implicit_euler"))
+    for i, step in enumerate(steps):
+        system, rhs_mat = _step_matrices(*step)
+        lu = SectorLU(*step, (1, -1))
         full = splu(system.tocsc(), **SPLU_OPTIONS)
         n = system.shape[0]
         r = np.random.default_rng(i).standard_normal(n)
@@ -195,21 +195,25 @@ def test_sector_lu_factors_only_the_sectors_a_state_meets(strong_strong,
                 * np.outer(np.cos(0.5 * np.pi * xg.nodes / xg.half_width),
                            np.sin(np.pi * vg.nodes / vg.half_width)), grid)
     real_splu = evolution.splu
-    calls = []
+    calls, made = [], []
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape[0])
         return real_splu(*args, **kwargs)
 
+    class Recording(SectorLU):
+        def __init__(self, *args):
+            super().__init__(*args)
+            made.append(self)
+
     monkeypatch.setattr(evolution, "splu", counting)
+    monkeypatch.setattr(evolution, "SectorLU", Recording)
     n = grid.shape[0] * grid.shape[1]
     for f, sectors in ((initial_bump(eq, 0.5), [1]), (odd, [-1]),
                        (initial_shifted_gaussian(eq), [-1, 1])):
-        fresh = dataclasses.replace(ops)        # an empty step cache
         calls.clear()
-        step_kinetic(f, 0.05, eq, fresh)
-        lu = _step_system(fresh, "kinetic", 0.05, "implicit_euler")
-        assert sorted(lu.lus) == sectors
+        step_kinetic(f, 0.05, eq, ops)
+        assert sorted(made[-1].lus) == sectors
         assert sorted(calls) == sorted((n + s) // 2 for s in sectors)
 
 
@@ -220,7 +224,7 @@ def test_sector_lu_rejects_a_system_without_reflection_symmetry(
     lopsided[0, 0] *= 1.5
     bent = dataclasses.replace(ops, L_hat=lopsided.tocsr())
     with pytest.raises(NumericalError, match="reflection"):
-        _step_system(bent, "kinetic", 0.05, "implicit_euler")
+        SectorLU(bent, "kinetic", 0.05, "implicit_euler", [1])
 
 
 # ---------------------------------------------------------------------------
@@ -268,16 +272,55 @@ def test_run_trajectory_macro(strong_strong):
     assert np.all(rec.dissipation_D >= -1e-12 * rec.entropy_H[0])
 
 
-def test_run_trajectory_leaves_shared_operators_untouched(strong_strong):
-    # each run factors its own step system, so runs on one shared ops keep
-    # no step factors in it
+def _operator_arrays(ops):
+    """{field: copies of its arrays} for every matrix and array field of ops
+    (elliptic_lu is a SuperLU object, neither)."""
+    out = {}
+    for field in dataclasses.fields(ops):
+        value = getattr(ops, field.name)
+        if sp.issparse(value):
+            out[field.name] = [a.copy() for a in (value.data, value.indices,
+                                                  value.indptr)]
+        elif isinstance(value, np.ndarray):
+            out[field.name] = [value.copy()]
+    return out
+
+
+def test_run_trajectory_leaves_shared_operators_untouched(strong_strong,
+                                                          monkeypatch):
+    # every call that steps factors its own step system from copies of the
+    # stored generators, so runs on one shared ops leave each of its arrays
+    # bit for bit as built: a Krylov run, a stepped run, a Crank-Nicolson
+    # run, a macro run and single steps; and no field can be reassigned
     _, _, eq, ops = strong_strong
-    shared = dataclasses.replace(ops)           # an empty step cache
-    run_trajectory(initial_bump(eq, 0.5), (0.05, 1.0, 4), "kinetic", eq,
-                   shared, delta=0.3)
-    run_trajectory(initial_macro_bump(eq, 0.5), (0.05, 1.0, 4), "macro", eq,
-                   shared)
-    assert shared.step_cache == {}
+    before = _operator_arrays(ops)
+    assert sorted(before) == sorted(f.name for f in dataclasses.fields(ops)
+                                    if f.name != "elliptic_lu")
+    real_krylov = evolution._krylov_states
+    krylov_runs = []
+
+    def krylov(*args):
+        krylov_runs.append(args)
+        return real_krylov(*args)
+
+    monkeypatch.setattr(evolution, "_krylov_states", krylov)
+    bump, rho0 = initial_bump(eq, 0.5), initial_macro_bump(eq, 0.5)
+    # 200 steps on 65^2 clear the guard of 163
+    run_trajectory(bump, (0.05, 10.0, 10), "kinetic", eq, ops, delta=0.3)
+    assert len(krylov_runs) == 1
+    run_trajectory(bump, (0.05, 1.0, 4), "kinetic", eq, ops, delta=0.3)
+    run_trajectory(initial_shifted_gaussian(eq), (0.05, 1.0, 4), "kinetic",
+                   eq, ops, delta=0.3, scheme="crank_nicolson")
+    run_trajectory(rho0, (0.05, 1.0, 4), "macro", eq, ops)
+    step_kinetic(bump, 0.05, eq, ops)
+    step_macro(rho0, 0.05, eq, ops)
+    after = _operator_arrays(ops)
+    for name, arrays in before.items():
+        for old, new in zip(arrays, after[name]):
+            assert old.dtype == new.dtype and old.shape == new.shape, name
+            assert old.tobytes() == new.tobytes(), name
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        ops.T_hat = ops.L_hat
 
 
 def test_run_trajectory_validation(strong_strong):
@@ -391,10 +434,9 @@ def test_kinetic_tracks_macro_in_diffusion_scaling(strong_strong):
     # Fokker-Planck flow within O(eps) once the initial layer has relaxed
     _, grid, eq, ops = strong_strong
     eps = 0.2
-    # transport at 1/eps, collision at 1/eps^2; the copy factors its own steps
+    # transport at 1/eps, collision at 1/eps^2
     scaled = dataclasses.replace(ops, T_hat=(ops.T_hat / eps).tocsr(),
                                  L_hat=(ops.L_hat / eps ** 2).tocsr())
-    assert scaled.step_cache is not ops.step_cache
     xg = grid.x_grid
     u0 = 1.0 + 0.3 * np.cos(np.pi * xg.nodes / (2.0 * xg.half_width))
     f = Field(u0[:, None] * eq.f_star.values, grid)

@@ -460,7 +460,7 @@ def test_step_sectors_match_fold_reference(quadrants):
             assert (rhs_mat is None) == (ref_rhs is None), what
             if rhs_mat is not None:
                 _assert_same_arrays(rhs_mat, ref_rhs, what)
-            lu = SectorLU(system, rhs_mat)
+            lu = SectorLU(ops, *case, (1, -1))
             for sign in (1, -1):
                 _, matrix, folded_rhs = lu.sector(sign)
                 _assert_same_arrays(matrix, _fold_reference(ref_system, sign),
@@ -477,8 +477,8 @@ def test_kinetic_lu_fill_matches_kron_reference(quadrants):
     # a change of the step pattern or its index order would change the
     # fill-reducing ordering, and show only as a slower kinetic solve
     for key, (_, _, eq, ops) in quadrants.items():
-        system, _ = _step_matrices(ops, "kinetic", 0.05, "implicit_euler")
-        even = SectorLU(system).sector(1)[0]
+        even = SectorLU(ops, "kinetic", 0.05, "implicit_euler",
+                        [1]).sector(1)[0]
         ref_system, _ = _step_reference(_sparse_reference(eq), "kinetic",
                                         0.05, "implicit_euler")
         ref = splu(_fold_reference(ref_system, 1), **SPLU_OPTIONS)

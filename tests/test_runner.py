@@ -676,6 +676,43 @@ def test_cli_batch_runs_past_an_underflowing_equilibrium(tmp_path, capsys):
     capsys.readouterr()
 
 
+# no integrable equilibrium: the norm of a perturbation of f_star does not
+# decay, so a fit of it says nothing about the paper's rates
+_NON_INTEGRABLE = """
+potential.x_mode = zero
+beta = 2
+grid.x_half_width = 24
+grid.v_half_width = 8
+grid.nx = 97
+grid.nv = 33
+schedule.dt = 0.5
+schedule.t_final = 50
+schedule.sample_stride = 1
+"""
+
+
+@pytest.mark.parametrize("extra, kind", [("", "bump"),
+                                         ("mode = macro\n", "macro_bump")])
+def test_perturbed_datum_needs_an_integrable_equilibrium(tmp_path, capsys,
+                                                         extra, kind):
+    cfg = _write(tmp_path, "free.cfg", _NON_INTEGRABLE + extra)
+    capsys.readouterr()
+    assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: initial.kind = %s " % kind), err
+    assert "shifted_gaussian" in err and "macro_gaussian" in err, err
+    assert len(err.splitlines()) == 1, err
+    list_path = _write(tmp_path, "batch.txt", "free.cfg\n")
+    out = str(tmp_path / "batch")
+    assert main(["batch", list_path, "--out", out]) == 1
+    with open(os.path.join(out, "batch_index.json")) as fh:
+        entries = json.load(fh)["entries"]
+    assert [e["status"] for e in entries] == ["invalid"]
+    # the constants need no datum
+    assert main(["constants", cfg, "--out", str(tmp_path / "c")]) == 0
+    capsys.readouterr()
+
+
 def test_initial_kind_must_suit_the_mode(tmp_path, capsys, monkeypatch):
     # refused at parse time, before any problem is built
     def no_build(config):
