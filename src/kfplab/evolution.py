@@ -64,7 +64,12 @@ aborted run is therefore its last accepted sample.
 Trajectories sample the squared mu-norm of the tracked state (f - f_star on
 integrable branches, f itself when no stationary state exists), the twisted
 entropy H, its dissipation D (directly and as a difference quotient of H),
-x- and v-moments, and a maximum-principle indicator.
+x- and v-moments, and a maximum-principle indicator. A kinetic sample reads
+all of them from q = y / sqrt(f_star) and its nx x nv view in one pass,
+without building a Field: H and D come from one entropy_and_dissipation
+call, that is one profile product and one elliptic solve with four
+right-hand sides (none at delta = 0). A delta outside [0, 2) is refused
+before anything is factored.
 """
 
 import numpy as np
@@ -73,7 +78,11 @@ from scipy.sparse.linalg import splu
 
 from .errors import NumericalError, ValidationError
 from .grids import DensityField, Field
-from .hypo import dissipation_components, entropy_H
+# The sampler calls entropy_and_dissipation only. entropy_H and
+# dissipation_components stay importable here because bench/tracing.py wraps
+# them by these names in every benchmark run and refuses to run without them.
+from .hypo import (check_entropy_delta, dissipation_components,  # noqa: F401
+                   entropy_H, entropy_and_dissipation)
 from .operators import SPLU_OPTIONS, solve_with_refinement
 
 _MASS_TOL = 1e-9
@@ -704,8 +713,11 @@ def _max_principle_ok(f_phys, c_bound, star):
 def _kinetic_sampler(f0, eq, ops, delta, j_powers, k_powers):
     """(q0, mass weights, mass of f0, sample) for q = y / sqrt(f_star).
 
-    sample(q) returns (norm_sq_mu, H, D, x-moments, v-moments, max principle).
+    sample(q) returns (norm_sq_mu, H, D, x-moments, v-moments, max principle)
+    in one pass over q (module notes). A delta outside [0, 2) is refused
+    here, before run_trajectory factors anything.
     """
+    check_entropy_delta(delta)
     fstar = eq.f_star.values
     c_bound = _max_principle_bound(f0.values, fstar,
                                    "initial state violates 0 <= f0 <= C f_star")
@@ -725,16 +737,15 @@ def _kinetic_sampler(f0, eq, ops, delta, j_powers, k_powers):
     base_q = sqrt_f.reshape(shape) if eq.integrable else 0.0
 
     def sample(q):
-        y = Field((q * sqrt_f).reshape(shape), eq.grid)
         p = q.reshape(shape) + base_q
         p_sq = p * p
         x_marginal, v_marginal = p_sq @ vg.weights, xg.weights @ p_sq
-        return (max(float((ops.w_flat * q) @ q), 0.0),
-                entropy_H(y, delta, eq, ops),
-                dissipation_components(y, delta, eq, ops)["D"],
+        h, d = entropy_and_dissipation(q, delta, eq, ops)
+        return (max(float((ops.w_flat * q) @ q), 0.0), h, d,
                 [float(w @ x_marginal) for w in j_weights],
                 [float(v_marginal @ w) for w in k_weights],
-                _max_principle_ok(y.values + base, c_bound, fstar))
+                _max_principle_ok((q * sqrt_f).reshape(shape) + base, c_bound,
+                                  fstar))
 
     # mass(y) = (w_flat sqrt_f) . q
     return (q0, ops.w_flat * sqrt_f,

@@ -33,6 +33,9 @@ A maps into the range of Pi, so <ATPi f, f> = <ATPi f, Pi f>: D and the
 coercivity denominator share that term. entropy_H makes one elliptic solve,
 dissipation_components one with four right-hand sides (u_f, B q,
 B T(1-Pi) q, B L q) and bounded_auxiliary_ratio one with two.
+entropy_and_dissipation, which a kinetic trajectory calls once per sample,
+takes H and D from the same one solve with four right-hand sides, reading
+<Af, f> = u_Af . (m u_f) off its second column; at delta = 0 it makes none.
 
 c_M is the H4 bound ||AT(1-Pi)f|| + ||ALf|| <= c_M ||(1-Pi)f||_beta of
 Dolbeault-Mouhot-Schmeiser, with the micro part in the beta-norm, and
@@ -192,10 +195,15 @@ def _micro_beta_sq(q, u_f, eq, ops):
     return float(eq.grid.x_grid.weights @ (micro @ weight_v))
 
 
-def entropy_H(f, delta, eq, ops):
-    """H[f] = 1/2 ||f||_mu^2 + delta <Af, f>_mu (sandwiched by (2 +- delta)/4 ||f||^2)."""
+def check_entropy_delta(delta):
+    """ValidationError unless 0 <= delta < 2, where H is a norm."""
     if not 0.0 <= delta < 2.0:
         raise ValidationError("entropy needs 0 <= delta < 2")
+
+
+def entropy_H(f, delta, eq, ops):
+    """H[f] = 1/2 ||f||_mu^2 + delta <Af, f>_mu (sandwiched by (2 +- delta)/4 ||f||^2)."""
+    check_entropy_delta(delta)
     q = _q(f, eq, ops)
     half_sq = 0.5 * float(q @ (ops.w_flat * q))
     if delta == 0.0:
@@ -203,6 +211,37 @@ def entropy_H(f, delta, eq, ops):
     m_u, b_q = q_profiles(q, ops)[:2]
     u_af = operators.solve_elliptic(b_q, ops)
     return half_sq + delta * float(u_af @ m_u)
+
+
+def _minus_lf_f(q, eq, ops):
+    """-<Lf, f>_mu = sum_i wx_i |v_gradient Q_i|^2 (v-flux form)."""
+    grad = ops.v_gradient @ q.reshape(eq.grid.shape).T     # one row per face
+    return float(np.einsum("ji,ji->i", grad, grad) @ eq.grid.x_grid.weights)
+
+
+def _dissipation_forms(q, delta, eq, ops):
+    """(forms, m u_f, u_Af) of the q-form q: forms holds the five inner
+    products of D[f] and their delta-combination D, from one q_profiles
+    call and one elliptic solve with four right-hand sides."""
+    m_u, b_q, bt_micro_q, bl_q = q_profiles(q, ops)
+    u_f = m_u / ops.mrho
+    u_pi, u_af, u_at_micro, u_al = operators.solve_elliptic(
+        np.column_stack([u_f, b_q, bt_micro_q, bl_q]), ops).T
+    minus_lff = _minus_lf_f(q, eq, ops)
+    atpi_ff = atpi_form(u_pi, ops)   # <ATPi f, f> = <ATPi f, Pi f>
+    ta_ff = float(u_af @ (ops.mrho * b_q))
+    at_micro_ff = float(u_at_micro @ m_u)
+    al_ff = float(u_al @ m_u)
+    forms = {
+        "minus_Lf_f": minus_lff,
+        "ATPi_f_f": atpi_ff,
+        "TA_f_f": ta_ff,
+        "AT_micro_f_f": at_micro_ff,
+        "AL_f_f": al_ff,
+        "D": (minus_lff + delta * atpi_ff
+              - delta * (ta_ff - at_micro_ff + al_ff)),
+    }
+    return forms, m_u, u_af
 
 
 def dissipation_components(f, delta, eq, ops):
@@ -213,32 +252,28 @@ def dissipation_components(f, delta, eq, ops):
            - delta (<TAf,f> - <AT(1-Pi)f,f> + <ALf,f>).
     """
     q = _q(f, eq, ops)
-    m_u, b_q, bt_micro_q, bl_q = q_profiles(q, ops)
-    u_f = m_u / ops.mrho
-    u_pi, u_af, u_at_micro, u_al = operators.solve_elliptic(
-        np.column_stack([u_f, b_q, bt_micro_q, bl_q]), ops).T
+    forms, m_u, _ = _dissipation_forms(q, delta, eq, ops)
+    forms["kappa_denominator"] = (_micro_beta_sq(q, m_u / ops.mrho, eq, ops)
+                                  + forms["ATPi_f_f"])
+    forms["delta"] = float(delta)
+    return forms
 
-    grad = ops.v_gradient @ q.reshape(eq.grid.shape).T     # one row per face
-    minus_lff = float(np.einsum("ji,ji->i", grad, grad)
-                      @ eq.grid.x_grid.weights)
-    atpi_ff = atpi_form(u_pi, ops)   # <ATPi f, f> = <ATPi f, Pi f>
-    ta_ff = float(u_af @ (ops.mrho * b_q))
-    at_micro_ff = float(u_at_micro @ m_u)
-    al_ff = float(u_al @ m_u)
 
-    dissipation = (minus_lff + delta * atpi_ff
-                   - delta * (ta_ff - at_micro_ff + al_ff))
-    kappa_den = _micro_beta_sq(q, u_f, eq, ops) + atpi_ff
-    return {
-        "minus_Lf_f": minus_lff,
-        "ATPi_f_f": atpi_ff,
-        "TA_f_f": ta_ff,
-        "AT_micro_f_f": at_micro_ff,
-        "AL_f_f": al_ff,
-        "D": dissipation,
-        "kappa_denominator": kappa_den,
-        "delta": float(delta),
-    }
+def entropy_and_dissipation(q, delta, eq, ops):
+    """(H[f], D[f]) of the flattened q-form q = f / sqrt(f_star).
+
+    Both come from one q_profiles call and one elliptic solve with four
+    right-hand sides, H reading <Af, f>_mu off the same u_Af as D; with
+    delta = 0, H = 1/2 ||f||_mu^2 and D = -<Lf, f>_mu need no solve. The
+    values are those of entropy_H and dissipation_components(...)["D"] to
+    roundoff.
+    """
+    check_entropy_delta(delta)
+    half_sq = 0.5 * float(q @ (ops.w_flat * q))
+    if delta == 0.0:
+        return half_sq, _minus_lf_f(q, eq, ops)
+    forms, m_u, u_af = _dissipation_forms(q, delta, eq, ops)
+    return half_sq + delta * float(u_af @ m_u), forms["D"]
 
 
 # ---------------------------------------------------------------------------

@@ -12,6 +12,8 @@ from kfplab import (
     Field,
     NumericalError,
     ValidationError,
+    dissipation_components,
+    entropy_H,
     initial_bump,
     initial_macro_bump,
     initial_macro_gaussian,
@@ -344,6 +346,89 @@ def test_run_trajectory_validation(strong_strong):
                        eq, ops, scheme="crank_nicolson")
 
 
+@pytest.mark.parametrize("delta", [2.0, -0.1])
+def test_entropy_delta_is_refused_before_anything_is_factored(delta,
+                                                              monkeypatch):
+    _, _, eq, ops = make_problem("power", 2.0, 8.0, 33, 8.0, 33, alpha=2.0)
+    real_splu = evolution.splu
+    factored = []
+
+    def counting(*args, **kwargs):
+        factored.append(args[0].shape)
+        return real_splu(*args, **kwargs)
+
+    monkeypatch.setattr(evolution, "splu", counting)
+    with pytest.raises(ValidationError, match="entropy needs 0 <= delta < 2"):
+        run_trajectory(initial_bump(eq, 0.5), (0.05, 1.0, 4), "kinetic", eq,
+                       ops, delta=delta)
+    assert factored == []
+
+
+def _field_reference_record(f0, schedule, eq, ops, delta, moment_powers):
+    """(times, norm, H, D, J, K, max principle) of a stepped kinetic run,
+    each sample read through a Field, entropy_H and dissipation_components
+    on the same states as run_trajectory's stepping loop."""
+    dt, t_final, stride = schedule
+    n_steps = evolution.step_count(dt, t_final)
+    grid, fstar, sqrt_f = eq.grid, eq.f_star.values, ops.sqrt_f
+    c_bound = float(np.max(f0.values / fstar))
+    q = ((f0.values - fstar) / fstar).ravel() * sqrt_f
+    xg, vg = grid.x_grid, grid.v_grid
+    x_weights = {k: xg.weights * np.sqrt(1.0 + xg.nodes ** 2) ** float(k)
+                 for k in moment_powers[0]}
+    v_weights = {k: vg.weights * np.sqrt(1.0 + vg.nodes ** 2) ** float(k)
+                 for k in moment_powers[1]}
+    rows = []
+
+    def sample(t, q):
+        y = Field((q * sqrt_f).reshape(grid.shape), grid)
+        p = q.reshape(grid.shape) + sqrt_f.reshape(grid.shape)
+        p_sq = p * p
+        f = y.values + fstar
+        rows.append((t, max(float((ops.w_flat * q) @ q), 0.0),
+                     entropy_H(y, delta, eq, ops),
+                     dissipation_components(y, delta, eq, ops)["D"],
+                     {k: float(w @ (p_sq @ vg.weights))
+                      for k, w in x_weights.items()},
+                     {k: float((xg.weights @ p_sq) @ w)
+                      for k, w in v_weights.items()},
+                     bool(np.max(f - c_bound * fstar) <= 1e-6
+                          and np.min(f) >= -1e-6)))
+
+    sample(0.0, q)
+    parts = fold(q)
+    lu = SectorLU(ops, "kinetic", dt, "implicit_euler", parts)
+    for n in range(1, n_steps + 1):
+        parts = _advance(parts, lu, "kinetic step")
+        if n % stride == 0 or n == n_steps:
+            sample(n * dt, unfold(parts, q.size))
+    return rows
+
+
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+def test_one_pass_sampler_matches_the_field_reference_loop(delta):
+    # shifted_gaussian data meet both sectors; 30 steps on 33^2 stay on
+    # the stepping loop
+    _, _, eq, ops = make_problem("power", 2.0, 8.0, 33, 8.0, 33, alpha=2.0)
+    f0 = initial_shifted_gaussian(eq)
+    schedule, powers = (0.05, 1.5, 4), ((2, 4), (2, 3))
+    assert not evolution._krylov_pays(30, ops.sqrt_f.size // 2 + 1)
+    rec = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=delta,
+                         moment_powers=powers)
+    ref = _field_reference_record(f0, schedule, eq, ops, delta, powers)
+    times, norms, hs, ds, js, ks, okay = zip(*ref)
+    assert rec.times.size == 9          # t = 0, 0.2, ..., 1.4, 1.5
+    assert np.array_equal(rec.times, times)
+    assert np.array_equal(rec.norm_sq_mu, norms)
+    for k in powers[0]:
+        assert np.array_equal(rec.moments_J[k], [j[k] for j in js])
+    for k in powers[1]:
+        assert np.array_equal(rec.moments_K[k], [m[k] for m in ks])
+    assert np.array_equal(rec.max_principle_ok, okay)
+    assert np.allclose(rec.entropy_H, hs, rtol=1e-14, atol=0.0)
+    assert np.allclose(rec.dissipation_D, ds, rtol=1e-14, atol=0.0)
+
+
 def test_odd_data_factor_only_the_odd_sector(strong_strong, monkeypatch):
     # f - f_star of odd_v and rho - rho_star of macro_bump are exactly odd
     # under the reflection, so neither run factors or solves the even sector
@@ -376,14 +461,15 @@ def test_non_finite_sample_aborts_the_run(strong_strong, monkeypatch):
     # a state can stay finite while a diagnostic overflows; the run stops at
     # that sample and keeps the ones before it
     _, _, eq, ops = strong_strong
-    real_entropy = evolution.entropy_H
+    real_sample = evolution.entropy_and_dissipation
     calls = {"n": 0}
 
     def overflowing(*args):
         calls["n"] += 1
-        return real_entropy(*args) if calls["n"] < 3 else np.inf
+        h, d = real_sample(*args)
+        return (h, d) if calls["n"] < 3 else (np.inf, d)
 
-    monkeypatch.setattr(evolution, "entropy_H", overflowing)
+    monkeypatch.setattr(evolution, "entropy_and_dissipation", overflowing)
     with pytest.raises(NumericalError, match="non-finite sample at t = 0.2"
                        ) as err:
         run_trajectory(initial_bump(eq, 0.5), (0.05, 1.0, 2), "kinetic", eq,
@@ -447,12 +533,20 @@ def test_kinetic_tracks_macro_in_diffusion_scaling(strong_strong):
     dt = 0.005
     errs = []
     wrho = xg.weights * eq.rho_star.values
+    # both flows step through one factored system each, built once: the
+    # sector parts of q = f / sqrt(f_star) and of rho, as step_kinetic and
+    # step_macro advance them
+    q_parts, rho_parts = fold(f.values.ravel() / ops.sqrt_f), fold(rho.values)
+    kinetic = SectorLU(scaled, "kinetic", dt, "implicit_euler", q_parts)
+    macro = SectorLU(ops, "macro", dt, "implicit_euler", rho_parts)
     for n in range(1, 401):
-        f = step_kinetic(f, dt, eq, scaled)
-        rho = step_macro(rho, dt, eq, ops)
+        q_parts = _advance(q_parts, kinetic, "kinetic step")
+        rho_parts = _advance(rho_parts, macro, "macro step")
         if n % 80 == 0:  # t = 0.4, 0.8, ..., 2.0
+            q = unfold(q_parts, ops.sqrt_f.size)
+            f = Field((q * ops.sqrt_f).reshape(grid.shape), grid)
             u_kin = macro_profile(f, eq).values
-            u_mac = rho.values / eq.rho_star.values
+            u_mac = unfold(rho_parts, xg.count) / eq.rho_star.values
             dev_kin = u_kin - np.sum(wrho * u_kin) / np.sum(wrho)
             dev_mac = u_mac - np.sum(wrho * u_mac) / np.sum(wrho)
             num = np.sqrt(np.sum(wrho * (dev_kin - dev_mac) ** 2))
@@ -616,14 +710,15 @@ def test_krylov_abort_keeps_the_accepted_samples(strong_strong, monkeypatch,
 def test_krylov_overflowing_diagnostic_aborts_at_its_sample(strong_strong,
                                                             monkeypatch):
     _, _, eq, ops = strong_strong
-    real_entropy = evolution.entropy_H
+    real_sample = evolution.entropy_and_dissipation
     calls = {"n": 0}
 
     def overflowing(*args):
         calls["n"] += 1
-        return real_entropy(*args) if calls["n"] < 5 else np.inf
+        h, d = real_sample(*args)
+        return (h, d) if calls["n"] < 5 else (np.inf, d)
 
-    monkeypatch.setattr(evolution, "entropy_H", overflowing)
+    monkeypatch.setattr(evolution, "entropy_and_dissipation", overflowing)
     with pytest.raises(NumericalError, match="non-finite sample at t = 1"
                        ) as err:
         run_trajectory(initial_bump(eq, 0.5), (0.05, 10.0, 5), "kinetic",

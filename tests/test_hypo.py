@@ -20,7 +20,10 @@ from kfplab import (
     dissipation_components,
     empirical_kappa,
     entropy_H,
+    entropy_and_dissipation,
     initial_bump,
+    initial_odd_v,
+    initial_shifted_gaussian,
     inner_product_mu,
     lambda_rate,
     norm_beta,
@@ -30,7 +33,7 @@ from kfplab import (
     velocity_weight,
     weighted_moment,
 )
-from kfplab import hypo
+from kfplab import hypo, operators
 from kfplab.operators import q_profiles
 
 from conftest import make_problem
@@ -280,6 +283,66 @@ def test_profile_path_matches_sparse_reference(quadrants, key):
         expected = u_af[:, None] * eq.f_star.values
         assert np.max(np.abs(af - expected)) \
             <= 1e-12 * np.max(np.abs(expected)), name
+
+
+_DATA = {"bump": lambda eq: initial_bump(eq, 0.5),
+         "odd_v": lambda eq: initial_odd_v(eq, 0.5),
+         "shifted_gaussian": initial_shifted_gaussian}
+
+
+def _sampler_state(f, eq, ops):
+    """The Field a run tracks (f - f_star when integrable) and its q-form."""
+    y = f.values - eq.f_star.values if eq.integrable else f.values
+    return Field(y, f.grid), y.ravel() / ops.sqrt_f
+
+
+def _check_entropy_and_dissipation(f, eq, ops, monkeypatch):
+    y, q = _sampler_state(f, eq, ops)
+    real_solve = operators.solve_elliptic
+    solves = []
+
+    def counting(rhs, ops):
+        solves.append(rhs.shape)
+        return real_solve(rhs, ops)
+
+    monkeypatch.setattr(operators, "solve_elliptic", counting)
+    for delta in (0.0, 0.3):
+        del solves[:]
+        h, d = entropy_and_dissipation(q, delta, eq, ops)
+        # one solve with four right-hand sides, none without the twist
+        assert solves == ([] if delta == 0.0 else [(ops.mrho.size, 4)])
+        assert h == pytest.approx(entropy_H(y, delta, eq, ops), rel=1e-14,
+                                  abs=0.0)
+        assert d == pytest.approx(dissipation_components(y, delta, eq, ops)
+                                  ["D"], rel=1e-14, abs=0.0)
+
+
+@pytest.mark.parametrize("kind", sorted(_DATA))
+@pytest.mark.parametrize("key", [(2.0, 2.0), (2.0, 0.5), (0.5, 2.0),
+                                 (0.5, 0.5)],
+                         ids=["a2_b2", "a2_b0.5", "a0.5_b2", "a0.5_b0.5"])
+def test_entropy_and_dissipation_match_the_field_functions(quadrants, key,
+                                                           kind, monkeypatch):
+    _, _, eq, ops = quadrants[key]
+    _check_entropy_and_dissipation(_DATA[kind](eq), eq, ops, monkeypatch)
+
+
+def test_entropy_and_dissipation_without_an_equilibrium(monkeypatch):
+    # x_mode = zero has no integrable equilibrium: a run tracks f itself
+    _, _, eq, ops = make_problem("zero", 2.0, 24.0, 97, 8.0, 33)
+    assert not eq.integrable
+    _check_entropy_and_dissipation(initial_shifted_gaussian(eq), eq, ops,
+                                   monkeypatch)
+
+
+def test_entropy_and_dissipation_refuse_a_delta_outside_the_window(
+        strong_strong):
+    _, _, eq, ops = strong_strong
+    q = _sampler_state(initial_bump(eq, 0.5), eq, ops)[1]
+    for delta in (2.0, -0.1):
+        with pytest.raises(ValidationError,
+                           match="entropy needs 0 <= delta < 2"):
+            entropy_and_dissipation(q, delta, eq, ops)
 
 
 def test_auxiliary_estimates_random_suite(strong_strong):
