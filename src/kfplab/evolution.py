@@ -163,84 +163,57 @@ def unfold(parts, n):
 
 
 def fold_sector(system, sign):
-    """The canonical CSR matrix of an odd-order, reversal-symmetric canonical
-    CSR system on its even (sign +1, m + 1 unknowns) or odd (sign -1, m
-    unknowns) sector, in the orthonormal sector coordinates of fold.
-
-    Entry (i, j) of the fold is S[i, j] + sign S[i, n-1-j] for j < m; the
-    even sector keeps column m as sqrt(2) S[i, m] (i < m) and divides row m
-    by sqrt(2) (j < m), so that S[m, m] stays as it is. It is read off the
-    CSR arrays of the first half rows: rows with no entry in column m or
-    beyond are copied, and only the rows from the first one that has such
-    an entry are remapped, merged and sorted.
-    """
+    """S (odd order n = 2m + 1, reversal-symmetric, canonical CSR) on its
+    even (sign +1) or odd (sign -1) sector in fold's coordinates, as
+    canonical CSR: entry (i, j < m) is S[i, j] + sign S[i, n-1-j], and the
+    even sector's column m (i < m) is sqrt(2) S[i, m], its row m that sum
+    over sqrt(2). scipy's duplicate merge adds each direct and mirrored
+    pair: two terms, whose sum commutes, so the merge order changes no bit."""
     n = system.shape[0]
     m = n // 2
     half = m + 1 if sign > 0 else m
-    indptr, indices, data = system.indptr, system.indices, system.data
-    end = indptr[half]
-    # the first row with an entry in column m or beyond starts the tail
-    reach = np.flatnonzero(indices[:end] >= m)
-    first = (np.searchsorted(indptr, reach[0], side="right") - 1
-             if reach.size else half)
-    start = indptr[first]
-    rows = np.repeat(np.arange(first, half), np.diff(indptr[first:half + 1]))
-    cols = indices[start:end].astype(np.intp)
-    vals = data[start:end]
-    # column n-1-j of the full system acts on entry j of the sector; the
-    # odd sector has no centre column m
+    end = system.indptr[half]
+    # the kept arrays are copied before any temporary: system[:half], or
+    # indptr copied after the masks, raised tail_257's peak RSS by 2 MB
+    indptr = system.indptr[:half + 1].copy()
+    data, cols = system.data[:end].copy(), system.indices[:end].copy()
     mirrored = cols > m
-    cols = np.where(mirrored, n - 1 - cols, cols)
-    vals = np.where(mirrored, sign * vals, vals)
-    keep = cols < half
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    order = np.argsort(rows * half + cols, kind="stable")
-    rows, cols, vals = rows[order], cols[order], vals[order]
-    # a column reached directly and through its mirror holds two terms
-    pair = np.flatnonzero((rows[1:] == rows[:-1]) & (cols[1:] == cols[:-1]))
-    vals[pair] = vals[pair] + vals[pair + 1]
-    keep = np.ones(vals.size, dtype=bool)
-    keep[pair + 1] = False
-    keep &= vals != 0.0
-    rows, cols, vals = rows[keep], cols[keep], vals[keep]
-    if sign > 0:
-        # the centre entry is not scaled by sqrt(2): its row of the fold
-        # holds 2 S[m, j], its column S[i, m]; both become sqrt(2) S
-        vals[(rows == m) & (cols < m)] /= _SQRT2
-        vals[(cols == m) & (rows < m)] *= _SQRT2
-    tail_ptr = start + np.cumsum(np.bincount(rows - first,
-                                             minlength=half - first))
-    return sp.csr_matrix(
-        (np.concatenate([data[:start], vals]),
-         np.concatenate([indices[:start], cols.astype(indices.dtype)]),
-         np.concatenate([indptr[:first + 1], tail_ptr.astype(indptr.dtype)])),
-        shape=(half, half))
+    cols[mirrored] = n - 1 - cols[mirrored]
+    data[mirrored] *= sign
+    if sign < 0:
+        data[cols == m] = 0.0           # the odd sector has no column m
+    top = sp.csr_matrix((data, cols, indptr), shape=(half, n))
+    top.sum_duplicates()
+    top.eliminate_zeros()               # exact cancellations included
+    top.resize(half, half)              # every entry is in a column < half
+    if sign > 0:                        # S[m, m] stays as it is
+        row_m = top.indptr[m]
+        top.data[row_m:][top.indices[row_m:] < m] /= _SQRT2
+        top.data[:row_m][top.indices[:row_m] == m] *= _SQRT2
+    return top
 
 
 def _reversal_symmetric(matrix):
-    """matrix[::-1, ::-1] == matrix, read from the arrays of a canonical CSR
-    matrix (sorted indices, no stored zeros): the reversal reverses data,
-    sends the index list to n - 1 - indices[::-1] and indptr to
-    nnz - indptr[::-1], so equality is equality of the three arrays. Each
-    array equals its image when its first half, middle entry included,
-    does."""
+    """matrix[::-1, ::-1] == matrix for canonical CSR, whose reversal has
+    data[::-1], indices n - 1 - indices[::-1] and indptr nnz - indptr[::-1]."""
     n = matrix.shape[0]
-    data, indices, indptr = matrix.data, matrix.indices, matrix.indptr
-    h, r = (data.size + 1) // 2, (n + 2) // 2
-    return (np.array_equal(indptr[:r], indptr[-1] - indptr[:-r - 1:-1])
-            and np.array_equal(indices[:h], n - 1 - indices[:-h - 1:-1])
-            and np.array_equal(data[:h], data[:-h - 1:-1]))
+    return (np.array_equal(matrix.indptr, matrix.nnz - matrix.indptr[::-1])
+            and np.array_equal(matrix.indices, n - 1 - matrix.indices[::-1])
+            and np.array_equal(matrix.data, matrix.data[::-1]))
 
 
 class SectorLU:
     """The step system of (mode, dt, scheme) on ops, factored per sector.
 
     _step_matrices gives S, canonical CSR of odd order n = 2m + 1 with
-    S[::-1, ::-1] == S (else NumericalError), and Crank-Nicolson's rhs_mat
-    with the same symmetry. Each sign in signs (+1 even, -1 odd) is folded
-    by fold_sector and factored with SPLU_OPTIONS here, one at a time, and
-    the full-grid system is then dropped; sector(sign) is that sector's
-    (factor, matrix, folded rhs_mat or None), lus maps each sign to its LU.
+    S[::-1, ::-1] == S (else NumericalError, from _reversal_symmetric's
+    comparison of the CSR arrays), and Crank-Nicolson's rhs_mat with the
+    same symmetry. Each sign in signs (+1 even, -1 odd) is folded by
+    fold_sector from a copy of S's first half rows, kept as canonical CSR
+    for the residual checks and factored as CSC with SPLU_OPTIONS here, one
+    at a time; the full-grid system is then dropped. sector(sign) is that
+    sector's (factor, matrix, folded rhs_mat or None), lus maps each sign
+    to its LU.
     """
 
     def __init__(self, ops, mode, dt, scheme, signs):
@@ -462,7 +435,8 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     Euler only). The tracked state is f - f_star (resp. rho - rho_star) when
     the equilibrium is integrable, else the raw state; moments and the
     maximum principle always refer to the physical, untracked solution. The
-    record's envelope column is NaN until the caller sets it. A failed solve,
+    record's envelope column is NaN until the caller sets it. A negative
+    moment power is refused before anything else is built. A failed solve,
     NaN or mass drift, or a sample that is not finite, aborts with a
     NumericalError carrying .last_good_time and the .partial_record of the
     samples taken so far (none if the initial sample fails).
@@ -474,6 +448,8 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     """
     dt, n_steps, stride = _validate_schedule(schedule)
     j_powers, k_powers = moment_powers
+    if min(tuple(j_powers) + tuple(k_powers), default=0.0) < 0:
+        raise ValidationError("moment power must be >= 0")
     if mode == "kinetic":
         y, mass_w, mass_f0, sample = _kinetic_sampler(f0, eq, ops, delta,
                                                       j_powers, k_powers)
@@ -695,17 +671,18 @@ def _record(rows, j_powers, k_powers):
         okay, np.full(len(times), np.nan))
 
 
-def _max_principle_bound(values, star, what):
-    """C = max(f0 / f_star); a negative initial state is a ValidationError."""
+def _max_principle_cap(values, star, what):
+    """C f_star with C = max(f0 / f_star), formed once per run; a negative
+    initial state is a ValidationError."""
     ratio0 = values / star
     if np.min(ratio0) < -1e-12:
         raise ValidationError(what)
-    return float(np.max(ratio0))
+    return float(np.max(ratio0)) * star
 
 
-def _max_principle_ok(f_phys, c_bound, star):
+def _max_principle_ok(f_phys, cap):
     # absolute-slack form: f <= C f_star + tol and f >= -tol pointwise
-    over = float(np.max(f_phys - c_bound * star))
+    over = float(np.max(f_phys - cap))
     under = float(np.min(f_phys))
     return bool(over <= _MAXP_TOL and under >= -_MAXP_TOL)
 
@@ -719,8 +696,8 @@ def _kinetic_sampler(f0, eq, ops, delta, j_powers, k_powers):
     """
     check_entropy_delta(delta)
     fstar = eq.f_star.values
-    c_bound = _max_principle_bound(f0.values, fstar,
-                                   "initial state violates 0 <= f0 <= C f_star")
+    cap = _max_principle_cap(f0.values, fstar,
+                             "initial state violates 0 <= f0 <= C f_star")
     sqrt_f = ops.sqrt_f
     shape = eq.grid.shape
     base = fstar if eq.integrable else 0.0
@@ -728,8 +705,6 @@ def _kinetic_sampler(f0, eq, ops, delta, j_powers, k_powers):
     # J_k = sum_i wx_i <x_i>^k sum_j wv_j p_ij^2 with p = f / sqrt(f_star),
     # K_l likewise with the sums swapped
     xg, vg = eq.grid.x_grid, eq.grid.v_grid
-    if min(tuple(j_powers) + tuple(k_powers), default=0.0) < 0:
-        raise ValidationError("moment power must be >= 0")
     j_weights = [xg.weights * np.sqrt(1.0 + xg.nodes ** 2) ** float(k)
                  for k in j_powers]
     k_weights = [vg.weights * np.sqrt(1.0 + vg.nodes ** 2) ** float(k)
@@ -744,8 +719,7 @@ def _kinetic_sampler(f0, eq, ops, delta, j_powers, k_powers):
         return (max(float((ops.w_flat * q) @ q), 0.0), h, d,
                 [float(w @ x_marginal) for w in j_weights],
                 [float(v_marginal @ w) for w in k_weights],
-                _max_principle_ok((q * sqrt_f).reshape(shape) + base, c_bound,
-                                  fstar))
+                _max_principle_ok((q * sqrt_f).reshape(shape) + base, cap))
 
     # mass(y) = (w_flat sqrt_f) . q
     return (q0, ops.w_flat * sqrt_f,
@@ -760,8 +734,8 @@ def _macro_sampler(rho0, eq, ops, j_powers):
     rho_star = eq.rho_star.values
     wx = eq.grid.x_grid.weights
     bracket = np.sqrt(1.0 + eq.grid.x_grid.nodes ** 2)
-    c_bound = _max_principle_bound(rho0.values, rho_star,
-                                   "initial density must be nonnegative")
+    cap = _max_principle_cap(rho0.values, rho_star,
+                             "initial density must be nonnegative")
     base = rho_star if eq.integrable else 0.0
 
     def sample(y):
@@ -773,6 +747,6 @@ def _macro_sampler(rho0, eq, ops, j_powers):
                 [float(np.sum(wx * f_phys ** 2 * bracket ** k / rho_star))
                  for k in j_powers],
                 [],
-                _max_principle_ok(f_phys, c_bound, rho_star))
+                _max_principle_ok(f_phys, cap))
 
     return rho0.values - base, wx, float(np.sum(wx * rho0.values)), sample

@@ -113,6 +113,9 @@ class ScenarioConfig:
             # 2.0000001)
             items = [p.strip() for p in str(get(key, default)).split(",")]
             values = tuple(_parse_number(key, p, float) for p in items if p)
+            if min(values, default=0.0) < 0:
+                raise ValidationError("%s = %r: a moment power must be >= 0"
+                                      % (key, get(key)))
             names = [_POWER_NAME % p for p in values]
             if len(set(names)) != len(names):
                 raise ValidationError("%s = %r repeats a power or has two "

@@ -28,7 +28,8 @@ from kfplab import (
     weighted_moment,
 )
 from kfplab import evolution
-from kfplab.evolution import SectorLU, _advance, _step_matrices, fold, unfold
+from kfplab.evolution import (SectorLU, _advance, _reversal_symmetric,
+                              _step_matrices, fold, fold_sector, unfold)
 from kfplab.operators import SPLU_OPTIONS
 
 from conftest import make_problem
@@ -229,6 +230,92 @@ def test_sector_lu_rejects_a_system_without_reflection_symmetry(
         SectorLU(bent, "kinetic", 0.05, "implicit_euler", [1])
 
 
+def _mirrored_9x9():
+    """A 9 x 9 canonical CSR matrix S with S[::-1, ::-1] == S (m = 4).
+
+    Row 1 holds one value in columns 2 and 6, which cancel exactly in the
+    odd sector; row 2 holds a value and its negative in columns 3 and 5,
+    which cancel in the even one. Rows 2 and 3 reach the centre column,
+    their mirrors 6 and 5 hold it below row m, and the centre row holds
+    three mirrored pairs and the centre entry. Row 3 reaches column 7 with
+    no direct partner."""
+    n = 9
+    entries = {(0, 0): 2.0, (0, 1): -0.4, (0, 8): 0.2, (1, 1): 1.7,
+               (1, 2): 0.3, (1, 6): 0.3, (2, 2): 1.9, (2, 3): 0.1,
+               (2, 4): 0.45, (2, 5): -0.1, (3, 3): 2.2, (3, 4): -0.9,
+               (3, 7): 0.35, (4, 1): 1.1, (4, 3): -0.7, (4, 4): 3.0}
+    dense = np.zeros((n, n))
+    for (i, j), value in entries.items():
+        dense[i, j] = dense[n - 1 - i, n - 1 - j] = value / 3.0
+    return dense, sp.csr_matrix(dense)
+
+
+def _fold_formula(dense, sign):
+    # entry (i, j) of the fold written out: S[i, j] + sign S[i, n-1-j] for
+    # j < m; the even sector's column m times sqrt(2) above the centre, its
+    # row m over sqrt(2) left of it, and S[m, m] as it is
+    n = dense.shape[0]
+    m = n // 2
+    half = m + 1 if sign > 0 else m
+    out = np.empty((half, half))
+    for i in range(half):
+        for j in range(half):
+            if j < m:
+                out[i, j] = dense[i, j] + sign * dense[i, n - 1 - j]
+                if i == m:
+                    out[i, j] /= np.sqrt(2.0)
+            elif i < m:
+                out[i, j] = dense[i, j] * np.sqrt(2.0)
+            else:
+                out[i, j] = dense[i, j]
+    return out
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_fold_sector_matches_its_entrywise_formula(sign):
+    dense, system = _mirrored_9x9()
+    formula = _fold_formula(dense, sign)
+    # the fixture cancels exactly: (1, 2) in the odd sector, (2, 3) in the
+    # even one
+    assert formula[(1, 2) if sign < 0 else (2, 3)] == 0.0
+    folded = fold_sector(system, sign)
+    assert folded.format == "csr"
+    assert folded.shape == ((5, 5) if sign > 0 else (4, 4))
+    assert np.array_equal(folded.toarray(), formula)
+    assert np.all(folded.data != 0.0)
+    assert folded.nnz == np.count_nonzero(formula)
+    assert all(np.all(np.diff(folded.indices[a:b]) > 0)
+               for a, b in zip(folded.indptr[:-1], folded.indptr[1:]))
+    # the system itself is left as it was
+    assert np.array_equal(system.toarray(), dense)
+
+
+def test_reversal_check_reads_the_structure():
+    _, system = _mirrored_9x9()
+    assert _reversal_symmetric(system)
+    diag = sp.csr_matrix((np.array([0.5, 2.0, 0.5]), np.array([0, 1, 2]),
+                          np.array([0, 1, 2, 3])), shape=(3, 3))
+    assert _reversal_symmetric(diag)
+    # the same values and row pointers, one value moved to another column:
+    # diag(a, b, a) becomes [[a, 0, 0], [b, 0, 0], [0, 0, a]]
+    moved = sp.csr_matrix((diag.data, np.array([0, 0, 2]), diag.indptr),
+                          shape=(3, 3))
+    # the same values and column indices, one row boundary moved:
+    # [[a, b, 0], [0, 0, 0], [0, 0, a]]
+    shifted = sp.csr_matrix((diag.data, diag.indices, np.array([0, 2, 2, 3])),
+                            shape=(3, 3))
+    # in the 9 x 9 matrix, -0.4/3 moved from (0, 1) to the empty (0, 2)
+    indices = system.indices.copy()
+    indices[1] = 2
+    moved_9 = sp.csr_matrix((system.data, indices, system.indptr),
+                            shape=(9, 9))
+    for matrix in (moved, shifted, moved_9):
+        assert matrix.has_canonical_format
+        assert not np.array_equal(matrix.toarray(),
+                                  matrix.toarray()[::-1, ::-1])
+        assert not _reversal_symmetric(matrix)
+
+
 # ---------------------------------------------------------------------------
 # trajectories
 # ---------------------------------------------------------------------------
@@ -344,6 +431,19 @@ def test_run_trajectory_validation(strong_strong):
     with pytest.raises(ValidationError, match="implicit_euler"):
         run_trajectory(initial_macro_bump(eq, 0.5), (0.05, 1.0, 1), "macro",
                        eq, ops, scheme="crank_nicolson")
+
+
+@pytest.mark.parametrize("mode, powers", [("macro", ((-1,), ())),
+                                           ("kinetic", ((2,), (-1,)))])
+def test_negative_moment_power_is_refused_in_both_modes(strong_strong, mode,
+                                                        powers, monkeypatch):
+    _, _, eq, ops = strong_strong
+    f0 = (initial_macro_bump(eq, 0.5) if mode == "macro"
+          else initial_bump(eq, 0.5))
+    monkeypatch.setattr(evolution, "splu", None)    # nothing is factored
+    with pytest.raises(ValidationError, match="moment power must be >= 0"):
+        run_trajectory(f0, (0.05, 1.0, 4), mode, eq, ops,
+                       moment_powers=powers)
 
 
 @pytest.mark.parametrize("delta", [2.0, -0.1])

@@ -651,6 +651,9 @@ schedule.sample_stride = 1
     # rescaled to the equilibrium mass, the datum exceeds 2 * clip * f_star
     ("initial.kind = shifted_gaussian\ninitial.width = 0.2\n"
      "grid.nx = 65\ngrid.nv = 65\n", 1, "validation error: shifted Gaussian"),
+    # a negative moment power, refused when the config is read
+    ("mode = macro\nmoments.x = -1\n", 1, "validation error: moments.x = "),
+    ("moments.v = -1\n", 1, "validation error: moments.v = "),
 ])
 def test_cli_run_extreme_inputs_exit_in_one_line(tmp_path, capsys, extra,
                                                  code, prefix):
@@ -845,6 +848,27 @@ def test_cli_refuses_an_unknown_scheme_before_set_up(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == ("validation error: scheme must be 'implicit_euler' or "
                    "'crank_nicolson'\n"), err
+    assert not os.path.exists(out)
+
+
+@pytest.mark.parametrize("extra, key", [
+    ("mode = macro\nmoments.x = -1\n", "moments.x"),
+    ("moments.x = 2, -0.5\n", "moments.x"),
+    ("moments.v = -1\n", "moments.v"),
+])
+def test_cli_refuses_a_negative_moment_power_before_set_up(
+        tmp_path, capsys, monkeypatch, extra, key):
+    def no_build(config):
+        raise AssertionError("build_problem ran for a negative moment power")
+
+    monkeypatch.setattr(runner, "build_problem", no_build)
+    cfg = _write(tmp_path, "negative.cfg", _EXTREME_BASE + extra)
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["run", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: %s = " % key), err
+    assert "moment power must be >= 0" in err and len(err.splitlines()) == 1
     assert not os.path.exists(out)
 
 
