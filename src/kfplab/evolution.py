@@ -58,18 +58,54 @@ Checks: every solve, stepped or Krylov, passes solve_with_refinement's
 1e-10 relative residual check, and every Krylov vector a finiteness check.
 Every state the run checks (each step when stepping, each sample on the
 Krylov path) must be finite and keep its mass to 1e-9, and every sample's
-diagnostics must be finite. On the Krylov path the last good time of an
-aborted run is therefore its last accepted sample.
+diagnostics must be finite; a sample read in a basis (below) is checked on
+its coefficients c, which must be finite, and its mass (V m) . c. On the
+Krylov path the last good time of an aborted run is therefore its last
+accepted sample.
 
 Trajectories sample the squared mu-norm of the tracked state (f - f_star on
 integrable branches, f itself when no stationary state exists), the twisted
 entropy H, its dissipation D (directly and as a difference quotient of H),
-x- and v-moments, and a maximum-principle indicator. A kinetic sample reads
-all of them from q = y / sqrt(f_star) and its nx x nv view in one pass,
-without building a Field: H and D come from one entropy_and_dissipation
-call, that is one profile product and one elliptic solve with four
-right-hand sides (none at delta = 0). A delta outside [0, 2) is refused
-before anything is factored.
+x- and v-moments, and a maximum-principle indicator. A kinetic sample is
+read one of two ways, and hypo.entropy_and_dissipation_from takes H and D
+from its pieces either way:
+
+* per state, from q = y / sqrt(f_star) and its nx x nv view in one pass,
+  without building a Field: H and D from one entropy_and_dissipation call,
+  that is one profile product and one elliptic solve with four right-hand
+  sides (none at delta = 0);
+* in a basis, when a Krylov window of m vectors agrees on S >= m samples
+  (_window_pays): every sample is q = c V, V the window's mu-orthonormal
+  rows in sector coordinates, and none is formed. Once per window come the
+  m x m forms -V M_L V^T (M_L = W L_hat folded onto the sector) and
+  V diag(d) V^T for each moment weight d, the moments' linear terms, the
+  four profiles of each row with one elliptic solve of 4m right-hand sides
+  and its residuals, the mass functional V m and the max-principle weights
+  a_j = max_i |V_ji| s_i. Per sample come ||q||_mu^2 = ||c||^2,
+  -<Lf, f>_mu and the moments as quadratic forms in c, and the profiles
+  and elliptic solutions as c-combinations; each combined residual is
+  checked against 1e-10 of its right-hand side, and a sample that fails is
+  solved again on its own.
+
+The two are associations of the same products: the basis pays a few
+m x m Gram products over the sector per window, forming pays a dozen
+full-grid scans per sample, so the basis is the cheaper one once S >= m. A
+window with S < m forms its samples, and so does a sample one of whose
+sectors comes from such a window. Every weight is reversal-symmetric and
+every operator commutes with the reflection, so each diagnostic is a
+reflection-invariant quadratic form plus linear terms that live in the even
+sector: the cross terms between sectors vanish, and a sample's diagnostics
+are the sums of its sectors' shares.
+
+The max principle of a sample read in a basis: with f = f_star +
+q sqrt(f_star), |q_i| sqrt(f_star_i) <= a f_star_i + 1e-6 for
+a = min(C - 1, 1) gives -1e-6 <= f_i <= C f_star_i + 1e-6. An entry of q is
+at most (|even part| + |odd part|) / sqrt(2) of its sector coordinates, so
+with s = sqrt(f_star) / (a f_star + 1e-6) (over sqrt(2), but at the middle
+node) the sum over sectors of |c| . a proves it at every node when it is at
+most 1 - 1e-9. Otherwise the sample is formed and checked pointwise, as it
+always is without an integrable equilibrium or for C < 1. A delta outside
+[0, 2) is refused before anything is factored.
 """
 
 import numpy as np
@@ -78,12 +114,17 @@ from scipy.sparse.linalg import splu
 
 from .errors import NumericalError, ValidationError
 from .grids import DensityField, Field
-# The sampler calls entropy_and_dissipation only. entropy_H and
+# hypo.entropy_and_dissipation_from and operators.solve_elliptic are looked
+# up on their modules at each call, so that a wrapper installed there
+# (instrumentation, tests) sees every sample and every elliptic solve
+from . import hypo, operators
+# The per-state sampler calls entropy_and_dissipation only. entropy_H and
 # dissipation_components stay importable here because bench/tracing.py wraps
 # them by these names in every benchmark run and refuses to run without them.
 from .hypo import (check_entropy_delta, dissipation_components,  # noqa: F401
-                   entropy_H, entropy_and_dissipation)
-from .operators import SPLU_OPTIONS, solve_with_refinement
+                   elliptic_rhs, entropy_H, entropy_and_dissipation)
+from .operators import (SPLU_OPTIONS, q_profiles, residual_stalls,
+                        solve_with_refinement)
 
 _MASS_TOL = 1e-9
 _MAXP_TOL = 1e-6
@@ -450,9 +491,10 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     j_powers, k_powers = moment_powers
     if min(tuple(j_powers) + tuple(k_powers), default=0.0) < 0:
         raise ValidationError("moment power must be >= 0")
+    windows = None
     if mode == "kinetic":
-        y, mass_w, mass_f0, sample = _kinetic_sampler(f0, eq, ops, delta,
-                                                      j_powers, k_powers)
+        y, mass_w, mass_f0, sample, windows = _kinetic_sampler(
+            f0, eq, ops, delta, j_powers, k_powers)
     elif mode == "macro":
         k_powers = ()       # densities carry no velocity moments
         y, mass_w, mass_f0, sample = _macro_sampler(f0, eq, ops, j_powers)
@@ -461,7 +503,7 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     parts = fold(y)
     if (mode == "kinetic" and scheme == "implicit_euler"
             and _krylov_pays(n_steps, y.size // 2 + 1)):
-        states = _krylov_states(parts, ops, dt, n_steps, stride)
+        states = _krylov_states(parts, ops, dt, n_steps, stride, windows)
     else:
         # a bad scheme fails here
         lu = SectorLU(ops, mode, dt, scheme, parts)
@@ -475,24 +517,38 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     mass0 = mass(parts)
     mass_tol = _MASS_TOL * max(abs(mass0) + mass_f0, 1e-300)
 
-    def row(t, y):
+    def row(t, evaluate, state):
         # a finite state can still overflow its diagnostics
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            values = sample(y)
+            values = evaluate(state)
         if not np.all(np.isfinite(np.hstack(values[:5]))):
             raise NumericalError("non-finite sample at t = %.6g" % t)
         return (t,) + values
 
-    rows = [row(0.0, y)]
+    def formed(parts):
+        return sample(unfold(parts, y.size))
+
+    rows = [row(0.0, sample, y)]
     t = 0.0
     try:
         for n, parts in states:
-            if not all(np.all(np.isfinite(p)) for p in parts.values()):
+            if parts and all(isinstance(p, tuple) for p in parts.values()):
+                # every sector's part is a sample of a window read in its
+                # basis: (window, index)
+                finite = all(w.finite[k] for w, k in parts.values())
+                drift = abs(sum(w.mass[k] for w, k in parts.values()) - mass0)
+                evaluate = windows.values
+            else:
+                parts = {sign: _formed(part) for sign, part in parts.items()}
+                finite = all(np.all(np.isfinite(p)) for p in parts.values())
+                drift = abs(mass(parts) - mass0)
+                evaluate = formed
+            if not finite:
                 raise NumericalError("non-finite state detected")
-            if abs(mass(parts) - mass0) > mass_tol:
+            if drift > mass_tol:
                 raise NumericalError("mass drift beyond tolerance")
             if n % stride == 0 or n == n_steps:
-                rows.append(row(n * dt, unfold(parts, y.size)))
+                rows.append(row(n * dt, evaluate, parts))
             t = n * dt
     except NumericalError as exc:
         err = NumericalError("%s; last good time %.6g" % (exc, t))
@@ -500,6 +556,11 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
         err.partial_record = _record(rows, j_powers, k_powers)
         raise err
     return _record(rows, j_powers, k_powers)
+
+
+def _formed(part):
+    """A sector part as an array; a window sample (window, k) is formed."""
+    return part if isinstance(part, np.ndarray) else part[0].part(part[1])
 
 
 def _stepped_states(parts, lu, n_steps, what):
@@ -516,7 +577,8 @@ def _stepped_states(parts, lu, n_steps, what):
 _KRYLOV_TOL = 1e-10     # successive approximations agree, relative mu-norm
 _MAX_BASIS = 100        # vectors per basis at most, whatever nnz(LU)/n allows
 _SHIFT_STEPS = 4        # gamma = 4 dt
-_BLOCK = 8              # samples formed from a basis per product
+_BLOCK = 8              # samples formed, or basis rows read, per product
+_WINDOW_SAMPLES = 32    # samples read in a basis per product
 
 
 def _krylov_pays(n_steps, n_sector):
@@ -533,28 +595,45 @@ def _krylov_pays(n_steps, n_sector):
     return n_steps >= 24.0 * n_sector ** 0.25
 
 
-def _krylov_states(parts, ops, dt, n_steps, stride):
+def _window_pays(m, samples):
+    """Whether a window of m basis vectors reads its samples in its basis
+    (_WindowSampler) rather than forming each one for the per-state sampler.
+
+    Both are associations of the same products. The basis costs about
+    three m x m Gram products over the sector, 2 m^2 n_sector flops each;
+    forming costs m n_sector flops and a dozen full-grid scans per sample.
+    So the basis is the cheaper one once a window has as many samples as
+    vectors.
+    """
+    return samples >= m
+
+
+def _krylov_states(parts, ops, dt, n_steps, stride, windows):
     """(n, parts after n implicit-Euler steps of dt) for every sampled step
     n (the multiples of stride, and n_steps), each sector sampled by
-    _krylov_part from one factor of I - gamma G, gamma = _SHIFT_STEPS dt."""
+    _krylov_part from one factor of I - gamma G, gamma = _SHIFT_STEPS dt; a
+    part is an array, or (window, k) for sample k of a window that windows
+    read in its basis."""
     sample_steps = np.arange(stride, n_steps + 1, stride)
     if n_steps % stride:
         sample_steps = np.append(sample_steps, n_steps)
     lu = SectorLU(ops, "kinetic", _SHIFT_STEPS * dt, "implicit_euler", parts)
-    sectors = [_krylov_part(sign, part, lu, ops, dt, sample_steps)
+    sectors = [_krylov_part(sign, part, lu, ops, dt, sample_steps, windows)
                for sign, part in parts.items()]
     for n, *new in zip(sample_steps, *sectors):
         yield int(n), dict(zip(parts, new))
 
 
-def _krylov_part(sign, part, lu, ops, dt, steps):
+def _krylov_part(sign, part, lu, ops, dt, steps, windows):
     """The sector part after each of the increasing step counts `steps` of
     implicit Euler, sampled window by window from lu's factor of the sector.
 
     Each window grows a basis from the last sample the previous one agreed
-    on and yields the samples its approximations agree on. A window that
-    agrees on none leaves the rest of the run to the stepping loop, on a
-    factor of I - dt G.
+    on and yields the samples its approximations agree on: as (window, k)
+    when _window_pays, windows reading them all in the basis before the
+    first is yielded (the next window overwrites the basis), else formed. A
+    window that agrees on none leaves the rest of the run to the stepping
+    loop, on a factor of I - dt G.
     """
     factor, matrix, _ = lu.sector(sign)
     # w_flat is reversal-symmetric: its head weighs the folded coordinates
@@ -577,10 +656,18 @@ def _krylov_part(sign, part, lu, ops, dt, steps):
                 if done + n in steps:
                     yield parts[sign]
             return
-        for first in range(0, agreed, _BLOCK):
-            block = coeffs[:, first:min(first + _BLOCK, agreed)]
-            for part in (beta * block).T @ basis[:m]:
-                yield part
+        if _window_pays(m, agreed):
+            window = windows.window(sign, basis[:m], beta * coeffs[:, :agreed])
+            for k in range(agreed):
+                yield window, k
+            # the restart part, formed as the last block of the loop below
+            first = (agreed - 1) // _BLOCK * _BLOCK
+            part = ((beta * coeffs[:, first:agreed]).T @ basis[:m])[-1]
+        else:
+            for first in range(0, agreed, _BLOCK):
+                block = coeffs[:, first:min(first + _BLOCK, agreed)]
+                for part in (beta * block).T @ basis[:m]:
+                    yield part
         done, steps = steps[agreed - 1], steps[agreed:]
 
 
@@ -671,13 +758,13 @@ def _record(rows, j_powers, k_powers):
         okay, np.full(len(times), np.nan))
 
 
-def _max_principle_cap(values, star, what):
-    """C f_star with C = max(f0 / f_star), formed once per run; a negative
-    initial state is a ValidationError."""
+def _max_principle_ratio(values, star, what):
+    """C = max(f0 / f_star), formed once per run (the cap is C f_star); a
+    negative initial state is a ValidationError."""
     ratio0 = values / star
     if np.min(ratio0) < -1e-12:
         raise ValidationError(what)
-    return float(np.max(ratio0)) * star
+    return float(np.max(ratio0))
 
 
 def _max_principle_ok(f_phys, cap):
@@ -688,16 +775,20 @@ def _max_principle_ok(f_phys, cap):
 
 
 def _kinetic_sampler(f0, eq, ops, delta, j_powers, k_powers):
-    """(q0, mass weights, mass of f0, sample) for q = y / sqrt(f_star).
+    """(q0, mass weights, mass of f0, sample, windows) for
+    q = y / sqrt(f_star).
 
-    sample(q) returns (norm_sq_mu, H, D, x-moments, v-moments, max principle)
-    in one pass over q (module notes). A delta outside [0, 2) is refused
-    here, before run_trajectory factors anything.
+    sample(q) returns (norm_sq_mu, H, D, x-moments, v-moments, max
+    principle) in one pass over q, and windows (a _WindowSampler) the same
+    for the samples of a Krylov window, read in its basis (module notes). A
+    delta outside [0, 2) is refused here, before run_trajectory factors
+    anything.
     """
     check_entropy_delta(delta)
     fstar = eq.f_star.values
-    cap = _max_principle_cap(f0.values, fstar,
-                             "initial state violates 0 <= f0 <= C f_star")
+    ratio = _max_principle_ratio(f0.values, fstar,
+                                 "initial state violates 0 <= f0 <= C f_star")
+    cap = ratio * fstar
     sqrt_f = ops.sqrt_f
     shape = eq.grid.shape
     base = fstar if eq.integrable else 0.0
@@ -711,19 +802,206 @@ def _kinetic_sampler(f0, eq, ops, delta, j_powers, k_powers):
                  for k in k_powers]
     base_q = sqrt_f.reshape(shape) if eq.integrable else 0.0
 
+    def max_ok(q):
+        return _max_principle_ok((q * sqrt_f).reshape(shape) + base, cap)
+
     def sample(q):
-        p = q.reshape(shape) + base_q
-        p_sq = p * p
+        # p^2 in place, dropped before H and D: one full-grid array less
+        p_sq = q.reshape(shape) + base_q
+        p_sq *= p_sq
         x_marginal, v_marginal = p_sq @ vg.weights, xg.weights @ p_sq
-        h, d = entropy_and_dissipation(q, delta, eq, ops)
-        return (max(float((ops.w_flat * q) @ q), 0.0), h, d,
+        del p_sq
+        norm_sq = max(float((ops.w_flat * q) @ q), 0.0)
+        h, d = entropy_and_dissipation(q, delta, eq, ops, norm_sq)
+        return (norm_sq, h, d,
                 [float(w @ x_marginal) for w in j_weights],
                 [float(v_marginal @ w) for w in k_weights],
-                _max_principle_ok((q * sqrt_f).reshape(shape) + base, cap))
+                max_ok(q))
 
+    # J and K weigh p^2 by the outer products below, on the flattened grid
+    moment_weights = ([(w, vg.weights) for w in j_weights]
+                      + [(xg.weights, w) for w in k_weights])
+    windows = _WindowSampler(eq, ops, delta, moment_weights, len(j_weights),
+                             max_ok, ratio)
     # mass(y) = (w_flat sqrt_f) . q
     return (q0, ops.w_flat * sqrt_f,
-            float(np.sum(eq.grid.weight_matrix * f0.values)), sample)
+            float(np.sum(eq.grid.weight_matrix * f0.values)), sample, windows)
+
+
+class _Window:
+    """One sector's samples of one Krylov window, read in its basis.
+
+    Column k of coeffs holds sample k's coefficients in the rows of basis.
+    finite[k] and mass[k] are the sector's share of the state checks, and
+    column k of shares its share of the norm, H, D, the moments (less their
+    constant terms) and the max-principle bound, in that order.
+    """
+
+    def __init__(self, basis, coeffs, finite, mass, shares):
+        self.basis, self.coeffs = basis, coeffs
+        self.finite, self.mass, self.shares = finite, mass, shares
+
+    def part(self, k):
+        """Sample k's sector part, formed."""
+        return self.coeffs[:, k] @ self.basis
+
+
+class _WindowSampler:
+    """The kinetic diagnostics of samples read in a sector's Krylov basis.
+
+    A sample of a window is q = c V in sector coordinates, V the window's m
+    mu-orthonormal basis rows and c its coefficients. Every diagnostic is
+    read from c (module notes): ||q||_mu^2 = ||c||^2, -<Lf, f>_mu and the
+    moments' quadratic parts are m x m Gram forms, and the profiles and
+    elliptic solutions of hypo's H and D are the c-combinations of those of
+    the rows. The forms of a sector (W L_hat folded, the moment weights,
+    the folded mass weights and the max-principle weights) are built at its
+    first window, so a run that reads no window in its basis builds none.
+    """
+
+    def __init__(self, eq, ops, delta, moment_weights, n_j, max_ok, ratio):
+        self._eq, self._ops, self._delta = eq, ops, delta
+        self._moment_weights, self._n_j = moment_weights, n_j
+        self._max_ok = max_ok
+        # |q| sqrt(f_star) <= a f_star + tol, a = min(C - 1, 1), gives
+        # f = f_star + q sqrt(f_star) in [-tol, C f_star + tol]; without an
+        # integrable f_star, or for C < 1, every sample is checked pointwise
+        self._amplitude = (min(ratio - 1.0, 1.0)
+                           if eq.integrable and ratio >= 1.0 else None)
+        self._sectors = {}
+        self._constants = None
+
+    def _sector(self, sign):
+        """(-W L_hat folded, moment weights, 2 x their linear terms, mass
+        weights, bound weights or None) on one sector, in fold's
+        coordinates; every full-grid weight here is reversal-symmetric, so
+        its head weighs a sector's coordinates."""
+        if sign not in self._sectors:
+            ops = self._ops
+            n = ops.sqrt_f.size
+            size = n // 2 + (sign > 0)
+            w_l = ops.L_hat.copy()
+            w_l.data *= np.repeat(ops.w_flat, np.diff(w_l.indptr))
+            weights = [np.outer(a, b).ravel() for a, b in self._moment_weights]
+            # p^2 = q^2 + 2 q sqrt(f_star) + f_star: the linear terms are
+            # even, so an odd sector has none
+            base = ops.sqrt_f if self._eq.integrable else np.zeros(n)
+            linear = np.array([2.0 * fold(d * base).get(sign, np.zeros(size))
+                               for d in weights]).reshape(-1, size)
+            bound = None
+            if self._amplitude is not None:
+                fstar = self._eq.f_star.values.ravel()
+                s = ops.sqrt_f / (self._amplitude * fstar + _MAXP_TOL)
+                # |y_i|, |y_(n-1-i)| <= (|even_i| + |odd_i|) / sqrt(2)
+                bound = s[:size] / _SQRT2
+                if sign > 0:
+                    bound[-1] = s[n // 2]
+            mass = fold(ops.w_flat * ops.sqrt_f).get(sign, np.zeros(size))
+            self._sectors[sign] = (
+                -fold_sector(w_l, sign), np.array([d[:size] for d in weights]),
+                linear, mass, bound)
+            if self._constants is None:
+                p_sq = (base * base).reshape(self._eq.grid.shape)
+                self._constants = np.array(
+                    [0.0, 0.0, 0.0] + [a @ p_sq @ b
+                                       for a, b in self._moment_weights]
+                    + [0.0])
+        return self._sectors[sign]
+
+    def window(self, sign, basis, coeffs):
+        """The _Window of the samples whose coefficients in the sector
+        basis rows `basis` (m x n_sector) are the columns of coeffs.
+
+        Per window: the Gram forms of the rows (a few rows at a time),
+        their profiles (one row unfolded at a time), and one elliptic solve
+        with 4m right-hand sides and its residuals; per block of samples,
+        the c-combinations, each combined residual checked against 1e-10 of
+        its right-hand side and re-solved if it fails.
+        """
+        ops, delta = self._ops, self._delta
+        minus_l, weights, linear, mass, bound = self._sector(sign)
+        m, count = coeffs.shape
+        n_forms = 1 + len(weights)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            grams = np.empty((n_forms, m, m))
+            reach = np.full(m, np.inf)
+            for first in range(0, m, _BLOCK):
+                rows = basis[first:first + _BLOCK]
+                cols = slice(first, first + rows.shape[0])
+                grams[0, :, cols] = basis @ (minus_l @ rows.T)
+                for i, d in enumerate(weights):
+                    grams[1 + i, :, cols] = basis @ (d * rows).T
+                if bound is not None:
+                    reach[cols] = np.max(np.abs(rows) * bound, axis=1)
+            linear = linear @ basis.T
+            if delta != 0.0:
+                pieces = self._row_pieces(sign, basis)
+            shares = np.empty((n_forms + 3, count))
+            for first in range(0, count, _WINDOW_SAMPLES):
+                c = coeffs[:, first:first + _WINDOW_SAMPLES]
+                block = slice(first, first + c.shape[1])
+                norm_sq = np.sum(c * c, axis=0)
+                forms = np.sum(c * (grams @ c), axis=1)
+                forms[1:] += linear @ c
+                profiles = solutions = [None] * c.shape[1]
+                if delta != 0.0:
+                    profiles, solutions = self._combined(pieces, c)
+                for j in range(c.shape[1]):
+                    shares[1:3, first + j] = hypo.entropy_and_dissipation_from(
+                        norm_sq[j], forms[0, j], profiles[j], solutions[j],
+                        delta, ops)
+                shares[0, block] = norm_sq
+                shares[3:-1, block] = forms[1:]
+                shares[-1, block] = reach @ np.abs(c)
+            return _Window(basis, coeffs, np.all(np.isfinite(coeffs), axis=0),
+                           (basis @ mass) @ coeffs, shares)
+
+    def _row_pieces(self, sign, basis):
+        """(profiles, right-hand sides, solutions, residuals) of hypo's four
+        elliptic solves for each basis row, from one solve with 4m
+        right-hand sides: m x 4 nx arrays, row j holding basis row j's four
+        (u_f, B q, B T(1-Pi) q, B L q) pieces."""
+        ops = self._ops
+        n, m, nx = ops.sqrt_f.size, basis.shape[0], ops.mrho.size
+        profiles = np.array([q_profiles(unfold({sign: row}, n), ops)
+                             for row in basis])
+        # nx x 4m: one m-column block per profile
+        rhs = elliptic_rhs(profiles.transpose(1, 2, 0), ops)
+        solutions = operators.solve_elliptic(rhs, ops)
+        residuals = rhs - ops.elliptic_matrix @ solutions
+        return (profiles.reshape(m, -1),) + tuple(
+            block.reshape(nx, 4, m).transpose(2, 1, 0).reshape(m, -1)
+            for block in (rhs, solutions, residuals))
+
+    def _combined(self, pieces, c):
+        """The profiles and elliptic solutions (b x 4 x nx each) of the
+        samples whose coefficients are the b columns of c. A sample whose
+        combined residual fails the solve's 1e-10 relative check in any
+        column is solved again on its own."""
+        ops = self._ops
+        profiles, rhs, solutions, residuals = (
+            (c.T @ piece).reshape(c.shape[1], 4, -1) for piece in pieces)
+        stalled = residual_stalls(residuals, np.linalg.norm(rhs, axis=2), 2)
+        for k in np.flatnonzero(stalled.any(axis=1)):
+            solutions[k] = operators.solve_elliptic(rhs[k].T, ops).T
+        return profiles, solutions
+
+    def values(self, items):
+        """(norm_sq_mu, H, D, x-moments, v-moments, max principle) of a
+        sample whose every sector part is (window, k): the sectors' shares
+        added, plus the moments' constant terms. Each diagnostic is a
+        reflection-invariant quadratic form plus linear terms that live in
+        the even sector, so it has no cross terms between sectors. The
+        bound certifies the max principle when it stays below 1 - 1e-9;
+        otherwise the sample is formed and checked pointwise."""
+        total = self._constants + sum(w.shares[:, k]
+                                      for w, k in items.values())
+        moments = [float(v) for v in total[3:-1]]
+        ok = bool(total[-1] <= 1.0 - 1e-9) or self._max_ok(unfold(
+            {sign: w.part(k) for sign, (w, k) in items.items()},
+            self._ops.sqrt_f.size))
+        return (float(total[0]), float(total[1]), float(total[2]),
+                moments[:self._n_j], moments[self._n_j:], ok)
 
 
 def _macro_sampler(rho0, eq, ops, j_powers):
@@ -734,8 +1012,8 @@ def _macro_sampler(rho0, eq, ops, j_powers):
     rho_star = eq.rho_star.values
     wx = eq.grid.x_grid.weights
     bracket = np.sqrt(1.0 + eq.grid.x_grid.nodes ** 2)
-    cap = _max_principle_cap(rho0.values, rho_star,
-                             "initial density must be nonnegative")
+    cap = rho_star * _max_principle_ratio(
+        rho0.values, rho_star, "initial density must be nonnegative")
     base = rho_star if eq.integrable else 0.0
 
     def sample(y):

@@ -33,9 +33,15 @@ A maps into the range of Pi, so <ATPi f, f> = <ATPi f, Pi f>: D and the
 coercivity denominator share that term. entropy_H makes one elliptic solve,
 dissipation_components one with four right-hand sides (u_f, B q,
 B T(1-Pi) q, B L q) and bounded_auxiliary_ratio one with two.
-entropy_and_dissipation, which a kinetic trajectory calls once per sample,
-takes H and D from the same one solve with four right-hand sides, reading
-<Af, f> = u_Af . (m u_f) off its second column; at delta = 0 it makes none.
+entropy_and_dissipation takes H and D from the same one solve with four
+right-hand sides, reading <Af, f> = u_Af . (m u_f) off its second column;
+at delta = 0 it makes none. The delta-combinations of H and D live in one
+place, entropy_and_dissipation_from, which takes ||f||_mu^2, -<Lf, f>_mu,
+the four profiles and their four solutions rather than q. A kinetic
+trajectory calls it once per sample: through entropy_and_dissipation for a
+state it forms, and with pieces read in a Krylov basis for a sample it does
+not form (evolution module notes), since every piece but the two quadratic
+forms is linear in q.
 
 c_M is the H4 bound ||AT(1-Pi)f|| + ||ALf|| <= c_M ||(1-Pi)f||_beta of
 Dolbeault-Mouhot-Schmeiser, with the micro part in the beta-norm, and
@@ -219,20 +225,34 @@ def _minus_lf_f(q, eq, ops):
     return float(np.einsum("ji,ji->i", grad, grad) @ eq.grid.x_grid.weights)
 
 
-def _dissipation_forms(q, delta, eq, ops):
-    """(forms, m u_f, u_Af) of the q-form q: forms holds the five inner
-    products of D[f] and their delta-combination D, from one q_profiles
-    call and one elliptic solve with four right-hand sides."""
-    m_u, b_q, bt_micro_q, bl_q = q_profiles(q, ops)
-    u_f = m_u / ops.mrho
-    u_pi, u_af, u_at_micro, u_al = operators.solve_elliptic(
-        np.column_stack([u_f, b_q, bt_micro_q, bl_q]), ops).T
-    minus_lff = _minus_lf_f(q, eq, ops)
+def elliptic_rhs(profiles, ops):
+    """The right-hand sides (u_f, B q, B T(1-Pi) q, B L q) of the four
+    elliptic solves behind D, from the q_profiles profiles (m u_f, B q,
+    B T(1-Pi) q, B L q) of q: an nx x 4 block, or nx x 4k when each profile
+    is an nx x k block of k states (one k-column block per profile)."""
+    m_u, b_q, bt_micro_q, bl_q = profiles
+    return np.column_stack([(m_u.T / ops.mrho).T, b_q, bt_micro_q, bl_q])
+
+
+def _profiles_and_solutions(q, ops):
+    """The four profiles of q and their four elliptic solutions (u_Pi,
+    u_Af, u_AT(1-Pi), u_AL): one q_profiles call and one solve."""
+    profiles = q_profiles(q, ops)
+    return profiles, operators.solve_elliptic(elliptic_rhs(profiles, ops),
+                                              ops).T
+
+
+def _dissipation_forms(profiles, solutions, minus_lff, delta, ops):
+    """The five inner products of D[f] and their delta-combination D, from
+    -<Lf, f>_mu, the profiles (m u_f, B q, B T(1-Pi) q, B L q) and their
+    elliptic solutions (u_Pi, u_Af, u_AT(1-Pi), u_AL)."""
+    m_u, b_q, _, _ = profiles
+    u_pi, u_af, u_at_micro, u_al = solutions
     atpi_ff = atpi_form(u_pi, ops)   # <ATPi f, f> = <ATPi f, Pi f>
     ta_ff = float(u_af @ (ops.mrho * b_q))
     at_micro_ff = float(u_at_micro @ m_u)
     al_ff = float(u_al @ m_u)
-    forms = {
+    return {
         "minus_Lf_f": minus_lff,
         "ATPi_f_f": atpi_ff,
         "TA_f_f": ta_ff,
@@ -241,7 +261,6 @@ def _dissipation_forms(q, delta, eq, ops):
         "D": (minus_lff + delta * atpi_ff
               - delta * (ta_ff - at_micro_ff + al_ff)),
     }
-    return forms, m_u, u_af
 
 
 def dissipation_components(f, delta, eq, ops):
@@ -252,28 +271,51 @@ def dissipation_components(f, delta, eq, ops):
            - delta (<TAf,f> - <AT(1-Pi)f,f> + <ALf,f>).
     """
     q = _q(f, eq, ops)
-    forms, m_u, _ = _dissipation_forms(q, delta, eq, ops)
-    forms["kappa_denominator"] = (_micro_beta_sq(q, m_u / ops.mrho, eq, ops)
-                                  + forms["ATPi_f_f"])
+    profiles, solutions = _profiles_and_solutions(q, ops)
+    forms = _dissipation_forms(profiles, solutions, _minus_lf_f(q, eq, ops),
+                               delta, ops)
+    forms["kappa_denominator"] = (
+        _micro_beta_sq(q, profiles[0] / ops.mrho, eq, ops)
+        + forms["ATPi_f_f"])
     forms["delta"] = float(delta)
     return forms
 
 
-def entropy_and_dissipation(q, delta, eq, ops):
+def entropy_and_dissipation_from(norm_sq, minus_lff, profiles, solutions,
+                                 delta, ops):
+    """(H[f], D[f]) from ||f||_mu^2, -<Lf, f>_mu, the four profiles of q
+    and their four elliptic solutions (both None at delta = 0), H reading
+    <Af, f>_mu = u_Af . (m u_f) off the second solution.
+
+    Both kinetic samplers call it, once per sample: entropy_and_dissipation
+    with the pieces of one state, a Krylov window with the pieces of its
+    samples read in its basis (evolution module notes).
+    """
+    if delta == 0.0:
+        return 0.5 * norm_sq, minus_lff
+    forms = _dissipation_forms(profiles, solutions, minus_lff, delta, ops)
+    return (0.5 * norm_sq + delta * float(solutions[1] @ profiles[0]),
+            forms["D"])
+
+
+def entropy_and_dissipation(q, delta, eq, ops, norm_sq=None):
     """(H[f], D[f]) of the flattened q-form q = f / sqrt(f_star).
 
     Both come from one q_profiles call and one elliptic solve with four
     right-hand sides, H reading <Af, f>_mu off the same u_Af as D; with
-    delta = 0, H = 1/2 ||f||_mu^2 and D = -<Lf, f>_mu need no solve. The
+    delta = 0, H = 1/2 ||f||_mu^2 and D = -<Lf, f>_mu need no solve.
+    norm_sq is ||f||_mu^2 = (W q) . q when the caller holds it already. The
     values are those of entropy_H and dissipation_components(...)["D"] to
     roundoff.
     """
     check_entropy_delta(delta)
-    half_sq = 0.5 * float(q @ (ops.w_flat * q))
-    if delta == 0.0:
-        return half_sq, _minus_lf_f(q, eq, ops)
-    forms, m_u, u_af = _dissipation_forms(q, delta, eq, ops)
-    return half_sq + delta * float(u_af @ m_u), forms["D"]
+    if norm_sq is None:
+        norm_sq = float(q @ (ops.w_flat * q))
+    profiles = solutions = None
+    if delta != 0.0:
+        profiles, solutions = _profiles_and_solutions(q, ops)
+    return entropy_and_dissipation_from(norm_sq, _minus_lf_f(q, eq, ops),
+                                        profiles, solutions, delta, ops)
 
 
 # ---------------------------------------------------------------------------

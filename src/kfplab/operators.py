@@ -390,6 +390,14 @@ def macro_profile(f, eq):
     return DensityField(rho_f / (eq.g_mass * eq.rho_star.values), eq.grid.x_grid)
 
 
+def residual_stalls(residual, scale, axis):
+    """Whether each residual (the norms along axis) fails to reach 1e-10
+    of its right-hand side's norm scale. A zero right-hand side has the
+    zero solution and always passes; NaN never does."""
+    return ((~(np.linalg.norm(residual, axis=axis) < _RESIDUAL_TOL * scale))
+            & (scale > 0.0))
+
+
 def solve_with_refinement(lu, system, rhs, what):
     """Solve system @ x = rhs with the factorization lu of system.
 
@@ -403,9 +411,7 @@ def solve_with_refinement(lu, system, rhs, what):
     scale = np.linalg.norm(rhs, axis=axis)
     for _ in range(3):
         res = rhs - system @ sol
-        # a zero column has the zero solution; NaN never passes
-        stalled = ((~(np.linalg.norm(res, axis=axis) < _RESIDUAL_TOL * scale))
-                   & (scale > 0.0))
+        stalled = residual_stalls(res, scale, axis)
         if not stalled.any():
             return sol
         sol = sol + np.where(stalled, lu.solve(res), 0.0)

@@ -121,3 +121,35 @@ def test_traced_krylov_run_factors_once_and_solves_less_than_it_steps():
     even = evolution.SectorLU(ops, "kinetic", evolution._SHIFT_STEPS * dt,
                               "implicit_euler", [1]).sector(1)[0]
     assert metrics["evolution.lu_fill"] == even.L.nnz + even.U.nnz
+
+
+def test_traced_basis_windows_make_one_elliptic_solve_each(monkeypatch):
+    # the exp_dense run (129^2, 1000 steps sampled every 2nd): both of its
+    # windows (40 vectors for 138 samples, 35 for 362) read their samples
+    # in their basis, each with one elliptic solve of 4m right-hand sides;
+    # the initial sample makes one, and a sample whose combined residual
+    # failed the 1e-10 check would add one more (none does here)
+    tracing = _load_tracing()
+    _, _, eq, ops = make_problem("power", 2.0, 8.0, 129, 8.0, 129,
+                                 alpha=2.0)
+    f0 = initial_bump(eq, 0.5)
+    windows = []
+    real_window = evolution._WindowSampler.window
+
+    def recording(self, sign, basis, coeffs):
+        windows.append(coeffs.shape)
+        return real_window(self, sign, basis, coeffs)
+
+    monkeypatch.setattr(evolution._WindowSampler, "window", recording)
+    tracer = tracing.Tracer()
+    with tracing.instrumented(tracer, full=True):
+        rec = evolution.run_trajectory(f0, (0.02, 20.0, 2), "kinetic", eq,
+                                       ops, delta=0.3)
+    assert rec.times.size == 501
+    assert windows == [(40, 138), (35, 362)]
+    metrics = tracer.layer_metrics(tracer.op)
+    assert metrics["evolution.factorizations"] == 1
+    assert metrics["evolution.solves"] == 75
+    assert metrics["hypo.samples"] == 0
+    # 1 initial + 2 windows + 0 re-solves, against 501 before
+    assert metrics["operators.elliptic_solves"] == 1 + 2 + 0

@@ -27,7 +27,7 @@ from kfplab import (
     total_mass,
     weighted_moment,
 )
-from kfplab import evolution
+from kfplab import evolution, hypo, operators
 from kfplab.evolution import (SectorLU, _advance, _reversal_symmetric,
                               _step_matrices, fold, fold_sector, unfold)
 from kfplab.operators import SPLU_OPTIONS
@@ -764,11 +764,13 @@ def test_krylov_window_that_cannot_agree_falls_back_to_stepping(
     assert _worst_relative_gap(got, ref) == 0.0
 
 
-def _krylov_failure(eq, ops, monkeypatch, corrupt_from, corrupt):
-    """The NumericalError of a Krylov run of 16-vector windows whose solves
-    are corrupted from call corrupt_from on, and the clean record."""
+def _krylov_failure(eq, ops, monkeypatch, corrupt_from, corrupt,
+                    max_basis=16):
+    """The NumericalError of a Krylov run of windows of up to max_basis
+    vectors whose solves are corrupted from call corrupt_from on, and the
+    clean record."""
     schedule = (0.05, 10.0, 5)
-    monkeypatch.setattr(evolution, "_MAX_BASIS", 16)
+    monkeypatch.setattr(evolution, "_MAX_BASIS", max_basis)
     clean = run_trajectory(initial_bump(eq, 0.5), schedule, "kinetic", eq,
                            ops, delta=0.3)
     real_solve = evolution.solve_with_refinement
@@ -795,6 +797,29 @@ def test_krylov_abort_keeps_the_accepted_samples(strong_strong, monkeypatch,
     # the first window (16 solves) is clean; the second one goes bad
     _, _, eq, ops = strong_strong
     err, clean = _krylov_failure(eq, ops, monkeypatch, 17, corrupt)
+    _check_abort(err, clean, message)
+
+
+@pytest.mark.parametrize("corrupt, message", [
+    (lambda sol: sol * np.nan, "non-finite state"),
+    (lambda sol: sol + 1e-3, "mass drift"),
+])
+def test_krylov_abort_after_a_basis_window_keeps_its_samples(
+        strong_strong, monkeypatch, corrupt, message):
+    # the first window (32 solves) agrees on 32 samples and reads them in
+    # its basis; the second one goes bad, so the run keeps those 32
+    _, _, eq, ops = strong_strong
+    windows = _spy(monkeypatch, evolution._WindowSampler, "window")
+    err, clean = _krylov_failure(eq, ops, monkeypatch, 33, corrupt,
+                                 max_basis=100)
+    assert [w.coeffs.shape for _, w in windows][:2] == [(32, 32)] * 2
+    _check_abort(err, clean, message)
+    assert err.partial_record.times.size == 33
+
+
+def _check_abort(err, clean, message):
+    """err's partial record is a leading part of the clean record, bit for
+    bit, ending at its last good time."""
     assert message in str(err)
     partial = err.partial_record
     accepted = partial.times.size
@@ -809,8 +834,10 @@ def test_krylov_abort_keeps_the_accepted_samples(strong_strong, monkeypatch,
 
 def test_krylov_overflowing_diagnostic_aborts_at_its_sample(strong_strong,
                                                             monkeypatch):
+    # the first window reads its samples in its basis; both samplers take
+    # H and D from hypo.entropy_and_dissipation_from, once per sample
     _, _, eq, ops = strong_strong
-    real_sample = evolution.entropy_and_dissipation
+    real_sample = hypo.entropy_and_dissipation_from
     calls = {"n": 0}
 
     def overflowing(*args):
@@ -818,7 +845,7 @@ def test_krylov_overflowing_diagnostic_aborts_at_its_sample(strong_strong,
         h, d = real_sample(*args)
         return (h, d) if calls["n"] < 5 else (np.inf, d)
 
-    monkeypatch.setattr(evolution, "entropy_and_dissipation", overflowing)
+    monkeypatch.setattr(hypo, "entropy_and_dissipation_from", overflowing)
     with pytest.raises(NumericalError, match="non-finite sample at t = 1"
                        ) as err:
         run_trajectory(initial_bump(eq, 0.5), (0.05, 10.0, 5), "kinetic",
@@ -826,3 +853,161 @@ def test_krylov_overflowing_diagnostic_aborts_at_its_sample(strong_strong,
     assert err.value.last_good_time == pytest.approx(0.75)
     assert list(err.value.partial_record.times) == pytest.approx(
         [0.0, 0.25, 0.5, 0.75])
+
+
+# ---------------------------------------------------------------------------
+# Krylov samples read in their window's basis
+# ---------------------------------------------------------------------------
+
+def _spy(monkeypatch, owner, name):
+    """The (arguments, result) of every call of owner.name while the test
+    runs (owner a module or a class)."""
+    real = getattr(owner, name)
+    calls = []
+
+    def spy(*args):
+        calls.append((args, real(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(owner, name, spy)
+    return calls
+
+
+@pytest.mark.parametrize("kind, delta, windows_read", [
+    ("bump", 0.3, [(32, 32)]),
+    ("bump", 0.0, [(32, 32)]),
+    # each sector's first window agrees on 10 samples with 32 vectors and
+    # is formed; each second window is read in its basis
+    ("shifted_gaussian", 0.3, [(29, 30), (24, 30)]),
+])
+def test_basis_windows_match_the_per_state_sampler(strong_strong, kind, delta,
+                                                   windows_read, monkeypatch):
+    # 200 steps on 65^2, 40 samples; the reference forms every window's
+    # samples for the per-state sampler
+    _, _, eq, ops = strong_strong
+    f0 = _DATA[kind](eq)
+    schedule, powers = (0.05, 10.0, 5), ((2, 4), (2, 3))
+    windows = _spy(monkeypatch, evolution._WindowSampler, "window")
+    got = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=delta,
+                         moment_powers=powers)
+    monkeypatch.setattr(evolution, "_window_pays", lambda m, samples: False)
+    ref = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=delta,
+                         moment_powers=powers)
+    assert [w.coeffs.shape for _, w in windows] == windows_read
+    assert got.times.size == 41
+    assert _worst_relative_gap(got, ref) <= 1e-12
+
+
+def test_a_window_with_fewer_samples_than_vectors_is_formed(strong_strong,
+                                                            monkeypatch):
+    # the bump's first window agrees on 32 samples with 32 vectors, its
+    # restart window on 8 samples with 9 vectors
+    _, _, eq, ops = strong_strong
+    rule = _spy(monkeypatch, evolution, "_window_pays")
+    windows = _spy(monkeypatch, evolution._WindowSampler, "window")
+    run_trajectory(initial_bump(eq, 0.5), (0.05, 10.0, 5), "kinetic", eq,
+                   ops, delta=0.3)
+    assert rule == [((32, 32), True), ((9, 8), False)]
+    assert [w.coeffs.shape for _, w in windows] == [(32, 32)]
+
+
+@pytest.mark.parametrize("ratio", [1.5, 3.0])
+def test_max_principle_bound_never_certifies_a_violating_state(ratio,
+                                                               monkeypatch):
+    # random sector windows of one to four rows, concentrated where f_star
+    # is large, with coefficients scaled to just inside the bound or
+    # anywhere up to twice it; whenever the bound certifies a sample (no
+    # pointwise check ran), the formed state keeps f <= C f_star + 1e-6 and
+    # f >= -1e-6, and the flag always matches that pointwise truth
+    _, grid, eq, ops = make_problem("power", 2.0, 8.0, 33, 8.0, 33,
+                                    alpha=2.0)
+    fstar = eq.f_star.values
+    x, v = grid.x_grid.nodes[:, None], grid.v_grid.nodes[None, :]
+    f0 = Field(fstar * (1.0 + (ratio - 1.0) * np.exp(-x ** 2 - v ** 2)),
+               grid)
+    cap = float(np.max(f0.values / fstar)) * fstar.ravel()
+    assert cap[fstar.size // 2] / fstar.ravel()[fstar.size // 2] == ratio
+    windows = evolution._kinetic_sampler(f0, eq, ops, 0.0, (), ())[4]
+    pointwise = _spy(monkeypatch, evolution, "_max_principle_ok")
+    n = fstar.size
+    rng = np.random.default_rng(7)
+    certified = 0
+    for trial in range(300):
+        signs = [[1], [-1], [1, -1]][trial % 3]
+        rows = {sign: rng.standard_normal((1 + trial % 4, n // 2 + (sign > 0)))
+                * ops.sqrt_f[:n // 2 + (sign > 0)] for sign in signs}
+        coeffs = {sign: rng.standard_normal((r.shape[0], 1))
+                  for sign, r in rows.items()}
+        bound = sum(windows.window(sign, rows[sign],
+                                   coeffs[sign]).shares[-1, 0]
+                    for sign in signs)
+        scale = (1.0 - 1e-9) / bound * (1.0 if trial % 2 else
+                                        rng.uniform(0.5, 2.0))
+        items = {sign: (windows.window(sign, rows[sign],
+                                       scale * coeffs[sign]), 0)
+                 for sign in signs}
+        del pointwise[:]
+        flag = windows.values(items)[5]
+        q = unfold({sign: (scale * coeffs[sign][:, 0]) @ rows[sign]
+                    for sign in signs}, n)
+        f = fstar.ravel() + q * ops.sqrt_f
+        truth = bool(np.max(f - cap) <= 1e-6 and np.min(f) >= -1e-6)
+        if not pointwise:
+            certified += 1
+            assert truth, trial
+        assert flag == truth, trial
+    assert certified >= 150
+
+
+def test_a_bound_that_fails_near_the_start_falls_back_to_pointwise(
+        strong_strong, monkeypatch):
+    # criterion 9's datum (C = 2) on 65^2, every sample read in a basis:
+    # the even window (32 vectors, 100 samples) and the odd ones (32, 47
+    # and 18, 53). Its f - f_star keeps mass, and the bound's sum over 32
+    # rows stays above 1 from t = 0 on, so every sample is formed (one part
+    # per sector) and checked pointwise; every flag matches the per-state
+    # run
+    _, grid, eq, ops = strong_strong
+    x, v = grid.x_grid.nodes[:, None], grid.v_grid.nodes[None, :]
+    bump = np.exp(-((x - 1.0) ** 2 + (v - 1.0) ** 2) / 2.0)
+    f0 = Field(np.minimum(eq.f_star.values * (1.0 + 1.5 * bump),
+                          2.0 * eq.f_star.values), grid)
+    schedule = (0.05, 10.0, 2)
+    windows = _spy(monkeypatch, evolution._WindowSampler, "window")
+    formed = _spy(monkeypatch, evolution._Window, "part")
+    got = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=0.3)
+    monkeypatch.setattr(evolution, "_window_pays", lambda m, samples: False)
+    ref = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=0.3)
+    assert [w.coeffs.shape for _, w in windows] == [(32, 100), (32, 47),
+                                                    (18, 53)]
+    even, odd = windows[0][1], windows[1][1]
+    assert even.shares[-1, 0] + odd.shares[-1, 0] > 1.0
+    assert len(formed) == 2 * 100
+    assert np.array_equal(got.max_principle_ok, ref.max_principle_ok)
+    assert np.all(got.max_principle_ok)
+
+
+def test_a_sample_whose_combined_residual_fails_is_solved_again(
+        strong_strong, monkeypatch):
+    # no sample of these runs fails the combined 1e-10 residual check, so
+    # every 7th sample of each block of 32 is marked as failing: the bump's
+    # windows (32 vectors, 80 samples; 9, 20) mark 5 + 5 + 3 and 3. Each is
+    # solved again on its own, and the record matches the per-state run
+    _, _, eq, ops = strong_strong
+    real_stalls = evolution.residual_stalls
+
+    def stalling(residual, scale, axis):
+        stalled = real_stalls(residual, scale, axis)
+        assert not stalled.any()
+        stalled[::7] = True
+        return stalled
+
+    monkeypatch.setattr(evolution, "residual_stalls", stalling)
+    solves = _spy(monkeypatch, operators, "solve_elliptic")
+    f0, schedule = initial_bump(eq, 0.5), (0.05, 10.0, 2)
+    got = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=0.3)
+    assert [rhs.shape[1] for (rhs, _), _ in solves] == (
+        [4, 4 * 32] + [4] * 13 + [4 * 9] + [4] * 3)
+    monkeypatch.setattr(evolution, "_window_pays", lambda m, samples: False)
+    ref = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=0.3)
+    assert _worst_relative_gap(got, ref) <= 1e-12
