@@ -5,14 +5,12 @@ inequalities, time integration, and decay-rate classification."""
 from .errors import (FittingError, GridMismatchError, InfeasibleError,
                      InvalidEquilibriumError, NumericalError, TruncationError,
                      ValidationError)
-from .grids import (DensityField, Field, Grid1D, PhaseGrid, inner_product_mu,
-                    norm_beta, norm_mu, total_mass, velocity_weight,
-                    weighted_moment)
+from .grids import DensityField, Field, Grid1D, PhaseGrid, velocity_weight
 from .equilibria import (Equilibrium, PotentialSpec, build_equilibrium,
                          diffusion_sigma, eval_potential, moment_closed_form,
                          psi_mass)
-from .operators import (OperatorSet, apply_A, apply_Pi, assemble,
-                        collision_v_forms, macro_profile, solve_elliptic)
+from .operators import (OperatorSet, assemble, collision_v_forms,
+                        solve_elliptic)
 from .spectral import (InequalityEstimate, hardy_poincare_constant,
                        macroscopic_gap, microscopic_coercivity_constant,
                        pencil_min_eig, poincare_constant,
@@ -24,8 +22,7 @@ from .hypo import (HypoConstants, auxiliary_operator_norms,
                    transport_coefficient_integrals)
 from .evolution import (TrajectoryRecord, initial_bump, initial_macro_bump,
                         initial_macro_gaussian, initial_odd_v,
-                        initial_shifted_gaussian, run_trajectory, step_kinetic,
-                        step_macro)
+                        initial_shifted_gaussian, run_trajectory)
 from .rates import (RegimePrediction, bihari_lasalle_envelope,
                     bihari_lasalle_rk4, classify_regime, default_window,
                     fit_rate, fit_rate_with_sensitivity)

@@ -17,139 +17,153 @@ import numpy as np
 from . import evolution, hypo, rates, runner, spectral
 from .equilibria import PotentialSpec, build_equilibrium
 from .errors import NumericalError, ValidationError
-from .grids import Field, Grid1D, PhaseGrid, inner_product_mu, norm_mu
-from .operators import apply_A, apply_Pi, assemble
+from .grids import Grid1D, PhaseGrid
+from .operators import assemble, q_profiles, solve_elliptic
 
 
 # ---------------------------------------------------------------------------
 # the `check` invariant sweep
 # ---------------------------------------------------------------------------
 
-def _report(label, ok, detail=""):
-    line = ("PASS  " if ok else "FAIL  ") + label
-    if detail and not ok:
-        line += "  (%s)" % detail
-    print(line)
+def _report(label, check):
+    """Print one invariant's PASS/FAIL line; check() gives (ok, detail). A
+    check that raises ValidationError or NumericalError fails with the
+    message, and the sweep goes on."""
+    try:
+        ok, detail = check()
+    except (ValidationError, NumericalError) as exc:
+        ok, detail = False, str(exc)
+    print(("PASS  " if ok else "FAIL  ") + label
+          + ("  (%s)" % detail if detail and not ok else ""))
     return bool(ok)
 
 
-def run_check():
-    """One PASS/FAIL line per invariant; True when everything holds."""
-    good = []
+def _within(err, scale, tol):
+    return err <= tol * scale, "%.3e" % (err / scale)
 
-    # --- constant algebra ---------------------------------------------------
+
+def _delta_star():
     ds = hypo.delta_star(1.0, 1.0, 1.0)
-    good.append(_report("delta_star(1,1,1) equals 2/3",
-                        abs(ds - 2.0 / 3.0) < 1e-15, "%r" % ds))
+    return abs(ds - 2.0 / 3.0) < 1e-15, "%r" % ds
+
+
+def _rate_window():
     lam = hypo.lambda_rate(1.0, 1.0, 1.0, 0.3)
-    good.append(_report("lambda(1,1,1,0.3) inside its window (0, 0.3]",
-                        0.0 < lam <= 0.3, "%r" % lam))
+    return 0.0 < lam <= 0.3, "%r" % lam
+
+
+def _rate_quadratic():
     rng = np.random.default_rng(7)
-    algebra_ok = True
     for _ in range(200):
         lm, lM, cm = rng.uniform(0.1, 5.0, size=3)
         delta = rng.uniform(0.05, 0.95) * hypo.delta_star(lm, lM, cm)
-        try:
-            hypo.lambda_rate(lm, lM, cm, delta)
-        except (ValidationError, NumericalError) as exc:
-            algebra_ok = _report("rate quadratic over random constants",
-                                 False, str(exc))
-            break
-    else:
-        algebra_ok = _report("rate quadratic over random constants", True)
-    good.append(algebra_ok)
+        hypo.lambda_rate(lm, lM, cm, delta)
+    return True, ""
 
-    # --- operator structure (quadratic potentials, small box) ---------------
+
+def _envelope_matches_ode():
+    times = np.linspace(0.0, 5.0, 11)
+    err = max(np.max(np.abs(rates.bihari_lasalle_envelope(2.0, 0.7, z, times)
+                            - rates.bihari_lasalle_rk4(2.0, 0.7, z, times)))
+              for z in (0.5, 1.0, 2.0))
+    return err <= 1e-6 * 2.0, "%.3e" % err
+
+
+def run_check():
+    """One PASS/FAIL line per invariant; True when everything holds. The
+    operators are checked in q = f/sqrt(f_star), as runs use them:
+    <f, g>_mu = sum(w_flat q_f q_g), and Pi q and A q are the q-forms
+    u_f sqrt(f_star) and u sqrt(f_star), u = (I + N)^-1 B q, of q_profiles."""
     spec = PotentialSpec("power", 2.0, alpha=2.0)
     grid = PhaseGrid(Grid1D(8.0, 65), Grid1D(8.0, 65))
     eq = build_equilibrium(spec, grid)
     ops = assemble(eq)
+    w, sqrt_f = ops.w_flat, ops.sqrt_f
+
+    def dot(a, b):
+        return float(np.sum(w * a * b))
+
+    def norm(a):
+        return np.sqrt(max(dot(a, a), 0.0))
+
+    def local_eq(u):                    # the q-form of u f_star
+        return (u[:, np.newaxis] * sqrt_f.reshape(grid.shape)).ravel()
+
+    def pi(q):
+        return local_eq(q_profiles(q, ops)[0] / ops.mrho)
+
+    def draw(rng):                      # a random field f, as f/sqrt(f_star)
+        return rng.standard_normal(sqrt_f.size) / sqrt_f
+
     rng = np.random.default_rng(11)
-    f = Field(rng.standard_normal(grid.shape), grid)
-    g = Field(rng.standard_normal(grid.shape), grid)
+    qf, qg = draw(rng), draw(rng)
 
-    tf, tg = ops.apply_transport(f), ops.apply_transport(g)
-    skew = abs(inner_product_mu(tf, g, eq) + inner_product_mu(f, tg, eq))
-    scale = norm_mu(tf, eq) * norm_mu(g, eq) + norm_mu(f, eq) * norm_mu(tg, eq)
-    good.append(_report("transport skew-adjoint in the weighted inner product",
-                        skew <= 1e-12 * scale, "%.3e" % (skew / scale)))
+    def symmetric(apply, sign):         # <X f, g> = sign <f, X g>
+        xf, xg = apply(qf), apply(qg)
+        return _within(abs(dot(xf, qg) - sign * dot(qf, xg)),
+                       norm(xf) * norm(qg) + norm(qf) * norm(xg), 1e-12)
 
-    lf, lg = ops.apply_collision(f), ops.apply_collision(g)
-    sym = abs(inner_product_mu(lf, g, eq) - inner_product_mu(f, lg, eq))
-    scale = norm_mu(lf, eq) * norm_mu(g, eq) + norm_mu(f, eq) * norm_mu(lg, eq)
-    good.append(_report("collision self-adjoint", sym <= 1e-12 * scale))
-    good.append(_report("collision dissipative",
-                        inner_product_mu(lf, f, eq) <= 0.0))
+    def idempotent():
+        pf = pi(qf)
+        return _within(float(np.max(np.abs(pi(pf) - pf))),
+                       max(1.0, np.max(np.abs(pf))), 1e-13)
 
-    pf = apply_Pi(f, eq)
-    ppf = apply_Pi(pf, eq)
-    proj = float(np.max(np.abs(ppf.values - pf.values)))
-    good.append(_report("Pi idempotent",
-                        proj <= 1e-13 * max(1.0, np.max(np.abs(pf.values)))))
-    adj = abs(inner_product_mu(pf, g, eq) - inner_product_mu(f, apply_Pi(g, eq), eq))
-    good.append(_report("Pi self-adjoint", adj <= 1e-12 * scale))
+    def step_mass():
+        q0 = evolution.initial_bump(eq, 0.5).values.ravel() / sqrt_f
+        parts = evolution.fold(q0)
+        lu = evolution.SectorLU(ops, "kinetic", 0.05, "implicit_euler", parts)
+        q1 = evolution.unfold(evolution._advance(parts, lu, "kinetic step"),
+                              q0.size)
+        m0, m1 = (float(np.sum(w * sqrt_f * q)) for q in (q0, q1))
+        return _within(abs(m1 - m0), abs(m0), 1e-12)
 
-    tfs = ops.apply_transport(eq.f_star)
-    lfs = ops.apply_collision(eq.f_star)
-    kernel = max(norm_mu(tfs, eq), norm_mu(lfs, eq))
-    good.append(_report("equilibrium in the kernel of T and L",
-                        kernel <= 1e-10 * norm_mu(eq.f_star, eq)))
+    def estimates():
+        for k in range(20):
+            q = draw(np.random.default_rng(100 + k))
+            nm = norm(q - pi(q))
+            aq = local_eq(solve_elliptic(q_profiles(q, ops)[1], ops))
+            taq = ops.T_hat @ aq
+            checks = (
+                abs(dot(aq, q)) <= 0.25 * dot(q, q) * (1 + 1e-10),
+                norm(aq) <= 0.5 * nm * (1 + 1e-10),
+                norm(taq) <= nm * (1 + 1e-10),
+                dot(taq, q) <= nm ** 2 * (1 + 1e-10),
+            )
+            if not all(checks):
+                return False, "sample %d: %s" % (k, checks)
+        return True, ""
 
-    f0 = evolution.initial_bump(eq, 0.5)
-    f1 = evolution.step_kinetic(f0, 0.05, eq, ops)
-    m0 = float(np.sum(grid.weight_matrix * f0.values))
-    m1 = float(np.sum(grid.weight_matrix * f1.values))
-    good.append(_report("implicit step conserves mass",
-                        abs(m1 - m0) <= 1e-12 * abs(m0)))
+    def coercive():
+        delta = hypo.compute_constants(eq, ops).delta
+        kappa = hypo.empirical_kappa(eq, ops, delta, sample_count=30, seed=3)
+        return kappa > 0.0, "%r" % kappa
 
-    # --- abstract-operator estimates and dissipation coercivity -------------
-    estimates_ok = True
-    detail = ""
-    for k in range(20):
-        h = Field(np.random.default_rng(100 + k).standard_normal(grid.shape),
-                  grid)
-        micro = Field(h.values - apply_Pi(h, eq).values, grid)
-        nh2 = inner_product_mu(h, h, eq)
-        nm = norm_mu(micro, eq)
-        ah = apply_A(h, eq, ops)
-        tah = ops.apply_transport(ah)
-        checks = (
-            abs(inner_product_mu(ah, h, eq)) <= 0.25 * nh2 * (1 + 1e-10),
-            norm_mu(ah, eq) <= 0.5 * nm * (1 + 1e-10),
-            norm_mu(tah, eq) <= nm * (1 + 1e-10),
-            inner_product_mu(tah, h, eq) <= nm ** 2 * (1 + 1e-10),
-        )
-        if not all(checks):
-            estimates_ok = False
-            detail = "sample %d: %s" % (k, checks)
-            break
-    good.append(_report("auxiliary-operator estimates on random states",
-                        estimates_ok, detail))
+    def poincare_gap():
+        est = spectral.poincare_constant(spec, Grid1D(8.0, 129))
+        return (est.converged and abs(est.constant - 1.0) < 0.02,
+                "%r" % est.constant)
 
-    constants = hypo.compute_constants(eq, ops)
-    kappa = hypo.empirical_kappa(eq, ops, delta=constants.delta,
-                                 sample_count=30, seed=3)
-    good.append(_report("dissipation coercive at delta_star/2 (kappa > 0)",
-                        kappa > 0.0, "%r" % kappa))
-
-    # --- spectral gap of the quadratic-potential density measure ------------
-    est = spectral.poincare_constant(spec, Grid1D(8.0, 129))
-    good.append(_report("quadratic-potential Poincare gap near 1",
-                        est.converged and abs(est.constant - 1.0) < 0.02,
-                        "%r" % est.constant))
-
-    # --- algebraic envelope vs its ODE ---------------------------------------
-    times = np.linspace(0.0, 5.0, 11)
-    env_ok = True
-    for zeta in (0.5, 1.0, 2.0):
-        closed = rates.bihari_lasalle_envelope(2.0, 0.7, zeta, times)
-        ode = rates.bihari_lasalle_rk4(2.0, 0.7, zeta, times)
-        if np.max(np.abs(closed - ode)) > 1e-6 * 2.0:
-            env_ok = False
-    good.append(_report("algebraic envelope matches its ODE integrator",
-                        env_ok))
-
-    return all(good)
+    checks = [
+        ("delta_star(1,1,1) equals 2/3", _delta_star),
+        ("lambda(1,1,1,0.3) inside its window (0, 0.3]", _rate_window),
+        ("rate quadratic over random constants", _rate_quadratic),
+        ("transport skew-adjoint in the weighted inner product",
+         lambda: symmetric(ops.T_hat.dot, -1.0)),
+        ("collision self-adjoint", lambda: symmetric(ops.L_hat.dot, 1.0)),
+        ("collision dissipative", lambda: (dot(ops.L_hat @ qf, qf) <= 0, "")),
+        ("Pi idempotent", idempotent),
+        ("Pi self-adjoint", lambda: symmetric(pi, 1.0)),
+        ("equilibrium in the kernel of T and L",
+         lambda: _within(max(norm(ops.T_hat @ sqrt_f),
+                             norm(ops.L_hat @ sqrt_f)), norm(sqrt_f), 1e-10)),
+        ("implicit step conserves mass", step_mass),
+        ("auxiliary-operator estimates on random states", estimates),
+        ("dissipation coercive at delta_star/2 (kappa > 0)", coercive),
+        ("quadratic-potential Poincare gap near 1", poincare_gap),
+        ("algebraic envelope matches its ODE integrator",
+         _envelope_matches_ode),
+    ]
+    return all([_report(label, check) for label, check in checks])
 
 
 # ---------------------------------------------------------------------------

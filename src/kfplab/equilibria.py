@@ -85,7 +85,7 @@ class Equilibrium:
 
     Beyond the contract fields (f_star, rho_star, z_constant, sigma, integrable)
     it caches the normalized v-factor used by the projection Pi and the
-    mu-weights w_ij / f_star_ij, and carries sigma in both conventions.
+    smallest f_star entry, and carries sigma in both conventions.
     """
 
     def __init__(self, spec, grid, f_star, rho_star, g_star_v, z_constant,
@@ -104,8 +104,6 @@ class Equilibrium:
         self.g_mass = float(np.sum(grid.v_grid.weights * g_star_v))
         self.g_hat = g_star_v / self.g_mass   # discretely normalized v-profile
         self.min_f_star = float(f_star.values.min())
-        self.mu_weight = grid.weight_matrix / f_star.values
-        self.mu_weight.setflags(write=False)
 
 
 def build_equilibrium(spec, grid, truncation_tol=1e-8):

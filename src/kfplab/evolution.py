@@ -330,25 +330,6 @@ def _advance(parts, lu, what):
     return out
 
 
-def _step(y, ops, mode, dt, scheme):
-    """The state vector y one step later (q for kinetic, rho for macro)."""
-    parts = fold(y)
-    lu = SectorLU(ops, mode, dt, scheme, parts)
-    return unfold(_advance(parts, lu, mode + " step"), y.size)
-
-
-def step_kinetic(f, dt, eq, ops, scheme="implicit_euler"):
-    """One implicit step of df/dt + Tf = Lf; mass-conservative by construction."""
-    q = _step(f.values.ravel() / ops.sqrt_f, ops, "kinetic", dt, scheme)
-    return Field((q * ops.sqrt_f).reshape(f.grid.shape), f.grid)
-
-
-def step_macro(rho, dt, eq, ops, scheme="implicit_euler"):
-    """One implicit step of the macroscopic Fokker-Planck equation."""
-    return DensityField(_step(rho.values, ops, "macro", dt, scheme),
-                        eq.grid.x_grid)
-
-
 # ---------------------------------------------------------------------------
 # initial data library (all clipped to 0 <= f <= C f_star)
 # ---------------------------------------------------------------------------

@@ -1,15 +1,16 @@
-"""Discrete phase space, trapezoid quadrature, and the weighted inner products.
+"""Discrete phase space, trapezoid quadrature, and the velocity norm weight.
 
 Everything downstream lives in L2(dmu) with dmu = dx dv / f_star(x,v) on the
 truncated box [-X, X] x [-V, V]. Grids are uniform with an odd node count so
 that 0 is a node and the v-grid is exactly symmetric; odd-in-v quadratures
 then vanish to roundoff, which is what makes the discrete parabolic condition
-Pi T Pi = 0 hold.
+Pi T Pi = 0 hold. Products in L2(dmu) are trapezoid sums in q = f/sqrt(f_star)
+coordinates (operators.py).
 """
 
 import numpy as np
 
-from .errors import GridMismatchError, InvalidEquilibriumError, ValidationError
+from .errors import GridMismatchError, ValidationError
 
 
 class Grid1D:
@@ -90,69 +91,9 @@ class DensityField:
         self.x_grid = x_grid
 
 
-# ---------------------------------------------------------------------------
-# weighted inner products and moments
-# ---------------------------------------------------------------------------
-
-def _check_compatible(f, eq):
-    if f.grid is not eq.grid and f.grid.shape != eq.grid.shape:
-        raise GridMismatchError("field and equilibrium live on different grids")
-    if eq.min_f_star <= 0.0:
-        raise InvalidEquilibriumError("f_star must be positive at every node")
-
-
-def inner_product_mu(f, g, eq):
-    """<f, g>_mu = sum_ij w_ij f_ij g_ij / f_star_ij (trapezoid-corrected)."""
-    _check_compatible(f, eq)
-    _check_compatible(g, eq)
-    return float(np.sum(eq.mu_weight * f.values * g.values))
-
-
-def norm_mu(f, eq):
-    return np.sqrt(max(inner_product_mu(f, f, eq), 0.0))
-
-
 def velocity_weight(beta, v_nodes):
     """The norm weight <v>^{-2(1-beta)_+}; identically 1 for beta >= 1."""
     if beta >= 1.0:
         return np.ones_like(v_nodes)
     bracket = np.sqrt(1.0 + v_nodes ** 2)
     return bracket ** (-2.0 * (1.0 - beta))
-
-
-def norm_beta(f, beta, eq):
-    """|| f ||_beta, the L2(<v>^{-2(1-beta)_+} dmu) norm; equals ||f||_mu for beta >= 1."""
-    if beta <= 0:
-        raise ValidationError("beta must be positive")
-    _check_compatible(f, eq)
-    if beta >= 1.0:
-        return norm_mu(f, eq)
-    wv = velocity_weight(beta, eq.grid.v_grid.nodes)
-    val = np.sum(eq.mu_weight * f.values ** 2 * wv[np.newaxis, :])
-    return float(np.sqrt(max(val, 0.0)))
-
-
-def weighted_moment(f, variable, power, eq):
-    """J_k (variable='x') or K_l (variable='v'): integral of |f|^2 <.>^power dmu.
-
-    power = 0 returns ||f||_mu^2 for either variable.
-    """
-    power = float(power)
-    if power < 0:
-        raise ValidationError("moment power must be >= 0")
-    _check_compatible(f, eq)
-    if variable == "x":
-        nodes = eq.grid.x_grid.nodes
-        bracket = np.sqrt(1.0 + nodes ** 2) ** power
-        return float(np.sum(eq.mu_weight * f.values ** 2 * bracket[:, np.newaxis]))
-    if variable == "v":
-        nodes = eq.grid.v_grid.nodes
-        bracket = np.sqrt(1.0 + nodes ** 2) ** power
-        return float(np.sum(eq.mu_weight * f.values ** 2 * bracket[np.newaxis, :]))
-    raise ValidationError("variable must be 'x' or 'v'")
-
-
-def total_mass(f, eq):
-    """Plain quadrature of f over the box (no mu weight)."""
-    _check_compatible(f, eq)
-    return float(np.sum(f.grid.weight_matrix * f.values))

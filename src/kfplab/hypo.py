@@ -43,6 +43,11 @@ state it forms, and with pieces read in a Krylov basis for a sample it does
 not form (evolution module notes), since every piece but the two quadratic
 forms is linear in q.
 
+entropy_H, dissipation_components and bounded_auxiliary_ratio take a Field
+and no run calls them: they stay as the wrap points bench/tracing.py needs,
+and empirical_kappa (kfplab check, acceptance criterion 4) reads D through
+dissipation_components.
+
 c_M is the H4 bound ||AT(1-Pi)f|| + ||ALf|| <= c_M ||(1-Pi)f||_beta of
 Dolbeault-Mouhot-Schmeiser, with the micro part in the beta-norm, and
 compute_constants takes it as the sum of the two exact operator norms. In

@@ -37,8 +37,9 @@ Construction notes (the structural identities everything rests on):
 
   so neither P_hat nor C is formed. Assembling it as H + H^T, with H the
   half of each term, makes it exactly symmetric. elliptic_matrix = I + N,
-  so apply_A realizes (1 + (TPi)*(TPi))^-1 (TPi)* in the discrete Hilbert
-  space and the abstract operator estimates hold to roundoff.
+  so A f = u f_star, u = (I + N)^-1 B q (B below), realizes
+  (1 + (TPi)*(TPi))^-1 (TPi)* in the discrete Hilbert space and the
+  abstract operator estimates hold to roundoff.
 
 * By the same factorization, the adjoint B = Mrho^-1 C^T W = (TPi)* of
   any q-form built from Q by T_hat or L_hat needs only Q against the nine
@@ -68,7 +69,6 @@ from scipy.sparse.linalg import splu
 
 from .equilibria import eval_potential
 from .errors import InvalidEquilibriumError, NumericalError
-from .grids import DensityField, Field
 
 # Options for every sparse LU in the package: the kinetic and macro steps, the
 # elliptic solve behind A and the bordered pencil. Every stencil here is
@@ -240,15 +240,6 @@ class OperatorSet:
     macro_generator: sp.csr_matrix
     Sx_macro: sp.csr_matrix
 
-    # -- convenience applications on Fields ---------------------------------
-    def apply_collision(self, f):
-        return Field((self.L_hat @ (f.values.ravel() / self.sqrt_f)
-                      * self.sqrt_f).reshape(f.grid.shape), f.grid)
-
-    def apply_transport(self, f):
-        return Field((self.T_hat @ (f.values.ravel() / self.sqrt_f)
-                      * self.sqrt_f).reshape(f.grid.shape), f.grid)
-
 
 def _block_banded_csr(blocks, size, shape):
     """banded_csr of a matrix of size x size blocks, blocks[(r, c)] holding
@@ -375,20 +366,8 @@ def assemble(eq):
 
 
 # ---------------------------------------------------------------------------
-# projection, elliptic solve, twist operator
+# elliptic solve and the profiles behind Pi and A
 # ---------------------------------------------------------------------------
-
-def apply_Pi(f, eq):
-    """Pi f = rho_f(x) g_star(v)/int(g_star): idempotent, self-adjoint in dmu."""
-    rho_f = f.values @ eq.grid.v_grid.weights
-    return Field(np.outer(rho_f, eq.g_hat), f.grid)
-
-
-def macro_profile(f, eq):
-    """u with Pi f = u f_star (the local-equilibrium coefficient of f)."""
-    rho_f = f.values @ eq.grid.v_grid.weights
-    return DensityField(rho_f / (eq.g_mass * eq.rho_star.values), eq.grid.x_grid)
-
 
 def residual_stalls(residual, scale, axis):
     """Whether each residual (the norms along axis) fails to reach 1e-10
@@ -457,9 +436,3 @@ def atpi_form(u, ops):
     n_sym_u = ops.N_sym @ u
     return float(u @ n_sym_u) + float(np.sum(n_sym_u * n_sym_u / ops.mrho))
 
-
-def apply_A(f, eq, ops):
-    """A f = (1 + (TPi)*(TPi))^-1 (TPi)* f, returned as the field u f_star."""
-    b_q = q_profiles(f.values.ravel() / ops.sqrt_f, ops)[1]
-    u = solve_elliptic(b_q, ops)
-    return Field(u[:, np.newaxis] * eq.f_star.values, f.grid)

@@ -217,7 +217,7 @@ def test_logarithmic_equilibrium_builds():
 
 
 def test_grid_moment_matches_whole_line_moment(strong_strong):
-    from kfplab import weighted_moment
+    from field_oracle import weighted_moment
 
     _, _, eq, _ = strong_strong
     # int <x>^2 f_star dx dv over the box vs the R-integral ratio M_2 / M_0

@@ -19,13 +19,7 @@ from kfplab import (
     initial_macro_gaussian,
     initial_odd_v,
     initial_shifted_gaussian,
-    macro_profile,
-    norm_mu,
     run_trajectory,
-    step_kinetic,
-    step_macro,
-    total_mass,
-    weighted_moment,
 )
 from kfplab import evolution, hypo, operators
 from kfplab.evolution import (SectorLU, _advance, _reversal_symmetric,
@@ -33,6 +27,8 @@ from kfplab.evolution import (SectorLU, _advance, _reversal_symmetric,
 from kfplab.operators import SPLU_OPTIONS
 
 from conftest import make_problem
+from field_oracle import (macro_profile, norm_mu, step_kinetic, step_macro,
+                          total_mass, weighted_moment)
 
 
 # ---------------------------------------------------------------------------

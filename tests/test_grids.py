@@ -1,4 +1,4 @@
-"""Grids, fields, and the weighted inner products."""
+"""Grids, fields, and the weighted inner products of the Field oracle."""
 
 import numpy as np
 import pytest
@@ -10,13 +10,10 @@ from kfplab import (
     GridMismatchError,
     PhaseGrid,
     ValidationError,
-    inner_product_mu,
-    norm_beta,
-    norm_mu,
-    total_mass,
     velocity_weight,
-    weighted_moment,
 )
+from field_oracle import (inner_product_mu, norm_beta, norm_mu, total_mass,
+                          weighted_moment)
 
 
 def test_grid1d_nodes_and_weights():
@@ -112,7 +109,8 @@ def test_norm_beta_branches(strong_strong, strong_weak):
     g = Field(rng.standard_normal(grid_w.shape) * np.sqrt(eq_w.f_star.values),
               grid_w)
     wv = velocity_weight(0.5, grid_w.v_grid.nodes)
-    manual = np.sqrt(np.sum(eq_w.mu_weight * g.values ** 2 * wv[None, :]))
+    mu_weight = eq_w.grid.weight_matrix / eq_w.f_star.values
+    manual = np.sqrt(np.sum(mu_weight * g.values ** 2 * wv[None, :]))
     assert norm_beta(g, 0.5, eq_w) == pytest.approx(manual, rel=1e-12)
     assert norm_beta(g, 0.5, eq_w) <= norm_mu(g, eq_w)
     with pytest.raises(ValidationError):

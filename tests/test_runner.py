@@ -1,5 +1,6 @@
 """Config parsing, scenario orchestration, report emission, CLI exit codes."""
 
+import dataclasses
 import json
 import os
 import shutil
@@ -8,7 +9,9 @@ import sys
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
+import kfplab.cli
 import kfplab.evolution
 from kfplab import runner
 from kfplab.cli import main
@@ -770,6 +773,24 @@ def _run_console_script(args, cwd):
                           text=True, timeout=600, cwd=cwd, env=env)
 
 
+_CHECK_LABELS = [
+    "delta_star(1,1,1) equals 2/3",
+    "lambda(1,1,1,0.3) inside its window (0, 0.3]",
+    "rate quadratic over random constants",
+    "transport skew-adjoint in the weighted inner product",
+    "collision self-adjoint",
+    "collision dissipative",
+    "Pi idempotent",
+    "Pi self-adjoint",
+    "equilibrium in the kernel of T and L",
+    "implicit step conserves mass",
+    "auxiliary-operator estimates on random states",
+    "dissipation coercive at delta_star/2 (kappa > 0)",
+    "quadratic-potential Poincare gap near 1",
+    "algebraic envelope matches its ODE integrator",
+]
+
+
 def test_console_script_constants_and_check(tmp_path):
     cfg = _write(tmp_path, "tiny.cfg", _TINY_KINETIC)
     out = str(tmp_path / "out")
@@ -779,8 +800,31 @@ def test_console_script_constants_and_check(tmp_path):
 
     proc = _run_console_script(["check"], tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
-    assert "FAIL" not in proc.stdout
-    assert proc.stdout.count("PASS") >= 10
+    assert proc.stdout.splitlines() == ["PASS  " + label
+                                        for label in _CHECK_LABELS]
+
+
+@pytest.mark.parametrize("name, label", [
+    ("T_hat", "transport skew-adjoint in the weighted inner product"),
+    ("L_hat", "collision self-adjoint"),
+])
+def test_check_reports_every_invariant_when_an_operator_breaks(
+        monkeypatch, capsys, name, label):
+    # a superdiagonal breaks the skewness of T_hat or the symmetry of L_hat,
+    # and the reflection symmetry the step factorization asserts
+    assemble = kfplab.cli.assemble
+
+    def broken(eq):
+        ops = assemble(eq)
+        x = getattr(ops, name)
+        return dataclasses.replace(
+            ops, **{name: (x + 1e-3 * sp.eye(x.shape[0], k=1)).tocsr()})
+
+    monkeypatch.setattr(kfplab.cli, "assemble", broken)
+    assert main(["check"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    assert [line[6:].split("  (")[0] for line in lines] == _CHECK_LABELS
+    assert lines[_CHECK_LABELS.index(label)].startswith("FAIL  ")
 
 
 def test_python_m_kfplab_writes_constants(tmp_path):
