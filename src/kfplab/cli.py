@@ -92,8 +92,8 @@ def run_check():
     def pi(q):
         return local_eq(q_profiles(q, ops)[0] / ops.mrho)
 
-    def draw(rng):                      # a random field f, as f/sqrt(f_star)
-        return rng.standard_normal(sqrt_f.size) / sqrt_f
+    def draw(rng):                      # white noise in q = f/sqrt(f_star)
+        return rng.standard_normal(sqrt_f.size)
 
     rng = np.random.default_rng(11)
     qf, qg = draw(rng), draw(rng)

@@ -35,24 +35,50 @@ that field lies in the disc |z - 1/2| <= 1/2 and the pole of f^k sits
 outside it at z = -r / (1 - r), so polynomials in A approximate f^k there
 and the Krylov space of A and q0 (the RD-rational space of Moret-Novati,
 BIT 2004, and van den Eshof-Hochbruck, SISC 2006) holds the iterates. The
-run factors I - gamma G once per occupied sector, gamma = 4 dt: the pole
-then sits at -1/3; with gamma = t_final / 100 (20 dt for acceptance
-criterion 8) it sat at -1/19 and the first basis of that run agreed on no
-sample. Arnoldi in the mu-inner product (the sector's head of w_flat) gives
-a mu-orthonormal basis V_m and H_m = V_m^T W A V_m, one solve per vector;
-G_m = (I - H_m^-1) / gamma is dissipative as well, and every sample is read
-as beta V_m (I - dt G_m)^-k e_1, k its step count.
+run factors I - gamma G once per occupied sector. Arnoldi in the mu-inner
+product (the sector's head of w_flat) gives a mu-orthonormal basis V_m and
+H_m = V_m^T W A V_m, one solve per vector; G_m = (I - H_m^-1) / gamma is
+dissipative as well, and every sample is read as
+beta V_m (I - dt G_m)^-k e_1, k its step count.
+
+The shift follows the time the samples span and the datum's roughness:
+gamma = max(4 dt, min(1/4, ||G q0||_mu / ||G^2 q0||_mu)), q0 the tracked
+datum (_krylov_shift; 4 dt when G q0 or G^2 q0 is zero). A larger gamma
+reaches a sample k steps on with fewer vectors, but r = dt / gamma shrinks
+and the pole moves toward the disc, so each bound holds off a cliff:
+
+* 4 dt puts the pole at -1/3 or further out. With gamma = t_final / 100
+  (20 dt for acceptance criterion 8) it sat at -1/19, and the first basis
+  of that run agreed on no sample.
+* 1/4, a quarter of L's unit relaxation time, keeps the pole away from
+  weakly damped modes: at gamma = 1/2 criterion 7's problem at dt = 0.025
+  agreed on no sample and stepped, and so did criterion 8's at dt = 0.05
+  with gamma = 1.
+* The ratio is the datum's own time scale, and keeps rough data at 4 dt. It
+  is about 0.4 for the bump and 0.01 for the clipped shifted Gaussian on
+  the 129^2, alpha = beta = 2 box at dt = 0.02, whose run takes 236, 255
+  and 324 solves at gamma = 4, 6 and 7 dt and steps from 8 dt on (2080
+  solves).
+
+On that box the bump's run takes 46 solves at gamma = 1/4 instead of 75 at
+4 dt with dt = 0.02; criterion 8's takes 205 at dt = 0.05 and at
+dt = 0.025, instead of 244 and 416. A run whose 4 dt is 1/4 or more (the
+400-step run of criterion 8's problem, dt = 0.25) keeps gamma = 4 dt and
+its arithmetic.
 
 Error control: a basis grows until the approximation of every sample still
 to come agrees, in the mu-norm, with the one from a vector fewer to 1e-10
 relative. It is capped at nnz(L + U) / n_sector vectors (at most 100), so
 it never holds more numbers than its factor, in one buffer per sector that
 every window reuses. At the cap the run keeps the leading samples that
-agree and restarts from the last of them; a window that agrees on none
-steps the rest of the run on a factor of I - dt G. A guard sends a run down
-this path only when its step count is large for its sector size (see
-_krylov_pays), before anything is factored, so every run factors once
-unless a window falls back; macro and Crank-Nicolson runs always step.
+agree and restarts from the last of them. A window that agrees on none at
+gamma > 4 dt factors its sector again at 4 dt and is grown again there,
+and every later window of the sector keeps that factor; one that agrees on
+none at 4 dt steps the rest of the run on a factor of I - dt G. A guard
+sends a run down this path only when its step count is large for its
+sector size (see _krylov_pays), before anything is factored, so every run
+factors once unless a window retries or falls back; macro and
+Crank-Nicolson runs always step.
 
 Checks: every solve, stepped or Krylov, passes solve_with_refinement's
 1e-10 relative residual check, and every Krylov vector a finiteness check.
@@ -557,7 +583,8 @@ def _stepped_states(parts, lu, n_steps, what):
 
 _KRYLOV_TOL = 1e-10     # successive approximations agree, relative mu-norm
 _MAX_BASIS = 100        # vectors per basis at most, whatever nnz(LU)/n allows
-_SHIFT_STEPS = 4        # gamma = 4 dt
+_SHIFT_STEPS = 4        # gamma >= 4 dt
+_MAX_SHIFT = 0.25       # gamma <= 1/4 unless 4 dt is larger
 _BLOCK = 8              # samples formed, or basis rows read, per product
 _WINDOW_SAMPLES = 32    # samples read in a basis per product
 
@@ -589,46 +616,73 @@ def _window_pays(m, samples):
     return samples >= m
 
 
+def _krylov_shift(parts, ops, dt):
+    """The shift gamma of a Krylov run from the datum with sector parts
+    `parts`: max(4 dt, min(1/4, ||G q0||_mu / ||G^2 q0||_mu)), G = L_hat -
+    T_hat, and 4 dt when G q0 or G^2 q0 is zero (module notes)."""
+    y = unfold(parts, ops.sqrt_f.size)
+    norms = []
+    for _ in range(2):
+        y = ops.L_hat @ y - ops.T_hat @ y
+        norms.append(np.sqrt(y @ (ops.w_flat * y)))
+    scale = min(_MAX_SHIFT, norms[0] / norms[1]) if norms[1] > 0.0 else 0.0
+    return float(max(_SHIFT_STEPS * dt, scale))
+
+
 def _krylov_states(parts, ops, dt, n_steps, stride, windows):
     """(n, parts after n implicit-Euler steps of dt) for every sampled step
     n (the multiples of stride, and n_steps), each sector sampled by
-    _krylov_part from one factor of I - gamma G, gamma = _SHIFT_STEPS dt; a
-    part is an array, or (window, k) for sample k of a window that windows
-    read in its basis."""
+    _krylov_part from one factor of I - gamma G, gamma from _krylov_shift;
+    a part is an array, or (window, k) for sample k of a window that
+    windows read in its basis."""
     sample_steps = np.arange(stride, n_steps + 1, stride)
     if n_steps % stride:
         sample_steps = np.append(sample_steps, n_steps)
-    lu = SectorLU(ops, "kinetic", _SHIFT_STEPS * dt, "implicit_euler", parts)
-    sectors = [_krylov_part(sign, part, lu, ops, dt, sample_steps, windows)
+    gamma = _krylov_shift(parts, ops, dt)
+    lu = SectorLU(ops, "kinetic", gamma, "implicit_euler", parts)
+    sectors = [_krylov_part(sign, part, lu, ops, dt, gamma, sample_steps,
+                            windows)
                for sign, part in parts.items()]
     for n, *new in zip(sample_steps, *sectors):
         yield int(n), dict(zip(parts, new))
 
 
-def _krylov_part(sign, part, lu, ops, dt, steps, windows):
+def _krylov_part(sign, part, lu, ops, dt, gamma, steps, windows):
     """The sector part after each of the increasing step counts `steps` of
-    implicit Euler, sampled window by window from lu's factor of the sector.
+    implicit Euler, sampled window by window from lu's factor of
+    I - gamma G on the sector.
 
     Each window grows a basis from the last sample the previous one agreed
     on and yields the samples its approximations agree on: as (window, k)
     when _window_pays, windows reading them all in the basis before the
     first is yielded (the next window overwrites the basis), else formed. A
-    window that agrees on none leaves the rest of the run to the stepping
-    loop, on a factor of I - dt G.
+    window that agrees on none at gamma > 4 dt is grown again on a factor
+    of I - 4 dt G, which every later window keeps; one that agrees on none
+    at 4 dt leaves the rest of the run to the stepping loop, on a factor of
+    I - dt G.
     """
     factor, matrix, _ = lu.sector(sign)
     # w_flat is reversal-symmetric: its head weighs the folded coordinates
     weights = ops.w_flat[:part.size]
-    # factor.nnz counts the stored L and U entries; factor.L would copy them
-    cap = min(_MAX_BASIS, factor.nnz // part.size)
-    basis = np.empty((cap, part.size))
-    hess = np.zeros((cap + 1, cap))
+    floor = _SHIFT_STEPS * dt
+    basis = None
     done = 0
     while steps.size:
+        if basis is None:
+            # factor.nnz counts the stored L and U entries; factor.L would
+            # copy them
+            cap = min(_MAX_BASIS, factor.nnz // part.size)
+            basis = np.empty((cap, part.size))
+            hess = np.zeros((cap + 1, cap))
         beta = np.sqrt(part @ (weights * part))
         m, coeffs, agreed = _arnoldi_window(factor, matrix, weights,
                                             part / beta, basis, hess,
-                                            steps - done)
+                                            steps - done, dt / gamma)
+        if not agreed and gamma > floor:
+            basis, gamma = None, floor
+            factor, matrix, _ = SectorLU(ops, "kinetic", floor,
+                                         "implicit_euler", [sign]).sector(sign)
+            continue
         if not agreed:
             del basis, hess
             stepping = SectorLU(ops, "kinetic", dt, "implicit_euler", [sign])
@@ -652,17 +706,23 @@ def _krylov_part(sign, part, lu, ops, dt, steps, windows):
         done, steps = steps[agreed - 1], steps[agreed:]
 
 
-def _arnoldi_window(factor, matrix, weights, start, basis, hess, offsets):
+def _arnoldi_window(factor, matrix, weights, start, basis, hess, offsets,
+                    ratio):
     """(m, coefficients, agreed) of one basis grown from the unit vector
     start.
 
     basis holds mu-orthonormal rows of the Krylov space of (I - gamma G)^-1
     and hess its Hessenberg matrix, one solve per vector. After m vectors,
     column i of coefficients holds the approximation of
-    (I - dt G)^-offsets[i] start in the first m rows of basis. The basis
-    grows until every offset's approximation agrees with the one from a
-    vector fewer to _KRYLOV_TOL relative, or until basis is full; agreed
-    counts the leading offsets that agree.
+    (I - dt G)^-offsets[i] start in the first m rows of basis, ratio being
+    dt / gamma. The basis grows until every offset's approximation agrees
+    with the one from a vector fewer to _KRYLOV_TOL relative, or until
+    basis is full; agreed counts the leading offsets that agree.
+
+    A basis that has lost mu-orthogonality can have Ritz values far outside
+    the disc of the module notes, and their powers overflow. The powers and
+    the agreement test therefore run with numpy's overflow and invalid
+    warnings off, and an approximation that is not finite never agrees.
     """
     cap = basis.shape[0]
     basis[0] = start
@@ -683,35 +743,35 @@ def _arnoldi_window(factor, matrix, weights, start, basis, hess, offsets):
             h += again
             hess[j + 1, j] = np.sqrt(x @ (weights * x))
         hess[:j + 1, j] = h
-        coeffs = _coefficients(hess[:j + 1, :j + 1], offsets)
-        if not hess[j + 1, j] > 0.0:
-            # an invariant subspace: the approximations are exact
-            return j + 1, coeffs, offsets.size
-        if previous is not None:
-            change = np.sqrt(np.sum((coeffs[:j] - previous) ** 2, axis=0)
-                             + coeffs[j] ** 2)
-            agree = change <= _KRYLOV_TOL * np.linalg.norm(coeffs, axis=0)
-            agreed = agree.size if agree.all() else int(np.argmin(agree))
-            if agreed == offsets.size:
-                return j + 1, coeffs, agreed
+        with np.errstate(over="ignore", invalid="ignore"):
+            coeffs = _coefficients(hess[:j + 1, :j + 1], offsets, ratio)
+            if not hess[j + 1, j] > 0.0:
+                # an invariant subspace: the approximations are exact
+                return j + 1, coeffs, offsets.size
+            if previous is not None:
+                change = np.sqrt(np.sum((coeffs[:j] - previous) ** 2, axis=0)
+                                 + coeffs[j] ** 2)
+                agree = np.isfinite(change) & (
+                    change <= _KRYLOV_TOL * np.linalg.norm(coeffs, axis=0))
+                agreed = agree.size if agree.all() else int(np.argmin(agree))
+                if agreed == offsets.size:
+                    return j + 1, coeffs, agreed
         if j + 1 < cap:
             basis[j + 1] = x / hess[j + 1, j]
         previous = coeffs
     return cap, coeffs, agreed
 
 
-def _coefficients(hess, offsets):
+def _coefficients(hess, offsets, ratio):
     """Columns (I - dt G_m)^-k e_1 for k in offsets, with
-    G_m = (I - hess^-1) / gamma.
+    G_m = (I - hess^-1) / gamma and ratio = dt / gamma.
 
-    With r = dt / gamma = 1 / _SHIFT_STEPS, I - dt G_m is
-    hess^-1 ((1 - r) hess + r I), so one step is the product with
-    prop = ((1 - r) hess + r I)^-1 hess. The offsets are the multiples of
-    offsets[0] but for perhaps the last; their powers come by doubling from
-    prop^offsets[0].
+    With r = ratio, I - dt G_m is hess^-1 ((1 - r) hess + r I), so one step
+    is the product with prop = ((1 - r) hess + r I)^-1 hess. The offsets
+    are the multiples of offsets[0] but for perhaps the last; their powers
+    come by doubling from prop^offsets[0].
     """
     m = hess.shape[0]
-    ratio = 1.0 / _SHIFT_STEPS
     prop = np.linalg.solve((1.0 - ratio) * hess + ratio * np.eye(m), hess)
     jump = np.linalg.matrix_power(prop, int(offsets[0]))
     regular = offsets.size - int(offsets[-1] % offsets[0] != 0)

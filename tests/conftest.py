@@ -1,4 +1,5 @@
-"""Shared fixtures: one representative problem per (alpha, beta) quadrant.
+"""Shared fixtures: one representative problem per (alpha, beta) quadrant,
+and the Krylov shift pinned at its floor.
 
 The boxes are the smallest ones that pass the truncation check in each
 regime (beta = 0.5 tails need V = 48, alpha = 0.5 tails need X = 48);
@@ -7,7 +8,8 @@ session scope keeps the sparse assembly out of the per-test cost.
 
 import pytest
 
-from kfplab import Grid1D, PhaseGrid, PotentialSpec, assemble, build_equilibrium
+from kfplab import (Grid1D, PhaseGrid, PotentialSpec, assemble,
+                    build_equilibrium, evolution)
 
 
 def make_problem(x_mode, beta, x_half, nx, v_half, nv, tol=1e-8, **kwargs):
@@ -51,3 +53,12 @@ def quadrants(strong_strong, strong_weak, weak_strong, weak_weak):
         (0.5, 2.0): weak_strong,
         (0.5, 0.5): weak_weak,
     }
+
+
+@pytest.fixture
+def shift_at_four_dt(monkeypatch):
+    # every Krylov run factors I - 4 dt G, the floor of the shift rule: the
+    # window structure a test builds (basis sizes, sample counts, solve
+    # counts) then does not follow the datum's time scale
+    monkeypatch.setattr(evolution, "_krylov_shift",
+                        lambda parts, ops, dt: evolution._SHIFT_STEPS * dt)

@@ -100,8 +100,9 @@ def test_traced_batch_builds_each_problem_once(tmp_path):
 
 def test_traced_krylov_run_factors_once_and_solves_less_than_it_steps():
     # 400 implicit-Euler steps on 65^2 clear the step-count guard: the run
-    # samples from the one factor of I - gamma G (gamma = 4 dt) and makes
-    # fewer solves than steps, while sampling as often as stepping would
+    # samples from the one factor of I - gamma G (gamma = 1/4, the bump's
+    # shift at dt = 0.05) and makes fewer solves than steps, while sampling
+    # as often as stepping would
     tracing = _load_tracing()
     _, _, eq, ops = make_problem("power", 2.0, 8.0, 65, 8.0, 65, alpha=2.0)
     f0 = initial_bump(eq, 0.5)
@@ -117,15 +118,18 @@ def test_traced_krylov_run_factors_once_and_solves_less_than_it_steps():
     assert metrics["evolution.solves"] < metrics["evolution.steps"] == 400
     # the benchmark still wraps the old entry points
     assert metrics["hypo.samples"] == 0
-    assert metrics["operators.elliptic_solves"] == samples
-    even = evolution.SectorLU(ops, "kinetic", evolution._SHIFT_STEPS * dt,
-                              "implicit_euler", [1]).sector(1)[0]
+    # the initial sample, the first window's 22 samples (32 vectors) formed
+    # one by one, and one solve for the second window (18 vectors, 18
+    # samples), read in its basis
+    assert metrics["operators.elliptic_solves"] == 1 + 22 + 1
+    even = evolution.SectorLU(ops, "kinetic", 0.25, "implicit_euler",
+                              [1]).sector(1)[0]
     assert metrics["evolution.lu_fill"] == even.L.nnz + even.U.nnz
 
 
 def test_traced_basis_windows_make_one_elliptic_solve_each(monkeypatch):
     # the exp_dense run (129^2, 1000 steps sampled every 2nd): both of its
-    # windows (40 vectors for 138 samples, 35 for 362) read their samples
+    # windows (40 vectors for 457 samples, 6 for 43) read their samples
     # in their basis, each with one elliptic solve of 4m right-hand sides;
     # the initial sample makes one, and a sample whose combined residual
     # failed the 1e-10 check would add one more (none does here)
@@ -146,10 +150,10 @@ def test_traced_basis_windows_make_one_elliptic_solve_each(monkeypatch):
         rec = evolution.run_trajectory(f0, (0.02, 20.0, 2), "kinetic", eq,
                                        ops, delta=0.3)
     assert rec.times.size == 501
-    assert windows == [(40, 138), (35, 362)]
+    assert windows == [(40, 457), (6, 43)]
     metrics = tracer.layer_metrics(tracer.op)
     assert metrics["evolution.factorizations"] == 1
-    assert metrics["evolution.solves"] == 75
+    assert metrics["evolution.solves"] == 46
     assert metrics["hypo.samples"] == 0
     # 1 initial + 2 windows + 0 re-solves, against 501 before
     assert metrics["operators.elliptic_solves"] == 1 + 2 + 0

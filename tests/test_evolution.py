@@ -725,6 +725,7 @@ def test_krylov_samples_match_stepping(quadrants, kind, quadrant,
 
 
 def test_krylov_restarts_from_its_last_agreed_sample(strong_strong,
+                                                     shift_at_four_dt,
                                                      monkeypatch):
     # a basis of 16 vectors cannot reach t = 10 in one window: each window
     # restarts from the last sample its approximations agreed on
@@ -739,7 +740,7 @@ def test_krylov_restarts_from_its_last_agreed_sample(strong_strong,
 
 
 def test_krylov_window_that_cannot_agree_falls_back_to_stepping(
-        strong_strong, monkeypatch):
+        strong_strong, shift_at_four_dt, monkeypatch):
     # one vector never has a predecessor to agree with, so the first window
     # agrees on no sample and the run steps instead, factoring I - dt G
     _, _, eq, ops = strong_strong
@@ -758,6 +759,86 @@ def test_krylov_window_that_cannot_agree_falls_back_to_stepping(
     assert solves == 1 + 200
     assert len(factored) == 2 + 1     # I - gamma G, I - dt G; the reference
     assert _worst_relative_gap(got, ref) == 0.0
+
+
+def _tracked_parts(f0, eq, ops):
+    """The sector parts of the tracked datum
+    q0 = (f0 - f_star) / sqrt(f_star)."""
+    fstar = eq.f_star.values
+    return fold(((f0.values - fstar) / fstar).ravel() * ops.sqrt_f)
+
+
+@pytest.mark.parametrize("quadrant", [(2.0, 2.0), (2.0, 0.5), (0.5, 2.0),
+                                      (0.5, 0.5)])
+def test_krylov_shift_follows_the_datums_time_scale(quadrants, quadrant):
+    # gamma = max(4 dt, min(1/4, ||G q0||_mu / ||G^2 q0||_mu)): the smooth
+    # bump takes the cap of 1/4 unless 4 dt is larger, the clipped shifted
+    # Gaussian (a ratio of 0.04 to 0.12 here) stays at 4 dt for dt = 0.05
+    _, _, eq, ops = quadrants[quadrant]
+    shift = evolution._krylov_shift
+    bump = _tracked_parts(initial_bump(eq, 0.5), eq, ops)
+    assert shift(bump, ops, 0.02) == shift(bump, ops, 0.05) == 0.25
+    assert shift(bump, ops, 0.25) == 1.0
+    gaussian = _tracked_parts(initial_shifted_gaussian(eq), eq, ops)
+    assert shift(gaussian, ops, 0.05) == 0.2
+    assert 0.08 <= shift(gaussian, ops, 0.02) < 0.25
+    if quadrant == (2.0, 2.0):          # the 65^2, alpha = beta = 2 box
+        assert shift(gaussian, ops, 0.02) == 0.08
+
+
+def test_krylov_shift_of_a_datum_in_the_kernel_is_four_dt(strong_strong):
+    # f0 = 1.5 f_star tracks q0 = sqrt(f_star) / 2, whose G q0 is roundoff
+    # as rough as the grid; f0 = f_star has no part at all, so G q0 = 0
+    # exactly and the ratio is never formed (a 0 / 0 would warn, and the
+    # suite turns warnings into errors)
+    _, grid, eq, ops = strong_strong
+    for scale, sectors in ((1.5, 1), (1.0, 0)):
+        parts = _tracked_parts(Field(scale * eq.f_star.values, grid), eq, ops)
+        assert len(parts) == sectors
+        assert evolution._krylov_shift(parts, ops, 0.02) == 0.08
+
+
+def test_a_window_that_cannot_agree_above_four_dt_retries_at_four_dt(
+        monkeypatch):
+    # at gamma = 10 dt neither sector of the clipped shifted Gaussian on
+    # exp_dense's box agrees on a sample; each is factored again at 4 dt
+    # and sampled from there, and nothing factors I - dt G
+    _, _, eq, ops = make_problem("power", 2.0, 8.0, 129, 8.0, 129,
+                                 alpha=2.0)
+    f0, dt = initial_shifted_gaussian(eq), 0.02
+    monkeypatch.setattr(evolution, "_krylov_shift",
+                        lambda parts, ops, dt: 10 * dt)
+    factored = []
+    real_lu = evolution.SectorLU
+
+    def recording(ops, mode, shift, scheme, signs):
+        factored.append((shift, list(signs)))
+        return real_lu(ops, mode, shift, scheme, signs)
+
+    monkeypatch.setattr(evolution, "SectorLU", recording)
+    got, ref, _, windows = _krylov_and_stepped(f0, (dt, 8.0, 4), eq, ops,
+                                               monkeypatch)
+    assert factored == [(10 * dt, [1, -1]), (4 * dt, [1]), (4 * dt, [-1]),
+                        (dt, [1, -1])]     # the last one is the reference's
+    assert [agreed for _, agreed in windows][:1] == [0]
+    assert sum(agreed for _, agreed in windows) == 2 * 100
+    assert _worst_relative_gap(got, ref) <= 1e-10
+
+
+def test_krylov_powers_past_a_lost_orthogonality_do_not_overflow(
+        shift_at_four_dt, monkeypatch):
+    # alpha = 0.5, beta = 1 on 97 x 49, 2000 steps: the first window's 31
+    # rows lose mu-orthogonality and some Ritz values of its Hessenberg
+    # matrix lie far outside the disc |z - 1/2| <= 1/2, so the powers of
+    # the step overflow. That column never agrees, the suite's warnings are
+    # errors, and the samples still match the stepping loop's
+    _, _, eq, ops = make_problem("power", 1.0, 48.0, 97, 24.0, 49, tol=1e-5,
+                                 alpha=0.5)
+    got, ref, _, windows = _krylov_and_stepped(
+        initial_bump(eq, 0.5), (0.02, 40.0, 25), eq, ops, monkeypatch)
+    assert all(agreed > 0 for _, agreed in windows)
+    assert got.times.size == 81
+    assert _worst_relative_gap(got, ref) <= 1e-10
 
 
 def _krylov_failure(eq, ops, monkeypatch, corrupt_from, corrupt,
@@ -788,8 +869,10 @@ def _krylov_failure(eq, ops, monkeypatch, corrupt_from, corrupt,
     (lambda sol: sol * np.nan, "non-finite state"),
     (lambda sol: sol + 1e-3, "mass drift"),
 ])
-def test_krylov_abort_keeps_the_accepted_samples(strong_strong, monkeypatch,
-                                                 corrupt, message):
+def test_krylov_abort_keeps_the_accepted_samples(strong_strong,
+                                                 shift_at_four_dt,
+                                                 monkeypatch, corrupt,
+                                                 message):
     # the first window (16 solves) is clean; the second one goes bad
     _, _, eq, ops = strong_strong
     err, clean = _krylov_failure(eq, ops, monkeypatch, 17, corrupt)
@@ -801,7 +884,7 @@ def test_krylov_abort_keeps_the_accepted_samples(strong_strong, monkeypatch,
     (lambda sol: sol + 1e-3, "mass drift"),
 ])
 def test_krylov_abort_after_a_basis_window_keeps_its_samples(
-        strong_strong, monkeypatch, corrupt, message):
+        strong_strong, shift_at_four_dt, monkeypatch, corrupt, message):
     # the first window (32 solves) agrees on 32 samples and reads them in
     # its basis; the second one goes bad, so the run keeps those 32
     _, _, eq, ops = strong_strong
@@ -876,8 +959,10 @@ def _spy(monkeypatch, owner, name):
     # is formed; each second window is read in its basis
     ("shifted_gaussian", 0.3, [(29, 30), (24, 30)]),
 ])
-def test_basis_windows_match_the_per_state_sampler(strong_strong, kind, delta,
-                                                   windows_read, monkeypatch):
+def test_basis_windows_match_the_per_state_sampler(strong_strong,
+                                                   shift_at_four_dt, kind,
+                                                   delta, windows_read,
+                                                   monkeypatch):
     # 200 steps on 65^2, 40 samples; the reference forms every window's
     # samples for the per-state sampler
     _, _, eq, ops = strong_strong
@@ -894,8 +979,8 @@ def test_basis_windows_match_the_per_state_sampler(strong_strong, kind, delta,
     assert _worst_relative_gap(got, ref) <= 1e-12
 
 
-def test_a_window_with_fewer_samples_than_vectors_is_formed(strong_strong,
-                                                            monkeypatch):
+def test_a_window_with_fewer_samples_than_vectors_is_formed(
+        strong_strong, shift_at_four_dt, monkeypatch):
     # the bump's first window agrees on 32 samples with 32 vectors, its
     # restart window on 8 samples with 9 vectors
     _, _, eq, ops = strong_strong
@@ -984,7 +1069,7 @@ def test_a_bound_that_fails_near_the_start_falls_back_to_pointwise(
 
 
 def test_a_sample_whose_combined_residual_fails_is_solved_again(
-        strong_strong, monkeypatch):
+        strong_strong, shift_at_four_dt, monkeypatch):
     # no sample of these runs fails the combined 1e-10 residual check, so
     # every 7th sample of each block of 32 is marked as failing: the bump's
     # windows (32 vectors, 80 samples; 9, 20) mark 5 + 5 + 3 and 3. Each is

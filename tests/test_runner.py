@@ -827,6 +827,29 @@ def test_check_reports_every_invariant_when_an_operator_breaks(
     assert lines[_CHECK_LABELS.index(label)].startswith("FAIL  ")
 
 
+def test_check_sees_a_transport_broken_in_the_bulk_of_the_box(monkeypatch,
+                                                              capsys):
+    # a 0.1 superdiagonal only on |x|, |v| <= 3: the check's random states
+    # are white noise in q, so the bulk of the box weighs in the skewness
+    # line (noise in f, divided by sqrt(f_star), is carried by the corners)
+    assemble = kfplab.cli.assemble
+
+    def broken(eq):
+        ops = assemble(eq)
+        x, v = np.meshgrid(eq.grid.x_grid.nodes, eq.grid.v_grid.nodes,
+                           indexing="ij")
+        bulk = ((np.abs(x) <= 3.0) & (np.abs(v) <= 3.0)).ravel()
+        t_hat = ops.T_hat + 0.1 * sp.diags(bulk[:-1].astype(float), 1)
+        return dataclasses.replace(ops, T_hat=t_hat.tocsr())
+
+    monkeypatch.setattr(kfplab.cli, "assemble", broken)
+    assert main(["check"]) == 2
+    lines = capsys.readouterr().out.splitlines()
+    skew = lines[_CHECK_LABELS.index(
+        "transport skew-adjoint in the weighted inner product")]
+    assert skew.startswith("FAIL  "), skew
+
+
 def test_python_m_kfplab_writes_constants(tmp_path):
     # `python -m kfplab` runs the same command line without an installed
     # console script
