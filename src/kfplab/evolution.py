@@ -97,9 +97,9 @@ read one of two ways, and hypo.entropy_and_dissipation_from takes H and D
 from its pieces either way:
 
 * per state, from q = y / sqrt(f_star) and its nx x nv view in one pass,
-  without building a Field: H and D from one entropy_and_dissipation call,
-  that is one profile product and one elliptic solve with four right-hand
-  sides (none at delta = 0);
+  without building a Field: H and D from one entropy_and_dissipation call
+  (a block of one), that is one profile product and one elliptic solve
+  with four right-hand sides (none at delta = 0);
 * in a basis, when a Krylov window of m vectors agrees on S >= m samples
   (_window_pays): every sample is q = c V, V the window's mu-orthonormal
   rows in sector coordinates, and none is formed. Once per window come the
@@ -107,11 +107,16 @@ from its pieces either way:
   V diag(d) V^T for each moment weight d, the moments' linear terms, the
   four profiles of each row with one elliptic solve of 4m right-hand sides
   and its residuals, the mass functional V m and the max-principle weights
-  a_j = max_i |V_ji| s_i. Per sample come ||q||_mu^2 = ||c||^2,
-  -<Lf, f>_mu and the moments as quadratic forms in c, and the profiles
-  and elliptic solutions as c-combinations; each combined residual is
+  a_j = max_i |V_ji| s_i. Per block of up to 32 samples come, as arrays,
+  ||q||_mu^2 = ||c||^2, -<Lf, f>_mu and the moments as quadratic forms in
+  c, the profiles and elliptic solutions as c-combinations, and H and D
+  from one entropy_and_dissipation_from call; each combined residual is
   checked against 1e-10 of its right-hand side, and a sample that fails is
-  solved again on its own.
+  solved again on its own. The window keeps, per sample, whether c is
+  finite and its mass (V m) . c as Python numbers. numpy's error state is
+  set once per window around this work; a sample's row adds its sectors'
+  shares in Python floats and needs none, and the steps and Krylov solves
+  run outside it and keep their warnings.
 
 The two are associations of the same products: the basis pays a few
 m x m Gram products over the sector per window, forming pays a dozen
@@ -134,6 +139,8 @@ always is without an integrable equilibrium or for C < 1. A delta outside
 [0, 2) is refused before anything is factored.
 """
 
+import math
+
 import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import splu
@@ -154,6 +161,8 @@ from .operators import (SPLU_OPTIONS, q_profiles, residual_stalls,
 
 _MASS_TOL = 1e-9
 _MAXP_TOL = 1e-6
+_BOUND_MAX = 1.0 - 1e-9    # the largest max-principle bound that certifies
+_MAX_SAMPLES = 10 ** 6     # samples per run at most
 
 
 class TrajectoryRecord:
@@ -463,6 +472,15 @@ def step_count(dt, t_final):
     return int(round(steps))
 
 
+def check_sample_count(n_steps, stride):
+    """ValidationError when n_steps / stride samples exceed _MAX_SAMPLES:
+    a run holds every sample's step count and row."""
+    if n_steps > _MAX_SAMPLES * stride:
+        raise ValidationError(
+            "schedule asks for %.6g samples (t_final / (dt * sample_stride)); "
+            "at most %d are allowed" % (n_steps / stride, _MAX_SAMPLES))
+
+
 def _validate_schedule(schedule):
     """(dt, number of steps, sample_stride) of a (dt, t_final, stride)."""
     dt, t_final, stride = schedule
@@ -472,7 +490,9 @@ def _validate_schedule(schedule):
     if dt <= 0 or t_final < dt or stride < 1:
         raise ValidationError("schedule must satisfy dt > 0, t_final >= dt, "
                               "sample_stride >= 1")
-    return dt, step_count(dt, t_final), stride
+    n_steps = step_count(dt, t_final)
+    check_sample_count(n_steps, stride)
+    return dt, n_steps, stride
 
 
 def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
@@ -524,24 +544,28 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     mass0 = mass(parts)
     mass_tol = _MASS_TOL * max(abs(mass0) + mass_f0, 1e-300)
 
-    def row(t, evaluate, state):
-        # a finite state can still overflow its diagnostics
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            values = evaluate(state)
-        if not np.all(np.isfinite(np.hstack(values[:5]))):
+    def row(t, values, finite):
+        if not finite:
             raise NumericalError("non-finite sample at t = %.6g" % t)
         return (t,) + values
 
-    def formed(parts):
-        return sample(unfold(parts, y.size))
+    def formed(state):
+        # a finite state can still overflow its diagnostics
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            values = sample(state)
+        return values, bool(np.all(np.isfinite(np.hstack(values[:5]))))
 
-    rows = [row(0.0, sample, y)]
+    def formed_parts(parts):
+        return formed(unfold(parts, y.size))
+
+    rows = [row(0.0, *formed(y))]
     t = 0.0
     try:
         for n, parts in states:
             if parts and all(isinstance(p, tuple) for p in parts.values()):
                 # every sector's part is a sample of a window read in its
-                # basis: (window, index)
+                # basis, (window, index): its checks and values were taken
+                # with the window's
                 finite = all(w.finite[k] for w, k in parts.values())
                 drift = abs(sum(w.mass[k] for w, k in parts.values()) - mass0)
                 evaluate = windows.values
@@ -549,13 +573,13 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
                 parts = {sign: _formed(part) for sign, part in parts.items()}
                 finite = all(np.all(np.isfinite(p)) for p in parts.values())
                 drift = abs(mass(parts) - mass0)
-                evaluate = formed
+                evaluate = formed_parts
             if not finite:
                 raise NumericalError("non-finite state detected")
             if drift > mass_tol:
                 raise NumericalError("mass drift beyond tolerance")
             if n % stride == 0 or n == n_steps:
-                rows.append(row(n * dt, evaluate, parts))
+                rows.append(row(n * dt, *evaluate(parts)))
             t = n * dt
     except NumericalError as exc:
         err = NumericalError("%s; last good time %.6g" % (exc, t))
@@ -957,7 +981,10 @@ class _WindowSampler:
         their profiles (one row unfolded at a time), and one elliptic solve
         with 4m right-hand sides and its residuals; per block of samples,
         the c-combinations, each combined residual checked against 1e-10 of
-        its right-hand side and re-solved if it fails.
+        its right-hand side and re-solved if it fails, and H and D from one
+        hypo.entropy_and_dissipation_from call. numpy's error state is set
+        here once, and each sample's state checks are kept as Python
+        numbers.
         """
         ops, delta = self._ops, self._delta
         minus_l, weights, linear, mass, bound = self._sector(sign)
@@ -984,18 +1011,17 @@ class _WindowSampler:
                 norm_sq = np.sum(c * c, axis=0)
                 forms = np.sum(c * (grams @ c), axis=1)
                 forms[1:] += linear @ c
-                profiles = solutions = [None] * c.shape[1]
+                profiles = solutions = None
                 if delta != 0.0:
                     profiles, solutions = self._combined(pieces, c)
-                for j in range(c.shape[1]):
-                    shares[1:3, first + j] = hypo.entropy_and_dissipation_from(
-                        norm_sq[j], forms[0, j], profiles[j], solutions[j],
-                        delta, ops)
+                shares[1:3, block] = hypo.entropy_and_dissipation_from(
+                    norm_sq, forms[0], profiles, solutions, delta, ops)
                 shares[0, block] = norm_sq
                 shares[3:-1, block] = forms[1:]
                 shares[-1, block] = reach @ np.abs(c)
-            return _Window(basis, coeffs, np.all(np.isfinite(coeffs), axis=0),
-                           (basis @ mass) @ coeffs, shares)
+            return _Window(basis, coeffs,
+                           np.all(np.isfinite(coeffs), axis=0).tolist(),
+                           ((basis @ mass) @ coeffs).tolist(), shares)
 
     def _row_pieces(self, sign, basis):
         """(profiles, right-hand sides, solutions, residuals) of hypo's four
@@ -1028,21 +1054,27 @@ class _WindowSampler:
         return profiles, solutions
 
     def values(self, items):
-        """(norm_sq_mu, H, D, x-moments, v-moments, max principle) of a
-        sample whose every sector part is (window, k): the sectors' shares
-        added, plus the moments' constant terms. Each diagnostic is a
-        reflection-invariant quadratic form plus linear terms that live in
-        the even sector, so it has no cross terms between sectors. The
-        bound certifies the max principle when it stays below 1 - 1e-9;
-        otherwise the sample is formed and checked pointwise."""
-        total = self._constants + sum(w.shares[:, k]
-                                      for w, k in items.values())
-        moments = [float(v) for v in total[3:-1]]
-        ok = bool(total[-1] <= 1.0 - 1e-9) or self._max_ok(unfold(
+        """(row, finite) of a sample whose every sector part is
+        (window, k): the row (norm_sq_mu, H, D, x-moments, v-moments, max
+        principle) and whether its diagnostics are finite.
+
+        The sectors' shares are added, plus the moments' constant terms, in
+        Python floats, so no numpy error state is needed: each diagnostic
+        is a reflection-invariant quadratic form plus linear terms that
+        live in the even sector, so it has no cross terms between sectors.
+        The bound certifies the max principle when it stays below
+        1 - 1e-9; otherwise a finite sample is formed and checked
+        pointwise."""
+        total = [c + sum(shares) for c, *shares in zip(
+            self._constants.tolist(),
+            *(w.shares[:, k].tolist() for w, k in items.values()))]
+        finite = all(math.isfinite(v) for v in total[:-1])
+        ok = total[-1] <= _BOUND_MAX or (finite and self._max_ok(unfold(
             {sign: w.part(k) for sign, (w, k) in items.items()},
-            self._ops.sqrt_f.size))
-        return (float(total[0]), float(total[1]), float(total[2]),
-                moments[:self._n_j], moments[self._n_j:], ok)
+            self._ops.sqrt_f.size)))
+        n_j = 3 + self._n_j
+        return (total[0], total[1], total[2], total[3:n_j], total[n_j:-1],
+                ok), finite
 
 
 def _macro_sampler(rho0, eq, ops, j_powers):

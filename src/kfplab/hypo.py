@@ -36,12 +36,17 @@ B T(1-Pi) q, B L q) and bounded_auxiliary_ratio one with two.
 entropy_and_dissipation takes H and D from the same one solve with four
 right-hand sides, reading <Af, f> = u_Af . (m u_f) off its second column;
 at delta = 0 it makes none. The delta-combinations of H and D live in one
-place, entropy_and_dissipation_from, which takes ||f||_mu^2, -<Lf, f>_mu,
-the four profiles and their four solutions rather than q. A kinetic
-trajectory calls it once per sample: through entropy_and_dissipation for a
-state it forms, and with pieces read in a Krylov basis for a sample it does
-not form (evolution module notes), since every piece but the two quadratic
-forms is linear in q.
+place, entropy_and_dissipation_from, which takes a block of b states as
+their ||f||_mu^2 and -<Lf, f>_mu (length b) and their four profiles and
+four solutions (b x 4 x nx) rather than q, and gives H and D as length-b
+arrays. A kinetic trajectory calls it once per block: with b = 1 through
+entropy_and_dissipation for a state it forms, and with up to 32 samples'
+pieces read in a Krylov basis for samples it does not form (evolution
+module notes), since every piece but the two quadratic forms is linear in
+q. Each row's inner products are the one-dimensional dot products a single
+state takes (operators.row_dot), so the block form changes no arithmetic:
+a formed sample's H and D, and a window's, are bit for bit those of one
+call per sample.
 
 entropy_H, dissipation_components and bounded_auxiliary_ratio take a Field
 and no run calls them: they stay as the wrap points bench/tracing.py needs,
@@ -77,7 +82,7 @@ from .errors import (GridMismatchError, InfeasibleError, NumericalError,
 # installed there (instrumentation, tests) sees every elliptic solve
 from . import operators
 from .grids import Field, velocity_weight
-from .operators import atpi_form, q_profiles
+from .operators import atpi_form, q_profiles, row_dot
 from .spectral import macroscopic_gap, microscopic_coercivity_constant
 
 _WINDOW_SLACK = 1e-9
@@ -241,22 +246,24 @@ def elliptic_rhs(profiles, ops):
 
 def _profiles_and_solutions(q, ops):
     """The four profiles of q and their four elliptic solutions (u_Pi,
-    u_Af, u_AT(1-Pi), u_AL): one q_profiles call and one solve."""
+    u_Af, u_AT(1-Pi), u_AL) as 1 x 4 x nx blocks: one q_profiles call and
+    one solve."""
     profiles = q_profiles(q, ops)
-    return profiles, operators.solve_elliptic(elliptic_rhs(profiles, ops),
-                                              ops).T
+    solutions = operators.solve_elliptic(elliptic_rhs(profiles, ops), ops).T
+    return profiles[None], solutions[None]
 
 
 def _dissipation_forms(profiles, solutions, minus_lff, delta, ops):
-    """The five inner products of D[f] and their delta-combination D, from
-    -<Lf, f>_mu, the profiles (m u_f, B q, B T(1-Pi) q, B L q) and their
-    elliptic solutions (u_Pi, u_Af, u_AT(1-Pi), u_AL)."""
-    m_u, b_q, _, _ = profiles
-    u_pi, u_af, u_at_micro, u_al = solutions
+    """The five inner products of D[f] and their delta-combination D, as
+    length-b arrays for a block of b states, from -<Lf, f>_mu (length b),
+    the profiles (m u_f, B q, B T(1-Pi) q, B L q) and their elliptic
+    solutions (u_Pi, u_Af, u_AT(1-Pi), u_AL), b x 4 x nx each."""
+    m_u, b_q = profiles[:, 0], profiles[:, 1]
+    u_pi, u_af, u_at_micro, u_al = solutions.transpose(1, 0, 2)
     atpi_ff = atpi_form(u_pi, ops)   # <ATPi f, f> = <ATPi f, Pi f>
-    ta_ff = float(u_af @ (ops.mrho * b_q))
-    at_micro_ff = float(u_at_micro @ m_u)
-    al_ff = float(u_al @ m_u)
+    ta_ff = row_dot(u_af, ops.mrho * b_q)
+    at_micro_ff = row_dot(u_at_micro, m_u)
+    al_ff = row_dot(u_al, m_u)
     return {
         "minus_Lf_f": minus_lff,
         "ATPi_f_f": atpi_ff,
@@ -277,10 +284,12 @@ def dissipation_components(f, delta, eq, ops):
     """
     q = _q(f, eq, ops)
     profiles, solutions = _profiles_and_solutions(q, ops)
-    forms = _dissipation_forms(profiles, solutions, _minus_lf_f(q, eq, ops),
-                               delta, ops)
+    forms = _dissipation_forms(profiles, solutions,
+                               np.array([_minus_lf_f(q, eq, ops)]), delta,
+                               ops)
+    forms = {name: float(value[0]) for name, value in forms.items()}
     forms["kappa_denominator"] = (
-        _micro_beta_sq(q, profiles[0] / ops.mrho, eq, ops)
+        _micro_beta_sq(q, profiles[0, 0] / ops.mrho, eq, ops)
         + forms["ATPi_f_f"])
     forms["delta"] = float(delta)
     return forms
@@ -288,19 +297,20 @@ def dissipation_components(f, delta, eq, ops):
 
 def entropy_and_dissipation_from(norm_sq, minus_lff, profiles, solutions,
                                  delta, ops):
-    """(H[f], D[f]) from ||f||_mu^2, -<Lf, f>_mu, the four profiles of q
-    and their four elliptic solutions (both None at delta = 0), H reading
-    <Af, f>_mu = u_Af . (m u_f) off the second solution.
+    """(H, D) of a block of b states as length-b arrays, from their
+    ||f||_mu^2 and -<Lf, f>_mu (length b), their four profiles and their
+    four elliptic solutions (b x 4 x nx each, both None at delta = 0), H
+    reading <Af, f>_mu = u_Af . (m u_f) off the second solution.
 
-    Both kinetic samplers call it, once per sample: entropy_and_dissipation
-    with the pieces of one state, a Krylov window with the pieces of its
-    samples read in its basis (evolution module notes).
+    Both kinetic samplers call it, once per block: entropy_and_dissipation
+    with the pieces of one state (b = 1), a Krylov window with the pieces
+    of up to 32 of its samples read in its basis (evolution module notes).
     """
     if delta == 0.0:
         return 0.5 * norm_sq, minus_lff
     forms = _dissipation_forms(profiles, solutions, minus_lff, delta, ops)
-    return (0.5 * norm_sq + delta * float(solutions[1] @ profiles[0]),
-            forms["D"])
+    return (0.5 * norm_sq
+            + delta * row_dot(solutions[:, 1], profiles[:, 0]), forms["D"])
 
 
 def entropy_and_dissipation(q, delta, eq, ops, norm_sq=None):
@@ -319,8 +329,10 @@ def entropy_and_dissipation(q, delta, eq, ops, norm_sq=None):
     profiles = solutions = None
     if delta != 0.0:
         profiles, solutions = _profiles_and_solutions(q, ops)
-    return entropy_and_dissipation_from(norm_sq, _minus_lf_f(q, eq, ops),
-                                        profiles, solutions, delta, ops)
+    h, d = entropy_and_dissipation_from(
+        np.array([norm_sq]), np.array([_minus_lf_f(q, eq, ops)]), profiles,
+        solutions, delta, ops)
+    return float(h[0]), float(d[0])
 
 
 # ---------------------------------------------------------------------------

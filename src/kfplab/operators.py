@@ -426,13 +426,24 @@ def q_profiles(q, ops):
     return (ops.profile_map @ moments.ravel(order="F")).reshape(4, -1)
 
 
+def row_dot(a, b):
+    """The dot product of each row (along the last axis) of a with the
+    same row of b, each by the one-dimensional dot of a single row: a
+    block's rows agree bit for bit with the same rows, laid out alike,
+    taken one at a time."""
+    return np.matmul(a[..., None, :], b[..., :, None])[..., 0, 0]
+
+
 def atpi_form(u, ops):
-    """<A T Pi f, Pi f>_mu from u = (I + N)^-1 u_f, Pi f = u_f f_star.
+    """<A T Pi f, Pi f>_mu from u = (I + N)^-1 u_f, Pi f = u_f f_star: a
+    number for one profile u (length nx), a length-b array for a b x nx
+    block of b profiles.
 
     It equals ||T Pi (u f_star)||_mu^2 + ||(TPi)*(TPi)(u f_star)||_mu^2 =
     u . N_sym u + ||N u||_Mrho^2 — the discrete counterpart of
     sigma int |grad u|^2 rho_star + sigma^2 int |div(rho_star grad u)|^2 / rho_star.
+    A row of a block takes the same products and sums as it would alone.
     """
-    n_sym_u = ops.N_sym @ u
-    return float(u @ n_sym_u) + float(np.sum(n_sym_u * n_sym_u / ops.mrho))
-
+    n_sym_u = np.ascontiguousarray((ops.N_sym @ u.T).T)
+    return (row_dot(u, n_sym_u)
+            + np.sum(n_sym_u * n_sym_u / ops.mrho, axis=-1))

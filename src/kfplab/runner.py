@@ -51,6 +51,11 @@ from .operators import assemble
 _INITIAL_KINDS = {"bump": "kinetic", "odd_v": "kinetic",
                   "shifted_gaussian": "kinetic", "macro_gaussian": "macro",
                   "macro_bump": "macro"}
+# (mode, integrable equilibrium) -> the initial.kind a config need not name
+_DEFAULT_KINDS = {("kinetic", True): "bump",
+                  ("kinetic", False): "shifted_gaussian",
+                  ("macro", True): "macro_bump",
+                  ("macro", False): "macro_gaussian"}
 # a moment column is J_<power> or K_<power>, the power in this format
 _POWER_NAME = "%g"
 
@@ -154,7 +159,8 @@ class ScenarioConfig:
         if self.dt <= 0 or self.t_final <= self.dt or self.sample_stride < 1:
             raise ValidationError("schedule must satisfy dt > 0, "
                                   "t_final > dt, sample_stride >= 1")
-        evolution.step_count(self.dt, self.t_final)
+        evolution.check_sample_count(
+            evolution.step_count(self.dt, self.t_final), self.sample_stride)
 
         auto_delta = str(get("delta", "auto")) == "auto"
         self.delta = None if auto_delta else number("delta", None)
@@ -171,9 +177,8 @@ class ScenarioConfig:
         self.rates_ell = number("rates.ell",
                                 self.moments_v[0] if self.moments_v else 2.0)
 
-        self.initial_kind = str(get("initial.kind",
-                                    "bump" if self.mode == "kinetic"
-                                    else "macro_bump"))
+        self.initial_kind = str(get("initial.kind", _DEFAULT_KINDS[
+            self.mode, self.potential.is_integrable()]))
         if self.initial_kind not in _INITIAL_KINDS:
             raise ValidationError("unknown initial.kind %r" % self.initial_kind)
         if _INITIAL_KINDS[self.initial_kind] != self.mode:
@@ -424,10 +429,10 @@ def _json_safe(obj):
     if isinstance(obj, (np.floating, float)):
         x = float(obj)
         return None if not np.isfinite(x) else x
+    if isinstance(obj, (np.bool_, bool)):    # before int: bool is an int
+        return bool(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     return obj
 
 
@@ -464,6 +469,9 @@ def emit_constants_report(config, out_dir):
     _, _, eq, _, constants = certified_problem(config)
     payload = {
         "name": config.name,
+        # without an integrable equilibrium lambda_M and lambda are
+        # quantities of the box, and certify no decay
+        "integrable": eq.integrable,
         "constants": dict(constants.to_dict(), sigma=eq.sigma),
         "sigma_normalized": eq.sigma_normalized,
         "c_M_parts": constants.c_M_parts,

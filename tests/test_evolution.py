@@ -914,21 +914,26 @@ def _check_abort(err, clean, message):
 def test_krylov_overflowing_diagnostic_aborts_at_its_sample(strong_strong,
                                                             monkeypatch):
     # the first window reads its samples in its basis; both samplers take
-    # H and D from hypo.entropy_and_dissipation_from, once per sample
+    # H and D from hypo.entropy_and_dissipation_from, the initial sample
+    # as a block of one and the window's 40 samples as blocks of 32 and 8;
+    # row 3 of the first (t = 1) overflows
     _, _, eq, ops = strong_strong
     real_sample = hypo.entropy_and_dissipation_from
-    calls = {"n": 0}
+    sizes = []
 
     def overflowing(*args):
-        calls["n"] += 1
         h, d = real_sample(*args)
-        return (h, d) if calls["n"] < 5 else (np.inf, d)
+        sizes.append(h.size)
+        if len(sizes) == 2:
+            h[3] = np.inf
+        return h, d
 
     monkeypatch.setattr(hypo, "entropy_and_dissipation_from", overflowing)
     with pytest.raises(NumericalError, match="non-finite sample at t = 1"
                        ) as err:
         run_trajectory(initial_bump(eq, 0.5), (0.05, 10.0, 5), "kinetic",
                        eq, ops, delta=0.3)
+    assert sizes == [1, 32, 8]
     assert err.value.last_good_time == pytest.approx(0.75)
     assert list(err.value.partial_record.times) == pytest.approx(
         [0.0, 0.25, 0.5, 0.75])
@@ -977,6 +982,22 @@ def test_basis_windows_match_the_per_state_sampler(strong_strong,
     assert [w.coeffs.shape for _, w in windows] == windows_read
     assert got.times.size == 41
     assert _worst_relative_gap(got, ref) <= 1e-12
+
+
+def test_exp_dense_takes_h_and_d_once_per_block(monkeypatch):
+    # the exp_dense run (129^2, 1000 steps sampled every 2nd) reads its
+    # 500 samples in two windows of 457 and 43: H and D come from one
+    # entropy_and_dissipation_from call for the initial sample and one per
+    # block of at most 32 samples, 18 calls instead of 501
+    _, _, eq, ops = make_problem("power", 2.0, 8.0, 129, 8.0, 129,
+                                 alpha=2.0)
+    calls = _spy(monkeypatch, hypo, "entropy_and_dissipation_from")
+    rec = run_trajectory(initial_bump(eq, 0.5), (0.02, 20.0, 2), "kinetic",
+                         eq, ops, delta=0.3)
+    assert rec.times.size == 501
+    assert [h.size for _, (h, _) in calls] == (
+        [1] + [32] * 14 + [9] + [32, 11])
+    assert len(calls) == 18
 
 
 def test_a_window_with_fewer_samples_than_vectors_is_formed(
@@ -1028,7 +1049,7 @@ def test_max_principle_bound_never_certifies_a_violating_state(ratio,
                                        scale * coeffs[sign]), 0)
                  for sign in signs}
         del pointwise[:]
-        flag = windows.values(items)[5]
+        flag = windows.values(items)[0][5]
         q = unfold({sign: (scale * coeffs[sign][:, 0]) @ rows[sign]
                     for sign in signs}, n)
         f = fstar.ravel() + q * ops.sqrt_f

@@ -333,6 +333,58 @@ def test_entropy_and_dissipation_without_an_equilibrium(monkeypatch):
                                    monkeypatch)
 
 
+@pytest.mark.parametrize("delta", [0.0, 0.3])
+@pytest.mark.parametrize("rows", [1, 32])
+def test_a_block_gives_each_row_its_own_entropy_and_dissipation(delta,
+                                                                rows):
+    # entropy_and_dissipation_from on a block of states (their norms and
+    # -<Lf, f> stacked, their profiles and elliptic solutions b x 4 x nx),
+    # as a Krylov window calls it, against each row on its own (b = 1)
+    _, _, eq, ops = make_problem("power", 2.0, 8.0, 33, 8.0, 33, alpha=2.0)
+    qs = [f.values.ravel() / ops.sqrt_f
+          for f in hypo._random_suite(eq, rows, 5)]
+    norm_sq = np.array([q @ (ops.w_flat * q) for q in qs])
+    minus_lff = np.array([hypo._minus_lf_f(q, eq, ops) for q in qs])
+    profiles = solutions = None
+    if delta != 0.0:
+        pieces = [hypo._profiles_and_solutions(q, ops) for q in qs]
+        profiles = np.concatenate([p for p, _ in pieces])
+        solutions = np.concatenate([u for _, u in pieces])
+        assert profiles.shape == solutions.shape == (rows, 4, 33)
+    h, d = hypo.entropy_and_dissipation_from(norm_sq, minus_lff, profiles,
+                                             solutions, delta, ops)
+    assert h.shape == d.shape == (rows,)
+    for j, q in enumerate(qs):
+        h_j, d_j = entropy_and_dissipation(q, delta, eq, ops)
+        assert h[j] == pytest.approx(h_j, rel=1e-14, abs=0.0)
+        assert d[j] == pytest.approx(d_j, rel=1e-14, abs=0.0)
+
+
+def test_a_blocks_rows_take_the_single_rows_products_bit_for_bit():
+    # row_dot and atpi_form on a block take each row's products as one row
+    # alone does, so a window's H and D are those of one call per sample
+    _, _, eq, ops = make_problem("power", 2.0, 8.0, 33, 8.0, 33, alpha=2.0)
+    rng = np.random.default_rng(17)
+    a, b = rng.standard_normal((2, 32, 33))
+    dots = operators.row_dot(a, b)
+    assert dots.shape == (32,)
+    for j in range(32):
+        assert dots[j] == a[j] @ b[j]
+    qs = [f.values.ravel() / ops.sqrt_f
+          for f in hypo._random_suite(eq, 32, 5)]
+    # u_Pi of each state, as a window's b x 4 x nx solutions hold it
+    solutions = np.concatenate([hypo._profiles_and_solutions(q, ops)[1]
+                                for q in qs])
+    for block in (solutions[:, 0], np.ascontiguousarray(solutions[:, 0])):
+        forms = operators.atpi_form(block, ops)
+        assert forms.shape == (32,)
+        for j, u in enumerate(block):
+            n_sym_u = ops.N_sym @ u
+            assert forms[j] == operators.atpi_form(u, ops)
+            assert forms[j] == (float(u @ n_sym_u) + float(
+                np.sum(n_sym_u * n_sym_u / ops.mrho)))
+
+
 def test_entropy_and_dissipation_refuse_a_delta_outside_the_window(
         strong_strong):
     _, _, eq, ops = strong_strong

@@ -311,9 +311,10 @@ def test_emit_constants_report(tmp_path):
     json_path = emit_constants_report(cfg, str(tmp_path))
     with open(json_path) as fh:
         payload = json.load(fh)
-    for key in ("constants", "sigma_normalized", "c_M_parts",
+    for key in ("integrable", "constants", "sigma_normalized", "c_M_parts",
                 "z_constant", "transport_integrals", "grid", "config_echo"):
         assert key in payload
+    assert payload["integrable"] is True
     assert payload["constants"]["delta_star"] > 0
     assert payload["z_constant"] == pytest.approx(2.0 * np.pi * np.exp(-1.0))
 
@@ -697,11 +698,12 @@ schedule.sample_stride = 1
 """
 
 
-@pytest.mark.parametrize("extra, kind", [("", "bump"),
+@pytest.mark.parametrize("extra, kind", [("", "bump"), ("", "odd_v"),
                                          ("mode = macro\n", "macro_bump")])
 def test_perturbed_datum_needs_an_integrable_equilibrium(tmp_path, capsys,
                                                          extra, kind):
-    cfg = _write(tmp_path, "free.cfg", _NON_INTEGRABLE + extra)
+    cfg = _write(tmp_path, "free.cfg", _NON_INTEGRABLE + extra
+                 + "initial.kind = %s\n" % kind)
     capsys.readouterr()
     assert main(["run", cfg, "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
@@ -714,9 +716,68 @@ def test_perturbed_datum_needs_an_integrable_equilibrium(tmp_path, capsys,
     with open(os.path.join(out, "batch_index.json")) as fh:
         entries = json.load(fh)["entries"]
     assert [e["status"] for e in entries] == ["invalid"]
-    # the constants need no datum
+    # the constants need no datum, and say that they belong to the box
     assert main(["constants", cfg, "--out", str(tmp_path / "c")]) == 0
+    with open(str(tmp_path / "c" / "free_constants.json")) as fh:
+        assert json.load(fh)["integrable"] is False
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("mode, kind", [("kinetic", "shifted_gaussian"),
+                                        ("macro", "macro_gaussian")])
+def test_default_datum_follows_the_equilibrium(tmp_path, capsys, mode, kind):
+    # a config that names no initial.kind perturbs f_star when there is
+    # one, and starts from a Gaussian when there is none
+    confined = ScenarioConfig({"mode": mode, "potential.alpha": "2"})
+    assert confined.initial_kind == ("bump" if mode == "kinetic"
+                                     else "macro_bump")
+    cfg = _write(tmp_path, "free.cfg", _NON_INTEGRABLE + "mode = %s\n" % mode)
+    assert ScenarioConfig.from_file(cfg).initial_kind == kind
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["run", cfg, "--out", out]) == 0
+    with open(os.path.join(out, "free.json")) as fh:
+        summary = json.load(fh)
+    assert (summary["status"], summary["initial_data"]["kind"]) == ("ok",
+                                                                    kind)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("schedule", [
+    # 1e15 steps sampled every 10th
+    "schedule.dt = 1e-9\nschedule.t_final = 1e6\n"
+    "schedule.sample_stride = 10\n",
+    # one sample past the ceiling
+    "schedule.dt = 1\nschedule.t_final = 1000001\n"
+    "schedule.sample_stride = 1\n",
+])
+def test_cli_refuses_too_many_samples_before_set_up(tmp_path, capsys,
+                                                    monkeypatch, schedule):
+    def no_build(config):
+        raise AssertionError("build_problem ran for too many samples")
+
+    monkeypatch.setattr(runner, "build_problem", no_build)
+    cfg = _write(tmp_path, "long.cfg", _EXTREME_BASE + schedule)
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["run", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("validation error: schedule asks for "), err
+    assert "at most 1000000" in err and len(err.splitlines()) == 1, err
+    assert not os.path.exists(out)
+
+
+def test_run_trajectory_refuses_too_many_samples(strong_strong):
+    # the same ceiling holds for a schedule passed straight to a run, which
+    # refuses it before it factors or allocates anything
+    _, _, eq, ops = strong_strong
+    f0 = kfplab.evolution.initial_bump(eq, 0.5)
+    with pytest.raises(ValidationError, match="at most 1000000"):
+        kfplab.evolution.run_trajectory(f0, (1e-9, 1e6, 10), "kinetic", eq,
+                                        ops)
+    # exactly at the ceiling it is accepted (checked without running)
+    assert kfplab.evolution._validate_schedule((1.0, 1e6, 1)) == (
+        1.0, 10 ** 6, 1)
 
 
 def test_initial_kind_must_suit_the_mode(tmp_path, capsys, monkeypatch):
