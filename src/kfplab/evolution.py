@@ -26,30 +26,36 @@ problem. Each call that steps factors its state's sectors up front
 factors. Between samples run_trajectory keeps only the parts; the full
 vector is rebuilt at sample times.
 
-Long kinetic implicit-Euler runs are sampled from a Krylov space instead of
-stepped. With A = (I - gamma G)^-1 the step is (I - dt G)^-1 = f(A) with
-f(z) = z / ((1 - r) z + r), r = dt / gamma, so the state after k steps is
-f(A)^k q0: a rational function of G with one repeated pole, analytic on the
-field of values of A. Because G is dissipative in the mu-inner product,
-that field lies in the disc |z - 1/2| <= 1/2 and the pole of f^k sits
-outside it at z = -r / (1 - r), so polynomials in A approximate f^k there
-and the Krylov space of A and q0 (the RD-rational space of Moret-Novati,
-BIT 2004, and van den Eshof-Hochbruck, SISC 2006) holds the iterates. The
-run factors I - gamma G once per occupied sector. Arnoldi in the mu-inner
+Kinetic implicit-Euler runs longer than one basis cap are sampled from a
+Krylov space instead of stepped. With A = (I - gamma G)^-1 the step is
+(I - dt G)^-1 = f(A) with f(z) = z / ((1 - r) z + r), r = dt / gamma, so
+the state after k steps is f(A)^k q0: a rational function of G with one
+repeated pole, analytic on the field of values of A. Because G is
+dissipative in the mu-inner product, that field lies in the disc
+|z - 1/2| <= 1/2 and the pole of f^k sits outside it at z = -r / (1 - r),
+so polynomials in A approximate f^k there and the Krylov space of A and q0
+(the RD-rational space of Moret-Novati, BIT 2004, and van den
+Eshof-Hochbruck, SISC 2006) holds the iterates. The run factors
+I - gamma G once per occupied sector. Arnoldi in the mu-inner
 product (the sector's head of w_flat) gives a mu-orthonormal basis V_m and
 H_m = V_m^T W A V_m, one solve per vector; G_m = (I - H_m^-1) / gamma is
 dissipative as well, and every sample is read as
 beta V_m (I - dt G_m)^-k e_1, k its step count.
 
 The shift follows the time the samples span and the datum's roughness:
-gamma = max(4 dt, min(1/4, ||G q0||_mu / ||G^2 q0||_mu)), q0 the tracked
-datum (_krylov_shift; 4 dt when G q0 or G^2 q0 is zero). A larger gamma
-reaches a sample k steps on with fewer vectors, but r = dt / gamma shrinks
-and the pole moves toward the disc, so each bound holds off a cliff:
+gamma = max(floor, min(1/4, ||G q0||_mu / ||G^2 q0||_mu)), q0 the tracked
+datum and floor = min(4 dt, max(2 dt, 1)) (_krylov_shift, _shift_floor;
+the floor when G q0 or G^2 q0 is zero). A larger gamma reaches a sample k
+steps on with fewer vectors, but r = dt / gamma shrinks and the pole moves
+toward the disc, so each bound holds off a cliff:
 
-* 4 dt puts the pole at -1/3 or further out. With gamma = t_final / 100
-  (20 dt for acceptance criterion 8) it sat at -1/19, and the first basis
-  of that run agreed on no sample.
+* The floor is 4 dt up to dt = 1/4, which puts the pole at -1/3 or
+  further out. With gamma = t_final / 100 (20 dt for acceptance criterion
+  8) it sat at -1/19, and the first basis of that run agreed on no sample.
+  At large dt, gamma wants one or two time units: at dt = 1 the floor is
+  2 dt (pole at -1), and the 100-step run of the bump on the 65 x 193,
+  alpha = 2, beta = 0.5 box takes 68 solves, against 217 at 4 dt and 86
+  at 1 dt.
 * 1/4, a quarter of L's unit relaxation time, keeps the pole away from
   weakly damped modes: at gamma = 1/2 criterion 7's problem at dt = 0.025
   agreed on no sample and stepped, and so did criterion 8's at dt = 0.05
@@ -62,23 +68,26 @@ and the pole moves toward the disc, so each bound holds off a cliff:
 
 On that box the bump's run takes 46 solves at gamma = 1/4 instead of 75 at
 4 dt with dt = 0.02; criterion 8's takes 205 at dt = 0.05 and at
-dt = 0.025, instead of 244 and 416. A run whose 4 dt is 1/4 or more (the
-400-step run of criterion 8's problem, dt = 0.25) keeps gamma = 4 dt and
-its arithmetic.
+dt = 0.025, instead of 244 and 416. A run whose floor is 1/4 or more (the
+400-step run of criterion 8's problem, dt = 0.25, or any run at dt = 1)
+takes the floor.
 
 Error control: a basis grows until the approximation of every sample still
 to come agrees, in the mu-norm, with the one from a vector fewer to 1e-10
 relative. It is capped at nnz(L + U) / n_sector vectors (at most 100), so
 it never holds more numbers than its factor, in one buffer per sector that
 every window reuses. At the cap the run keeps the leading samples that
-agree and restarts from the last of them. A window that agrees on none at
-gamma > 4 dt factors its sector again at 4 dt and is grown again there,
-and every later window of the sector keeps that factor; one that agrees on
-none at 4 dt steps the rest of the run on a factor of I - dt G. A guard
-sends a run down this path only when its step count is large for its
-sector size (see _krylov_pays), before anything is factored, so every run
-factors once unless a window retries or falls back; macro and
-Crank-Nicolson runs always step.
+agree and restarts from the last of them. A window that agrees on none
+above the floor factors its sector again at the floor and is grown again
+there, and every later window of the sector keeps that factor. A sector
+steps the rest of its run on a factor of I - dt G when a window agrees on
+none at the floor, or once the solves on its current factor reach the
+steps its windows covered plus one cap: a solve budget, checked between
+windows, which a retry's factor starts afresh. So against stepping a
+sector loses fewer than two caps of solves per factor of I - gamma G, and
+it factors at most three times. Only a run with fewer steps than one cap (about
+4 n_sector^(1/4), _krylov_path) steps from the start, before anything is
+factored; macro and Crank-Nicolson runs always step.
 
 Checks: every solve, stepped or Krylov, passes solve_with_refinement's
 1e-10 relative residual check, and every Krylov vector a finiteness check.
@@ -244,8 +253,9 @@ def fold_sector(system, sign):
     canonical CSR: entry (i, j < m) is S[i, j] + sign S[i, n-1-j], and the
     even sector's column m (i < m) is sqrt(2) S[i, m], its row m that sum
     over sqrt(2). scipy's duplicate merge adds each direct and mirrored
-    pair: two terms, whose sum commutes, so the merge order changes no bit."""
-    n = system.shape[0]
+    pair: two terms, whose sum commutes, so the merge order changes no bit.
+    system may be S's first m + 1 (even) or m (odd) rows, all it reads."""
+    n = system.shape[1]
     m = n // 2
     half = m + 1 if sign > 0 else m
     end = system.indptr[half]
@@ -509,10 +519,11 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     NumericalError carrying .last_good_time and the .partial_record of the
     samples taken so far (none if the initial sample fails).
 
-    A kinetic implicit-Euler run with many steps for its size samples its
-    states from shift-invert Krylov spaces (see the module docstring); every
-    other run steps. Either way the run factors its own system and leaves
-    ops as it found it, so runs can share one ops.
+    A kinetic implicit-Euler run with at least a basis cap's worth of steps
+    (_krylov_path) samples its states from shift-invert Krylov spaces, each
+    sector under a solve budget (see the module docstring); every other run
+    steps. Either way the run factors its own system and leaves ops as it
+    found it, so runs can share one ops.
     """
     dt, n_steps, stride = _validate_schedule(schedule)
     j_powers, k_powers = moment_powers
@@ -529,7 +540,7 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
         raise ValidationError("mode must be 'kinetic' or 'macro'")
     parts = fold(y)
     if (mode == "kinetic" and scheme == "implicit_euler"
-            and _krylov_pays(n_steps, y.size // 2 + 1)):
+            and _krylov_path(n_steps, y.size // 2 + 1)):
         states = _krylov_states(parts, ops, dt, n_steps, stride, windows)
     else:
         # a bad scheme fails here
@@ -607,50 +618,46 @@ def _stepped_states(parts, lu, n_steps, what):
 
 _KRYLOV_TOL = 1e-10     # successive approximations agree, relative mu-norm
 _MAX_BASIS = 100        # vectors per basis at most, whatever nnz(LU)/n allows
-_SHIFT_STEPS = 4        # gamma >= 4 dt
-_MAX_SHIFT = 0.25       # gamma <= 1/4 unless 4 dt is larger
+_SHIFT_STEPS = 4        # gamma >= 4 dt up to dt = 1/4 (_shift_floor)
+_MAX_SHIFT = 0.25       # gamma <= 1/4 unless the floor is larger
 _BLOCK = 8              # samples formed, or basis rows read, per product
 _WINDOW_SAMPLES = 32    # samples read in a basis per product
 
 
-def _krylov_pays(n_steps, n_sector):
+def _krylov_path(n_steps, n_sector):
     """Whether a run of n_steps kinetic implicit-Euler steps on sectors of
-    up to n_sector unknowns samples from Krylov spaces.
-
-    A basis is capped at nnz(LU)/n_sector vectors, about 4 n_sector^(1/4)
-    with SPLU_OPTIONS on these grids (32 at 65^2, 40 at 129^2, 47 at 193^2,
-    53 at 257^2), and a run takes up to two caps of solves, each dearer than
-    a step's by its orthogonalization. Below six caps' worth of steps that
-    saves little or nothing: 100 steps on 33^2 took 75 solves, 100 steps on
-    193^2 took 77.
-    """
-    return n_steps >= 24.0 * n_sector ** 0.25
+    up to n_sector unknowns samples from Krylov spaces: unless it has fewer
+    steps than one basis cap, nnz(LU)/n_sector vectors, which is about
+    4 n_sector^(1/4) with SPLU_OPTIONS (32 at 65^2, 53 at 257^2). Its one
+    window would take about as many solves as its steps, and a factor."""
+    return n_steps >= 4.0 * n_sector ** 0.25
 
 
 def _window_pays(m, samples):
     """Whether a window of m basis vectors reads its samples in its basis
-    (_WindowSampler) rather than forming each one for the per-state sampler.
-
-    Both are associations of the same products. The basis costs about
-    three m x m Gram products over the sector, 2 m^2 n_sector flops each;
-    forming costs m n_sector flops and a dozen full-grid scans per sample.
-    So the basis is the cheaper one once a window has as many samples as
-    vectors.
-    """
+    (_WindowSampler) rather than forming each one: once it has as many
+    samples as vectors (module notes)."""
     return samples >= m
+
+
+def _shift_floor(dt):
+    """The least shift of a Krylov run of step dt, min(4 dt, max(2 dt, 1)):
+    4 dt up to dt = 1/4, 2 dt at dt = 1 (module notes)."""
+    return min(_SHIFT_STEPS * dt, max(2.0 * dt, 1.0))
 
 
 def _krylov_shift(parts, ops, dt):
     """The shift gamma of a Krylov run from the datum with sector parts
-    `parts`: max(4 dt, min(1/4, ||G q0||_mu / ||G^2 q0||_mu)), G = L_hat -
-    T_hat, and 4 dt when G q0 or G^2 q0 is zero (module notes)."""
+    `parts`: max(floor, min(1/4, ||G q0||_mu / ||G^2 q0||_mu)), G = L_hat -
+    T_hat, floor = _shift_floor(dt), and the floor when G q0 or G^2 q0 is
+    zero (module notes)."""
     y = unfold(parts, ops.sqrt_f.size)
     norms = []
     for _ in range(2):
         y = ops.L_hat @ y - ops.T_hat @ y
         norms.append(np.sqrt(y @ (ops.w_flat * y)))
     scale = min(_MAX_SHIFT, norms[0] / norms[1]) if norms[1] > 0.0 else 0.0
-    return float(max(_SHIFT_STEPS * dt, scale))
+    return float(max(_shift_floor(dt), scale))
 
 
 def _krylov_states(parts, ops, dt, n_steps, stride, windows):
@@ -664,31 +671,35 @@ def _krylov_states(parts, ops, dt, n_steps, stride, windows):
         sample_steps = np.append(sample_steps, n_steps)
     gamma = _krylov_shift(parts, ops, dt)
     lu = SectorLU(ops, "kinetic", gamma, "implicit_euler", parts)
-    sectors = [_krylov_part(sign, part, lu, ops, dt, gamma, sample_steps,
-                            windows)
+    sectors = [_krylov_part(sign, part, *lu.sector(sign)[:2], ops, dt, gamma,
+                            sample_steps, windows)
                for sign, part in parts.items()]
+    del lu      # each sector holds its own factor, and drops it
     for n, *new in zip(sample_steps, *sectors):
         yield int(n), dict(zip(parts, new))
 
 
-def _krylov_part(sign, part, lu, ops, dt, gamma, steps, windows):
+def _krylov_part(sign, part, factor, matrix, ops, dt, gamma, steps,
+                 windows):
     """The sector part after each of the increasing step counts `steps` of
-    implicit Euler, sampled window by window from lu's factor of
-    I - gamma G on the sector.
+    implicit Euler, sampled window by window from factor, the LU of the
+    sector's matrix I - gamma G.
 
     Each window grows a basis from the last sample the previous one agreed
     on and yields the samples its approximations agree on: as (window, k)
     when _window_pays, windows reading them all in the basis before the
     first is yielded (the next window overwrites the basis), else formed. A
-    window that agrees on none at gamma > 4 dt is grown again on a factor
-    of I - 4 dt G, which every later window keeps; one that agrees on none
-    at 4 dt leaves the rest of the run to the stepping loop, on a factor of
-    I - dt G.
+    window that agrees on none above the shift's floor is grown again on a
+    factor of I - floor G, which every later window keeps. The rest of the
+    run goes to the stepping loop, on a factor of I - dt G, when a window
+    agrees on none at the floor, or once the solves on the current factor
+    reach the steps its windows covered plus one cap (the solve budget).
+    The last window drops the factor before it is read, so that its forms
+    do not add to the factor's memory.
     """
-    factor, matrix, _ = lu.sector(sign)
     # w_flat is reversal-symmetric: its head weighs the folded coordinates
     weights = ops.w_flat[:part.size]
-    floor = _SHIFT_STEPS * dt
+    floor = _shift_floor(dt)
     basis = None
     done = 0
     while steps.size:
@@ -698,23 +709,22 @@ def _krylov_part(sign, part, lu, ops, dt, gamma, steps, windows):
             cap = min(_MAX_BASIS, factor.nnz // part.size)
             basis = np.empty((cap, part.size))
             hess = np.zeros((cap + 1, cap))
+            budget = cap        # solves left on this factor, less its steps
+        if budget <= 0:
+            break
         beta = np.sqrt(part @ (weights * part))
         m, coeffs, agreed = _arnoldi_window(factor, matrix, weights,
                                             part / beta, basis, hess,
                                             steps - done, dt / gamma)
+        if agreed == steps.size:
+            del factor, matrix      # no solve is left
         if not agreed and gamma > floor:
             basis, gamma = None, floor
             factor, matrix, _ = SectorLU(ops, "kinetic", floor,
                                          "implicit_euler", [sign]).sector(sign)
             continue
         if not agreed:
-            del basis, hess
-            stepping = SectorLU(ops, "kinetic", dt, "implicit_euler", [sign])
-            for n, parts in _stepped_states({sign: part}, stepping,
-                                            steps[-1] - done, "kinetic step"):
-                if done + n in steps:
-                    yield parts[sign]
-            return
+            break
         if _window_pays(m, agreed):
             window = windows.window(sign, basis[:m], beta * coeffs[:, :agreed])
             for k in range(agreed):
@@ -727,7 +737,15 @@ def _krylov_part(sign, part, lu, ops, dt, gamma, steps, windows):
                 block = coeffs[:, first:min(first + _BLOCK, agreed)]
                 for part in (beta * block).T @ basis[:m]:
                     yield part
+        budget += steps[agreed - 1] - done - m
         done, steps = steps[agreed - 1], steps[agreed:]
+    if steps.size:
+        del basis, hess
+        stepping = SectorLU(ops, "kinetic", dt, "implicit_euler", [sign])
+        for n, parts in _stepped_states({sign: part}, stepping,
+                                        steps[-1] - done, "kinetic step"):
+            if done + n in steps:
+                yield parts[sign]
 
 
 def _arnoldi_window(factor, matrix, weights, start, basis, hess, offsets,
@@ -912,16 +930,9 @@ class _Window:
 
 
 class _WindowSampler:
-    """The kinetic diagnostics of samples read in a sector's Krylov basis.
-
-    A sample of a window is q = c V in sector coordinates, V the window's m
-    mu-orthonormal basis rows and c its coefficients. Every diagnostic is
-    read from c (module notes): ||q||_mu^2 = ||c||^2, -<Lf, f>_mu and the
-    moments' quadratic parts are m x m Gram forms, and the profiles and
-    elliptic solutions of hypo's H and D are the c-combinations of those of
-    the rows. The forms of a sector (W L_hat folded, the moment weights,
-    the folded mass weights and the max-principle weights) are built at its
-    first window, so a run that reads no window in its basis builds none.
+    """The kinetic diagnostics of samples read in a sector's Krylov basis,
+    q = c V (module notes). The forms of a sector are built at its first
+    window, so a run that reads no window in its basis builds none.
     """
 
     def __init__(self, eq, ops, delta, moment_weights, n_j, max_ok, ratio):
@@ -945,8 +956,9 @@ class _WindowSampler:
             ops = self._ops
             n = ops.sqrt_f.size
             size = n // 2 + (sign > 0)
-            w_l = ops.L_hat.copy()
-            w_l.data *= np.repeat(ops.w_flat, np.diff(w_l.indptr))
+            # fold_sector reads only the first `size` rows of W L_hat
+            w_l = ops.L_hat[:size]
+            w_l.data *= np.repeat(ops.w_flat[:size], np.diff(w_l.indptr))
             weights = [np.outer(a, b).ravel() for a, b in self._moment_weights]
             # p^2 = q^2 + 2 q sqrt(f_star) + f_star: the linear terms are
             # even, so an odd sector has none
@@ -975,16 +987,9 @@ class _WindowSampler:
 
     def window(self, sign, basis, coeffs):
         """The _Window of the samples whose coefficients in the sector
-        basis rows `basis` (m x n_sector) are the columns of coeffs.
-
-        Per window: the Gram forms of the rows (a few rows at a time),
-        their profiles (one row unfolded at a time), and one elliptic solve
-        with 4m right-hand sides and its residuals; per block of samples,
-        the c-combinations, each combined residual checked against 1e-10 of
-        its right-hand side and re-solved if it fails, and H and D from one
-        hypo.entropy_and_dissipation_from call. numpy's error state is set
-        here once, and each sample's state checks are kept as Python
-        numbers.
+        basis rows `basis` (m x n_sector) are the columns of coeffs: the
+        work per window and per block of samples of the module notes, the
+        Gram forms a few rows at a time and the profiles one row at a time.
         """
         ops, delta = self._ops, self._delta
         minus_l, weights, linear, mass, bound = self._sector(sign)
@@ -1056,15 +1061,10 @@ class _WindowSampler:
     def values(self, items):
         """(row, finite) of a sample whose every sector part is
         (window, k): the row (norm_sq_mu, H, D, x-moments, v-moments, max
-        principle) and whether its diagnostics are finite.
-
-        The sectors' shares are added, plus the moments' constant terms, in
-        Python floats, so no numpy error state is needed: each diagnostic
-        is a reflection-invariant quadratic form plus linear terms that
-        live in the even sector, so it has no cross terms between sectors.
-        The bound certifies the max principle when it stays below
-        1 - 1e-9; otherwise a finite sample is formed and checked
-        pointwise."""
+        principle) and whether its diagnostics are finite: the sectors'
+        shares plus the moments' constant terms, added in Python floats
+        (module notes). A finite sample whose bound exceeds 1 - 1e-9 is
+        formed and checked pointwise."""
         total = [c + sum(shares) for c, *shares in zip(
             self._constants.tolist(),
             *(w.shares[:, k].tolist() for w, k in items.values()))]

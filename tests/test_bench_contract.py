@@ -33,11 +33,12 @@ def test_traced_kinetic_run_counts_every_wrap_point():
     _, _, eq, ops = make_problem("power", 2.0, 8.0, 33, 8.0, 33, alpha=2.0)
     f0 = initial_bump(eq, 0.5)
     tracer = tracing.Tracer()
+    # 15 steps on 33^2, fewer than a basis cap: the run steps
     with tracing.instrumented(tracer, full=True):
-        rec = evolution.run_trajectory(f0, (0.05, 1.0, 4), "kinetic", eq, ops,
-                                       delta=0.3)
+        rec = evolution.run_trajectory(f0, (0.05, 0.75, 3), "kinetic", eq,
+                                       ops, delta=0.3)
     samples = rec.times.size
-    assert samples == 6                 # t = 0, 0.2, ..., 1.0
+    assert samples == 6                 # t = 0, 0.15, ..., 0.75
     metrics = tracer.layer_metrics(tracer.op)
     # the benchmark still wraps the old entry points entropy_H and
     # dissipation_components, which the sampler no longer calls
@@ -99,7 +100,7 @@ def test_traced_batch_builds_each_problem_once(tmp_path):
 
 
 def test_traced_krylov_run_factors_once_and_solves_less_than_it_steps():
-    # 400 implicit-Euler steps on 65^2 clear the step-count guard: the run
+    # 400 implicit-Euler steps on 65^2 are more than a basis cap: the run
     # samples from the one factor of I - gamma G (gamma = 1/4, the bump's
     # shift at dt = 0.05) and makes fewer solves than steps, while sampling
     # as often as stepping would

@@ -390,7 +390,7 @@ def test_run_trajectory_leaves_shared_operators_untouched(strong_strong,
 
     monkeypatch.setattr(evolution, "_krylov_states", krylov)
     bump, rho0 = initial_bump(eq, 0.5), initial_macro_bump(eq, 0.5)
-    # 200 steps on 65^2 clear the guard of 163
+    # 200 steps on 65^2 are more than a basis cap (32); 20 are fewer
     run_trajectory(bump, (0.05, 10.0, 10), "kinetic", eq, ops, delta=0.3)
     assert len(krylov_runs) == 1
     run_trajectory(bump, (0.05, 1.0, 4), "kinetic", eq, ops, delta=0.3)
@@ -503,12 +503,12 @@ def _field_reference_record(f0, schedule, eq, ops, delta, moment_powers):
 
 @pytest.mark.parametrize("delta", [0.0, 0.3])
 def test_one_pass_sampler_matches_the_field_reference_loop(delta):
-    # shifted_gaussian data meet both sectors; 30 steps on 33^2 stay on
-    # the stepping loop
+    # shifted_gaussian data meet both sectors; 15 steps on 33^2, fewer than
+    # a basis cap, stay on the stepping loop
     _, _, eq, ops = make_problem("power", 2.0, 8.0, 33, 8.0, 33, alpha=2.0)
     f0 = initial_shifted_gaussian(eq)
-    schedule, powers = (0.05, 1.5, 4), ((2, 4), (2, 3))
-    assert not evolution._krylov_pays(30, ops.sqrt_f.size // 2 + 1)
+    schedule, powers = (0.1, 1.5, 2), ((2, 4), (2, 3))
+    assert not evolution._krylov_path(15, ops.sqrt_f.size // 2 + 1)
     rec = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=delta,
                          moment_powers=powers)
     ref = _field_reference_record(f0, schedule, eq, ops, delta, powers)
@@ -576,7 +576,7 @@ def test_non_finite_sample_aborts_the_run(strong_strong, monkeypatch):
 
 def test_abort_carries_partial_record(strong_strong, monkeypatch):
     # corrupt the state after three good steps, once with NaN and once with
-    # a mass drift, and check the payload
+    # a mass drift, and check the payload; 20 steps on 65^2 step
     import kfplab.evolution as evo
 
     _, _, eq, ops = strong_strong
@@ -592,7 +592,7 @@ def test_abort_carries_partial_record(strong_strong, monkeypatch):
 
         monkeypatch.setattr(evo, "solve_with_refinement", flaky)
         with pytest.raises(NumericalError) as err:
-            run_trajectory(f0, (0.05, 2.0, 1), "kinetic", eq, ops, delta=0.3,
+            run_trajectory(f0, (0.05, 1.0, 1), "kinetic", eq, ops, delta=0.3,
                            moment_powers=((2, 4), (2,)))
         # the fourth state is bad, so the last good one is the third
         assert err.value.last_good_time == pytest.approx(0.15)
@@ -687,10 +687,10 @@ def _krylov_and_stepped(f0, schedule, eq, ops, monkeypatch):
 
     monkeypatch.setattr(evolution, "solve_with_refinement", counting)
     monkeypatch.setattr(evolution, "_arnoldi_window", recording)
-    monkeypatch.setattr(evolution, "_krylov_pays", lambda *args: True)
+    monkeypatch.setattr(evolution, "_krylov_path", lambda *args: True)
     got = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=0.3)
     solves = calls["n"]
-    monkeypatch.setattr(evolution, "_krylov_pays", lambda *args: False)
+    monkeypatch.setattr(evolution, "_krylov_path", lambda *args: False)
     ref = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=0.3)
     return got, ref, solves, windows
 
@@ -727,14 +727,16 @@ def test_krylov_samples_match_stepping(quadrants, kind, quadrant,
 def test_krylov_restarts_from_its_last_agreed_sample(strong_strong,
                                                      shift_at_four_dt,
                                                      monkeypatch):
-    # a basis of 16 vectors cannot reach t = 10 in one window: each window
-    # restarts from the last sample its approximations agreed on
+    # a basis of 20 vectors cannot reach t = 10 in one window: each window
+    # restarts from the last sample its approximations agreed on, and each
+    # covers more steps than it takes solves, so the solve budget holds
     _, _, eq, ops = strong_strong
-    monkeypatch.setattr(evolution, "_MAX_BASIS", 16)
+    cap = 20
+    monkeypatch.setattr(evolution, "_MAX_BASIS", cap)
     got, ref, _, windows = _krylov_and_stepped(
         initial_bump(eq, 0.5), (0.05, 10.0, 5), eq, ops, monkeypatch)
     assert len(windows) >= 3
-    assert all(m <= 16 and agreed > 0 for m, agreed in windows)
+    assert all(m <= cap and agreed > 0 for m, agreed in windows)
     assert sum(agreed for _, agreed in windows) == 40
     assert _worst_relative_gap(got, ref) <= 1e-10
 
@@ -761,6 +763,61 @@ def test_krylov_window_that_cannot_agree_falls_back_to_stepping(
     assert _worst_relative_gap(got, ref) == 0.0
 
 
+def test_a_sector_over_its_solve_budget_steps_the_rest(strong_strong,
+                                                       shift_at_four_dt,
+                                                       monkeypatch):
+    # windows of 16 vectors agree on one sample (5 steps) each: after two,
+    # the 32 solves on the factor reach the 10 steps covered plus one cap,
+    # and the sector steps its last 190 steps on a factor of I - dt G
+    _, _, eq, ops = strong_strong
+    monkeypatch.setattr(evolution, "_MAX_BASIS", 16)
+    lus = _spy(monkeypatch, evolution, "SectorLU")
+    got, ref, solves, windows = _krylov_and_stepped(
+        initial_bump(eq, 0.5), (0.05, 10.0, 5), eq, ops, monkeypatch)
+    assert windows == [(16, 1), (16, 1)]
+    assert solves == 2 * 16 + 190
+    # I - 4 dt G, I - dt G; the last one is the reference's
+    assert [args[2] for args, _ in lus] == [0.2, 0.05, 0.05]
+    assert _worst_relative_gap(got, ref) <= 1e-10
+
+
+def test_a_rough_datum_loses_at_most_a_cap_per_sector(strong_strong,
+                                                      monkeypatch):
+    # the clipped shifted Gaussian at (1, 1) on 65^2, 200 steps of dt = 0.05
+    # sampled every 5th, takes the Krylov path at gamma = 4 dt, the floor.
+    # Each sector's first window agrees on no sample there, so it spends
+    # one cap and steps: no sector takes more than its steps plus one cap
+    _, _, eq, ops = strong_strong
+    f0, dt = initial_shifted_gaussian(eq, center=(1, 1)), 0.05
+    parts = _tracked_parts(f0, eq, ops)
+    gamma = evolution._krylov_shift(parts, ops, dt)
+    assert gamma == 4 * dt
+    factors = SectorLU(ops, "kinetic", gamma, "implicit_euler", parts).lus
+    caps = [min(evolution._MAX_BASIS, factors[sign].nnz // part.size)
+            for sign, part in parts.items()]
+    assert len(caps) == 2
+    solves = _spy(monkeypatch, evolution, "solve_with_refinement")
+    run_trajectory(f0, (dt, 10.0, 5), "kinetic", eq, ops, delta=0.3)
+    assert len(solves) <= sum(200 + cap for cap in caps)
+
+
+@pytest.mark.parametrize("quadrant", [(2.0, 0.5), (0.5, 2.0), (0.5, 0.5)])
+def test_algebraic_sweep_runs_sample_from_krylov(quadrants, quadrant,
+                                                 monkeypatch):
+    # the bump at dt = 1, 100 steps sampled every 2nd (the algebraic kinetic
+    # runs of the benchmark's quadrant sweep): 100 steps are more than a
+    # basis cap, so the run takes the Krylov path on its own, at gamma = 2,
+    # with fewer solves than steps, and matches the stepping loop
+    _, _, eq, ops = quadrants[quadrant]
+    f0, schedule = initial_bump(eq, 0.5), (1.0, 100.0, 2)
+    solves = _spy(monkeypatch, evolution, "solve_with_refinement")
+    got = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=0.3)
+    assert 0 < len(solves) < 100
+    monkeypatch.setattr(evolution, "_krylov_path", lambda *args: False)
+    ref = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=0.3)
+    assert _worst_relative_gap(got, ref) <= 1e-10
+
+
 def _tracked_parts(f0, eq, ops):
     """The sector parts of the tracked datum
     q0 = (f0 - f_star) / sqrt(f_star)."""
@@ -784,6 +841,20 @@ def test_krylov_shift_follows_the_datums_time_scale(quadrants, quadrant):
     assert 0.08 <= shift(gaussian, ops, 0.02) < 0.25
     if quadrant == (2.0, 2.0):          # the 65^2, alpha = beta = 2 box
         assert shift(gaussian, ops, 0.02) == 0.08
+
+
+@pytest.mark.parametrize("dt, floor", [(0.02, 0.08), (0.05, 0.2),
+                                       (0.25, 1.0), (1.0, 2.0)])
+def test_the_shift_floor_is_four_dt_up_to_a_quarter(strong_strong, dt,
+                                                     floor):
+    # min(4 dt, max(2 dt, 1)): a datum in the kernel takes the floor, and so
+    # does the clipped shifted Gaussian, whose ratio lies below it
+    _, grid, eq, ops = strong_strong
+    assert evolution._shift_floor(dt) == floor
+    for f0 in (Field(1.5 * eq.f_star.values, grid),
+               initial_shifted_gaussian(eq)):
+        parts = _tracked_parts(f0, eq, ops)
+        assert evolution._krylov_shift(parts, ops, dt) == floor
 
 
 def test_krylov_shift_of_a_datum_in_the_kernel_is_four_dt(strong_strong):

@@ -276,8 +276,10 @@ def test_failed_scenario_bundle(tmp_path, monkeypatch):
 
 def test_failed_run_csv_matches_ok_columns(tmp_path, monkeypatch):
     # an abort after three steps writes the ok run's header and every
-    # computed column; only the envelope, attached after the run, is nan
+    # computed column; only the envelope, attached after the run, is nan.
+    # 18 steps on 33^2, fewer than a basis cap, step
     text = (_TINY_KINETIC + "grid.nx = 33\ngrid.nv = 33\n"
+            "schedule.t_final = 0.9\n"
             "schedule.sample_stride = 1\nmoments.x = 4, 2\n")
     cfg = ScenarioConfig(parse_config_text(text), name="cols")
     ok_csv, _ = emit_report(run_scenario(cfg), str(tmp_path / "ok"))
