@@ -18,8 +18,7 @@ from .spectral import (InequalityEstimate, hardy_poincare_constant,
 from .hypo import (HypoConstants, auxiliary_operator_norms,
                    bounded_auxiliary_ratio, compute_constants, delta_star,
                    dissipation_components, empirical_kappa, entropy_H,
-                   entropy_and_dissipation, lambda_rate,
-                   transport_coefficient_integrals)
+                   lambda_rate, transport_coefficient_integrals)
 from .evolution import (TrajectoryRecord, initial_bump, initial_macro_bump,
                         initial_macro_gaussian, initial_odd_v,
                         initial_shifted_gaussian, run_trajectory)

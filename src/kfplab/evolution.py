@@ -91,59 +91,54 @@ factored; macro and Crank-Nicolson runs always step.
 
 Checks: every solve, stepped or Krylov, passes solve_with_refinement's
 1e-10 relative residual check, and every Krylov vector a finiteness check.
-Every state the run checks (each step when stepping, each sample on the
-Krylov path) must be finite and keep its mass to 1e-9, and every sample's
-diagnostics must be finite; a sample read in a basis (below) is checked on
-its coefficients c, which must be finite, and its mass (V m) . c. On the
-Krylov path the last good time of an aborted run is therefore its last
-accepted sample.
+Every state the run checks (each step's sector arrays when stepping, each
+sample on the Krylov path) must be finite and keep its mass to 1e-9, and
+every sample's diagnostics must be finite. A Krylov sample is checked
+through its window (below): its coefficients c must be finite, and its
+mass is (V m) . c. On the Krylov path the last good time of an aborted run
+is therefore its last accepted sample.
 
 Trajectories sample the squared mu-norm of the tracked state (f - f_star on
 integrable branches, f itself when no stationary state exists), the twisted
 entropy H, its dissipation D (directly and as a difference quotient of H),
-x- and v-moments, and a maximum-principle indicator. A kinetic sample is
-read one of two ways, and hypo.entropy_and_dissipation_from takes H and D
-from its pieces either way:
+x- and v-moments, and a maximum-principle indicator. Every kinetic sample
+is read in a basis by one sampler (_WindowSampler), from its coefficients c
+in mu-orthonormal sector rows V, q = c V, without forming q. A Krylov
+window of m vectors that agrees on S >= m samples (_window_pays) is read in
+its m rows: its Gram products cost less than forming and reading S samples.
+Every other sample (the initial one, each stepped one, each of a window
+with S < m) arrives as formed sector parts, and each part p is the one-row
+window of the row p / ||p||_mu with the coefficient ||p||_mu. Once per
+window come the m x m forms -V M_L V^T (M_L = W L_hat folded onto the
+sector; for one row its v-flux sum of squares, hypo.minus_lf_f, which keeps
+the digits the folded form's cancellation loses where D is small against
+||L|| ||q||^2) and V diag(d) V^T for each moment weight d, the moments'
+linear terms, the four profiles of each row with one elliptic solve of 4m
+right-hand sides, the mass functional V m and the max-principle weights
+a_j = max_i |V_ji| s_i. Per block of up to 32 samples come, as arrays,
+||q||_mu^2 = ||c||^2, -<Lf, f>_mu and the moments as quadratic forms in c,
+the profiles and elliptic solutions as c-combinations, and H and D from
+one hypo.entropy_and_dissipation_from call. With more than one row each
+combined residual is checked against 1e-10 of its right-hand side, and a
+sample that fails is solved again on its own; a one-row window's samples
+are multiples of its row, whose solve passed that check. The window keeps,
+per sample, whether c is finite and its mass (V m) . c as Python numbers.
+numpy's error state is set once per window around this work; a sample's
+row adds its sectors' shares in Python floats and needs none, and the
+steps and Krylov solves run outside it and keep their warnings. Every
+weight is reversal-symmetric and every operator commutes with the
+reflection, so each diagnostic is a reflection-invariant quadratic form
+plus linear terms that live in the even sector: the cross terms between
+sectors vanish, and a sample's diagnostics are the sums of its sectors'
+shares.
 
-* per state, from q = y / sqrt(f_star) and its nx x nv view in one pass,
-  without building a Field: H and D from one entropy_and_dissipation call
-  (a block of one), that is one profile product and one elliptic solve
-  with four right-hand sides (none at delta = 0);
-* in a basis, when a Krylov window of m vectors agrees on S >= m samples
-  (_window_pays): every sample is q = c V, V the window's mu-orthonormal
-  rows in sector coordinates, and none is formed. Once per window come the
-  m x m forms -V M_L V^T (M_L = W L_hat folded onto the sector) and
-  V diag(d) V^T for each moment weight d, the moments' linear terms, the
-  four profiles of each row with one elliptic solve of 4m right-hand sides
-  and its residuals, the mass functional V m and the max-principle weights
-  a_j = max_i |V_ji| s_i. Per block of up to 32 samples come, as arrays,
-  ||q||_mu^2 = ||c||^2, -<Lf, f>_mu and the moments as quadratic forms in
-  c, the profiles and elliptic solutions as c-combinations, and H and D
-  from one entropy_and_dissipation_from call; each combined residual is
-  checked against 1e-10 of its right-hand side, and a sample that fails is
-  solved again on its own. The window keeps, per sample, whether c is
-  finite and its mass (V m) . c as Python numbers. numpy's error state is
-  set once per window around this work; a sample's row adds its sectors'
-  shares in Python floats and needs none, and the steps and Krylov solves
-  run outside it and keep their warnings.
-
-The two are associations of the same products: the basis pays a few
-m x m Gram products over the sector per window, forming pays a dozen
-full-grid scans per sample, so the basis is the cheaper one once S >= m. A
-window with S < m forms its samples, and so does a sample one of whose
-sectors comes from such a window. Every weight is reversal-symmetric and
-every operator commutes with the reflection, so each diagnostic is a
-reflection-invariant quadratic form plus linear terms that live in the even
-sector: the cross terms between sectors vanish, and a sample's diagnostics
-are the sums of its sectors' shares.
-
-The max principle of a sample read in a basis: with f = f_star +
-q sqrt(f_star), |q_i| sqrt(f_star_i) <= a f_star_i + 1e-6 for
-a = min(C - 1, 1) gives -1e-6 <= f_i <= C f_star_i + 1e-6. An entry of q is
-at most (|even part| + |odd part|) / sqrt(2) of its sector coordinates, so
-with s = sqrt(f_star) / (a f_star + 1e-6) (over sqrt(2), but at the middle
-node) the sum over sectors of |c| . a proves it at every node when it is at
-most 1 - 1e-9. Otherwise the sample is formed and checked pointwise, as it
+The max principle of a sample: with f = f_star + q sqrt(f_star),
+|q_i| sqrt(f_star_i) <= a f_star_i + 1e-6 for a = min(C - 1, 1) gives
+-1e-6 <= f_i <= C f_star_i + 1e-6. An entry of q is at most
+(|even part| + |odd part|) / sqrt(2) of its sector coordinates, so with
+s = sqrt(f_star) / (a f_star + 1e-6) (over sqrt(2), but at the middle node)
+the sum over sectors of |c| . a proves it at every node when it is at most
+1 - 1e-9. Otherwise the sample is formed and checked pointwise, as it
 always is without an integrable equilibrium or for C < 1. A delta outside
 [0, 2) is refused before anything is factored.
 """
@@ -160,11 +155,11 @@ from .grids import DensityField, Field
 # up on their modules at each call, so that a wrapper installed there
 # (instrumentation, tests) sees every sample and every elliptic solve
 from . import hypo, operators
-# The per-state sampler calls entropy_and_dissipation only. entropy_H and
-# dissipation_components stay importable here because bench/tracing.py wraps
-# them by these names in every benchmark run and refuses to run without them.
+# No run calls entropy_H or dissipation_components. They stay importable
+# here because bench/tracing.py wraps them by these names in every benchmark
+# run and refuses to run without them.
 from .hypo import (check_entropy_delta, dissipation_components,  # noqa: F401
-                   elliptic_rhs, entropy_H, entropy_and_dissipation)
+                   elliptic_rhs, entropy_H)
 from .operators import (SPLU_OPTIONS, q_profiles, residual_stalls,
                         solve_with_refinement)
 
@@ -186,6 +181,7 @@ class TrajectoryRecord:
             "entropy_H": np.asarray(entropy_h, dtype=float),
             "dissipation_D": np.asarray(dissipation_d, dtype=float),
             "envelope": np.asarray(envelope, dtype=float),
+            "max_principle_ok": np.asarray(max_principle_ok, dtype=bool),
         }
         if norm_sq_mu.size != n or any(a.size != n for a in arrays.values()):
             raise ValidationError("trajectory arrays must share one length")
@@ -204,7 +200,7 @@ class TrajectoryRecord:
                           for k, v in moments_j.items()}
         self.moments_K = {k: np.asarray(v, dtype=float)
                           for k, v in moments_k.items()}
-        self.max_principle_ok = np.asarray(max_principle_ok, dtype=bool)
+        self.max_principle_ok = arrays["max_principle_ok"]
         self.envelope = arrays["envelope"]
 
     @property
@@ -497,9 +493,10 @@ def _validate_schedule(schedule):
     dt = float(dt)
     t_final = float(t_final)
     stride = int(stride)
-    if dt <= 0 or t_final < dt or stride < 1:
-        raise ValidationError("schedule must satisfy dt > 0, t_final >= dt, "
-                              "sample_stride >= 1")
+    # NaN fails every comparison, so a non-finite dt or t_final fails here
+    if not 0.0 < dt <= t_final < math.inf or stride < 1:
+        raise ValidationError("schedule must satisfy 0 < dt <= t_final < "
+                              "inf and sample_stride >= 1")
     n_steps = step_count(dt, t_final)
     check_sample_count(n_steps, stride)
     return dt, n_steps, stride
@@ -529,65 +526,64 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     j_powers, k_powers = moment_powers
     if min(tuple(j_powers) + tuple(k_powers), default=0.0) < 0:
         raise ValidationError("moment power must be >= 0")
-    windows = None
+    # read(parts): (values, finite) of a state's sector arrays; first: t = 0
     if mode == "kinetic":
-        y, mass_w, mass_f0, sample, windows = _kinetic_sampler(
+        y, mass_w, mass_f0, sampler = _kinetic_sampler(
             f0, eq, ops, delta, j_powers, k_powers)
+        parts = fold(y)
+        read = sampler.read
+        first = read(parts)
     elif mode == "macro":
         k_powers = ()       # densities carry no velocity moments
         y, mass_w, mass_f0, sample = _macro_sampler(f0, eq, ops, j_powers)
+        parts = fold(y)
+
+        def read_density(density):
+            # a finite state can still overflow its diagnostics
+            with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+                values = sample(density)
+            return values, bool(np.all(np.isfinite(np.hstack(values[:5]))))
+
+        def read(parts):
+            return read_density(unfold(parts, y.size))
+
+        first = read_density(y)
     else:
         raise ValidationError("mode must be 'kinetic' or 'macro'")
-    parts = fold(y)
+    mass_parts = fold(mass_w)       # mass(y) = sum of part . folded weights
+
+    def array_checks(parts):
+        return (all(np.all(np.isfinite(p)) for p in parts.values()),
+                sum(float(mass_parts[sign] @ part)
+                    for sign, part in parts.items() if sign in mass_parts))
+
+    mass0 = array_checks(parts)[1]
+    mass_tol = _MASS_TOL * max(abs(mass0) + mass_f0, 1e-300)
     if (mode == "kinetic" and scheme == "implicit_euler"
             and _krylov_path(n_steps, y.size // 2 + 1)):
-        states = _krylov_states(parts, ops, dt, n_steps, stride, windows)
+        # each sample's sector parts are (window, k), checked and read with
+        # their windows
+        states = _krylov_states(parts, ops, dt, n_steps, stride, sampler)
+        check, evaluate = _window_checks, sampler.values
     else:
         # a bad scheme fails here
         lu = SectorLU(ops, mode, dt, scheme, parts)
         states = _stepped_states(parts, lu, n_steps, mode + " step")
-    mass_parts = fold(mass_w)       # mass(y) = sum of part . folded weights
-
-    def mass(parts):
-        return sum(float(mass_parts[sign] @ part)
-                   for sign, part in parts.items() if sign in mass_parts)
-
-    mass0 = mass(parts)
-    mass_tol = _MASS_TOL * max(abs(mass0) + mass_f0, 1e-300)
+        check, evaluate = array_checks, read
 
     def row(t, values, finite):
         if not finite:
             raise NumericalError("non-finite sample at t = %.6g" % t)
         return (t,) + values
 
-    def formed(state):
-        # a finite state can still overflow its diagnostics
-        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            values = sample(state)
-        return values, bool(np.all(np.isfinite(np.hstack(values[:5]))))
-
-    def formed_parts(parts):
-        return formed(unfold(parts, y.size))
-
-    rows = [row(0.0, *formed(y))]
+    rows = [row(0.0, *first)]
     t = 0.0
     try:
         for n, parts in states:
-            if parts and all(isinstance(p, tuple) for p in parts.values()):
-                # every sector's part is a sample of a window read in its
-                # basis, (window, index): its checks and values were taken
-                # with the window's
-                finite = all(w.finite[k] for w, k in parts.values())
-                drift = abs(sum(w.mass[k] for w, k in parts.values()) - mass0)
-                evaluate = windows.values
-            else:
-                parts = {sign: _formed(part) for sign, part in parts.items()}
-                finite = all(np.all(np.isfinite(p)) for p in parts.values())
-                drift = abs(mass(parts) - mass0)
-                evaluate = formed_parts
+            finite, mass = check(parts)
             if not finite:
                 raise NumericalError("non-finite state detected")
-            if drift > mass_tol:
+            if abs(mass - mass0) > mass_tol:
                 raise NumericalError("mass drift beyond tolerance")
             if n % stride == 0 or n == n_steps:
                 rows.append(row(n * dt, *evaluate(parts)))
@@ -600,9 +596,11 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     return _record(rows, j_powers, k_powers)
 
 
-def _formed(part):
-    """A sector part as an array; a window sample (window, k) is formed."""
-    return part if isinstance(part, np.ndarray) else part[0].part(part[1])
+def _window_checks(items):
+    """(finite, mass) of a sample whose every sector part is (window, k),
+    from its windows' state checks."""
+    return (all(w.finite[k] for w, k in items.values()),
+            sum(w.mass[k] for w, k in items.values()))
 
 
 def _stepped_states(parts, lu, n_steps, what):
@@ -620,7 +618,7 @@ _KRYLOV_TOL = 1e-10     # successive approximations agree, relative mu-norm
 _MAX_BASIS = 100        # vectors per basis at most, whatever nnz(LU)/n allows
 _SHIFT_STEPS = 4        # gamma >= 4 dt up to dt = 1/4 (_shift_floor)
 _MAX_SHIFT = 0.25       # gamma <= 1/4 unless the floor is larger
-_BLOCK = 8              # samples formed, or basis rows read, per product
+_BLOCK = 8              # basis rows per Gram product, or S < m samples formed
 _WINDOW_SAMPLES = 32    # samples read in a basis per product
 
 
@@ -634,9 +632,9 @@ def _krylov_path(n_steps, n_sector):
 
 
 def _window_pays(m, samples):
-    """Whether a window of m basis vectors reads its samples in its basis
-    (_WindowSampler) rather than forming each one: once it has as many
-    samples as vectors (module notes)."""
+    """Whether a window of m basis vectors is read in its basis rather than
+    forming each sample and reading it as a one-row window: once it has as
+    many samples as vectors (module notes)."""
     return samples >= m
 
 
@@ -664,8 +662,8 @@ def _krylov_states(parts, ops, dt, n_steps, stride, windows):
     """(n, parts after n implicit-Euler steps of dt) for every sampled step
     n (the multiples of stride, and n_steps), each sector sampled by
     _krylov_part from one factor of I - gamma G, gamma from _krylov_shift;
-    a part is an array, or (window, k) for sample k of a window that
-    windows read in its basis."""
+    each part is (window, k), sample k of a window of windows (a
+    _WindowSampler)."""
     sample_steps = np.arange(stride, n_steps + 1, stride)
     if n_steps % stride:
         sample_steps = np.append(sample_steps, n_steps)
@@ -686,9 +684,10 @@ def _krylov_part(sign, part, factor, matrix, ops, dt, gamma, steps,
     sector's matrix I - gamma G.
 
     Each window grows a basis from the last sample the previous one agreed
-    on and yields the samples its approximations agree on: as (window, k)
-    when _window_pays, windows reading them all in the basis before the
-    first is yielded (the next window overwrites the basis), else formed. A
+    on and yields the samples its approximations agree on as (window, k):
+    when _window_pays, windows reads them all in the basis before the first
+    is yielded (the next window overwrites the basis), else each is formed
+    and read as a one-row window, as is each stepped sample. A
     window that agrees on none above the shift's floor is grown again on a
     factor of I - floor G, which every later window keeps. The rest of the
     run goes to the stepping loop, on a factor of I - dt G, when a window
@@ -736,7 +735,7 @@ def _krylov_part(sign, part, factor, matrix, ops, dt, gamma, steps,
             for first in range(0, agreed, _BLOCK):
                 block = coeffs[:, first:min(first + _BLOCK, agreed)]
                 for part in (beta * block).T @ basis[:m]:
-                    yield part
+                    yield windows.one_row(sign, part), 0
         budget += steps[agreed - 1] - done - m
         done, steps = steps[agreed - 1], steps[agreed:]
     if steps.size:
@@ -745,7 +744,7 @@ def _krylov_part(sign, part, factor, matrix, ops, dt, gamma, steps,
         for n, parts in _stepped_states({sign: part}, stepping,
                                         steps[-1] - done, "kinetic step"):
             if done + n in steps:
-                yield parts[sign]
+                yield windows.one_row(sign, parts[sign]), 0
 
 
 def _arnoldi_window(factor, matrix, weights, start, basis, hess, offsets,
@@ -858,14 +857,10 @@ def _max_principle_ok(f_phys, cap):
 
 
 def _kinetic_sampler(f0, eq, ops, delta, j_powers, k_powers):
-    """(q0, mass weights, mass of f0, sample, windows) for
-    q = y / sqrt(f_star).
-
-    sample(q) returns (norm_sq_mu, H, D, x-moments, v-moments, max
-    principle) in one pass over q, and windows (a _WindowSampler) the same
-    for the samples of a Krylov window, read in its basis (module notes). A
-    delta outside [0, 2) is refused here, before run_trajectory factors
-    anything.
+    """(q0, mass weights, mass of f0, sampler) for q = y / sqrt(f_star),
+    sampler the _WindowSampler that reads every sample of the run (module
+    notes). A delta outside [0, 2) is refused here, before run_trajectory
+    factors anything.
     """
     check_entropy_delta(delta)
     fstar = eq.f_star.values
@@ -877,42 +872,27 @@ def _kinetic_sampler(f0, eq, ops, delta, j_powers, k_powers):
     base = fstar if eq.integrable else 0.0
     q0 = ((f0.values - base) / fstar).ravel() * sqrt_f  # q = y / sqrt(f_star)
     # J_k = sum_i wx_i <x_i>^k sum_j wv_j p_ij^2 with p = f / sqrt(f_star),
-    # K_l likewise with the sums swapped
+    # K_l likewise with the sums swapped: p^2 weighed by the outer products
+    # of these pairs, on the flattened grid
     xg, vg = eq.grid.x_grid, eq.grid.v_grid
-    j_weights = [xg.weights * np.sqrt(1.0 + xg.nodes ** 2) ** float(k)
-                 for k in j_powers]
-    k_weights = [vg.weights * np.sqrt(1.0 + vg.nodes ** 2) ** float(k)
-                 for k in k_powers]
-    base_q = sqrt_f.reshape(shape) if eq.integrable else 0.0
+    moment_weights = (
+        [(xg.weights * np.sqrt(1.0 + xg.nodes ** 2) ** float(k), vg.weights)
+         for k in j_powers]
+        + [(xg.weights, vg.weights * np.sqrt(1.0 + vg.nodes ** 2) ** float(k))
+           for k in k_powers])
 
     def max_ok(q):
         return _max_principle_ok((q * sqrt_f).reshape(shape) + base, cap)
 
-    def sample(q):
-        # p^2 in place, dropped before H and D: one full-grid array less
-        p_sq = q.reshape(shape) + base_q
-        p_sq *= p_sq
-        x_marginal, v_marginal = p_sq @ vg.weights, xg.weights @ p_sq
-        del p_sq
-        norm_sq = max(float((ops.w_flat * q) @ q), 0.0)
-        h, d = entropy_and_dissipation(q, delta, eq, ops, norm_sq)
-        return (norm_sq, h, d,
-                [float(w @ x_marginal) for w in j_weights],
-                [float(v_marginal @ w) for w in k_weights],
-                max_ok(q))
-
-    # J and K weigh p^2 by the outer products below, on the flattened grid
-    moment_weights = ([(w, vg.weights) for w in j_weights]
-                      + [(xg.weights, w) for w in k_weights])
-    windows = _WindowSampler(eq, ops, delta, moment_weights, len(j_weights),
+    sampler = _WindowSampler(eq, ops, delta, moment_weights, len(j_powers),
                              max_ok, ratio)
     # mass(y) = (w_flat sqrt_f) . q
     return (q0, ops.w_flat * sqrt_f,
-            float(np.sum(eq.grid.weight_matrix * f0.values)), sample, windows)
+            float(np.sum(eq.grid.weight_matrix * f0.values)), sampler)
 
 
 class _Window:
-    """One sector's samples of one Krylov window, read in its basis.
+    """One sector's samples of one window, read in its basis.
 
     Column k of coeffs holds sample k's coefficients in the rows of basis.
     finite[k] and mass[k] are the sector's share of the state checks, and
@@ -930,9 +910,8 @@ class _Window:
 
 
 class _WindowSampler:
-    """The kinetic diagnostics of samples read in a sector's Krylov basis,
-    q = c V (module notes). The forms of a sector are built at its first
-    window, so a run that reads no window in its basis builds none.
+    """The kinetic diagnostics of every sample, read in a sector basis as
+    q = c V (module notes). A sector's forms are built at its first window.
     """
 
     def __init__(self, eq, ops, delta, moment_weights, n_j, max_ok, ratio):
@@ -945,45 +924,82 @@ class _WindowSampler:
         self._amplitude = (min(ratio - 1.0, 1.0)
                            if eq.integrable and ratio >= 1.0 else None)
         self._sectors = {}
-        self._constants = None
+        self._folded_l = {}
+        # the moments' constant terms: p^2 = q^2 + 2 q sqrt(f_star) + f_star
+        moments = [0.0] * len(moment_weights)
+        if eq.integrable:
+            p_sq = (ops.sqrt_f * ops.sqrt_f).reshape(eq.grid.shape)
+            moments = [float(a @ p_sq @ b) for a, b in moment_weights]
+        self._constants = [0.0, 0.0, 0.0] + moments + [0.0]
 
     def _sector(self, sign):
-        """(-W L_hat folded, moment weights, 2 x their linear terms, mass
-        weights, bound weights or None) on one sector, in fold's
-        coordinates; every full-grid weight here is reversal-symmetric, so
-        its head weighs a sector's coordinates."""
+        """(moment weights, 2 x their linear terms, mass weights, bound
+        weights or None) on one sector, in fold's coordinates, built from
+        the heads (first n_sector entries) of reversal-symmetric weights."""
         if sign not in self._sectors:
-            ops = self._ops
-            n = ops.sqrt_f.size
-            size = n // 2 + (sign > 0)
-            # fold_sector reads only the first `size` rows of W L_hat
-            w_l = ops.L_hat[:size]
-            w_l.data *= np.repeat(ops.w_flat[:size], np.diff(w_l.indptr))
-            weights = [np.outer(a, b).ravel() for a, b in self._moment_weights]
-            # p^2 = q^2 + 2 q sqrt(f_star) + f_star: the linear terms are
-            # even, so an odd sector has none
-            base = ops.sqrt_f if self._eq.integrable else np.zeros(n)
-            linear = np.array([2.0 * fold(d * base).get(sign, np.zeros(size))
-                               for d in weights]).reshape(-1, size)
+            ops, eq = self._ops, self._eq
+            size = ops.sqrt_f.size // 2 + (sign > 0)
+            # the heads of the moment weights, from the rows of their outer
+            # products that the head meets
+            rows = (size - 1) // eq.grid.shape[1] + 1
+            weights = np.array([np.outer(a[:rows], b).ravel()[:size]
+                                for a, b in self._moment_weights]
+                               ).reshape(-1, size)
+            # w . y = (w_head scale) . (y's even part), scale = sqrt(2) but 1
+            # at the middle node: an odd sector has no linear terms or mass
+            scale = np.full(size, _SQRT2)
+            scale[-1] = 1.0 if sign > 0 else _SQRT2
+            linear, mass = np.zeros_like(weights), np.zeros(size)
+            if sign > 0:
+                mass = ops.w_flat[:size] * ops.sqrt_f[:size] * scale
+                if eq.integrable:   # p^2 = q^2 + 2 q sqrt(f_star) + f_star
+                    linear = 2.0 * weights * (ops.sqrt_f[:size] * scale)
             bound = None
             if self._amplitude is not None:
-                fstar = self._eq.f_star.values.ravel()
-                s = ops.sqrt_f / (self._amplitude * fstar + _MAXP_TOL)
+                fstar = eq.f_star.values.ravel()[:size]
+                s = ops.sqrt_f[:size] / (self._amplitude * fstar + _MAXP_TOL)
                 # |y_i|, |y_(n-1-i)| <= (|even_i| + |odd_i|) / sqrt(2)
-                bound = s[:size] / _SQRT2
-                if sign > 0:
-                    bound[-1] = s[n // 2]
-            mass = fold(ops.w_flat * ops.sqrt_f).get(sign, np.zeros(size))
-            self._sectors[sign] = (
-                -fold_sector(w_l, sign), np.array([d[:size] for d in weights]),
-                linear, mass, bound)
-            if self._constants is None:
-                p_sq = (base * base).reshape(self._eq.grid.shape)
-                self._constants = np.array(
-                    [0.0, 0.0, 0.0] + [a @ p_sq @ b
-                                       for a, b in self._moment_weights]
-                    + [0.0])
+                bound = s / scale
+            self._sectors[sign] = (weights, linear, mass, bound)
         return self._sectors[sign]
+
+    def _l_gram(self, sign, basis):
+        """V (-W L_hat) V^T, the m x m Gram form of -<Lf, f>_mu in the rows
+        V of basis (m > 1), from -W L_hat folded onto the sector, built at
+        the sector's first such window, a few rows at a time."""
+        ops = self._ops
+        n, m = ops.sqrt_f.size, basis.shape[0]
+        if sign not in self._folded_l:
+            # -W L_hat's first n_sector rows, all fold_sector reads, from
+            # slices of L_hat's arrays: the row slice L_hat[:size] would
+            # raise tail_257's peak RSS by 2 MB
+            size = basis.shape[1]
+            indptr = ops.L_hat.indptr[:size + 1]
+            end = indptr[-1]
+            data = ops.L_hat.data[:end] * np.repeat(-ops.w_flat[:size],
+                                                    np.diff(indptr))
+            self._folded_l[sign] = fold_sector(sp.csr_matrix(
+                (data, ops.L_hat.indices[:end], indptr), shape=(size, n)),
+                sign)
+        minus_l = self._folded_l[sign]
+        gram = np.empty((m, m))
+        for first in range(0, m, _BLOCK):
+            rows = basis[first:first + _BLOCK]
+            gram[:, first:first + rows.shape[0]] = basis @ (minus_l @ rows.T)
+        return gram
+
+    def one_row(self, sign, part):
+        """The one-row _Window of a formed sector part p: the row
+        p / ||p||_mu and the coefficient ||p||_mu."""
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            norm = np.sqrt(part @ (self._ops.w_flat[:part.size] * part))
+            row = part / norm
+        return self.window(sign, row[None], np.array([[norm]]))
+
+    def read(self, parts):
+        """values() of the sample whose sector parts are the arrays parts."""
+        return self.values({sign: (self.one_row(sign, part), 0)
+                            for sign, part in parts.items()})
 
     def window(self, sign, basis, coeffs):
         """The _Window of the samples whose coefficients in the sector
@@ -992,23 +1008,31 @@ class _WindowSampler:
         Gram forms a few rows at a time and the profiles one row at a time.
         """
         ops, delta = self._ops, self._delta
-        minus_l, weights, linear, mass, bound = self._sector(sign)
+        weights, linear, mass, bound = self._sector(sign)
         m, count = coeffs.shape
         n_forms = 1 + len(weights)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             grams = np.empty((n_forms, m, m))
+            # the rows on the full grid, for their profiles; one row is
+            # unfolded once, and its -<Lf, f> is its v-flux sum of squares
+            n = ops.sqrt_f.size
+            if m == 1:
+                unfolded = [unfold({sign: basis[0]}, n)]
+                grams[0] = hypo.minus_lf_f(unfolded[0], self._eq, ops)
+            else:
+                unfolded = (unfold({sign: row}, n) for row in basis)
+                grams[0] = self._l_gram(sign, basis)
             reach = np.full(m, np.inf)
             for first in range(0, m, _BLOCK):
                 rows = basis[first:first + _BLOCK]
                 cols = slice(first, first + rows.shape[0])
-                grams[0, :, cols] = basis @ (minus_l @ rows.T)
                 for i, d in enumerate(weights):
                     grams[1 + i, :, cols] = basis @ (d * rows).T
                 if bound is not None:
                     reach[cols] = np.max(np.abs(rows) * bound, axis=1)
             linear = linear @ basis.T
             if delta != 0.0:
-                pieces = self._row_pieces(sign, basis)
+                pieces = self._row_pieces(unfolded)
             shares = np.empty((n_forms + 3, count))
             for first in range(0, count, _WINDOW_SAMPLES):
                 c = coeffs[:, first:first + _WINDOW_SAMPLES]
@@ -1028,15 +1052,15 @@ class _WindowSampler:
                            np.all(np.isfinite(coeffs), axis=0).tolist(),
                            ((basis @ mass) @ coeffs).tolist(), shares)
 
-    def _row_pieces(self, sign, basis):
+    def _row_pieces(self, unfolded):
         """(profiles, right-hand sides, solutions, residuals) of hypo's four
-        elliptic solves for each basis row, from one solve with 4m
-        right-hand sides: m x 4 nx arrays, row j holding basis row j's four
-        (u_f, B q, B T(1-Pi) q, B L q) pieces."""
+        elliptic solves for each of the m basis rows `unfolded` (on the
+        full grid), from one solve with 4m right-hand sides: m x 4 nx
+        arrays, row j holding basis row j's four (u_f, B q, B T(1-Pi) q,
+        B L q) pieces."""
         ops = self._ops
-        n, m, nx = ops.sqrt_f.size, basis.shape[0], ops.mrho.size
-        profiles = np.array([q_profiles(unfold({sign: row}, n), ops)
-                             for row in basis])
+        profiles = np.array([q_profiles(row, ops) for row in unfolded])
+        m, nx = profiles.shape[0], ops.mrho.size
         # nx x 4m: one m-column block per profile
         rhs = elliptic_rhs(profiles.transpose(1, 2, 0), ops)
         solutions = operators.solve_elliptic(rhs, ops)
@@ -1047,26 +1071,28 @@ class _WindowSampler:
 
     def _combined(self, pieces, c):
         """The profiles and elliptic solutions (b x 4 x nx each) of the
-        samples whose coefficients are the b columns of c. A sample whose
-        combined residual fails the solve's 1e-10 relative check in any
-        column is solved again on its own."""
+        samples whose coefficients are the b columns of c. With more than
+        one row, a sample whose combined residual fails the solve's 1e-10
+        relative check in any column is solved again on its own."""
         ops = self._ops
         profiles, rhs, solutions, residuals = (
             (c.T @ piece).reshape(c.shape[1], 4, -1) for piece in pieces)
-        stalled = residual_stalls(residuals, np.linalg.norm(rhs, axis=2), 2)
-        for k in np.flatnonzero(stalled.any(axis=1)):
-            solutions[k] = operators.solve_elliptic(rhs[k].T, ops).T
+        if c.shape[0] > 1:
+            norms = np.linalg.norm(rhs, axis=2)
+            stalled = residual_stalls(residuals, norms, 2)
+            for k in np.flatnonzero(stalled.any(axis=1)):
+                solutions[k] = operators.solve_elliptic(rhs[k].T, ops).T
         return profiles, solutions
 
     def values(self, items):
-        """(row, finite) of a sample whose every sector part is
+        """(row, finite) of values for a sample whose every sector part is
         (window, k): the row (norm_sq_mu, H, D, x-moments, v-moments, max
         principle) and whether its diagnostics are finite: the sectors'
         shares plus the moments' constant terms, added in Python floats
         (module notes). A finite sample whose bound exceeds 1 - 1e-9 is
         formed and checked pointwise."""
         total = [c + sum(shares) for c, *shares in zip(
-            self._constants.tolist(),
+            self._constants,
             *(w.shares[:, k].tolist() for w, k in items.values()))]
         finite = all(math.isfinite(v) for v in total[:-1])
         ok = total[-1] <= _BOUND_MAX or (finite and self._max_ok(unfold(

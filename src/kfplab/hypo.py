@@ -32,25 +32,23 @@ profile weights (m u_f = wx rho_f for Pi f = u_f f_star):
 A maps into the range of Pi, so <ATPi f, f> = <ATPi f, Pi f>: D and the
 coercivity denominator share that term. entropy_H makes one elliptic solve,
 dissipation_components one with four right-hand sides (u_f, B q,
-B T(1-Pi) q, B L q) and bounded_auxiliary_ratio one with two.
-entropy_and_dissipation takes H and D from the same one solve with four
-right-hand sides, reading <Af, f> = u_Af . (m u_f) off its second column;
-at delta = 0 it makes none. The delta-combinations of H and D live in one
-place, entropy_and_dissipation_from, which takes a block of b states as
-their ||f||_mu^2 and -<Lf, f>_mu (length b) and their four profiles and
-four solutions (b x 4 x nx) rather than q, and gives H and D as length-b
-arrays. A kinetic trajectory calls it once per block: with b = 1 through
-entropy_and_dissipation for a state it forms, and with up to 32 samples'
-pieces read in a Krylov basis for samples it does not form (evolution
-module notes), since every piece but the two quadratic forms is linear in
-q. Each row's inner products are the one-dimensional dot products a single
-state takes (operators.row_dot), so the block form changes no arithmetic:
-a formed sample's H and D, and a window's, are bit for bit those of one
-call per sample.
+B T(1-Pi) q, B L q) and bounded_auxiliary_ratio one with two. The
+delta-combinations of H and D live in one place,
+entropy_and_dissipation_from, which takes a block of b states as their
+||f||_mu^2 and -<Lf, f>_mu (length b) and their four profiles and four
+solutions (b x 4 x nx) rather than q, reads <Af, f> = u_Af . (m u_f) off
+the second solution, and gives H and D as length-b arrays. A kinetic
+trajectory calls it once per block of up to 32 samples read in a basis
+(evolution module notes), a formed sample being a window of one row: every
+piece but the two quadratic forms is linear in q. Each row's inner
+products are the one-dimensional dot products a single state takes
+(operators.row_dot), so the block form changes no arithmetic: a window's H
+and D are bit for bit those of one call per sample.
 
 entropy_H, dissipation_components and bounded_auxiliary_ratio take a Field
-and no run calls them: they stay as the wrap points bench/tracing.py needs,
-and empirical_kappa (kfplab check, acceptance criterion 4) reads D through
+and no run calls them. They stay as the wrap points bench/tracing.py needs
+and as the tests' independent reference for the samplers, and
+empirical_kappa (kfplab check, acceptance criterion 4) reads D through
 dissipation_components.
 
 c_M is the H4 bound ||AT(1-Pi)f|| + ||ALf|| <= c_M ||(1-Pi)f||_beta of
@@ -229,7 +227,7 @@ def entropy_H(f, delta, eq, ops):
     return half_sq + delta * float(u_af @ m_u)
 
 
-def _minus_lf_f(q, eq, ops):
+def minus_lf_f(q, eq, ops):
     """-<Lf, f>_mu = sum_i wx_i |v_gradient Q_i|^2 (v-flux form)."""
     grad = ops.v_gradient @ q.reshape(eq.grid.shape).T     # one row per face
     return float(np.einsum("ji,ji->i", grad, grad) @ eq.grid.x_grid.weights)
@@ -285,7 +283,7 @@ def dissipation_components(f, delta, eq, ops):
     q = _q(f, eq, ops)
     profiles, solutions = _profiles_and_solutions(q, ops)
     forms = _dissipation_forms(profiles, solutions,
-                               np.array([_minus_lf_f(q, eq, ops)]), delta,
+                               np.array([minus_lf_f(q, eq, ops)]), delta,
                                ops)
     forms = {name: float(value[0]) for name, value in forms.items()}
     forms["kappa_denominator"] = (
@@ -300,39 +298,19 @@ def entropy_and_dissipation_from(norm_sq, minus_lff, profiles, solutions,
     """(H, D) of a block of b states as length-b arrays, from their
     ||f||_mu^2 and -<Lf, f>_mu (length b), their four profiles and their
     four elliptic solutions (b x 4 x nx each, both None at delta = 0), H
-    reading <Af, f>_mu = u_Af . (m u_f) off the second solution.
+    reading <Af, f>_mu = u_Af . (m u_f) off the second solution. A delta
+    outside [0, 2) is refused.
 
-    Both kinetic samplers call it, once per block: entropy_and_dissipation
-    with the pieces of one state (b = 1), a Krylov window with the pieces
-    of up to 32 of its samples read in its basis (evolution module notes).
+    The kinetic sampler calls it once per block of a window (evolution
+    module notes). Fed one state's pieces it gives entropy_H and
+    dissipation_components(...)["D"] to roundoff.
     """
+    check_entropy_delta(delta)
     if delta == 0.0:
         return 0.5 * norm_sq, minus_lff
     forms = _dissipation_forms(profiles, solutions, minus_lff, delta, ops)
     return (0.5 * norm_sq
             + delta * row_dot(solutions[:, 1], profiles[:, 0]), forms["D"])
-
-
-def entropy_and_dissipation(q, delta, eq, ops, norm_sq=None):
-    """(H[f], D[f]) of the flattened q-form q = f / sqrt(f_star).
-
-    Both come from one q_profiles call and one elliptic solve with four
-    right-hand sides, H reading <Af, f>_mu off the same u_Af as D; with
-    delta = 0, H = 1/2 ||f||_mu^2 and D = -<Lf, f>_mu need no solve.
-    norm_sq is ||f||_mu^2 = (W q) . q when the caller holds it already. The
-    values are those of entropy_H and dissipation_components(...)["D"] to
-    roundoff.
-    """
-    check_entropy_delta(delta)
-    if norm_sq is None:
-        norm_sq = float(q @ (ops.w_flat * q))
-    profiles = solutions = None
-    if delta != 0.0:
-        profiles, solutions = _profiles_and_solutions(q, ops)
-    h, d = entropy_and_dissipation_from(
-        np.array([norm_sq]), np.array([_minus_lf_f(q, eq, ops)]), profiles,
-        solutions, delta, ops)
-    return float(h[0]), float(d[0])
 
 
 # ---------------------------------------------------------------------------

@@ -44,8 +44,8 @@ def test_traced_kinetic_run_counts_every_wrap_point():
     # dissipation_components, which the sampler no longer calls
     assert metrics["hypo.samples"] == 0
     assert metrics["evolution.factorizations"] == 1
-    # one entropy_and_dissipation call per sample, one elliptic solve with
-    # four right-hand sides
+    # each sample a one-row window: one entropy_and_dissipation_from call
+    # and one elliptic solve with four right-hand sides
     assert metrics["operators.elliptic_solves"] == samples
     # the bump datum is even: only the even sector is factored and solved
     even = evolution.SectorLU(ops, "kinetic", 0.05, "implicit_euler",
@@ -132,8 +132,9 @@ def test_traced_basis_windows_make_one_elliptic_solve_each(monkeypatch):
     # the exp_dense run (129^2, 1000 steps sampled every 2nd): both of its
     # windows (40 vectors for 457 samples, 6 for 43) read their samples
     # in their basis, each with one elliptic solve of 4m right-hand sides;
-    # the initial sample makes one, and a sample whose combined residual
-    # failed the 1e-10 check would add one more (none does here)
+    # the initial sample, a one-row window, makes one, and a sample whose
+    # combined residual failed the 1e-10 check would add one more (none
+    # does here)
     tracing = _load_tracing()
     _, _, eq, ops = make_problem("power", 2.0, 8.0, 129, 8.0, 129,
                                  alpha=2.0)
@@ -151,7 +152,7 @@ def test_traced_basis_windows_make_one_elliptic_solve_each(monkeypatch):
         rec = evolution.run_trajectory(f0, (0.02, 20.0, 2), "kinetic", eq,
                                        ops, delta=0.3)
     assert rec.times.size == 501
-    assert windows == [(40, 457), (6, 43)]
+    assert windows == [(1, 1), (40, 457), (6, 43)]
     metrics = tracer.layer_metrics(tracer.op)
     assert metrics["evolution.factorizations"] == 1
     assert metrics["evolution.solves"] == 46

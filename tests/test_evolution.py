@@ -423,10 +423,30 @@ def test_run_trajectory_validation(strong_strong):
     # t_final must be a whole number of steps, not rounded to one
     with pytest.raises(ValidationError, match="whole number of steps"):
         run_trajectory(f0, (0.2, 1.1, 1), "kinetic", eq, ops)
+    # a non-finite dt or t_final is refused before the step count is formed
+    for schedule in [(np.nan, 1.0, 1), (0.1, np.inf, 1), (0.1, np.nan, 1)]:
+        with pytest.raises(ValidationError, match="t_final < inf"):
+            run_trajectory(f0, schedule, "kinetic", eq, ops)
     # Crank-Nicolson is kinetic-only; a macro run must not fall back silently
     with pytest.raises(ValidationError, match="implicit_euler"):
         run_trajectory(initial_macro_bump(eq, 0.5), (0.05, 1.0, 1), "macro",
                        eq, ops, scheme="crank_nicolson")
+
+
+def test_trajectory_record_refuses_a_column_of_another_length():
+    # every column, the max-principle flags included, must have one entry
+    # per time: a short one would misalign or overrun the report's rows
+    columns = {"norm_sq_mu": [1.0, 0.5], "entropy_h": [0.5, 0.25],
+               "dissipation_d": [1.0, 0.5], "moments_j": {2: [1.0, 1.0]},
+               "moments_k": {2: [1.0, 1.0]}, "max_principle_ok": [True, True],
+               "envelope": [np.nan, np.nan]}
+    evolution.TrajectoryRecord([0.0, 1.0], **columns)
+    for name, value in columns.items():
+        short = ({2: value[2][:1]} if isinstance(value, dict)
+                 else value[:1])
+        with pytest.raises(ValidationError):
+            evolution.TrajectoryRecord([0.0, 1.0],
+                                       **dict(columns, **{name: short}))
 
 
 @pytest.mark.parametrize("mode, powers", [("macro", ((-1,), ())),
@@ -501,28 +521,60 @@ def _field_reference_record(f0, schedule, eq, ops, delta, moment_powers):
     return rows
 
 
+def _clipped_bump(eq):
+    """Acceptance criterion 9's datum, min(f_star (1 + 1.5 bump), 2 f_star)
+    with the bump centred at (1, 1): C = 2, both sectors, and a
+    max-principle bound at its limit."""
+    grid = eq.grid
+    x, v = grid.x_grid.nodes[:, None], grid.v_grid.nodes[None, :]
+    bump = np.exp(-((x - 1.0) ** 2 + (v - 1.0) ** 2) / 2.0)
+    return Field(np.minimum(eq.f_star.values * (1.0 + 1.5 * bump),
+                            2.0 * eq.f_star.values), grid)
+
+
 @pytest.mark.parametrize("delta", [0.0, 0.3])
-def test_one_pass_sampler_matches_the_field_reference_loop(delta):
-    # shifted_gaussian data meet both sectors; 15 steps on 33^2, fewer than
-    # a basis cap, stay on the stepping loop
-    _, _, eq, ops = make_problem("power", 2.0, 8.0, 33, 8.0, 33, alpha=2.0)
-    f0 = initial_shifted_gaussian(eq)
-    schedule, powers = (0.1, 1.5, 2), ((2, 4), (2, 3))
-    assert not evolution._krylov_path(15, ops.sqrt_f.size // 2 + 1)
-    rec = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=delta,
-                         moment_powers=powers)
-    ref = _field_reference_record(f0, schedule, eq, ops, delta, powers)
-    times, norms, hs, ds, js, ks, okay = zip(*ref)
-    assert rec.times.size == 9          # t = 0, 0.2, ..., 1.4, 1.5
-    assert np.array_equal(rec.times, times)
-    assert np.array_equal(rec.norm_sq_mu, norms)
-    for k in powers[0]:
-        assert np.array_equal(rec.moments_J[k], [j[k] for j in js])
-    for k in powers[1]:
-        assert np.array_equal(rec.moments_K[k], [m[k] for m in ks])
-    assert np.array_equal(rec.max_principle_ok, okay)
-    assert np.allclose(rec.entropy_H, hs, rtol=1e-14, atol=0.0)
-    assert np.allclose(rec.dissipation_D, ds, rtol=1e-14, atol=0.0)
+def test_one_pass_sampler_matches_the_field_reference_loop(delta,
+                                                           monkeypatch):
+    # every input stays on the stepping loop, with fewer steps than a basis
+    # cap: shifted_gaussian data (both sectors, 15 steps on 33^2), the bump
+    # on the 65 x 193 box (one sector, 20 steps) and criterion 9's clipped
+    # datum (two sectors, 15 steps on 33^2), whose max-principle bound is at
+    # its limit: it certifies some samples, and the others are checked
+    # pointwise. A sample is the sum of its sectors' shares, so the norms
+    # and moments agree to roundoff, not bit for bit
+    pointwise = _spy(monkeypatch, evolution, "_max_principle_ok")
+    box = make_problem("power", 2.0, 8.0, 33, 8.0, 33, alpha=2.0)
+    weak_v = make_problem("power", 0.5, 8.0, 65, 48.0, 193, tol=1e-5,
+                          alpha=2.0)
+    inputs = [(box, initial_shifted_gaussian, (0.1, 1.5, 2), 9, 2),
+              (weak_v, initial_bump, (0.1, 2.0, 4), 6, 1),
+              (box, _clipped_bump, (0.1, 1.5, 2), 9, 2)]
+    powers = ((2, 4), (2, 3))
+    for (_, _, eq, ops), datum, schedule, samples, sectors in inputs:
+        f0 = datum(eq)
+        n_steps = evolution.step_count(*schedule[:2])
+        assert not evolution._krylov_path(n_steps, ops.sqrt_f.size // 2 + 1)
+        assert len(fold(f0.values.ravel() - eq.f_star.values.ravel())
+                   ) == sectors
+        del pointwise[:]
+        rec = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=delta,
+                             moment_powers=powers)
+        if datum is _clipped_bump:
+            assert 0 < len(pointwise) < samples
+        ref = _field_reference_record(f0, schedule, eq, ops, delta, powers)
+        times, norms, hs, ds, js, ks, okay = zip(*ref)
+        assert rec.times.size == samples
+        assert np.array_equal(rec.times, times)
+        assert np.allclose(rec.norm_sq_mu, norms, rtol=1e-13, atol=0.0)
+        for k in powers[0]:
+            assert np.allclose(rec.moments_J[k], [j[k] for j in js],
+                               rtol=1e-13, atol=0.0)
+        for k in powers[1]:
+            assert np.allclose(rec.moments_K[k], [m[k] for m in ks],
+                               rtol=1e-13, atol=0.0)
+        assert np.array_equal(rec.max_principle_ok, okay)
+        assert np.allclose(rec.entropy_H, hs, rtol=1e-14, atol=0.0)
+        assert np.allclose(rec.dissipation_D, ds, rtol=1e-14, atol=0.0)
 
 
 def test_odd_data_factor_only_the_odd_sector(strong_strong, monkeypatch):
@@ -555,17 +607,18 @@ def test_odd_data_factor_only_the_odd_sector(strong_strong, monkeypatch):
 
 def test_non_finite_sample_aborts_the_run(strong_strong, monkeypatch):
     # a state can stay finite while a diagnostic overflows; the run stops at
-    # that sample and keeps the ones before it
+    # that sample and keeps the ones before it. Each sample of this stepped
+    # run is a one-row window, one entropy_and_dissipation_from call
     _, _, eq, ops = strong_strong
-    real_sample = evolution.entropy_and_dissipation
+    real_sample = hypo.entropy_and_dissipation_from
     calls = {"n": 0}
 
     def overflowing(*args):
         calls["n"] += 1
         h, d = real_sample(*args)
-        return (h, d) if calls["n"] < 3 else (np.inf, d)
+        return (h, d) if calls["n"] < 3 else (np.full_like(h, np.inf), d)
 
-    monkeypatch.setattr(evolution, "entropy_and_dissipation", overflowing)
+    monkeypatch.setattr(hypo, "entropy_and_dissipation_from", overflowing)
     with pytest.raises(NumericalError, match="non-finite sample at t = 0.2"
                        ) as err:
         run_trajectory(initial_bump(eq, 0.5), (0.05, 1.0, 2), "kinetic", eq,
@@ -962,7 +1015,7 @@ def test_krylov_abort_after_a_basis_window_keeps_its_samples(
     windows = _spy(monkeypatch, evolution._WindowSampler, "window")
     err, clean = _krylov_failure(eq, ops, monkeypatch, 33, corrupt,
                                  max_basis=100)
-    assert [w.coeffs.shape for _, w in windows][:2] == [(32, 32)] * 2
+    assert _basis_windows(windows)[:2] == [(32, 32)] * 2
     _check_abort(err, clean, message)
     assert err.partial_record.times.size == 33
 
@@ -984,10 +1037,10 @@ def _check_abort(err, clean, message):
 
 def test_krylov_overflowing_diagnostic_aborts_at_its_sample(strong_strong,
                                                             monkeypatch):
-    # the first window reads its samples in its basis; both samplers take
-    # H and D from hypo.entropy_and_dissipation_from, the initial sample
-    # as a block of one and the window's 40 samples as blocks of 32 and 8;
-    # row 3 of the first (t = 1) overflows
+    # the first window reads its samples in its basis; H and D come from
+    # hypo.entropy_and_dissipation_from, for the initial sample (a one-row
+    # window) as a block of one and for the window's 40 samples as blocks
+    # of 32 and 8; row 3 of the first (t = 1) overflows
     _, _, eq, ops = strong_strong
     real_sample = hypo.entropy_and_dissipation_from
     sizes = []
@@ -1028,6 +1081,13 @@ def _spy(monkeypatch, owner, name):
     return calls
 
 
+def _basis_windows(windows):
+    """The (m, samples) of the windows of more than one row among the calls
+    of a spy on _WindowSampler.window: the Krylov windows read in their
+    basis, leaving out the one-row windows of formed samples."""
+    return [w.coeffs.shape for _, w in windows if w.coeffs.shape[0] > 1]
+
+
 @pytest.mark.parametrize("kind, delta, windows_read", [
     ("bump", 0.3, [(32, 32)]),
     ("bump", 0.0, [(32, 32)]),
@@ -1040,7 +1100,7 @@ def test_basis_windows_match_the_per_state_sampler(strong_strong,
                                                    delta, windows_read,
                                                    monkeypatch):
     # 200 steps on 65^2, 40 samples; the reference forms every window's
-    # samples for the per-state sampler
+    # samples and reads each one on its own, as a one-row window
     _, _, eq, ops = strong_strong
     f0 = _DATA[kind](eq)
     schedule, powers = (0.05, 10.0, 5), ((2, 4), (2, 3))
@@ -1050,7 +1110,7 @@ def test_basis_windows_match_the_per_state_sampler(strong_strong,
     monkeypatch.setattr(evolution, "_window_pays", lambda m, samples: False)
     ref = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=delta,
                          moment_powers=powers)
-    assert [w.coeffs.shape for _, w in windows] == windows_read
+    assert _basis_windows(windows) == windows_read
     assert got.times.size == 41
     assert _worst_relative_gap(got, ref) <= 1e-12
 
@@ -1074,14 +1134,16 @@ def test_exp_dense_takes_h_and_d_once_per_block(monkeypatch):
 def test_a_window_with_fewer_samples_than_vectors_is_formed(
         strong_strong, shift_at_four_dt, monkeypatch):
     # the bump's first window agrees on 32 samples with 32 vectors, its
-    # restart window on 8 samples with 9 vectors
+    # restart window on 8 samples with 9 vectors: each of those 8 is formed
+    # and read as a one-row window, as the initial sample is
     _, _, eq, ops = strong_strong
     rule = _spy(monkeypatch, evolution, "_window_pays")
     windows = _spy(monkeypatch, evolution._WindowSampler, "window")
     run_trajectory(initial_bump(eq, 0.5), (0.05, 10.0, 5), "kinetic", eq,
                    ops, delta=0.3)
     assert rule == [((32, 32), True), ((9, 8), False)]
-    assert [w.coeffs.shape for _, w in windows] == [(32, 32)]
+    assert [w.coeffs.shape for _, w in windows] == (
+        [(1, 1), (32, 32)] + [(1, 1)] * 8)
 
 
 @pytest.mark.parametrize("ratio", [1.5, 3.0])
@@ -1100,7 +1162,7 @@ def test_max_principle_bound_never_certifies_a_violating_state(ratio,
                grid)
     cap = float(np.max(f0.values / fstar)) * fstar.ravel()
     assert cap[fstar.size // 2] / fstar.ravel()[fstar.size // 2] == ratio
-    windows = evolution._kinetic_sampler(f0, eq, ops, 0.0, (), ())[4]
+    windows = evolution._kinetic_sampler(f0, eq, ops, 0.0, (), ())[3]
     pointwise = _spy(monkeypatch, evolution, "_max_principle_ok")
     n = fstar.size
     rng = np.random.default_rng(7)
@@ -1138,8 +1200,8 @@ def test_a_bound_that_fails_near_the_start_falls_back_to_pointwise(
     # the even window (32 vectors, 100 samples) and the odd ones (32, 47
     # and 18, 53). Its f - f_star keeps mass, and the bound's sum over 32
     # rows stays above 1 from t = 0 on, so every sample is formed (one part
-    # per sector) and checked pointwise; every flag matches the per-state
-    # run
+    # per sector) and checked pointwise; every flag matches the run that
+    # reads each sample as a one-row window
     _, grid, eq, ops = strong_strong
     x, v = grid.x_grid.nodes[:, None], grid.v_grid.nodes[None, :]
     bump = np.exp(-((x - 1.0) ** 2 + (v - 1.0) ** 2) / 2.0)
@@ -1151,11 +1213,11 @@ def test_a_bound_that_fails_near_the_start_falls_back_to_pointwise(
     got = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=0.3)
     monkeypatch.setattr(evolution, "_window_pays", lambda m, samples: False)
     ref = run_trajectory(f0, schedule, "kinetic", eq, ops, delta=0.3)
-    assert [w.coeffs.shape for _, w in windows] == [(32, 100), (32, 47),
-                                                    (18, 53)]
-    even, odd = windows[0][1], windows[1][1]
+    assert _basis_windows(windows) == [(32, 100), (32, 47), (18, 53)]
+    even, odd = [w for _, w in windows if w.coeffs.shape[0] > 1][:2]
     assert even.shares[-1, 0] + odd.shares[-1, 0] > 1.0
-    assert len(formed) == 2 * 100
+    assert len([w for (w, _), _ in formed if w.coeffs.shape[0] > 1]
+               ) == 2 * 100
     assert np.array_equal(got.max_principle_ok, ref.max_principle_ok)
     assert np.all(got.max_principle_ok)
 
@@ -1165,7 +1227,8 @@ def test_a_sample_whose_combined_residual_fails_is_solved_again(
     # no sample of these runs fails the combined 1e-10 residual check, so
     # every 7th sample of each block of 32 is marked as failing: the bump's
     # windows (32 vectors, 80 samples; 9, 20) mark 5 + 5 + 3 and 3. Each is
-    # solved again on its own, and the record matches the per-state run
+    # solved again on its own, and the record matches the run that reads
+    # each sample as a one-row window
     _, _, eq, ops = strong_strong
     real_stalls = evolution.residual_stalls
 

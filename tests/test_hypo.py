@@ -18,7 +18,6 @@ from kfplab import (
     dissipation_components,
     empirical_kappa,
     entropy_H,
-    entropy_and_dissipation,
     initial_bump,
     initial_odd_v,
     initial_shifted_gaussian,
@@ -294,6 +293,20 @@ def _sampler_state(f, eq, ops):
     return Field(y, f.grid), y.ravel() / ops.sqrt_f
 
 
+def _entropy_and_dissipation(q, delta, eq, ops):
+    """(H, D) of one q-form from entropy_and_dissipation_from, fed the
+    pieces of a block of one (b = 1): its norm, -<Lf, f> and, but at
+    delta = 0, its profiles and elliptic solutions."""
+    profiles = solutions = None
+    if delta != 0.0:
+        profiles, solutions = hypo._profiles_and_solutions(q, ops)
+    h, d = hypo.entropy_and_dissipation_from(
+        np.array([q @ (ops.w_flat * q)]),
+        np.array([hypo.minus_lf_f(q, eq, ops)]), profiles, solutions, delta,
+        ops)
+    return float(h[0]), float(d[0])
+
+
 def _check_entropy_and_dissipation(f, eq, ops, monkeypatch):
     y, q = _sampler_state(f, eq, ops)
     real_solve = operators.solve_elliptic
@@ -306,7 +319,7 @@ def _check_entropy_and_dissipation(f, eq, ops, monkeypatch):
     monkeypatch.setattr(operators, "solve_elliptic", counting)
     for delta in (0.0, 0.3):
         del solves[:]
-        h, d = entropy_and_dissipation(q, delta, eq, ops)
+        h, d = _entropy_and_dissipation(q, delta, eq, ops)
         # one solve with four right-hand sides, none without the twist
         assert solves == ([] if delta == 0.0 else [(ops.mrho.size, 4)])
         assert h == pytest.approx(entropy_H(y, delta, eq, ops), rel=1e-14,
@@ -344,7 +357,7 @@ def test_a_block_gives_each_row_its_own_entropy_and_dissipation(delta,
     qs = [f.values.ravel() / ops.sqrt_f
           for f in hypo._random_suite(eq, rows, 5)]
     norm_sq = np.array([q @ (ops.w_flat * q) for q in qs])
-    minus_lff = np.array([hypo._minus_lf_f(q, eq, ops) for q in qs])
+    minus_lff = np.array([hypo.minus_lf_f(q, eq, ops) for q in qs])
     profiles = solutions = None
     if delta != 0.0:
         pieces = [hypo._profiles_and_solutions(q, ops) for q in qs]
@@ -355,7 +368,7 @@ def test_a_block_gives_each_row_its_own_entropy_and_dissipation(delta,
                                              solutions, delta, ops)
     assert h.shape == d.shape == (rows,)
     for j, q in enumerate(qs):
-        h_j, d_j = entropy_and_dissipation(q, delta, eq, ops)
+        h_j, d_j = _entropy_and_dissipation(q, delta, eq, ops)
         assert h[j] == pytest.approx(h_j, rel=1e-14, abs=0.0)
         assert d[j] == pytest.approx(d_j, rel=1e-14, abs=0.0)
 
@@ -392,7 +405,7 @@ def test_entropy_and_dissipation_refuse_a_delta_outside_the_window(
     for delta in (2.0, -0.1):
         with pytest.raises(ValidationError,
                            match="entropy needs 0 <= delta < 2"):
-            entropy_and_dissipation(q, delta, eq, ops)
+            _entropy_and_dissipation(q, delta, eq, ops)
 
 
 def test_auxiliary_estimates_random_suite(strong_strong):
