@@ -111,7 +111,7 @@ def run_check():
     def step_mass():
         q0 = evolution.initial_bump(eq, 0.5).values.ravel() / sqrt_f
         parts = evolution.fold(q0)
-        lu = evolution.SectorLU(ops, "kinetic", 0.05, "implicit_euler", parts)
+        lu = evolution.SectorLU(ops, 0.05, "implicit_euler", parts)
         q1 = evolution.unfold(evolution._advance(parts, lu, "kinetic step"),
                               q0.size)
         m0, m1 = (float(np.sum(w * sqrt_f * q)) for q in (q0, q1))

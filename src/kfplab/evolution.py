@@ -4,8 +4,9 @@ Kinetic steps solve (I - dt (L - T)) f_{n+1} = f_n in q = f/sqrt(f_star)
 coordinates, where the system matrix is I - dt (L_hat - T_hat); because
 L_hat is weighted-symmetric nonpositive and T_hat weighted-skew, the step is
 unconditionally nonexpansive in the mu-norm and conserves the discrete mass
-to solver precision. Macroscopic steps do the same with the sigma-scaled
-Fokker-Planck generator on densities.
+to solver precision. Macroscopic runs make no solve: each implicit-Euler
+sample of the sigma-scaled Fokker-Planck generator on densities comes in
+closed form from one eigendecomposition per run (_macro_states).
 
 Every step system commutes with the reflection (x, v) -> (-x, -v), exactly
 and not just to roundoff: Grid1D mirrors its nodes and every potential is
@@ -19,12 +20,12 @@ is carried in orthonormal sector coordinates: the even part as
 check per sector certifies the same relative residual on the full grid.
 Each sector matrix is folded and factored on its own, and only for a part
 that is nonzero; a part that is exactly zero stays zero and is never
-solved. Data with one parity (the kinetic bump is even, the odd_v and
-macro bump deviations are odd) therefore factor and solve half the
-problem. Each call that steps factors its state's sectors up front
-(SectorLU) and drops the full-grid system; the operator set keeps no step
-factors. Between samples run_trajectory keeps only the parts; the full
-vector is rebuilt at sample times.
+solved. Data with one parity (the bump is even, the odd_v deviation is
+odd) therefore factor and solve half the problem. Each call that steps
+factors its state's sectors up front (SectorLU) and drops the full-grid
+system; the operator set keeps no step factors. Between samples
+run_trajectory keeps only the parts; the full vector is rebuilt at sample
+times.
 
 Kinetic implicit-Euler runs longer than one basis cap are sampled from a
 Krylov space instead of stepped. With A = (I - gamma G)^-1 the step is
@@ -87,16 +88,17 @@ windows, which a retry's factor starts afresh. So against stepping a
 sector loses fewer than two caps of solves per factor of I - gamma G, and
 it factors at most three times. Only a run with fewer steps than one cap (about
 4 n_sector^(1/4), _krylov_path) steps from the start, before anything is
-factored; macro and Crank-Nicolson runs always step.
+factored; Crank-Nicolson runs always step.
 
 Checks: every solve, stepped or Krylov, passes solve_with_refinement's
 1e-10 relative residual check, and every Krylov vector a finiteness check.
 Every state the run checks (each step's sector arrays when stepping, each
-sample on the Krylov path) must be finite and keep its mass to 1e-9, and
-every sample's diagnostics must be finite. A Krylov sample is checked
-through its window (below): its coefficients c must be finite, and its
-mass is (V m) . c. On the Krylov path the last good time of an aborted run
-is therefore its last accepted sample.
+sample on the Krylov path or of a macro run) must be finite and keep its
+mass to 1e-9, and every sample's diagnostics must be finite. A Krylov
+sample is checked through its window (below): its coefficients c must be
+finite, and its mass is (V m) . c. On the Krylov path and in a macro run
+the last good time of an aborted run is therefore its last accepted
+sample.
 
 Trajectories sample the squared mu-norm of the tracked state (f - f_star on
 integrable branches, f itself when no stationary state exists), the twisted
@@ -147,6 +149,7 @@ import math
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import eigh_tridiagonal
 from scipy.sparse.linalg import splu
 
 from .errors import NumericalError, ValidationError
@@ -285,7 +288,7 @@ def _reversal_symmetric(matrix):
 
 
 class SectorLU:
-    """The step system of (mode, dt, scheme) on ops, factored per sector.
+    """The kinetic step system of (dt, scheme) on ops, factored per sector.
 
     _step_matrices gives S, canonical CSR of odd order n = 2m + 1 with
     S[::-1, ::-1] == S (else NumericalError, from _reversal_symmetric's
@@ -298,8 +301,8 @@ class SectorLU:
     to its LU.
     """
 
-    def __init__(self, ops, mode, dt, scheme, signs):
-        system, rhs_mat = _step_matrices(ops, mode, dt, scheme)
+    def __init__(self, ops, dt, scheme, signs):
+        system, rhs_mat = _step_matrices(ops, dt, scheme)
         if not _reversal_symmetric(system):
             raise NumericalError("step system does not commute with the "
                                  "reflection (x, v) -> (-x, -v)")
@@ -316,30 +319,31 @@ class SectorLU:
         return self._sectors[sign]
 
 
-def check_scheme(scheme):
-    """ValidationError unless scheme names a time-stepping scheme."""
+def check_scheme(scheme, mode="kinetic"):
+    """ValidationError unless scheme names a time-stepping scheme that runs
+    of mode take: macro runs take implicit_euler only."""
     if scheme not in ("implicit_euler", "crank_nicolson"):
         raise ValidationError("scheme must be 'implicit_euler' or "
                               "'crank_nicolson'")
+    if mode == "macro" and scheme != "implicit_euler":
+        raise ValidationError("scheme = %s is kinetic-only; macro runs "
+                              "use implicit_euler" % scheme)
 
 
-def _step_matrices(ops, mode, dt, scheme):
-    """(system, rhs_mat) of one implicit step, as canonical CSR matrices
-    (sorted indices, no stored zeros).
+def _step_matrices(ops, dt, scheme):
+    """(system, rhs_mat) of one implicit kinetic step, as canonical CSR
+    matrices (sorted indices, no stored zeros).
 
-    The generator G is L_hat - T_hat on q for mode 'kinetic' and the macro
-    generator on densities for 'macro'. Implicit Euler solves
-    (I - dt G) y_new = y (rhs_mat None); Crank-Nicolson, kinetic only, solves
+    The generator G is L_hat - T_hat on q. Implicit Euler solves
+    (I - dt G) y_new = y (rhs_mat None); Crank-Nicolson solves
     (I - dt/2 G) y_new = (I + dt/2 G) y. Each matrix is the sparse sum
-    I -+ h G of the stored generator, formed in place on a copy of G.
+    I -+ h G of the stored generators, formed in place on the sparse
+    difference G or a copy of it.
     """
     if dt <= 0:
         raise ValidationError("dt must be positive")
     check_scheme(scheme)
-    if mode == "macro" and scheme != "implicit_euler":
-        raise ValidationError("macro stepping supports implicit_euler only")
-    system = (ops.L_hat - ops.T_hat if mode == "kinetic"
-              else ops.macro_generator.copy())
+    system = ops.L_hat - ops.T_hat
     h = dt if scheme == "implicit_euler" else 0.5 * dt
     rhs_mat = None
     if scheme == "crank_nicolson":
@@ -518,58 +522,61 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
 
     A kinetic implicit-Euler run with at least a basis cap's worth of steps
     (_krylov_path) samples its states from shift-invert Krylov spaces, each
-    sector under a solve budget (see the module docstring); every other run
-    steps. Either way the run factors its own system and leaves ops as it
-    found it, so runs can share one ops.
+    sector under a solve budget (see the module docstring); every other
+    kinetic run steps, and a macro run reads its samples in closed form
+    (_macro_states). Either way the run builds its own factors or modes and
+    leaves ops as it found it, so runs can share one ops.
     """
     dt, n_steps, stride = _validate_schedule(schedule)
     j_powers, k_powers = moment_powers
     if min(tuple(j_powers) + tuple(k_powers), default=0.0) < 0:
         raise ValidationError("moment power must be >= 0")
-    # read(parts): (values, finite) of a state's sector arrays; first: t = 0
+    # check(state): (finite, mass) of a state the loop meets; evaluate(state):
+    # (values, finite) of a sample; first: the sample at t = 0
     if mode == "kinetic":
         y, mass_w, mass_f0, sampler = _kinetic_sampler(
             f0, eq, ops, delta, j_powers, k_powers)
         parts = fold(y)
-        read = sampler.read
-        first = read(parts)
+        mass_parts = fold(mass_w)   # mass(y) = sum of part . folded weights
+
+        def array_checks(parts):
+            return (all(np.all(np.isfinite(p)) for p in parts.values()),
+                    sum(float(mass_parts[sign] @ part)
+                        for sign, part in parts.items() if sign in mass_parts))
+
+        first = sampler.read(parts)
+        mass0 = array_checks(parts)[1]
+        if (scheme == "implicit_euler"
+                and _krylov_path(n_steps, y.size // 2 + 1)):
+            # each sample's sector parts are (window, k), checked and read
+            # with their windows
+            states = _krylov_states(parts, ops, dt, n_steps, stride, sampler)
+            check, evaluate = _window_checks, sampler.values
+        else:
+            # a bad scheme fails here
+            lu = SectorLU(ops, dt, scheme, parts)
+            states = _stepped_states(parts, lu, n_steps)
+            check, evaluate = array_checks, sampler.read
     elif mode == "macro":
+        check_scheme(scheme, mode)
         k_powers = ()       # densities carry no velocity moments
         y, mass_w, mass_f0, sample = _macro_sampler(f0, eq, ops, j_powers)
-        parts = fold(y)
 
-        def read_density(density):
+        def evaluate(density):
             # a finite state can still overflow its diagnostics
             with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
                 values = sample(density)
             return values, bool(np.all(np.isfinite(np.hstack(values[:5]))))
 
-        def read(parts):
-            return read_density(unfold(parts, y.size))
+        def check(density):
+            return bool(np.all(np.isfinite(density))), float(mass_w @ density)
 
-        first = read_density(y)
+        first = evaluate(y)
+        mass0 = check(y)[1]
+        states = _macro_states(y, eq, ops, dt, n_steps, stride)
     else:
         raise ValidationError("mode must be 'kinetic' or 'macro'")
-    mass_parts = fold(mass_w)       # mass(y) = sum of part . folded weights
-
-    def array_checks(parts):
-        return (all(np.all(np.isfinite(p)) for p in parts.values()),
-                sum(float(mass_parts[sign] @ part)
-                    for sign, part in parts.items() if sign in mass_parts))
-
-    mass0 = array_checks(parts)[1]
     mass_tol = _MASS_TOL * max(abs(mass0) + mass_f0, 1e-300)
-    if (mode == "kinetic" and scheme == "implicit_euler"
-            and _krylov_path(n_steps, y.size // 2 + 1)):
-        # each sample's sector parts are (window, k), checked and read with
-        # their windows
-        states = _krylov_states(parts, ops, dt, n_steps, stride, sampler)
-        check, evaluate = _window_checks, sampler.values
-    else:
-        # a bad scheme fails here
-        lu = SectorLU(ops, mode, dt, scheme, parts)
-        states = _stepped_states(parts, lu, n_steps, mode + " step")
-        check, evaluate = array_checks, read
 
     def row(t, values, finite):
         if not finite:
@@ -603,11 +610,18 @@ def _window_checks(items):
             sum(w.mass[k] for w, k in items.values()))
 
 
-def _stepped_states(parts, lu, n_steps, what):
-    """(n, parts after step n) for every step n of the run."""
+def _stepped_states(parts, lu, n_steps):
+    """(n, parts after step n) for every kinetic step n of the run."""
     for n in range(1, n_steps + 1):
-        parts = _advance(parts, lu, what)
+        parts = _advance(parts, lu, "kinetic step")
         yield n, parts
+
+
+def _sample_steps(n_steps, stride):
+    """The sampled step counts of a run: the multiples of stride, and
+    n_steps."""
+    steps = np.arange(stride, n_steps + 1, stride)
+    return steps if n_steps % stride == 0 else np.append(steps, n_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -664,11 +678,9 @@ def _krylov_states(parts, ops, dt, n_steps, stride, windows):
     _krylov_part from one factor of I - gamma G, gamma from _krylov_shift;
     each part is (window, k), sample k of a window of windows (a
     _WindowSampler)."""
-    sample_steps = np.arange(stride, n_steps + 1, stride)
-    if n_steps % stride:
-        sample_steps = np.append(sample_steps, n_steps)
+    sample_steps = _sample_steps(n_steps, stride)
     gamma = _krylov_shift(parts, ops, dt)
-    lu = SectorLU(ops, "kinetic", gamma, "implicit_euler", parts)
+    lu = SectorLU(ops, gamma, "implicit_euler", parts)
     sectors = [_krylov_part(sign, part, *lu.sector(sign)[:2], ops, dt, gamma,
                             sample_steps, windows)
                for sign, part in parts.items()]
@@ -719,8 +731,8 @@ def _krylov_part(sign, part, factor, matrix, ops, dt, gamma, steps,
             del factor, matrix      # no solve is left
         if not agreed and gamma > floor:
             basis, gamma = None, floor
-            factor, matrix, _ = SectorLU(ops, "kinetic", floor,
-                                         "implicit_euler", [sign]).sector(sign)
+            factor, matrix, _ = SectorLU(ops, floor, "implicit_euler",
+                                         [sign]).sector(sign)
             continue
         if not agreed:
             break
@@ -740,9 +752,9 @@ def _krylov_part(sign, part, factor, matrix, ops, dt, gamma, steps,
         done, steps = steps[agreed - 1], steps[agreed:]
     if steps.size:
         del basis, hess
-        stepping = SectorLU(ops, "kinetic", dt, "implicit_euler", [sign])
+        stepping = SectorLU(ops, dt, "implicit_euler", [sign])
         for n, parts in _stepped_states({sign: part}, stepping,
-                                        steps[-1] - done, "kinetic step"):
+                                        steps[-1] - done):
             if done + n in steps:
                 yield windows.one_row(sign, parts[sign]), 0
 
@@ -1127,3 +1139,48 @@ def _macro_sampler(rho0, eq, ops, j_powers):
                 _max_principle_ok(f_phys, cap))
 
     return rho0.values - base, wx, float(np.sum(wx * rho0.values)), sample
+
+
+_MACRO_FLOOR = 0.5 * math.log(np.finfo(float).tiny)     # about -354
+
+
+def _macro_states(y0, eq, ops, dt, n_steps, stride):
+    """(n, y after n implicit-Euler steps of dt) for every sampled step n
+    (the multiples of stride, and n_steps), in closed form.
+
+    The macro generator G = -sigma W^-1 Sx R^-1 (W = diag wx, R =
+    diag rho_star, Sx the symmetric tridiagonal flux stiffness) is
+    self-adjoint in <a, b> = sum wx a b / rho_star: with D =
+    diag sqrt(wx / rho_star), D G D^-1 is symmetric tridiagonal, and one
+    eigh_tridiagonal call on its diagonal and upper off-diagonal gives it
+    as V diag(lam) V^T. Then
+    y_n = D^-1 V diag((1 - dt lam)^-n) V^T D y0, each power taken as
+    exp(max(n l, floor)) with l = -log1p(-dt lam) <= 0 and floor =
+    log(sqrt(tiny)): a mode below about 1e-154 of its start would otherwise
+    underflow into subnormals and slow every product, and what the floor
+    keeps of it lies far below the roundoff of the kernel mode's
+    coefficient. NumericalError when the scaled off-diagonals differ, or an
+    eigenvalue lies above 0, by more than n eps max |lam|. A block of up to
+    _WINDOW_SAMPLES samples is formed at a time; no state between samples
+    is formed.
+    """
+    gen = ops.macro_generator
+    d = np.sqrt(eq.grid.x_grid.weights / eq.rho_star.values)
+    upper = d[:-1] * gen.diagonal(1) / d[1:]
+    lower = d[1:] * gen.diagonal(-1) / d[:-1]
+    lam, vecs = eigh_tridiagonal(gen.diagonal(), upper)
+    tol = lam.size * np.finfo(float).eps * np.max(np.abs(lam))
+    if np.max(np.abs(upper - lower), initial=0.0) > tol:
+        raise NumericalError("macro generator is not self-adjoint in the "
+                             "rho_star-weighted inner product")
+    if lam[-1] > tol:
+        raise NumericalError("macro generator has an eigenvalue %.3e above 0"
+                             % lam[-1])
+    log_step = -np.log1p(-dt * lam)
+    coeffs = vecs.T @ (d * y0)
+    steps = _sample_steps(n_steps, stride)
+    for first in range(0, steps.size, _WINDOW_SAMPLES):
+        block = steps[first:first + _WINDOW_SAMPLES]
+        powers = np.exp(np.maximum(np.outer(log_step, block), _MACRO_FLOOR))
+        for n, y in zip(block, ((powers * coeffs[:, None]).T @ vecs.T) / d):
+            yield int(n), y

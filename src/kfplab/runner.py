@@ -44,7 +44,7 @@ import numpy as np
 from . import evolution, hypo, rates, spectral
 from .equilibria import PotentialSpec, build_equilibrium
 from .errors import NumericalError, ValidationError
-from .grids import Grid1D, PhaseGrid
+from .grids import DensityField, Grid1D, PhaseGrid
 from .operators import assemble
 
 # initial.kind -> the mode whose state it generates
@@ -194,10 +194,7 @@ class ScenarioConfig:
         self.initial_s0 = number("initial.s0", 2.0)
 
         self.scheme = str(get("scheme", "implicit_euler"))
-        evolution.check_scheme(self.scheme)
-        if self.mode == "macro" and self.scheme != "implicit_euler":
-            raise ValidationError("scheme = %s is kinetic-only; macro runs "
-                                  "use implicit_euler" % self.scheme)
+        evolution.check_scheme(self.scheme, self.mode)
         self.seed = number("seed", 0, int)
         if self.seed < 0:
             raise ValidationError("seed must be a nonnegative integer")
@@ -253,15 +250,23 @@ def problem_key(config):
 
 
 def make_initial_state(config, eq):
-    """The initial state of config.initial_kind, which suits config.mode."""
+    """The initial state of config.initial_kind, which suits config.mode.
+    On an integrable branch macro_gaussian is rescaled to the equilibrium
+    mass, so that rho - rho_star carries none that no decay removes."""
     kind = config.initial_kind
     if not eq.integrable and kind in ("bump", "odd_v", "macro_bump"):
         raise ValidationError(
             "initial.kind = %s perturbs an equilibrium this potential does "
             "not have; use shifted_gaussian or macro_gaussian" % kind)
     if kind == "macro_gaussian":
-        return evolution.initial_macro_gaussian(eq.grid.x_grid,
+        rho0 = evolution.initial_macro_gaussian(eq.grid.x_grid,
                                                 config.initial_s0)
+        if eq.integrable:
+            wx = eq.grid.x_grid.weights
+            rho0 = DensityField(rho0.values * ((wx @ eq.rho_star.values)
+                                               / (wx @ rho0.values)),
+                                eq.grid.x_grid)
+        return rho0
     if kind == "macro_bump":
         return evolution.initial_macro_bump(eq, config.initial_epsilon)
     if kind == "bump":
@@ -287,21 +292,30 @@ class ReportBundle:
         self.status = status
 
 
-def _envelope(record, prediction, delta, mode):
-    """The theoretical norm_sq envelope over record.times.
+def _envelope(record, prediction, delta, config):
+    """The theoretical norm_sq envelope over record.times, for a run of
+    config's mode, dt and scheme.
 
-    Kinetic exponential regime: (4/(2-delta)) H0 e^{-lambda t}, valid from
-    t = 0 by the entropy sandwich; macro exponential: norm0 e^{-rate t}.
-    Algebraic regime: C (1+t)^{-zeta} anchored at the default fitting-window
-    start (the theorems are asymptotic; domination is asserted beyond the
-    window start only).
+    Exponential regime, rate r, n = t / dt steps: macro, norm0
+    (1 + dt r/2)^(-2n), since the implicit-Euler step is self-adjoint in
+    sum wx a b / rho_star with spectral radius 1 / (1 + dt r/2) on
+    mass-zero data; kinetic implicit Euler, (4/(2-delta)) H0 (1 + r dt)^-n,
+    from H_{n+1} <= H_n - dt D[f_{n+1}], D >= r H and the entropy sandwich;
+    Crank-Nicolson, (4/(2-delta)) H0 e^{-r t}, not proved for it. Algebraic
+    regime: C (1+t)^{-zeta} anchored at the default fitting-window start
+    (the theorems are asymptotic; domination is asserted beyond the window
+    start only).
     """
     t = record.times
     if prediction.regime == "exponential":
-        if mode == "macro":
-            return record.norm_sq_mu[0] * np.exp(-prediction.rate * t)
-        h0 = record.entropy_H[0]
-        return (4.0 / (2.0 - delta)) * h0 * np.exp(-prediction.rate * t)
+        rate, steps = prediction.rate, np.rint(t / config.dt)
+        if config.mode == "macro":
+            return record.norm_sq_mu[0] * np.exp(
+                -2.0 * steps * np.log1p(0.5 * config.dt * rate))
+        decay = (np.exp(-steps * np.log1p(rate * config.dt))
+                 if config.scheme == "implicit_euler"
+                 else np.exp(-rate * t))
+        return (4.0 / (2.0 - delta)) * record.entropy_H[0] * decay
     zeta = prediction.exponent
     lo = rates.default_window(record)[0]
     idx = int(np.searchsorted(t, lo - 1e-12))
@@ -322,7 +336,8 @@ def run_scenario(config, problem=None):
     The predicted macro exponential rate is 2 sigma_normalized lambda, with
     lambda the smallest nonzero eigenvalue of the pencil (Sx_macro, wx
     rho_star): the exact decay rate of the squared norm under the
-    semi-discrete flow the run steps.
+    semi-discrete flow whose implicit-Euler samples the run reads in closed
+    form.
     """
     if problem is None:
         problem = certified_problem(config)
@@ -375,7 +390,7 @@ def run_scenario(config, problem=None):
             moment_powers=(config.moments_x, config.moments_v),
             scheme=config.scheme)
         record.envelope = _envelope(record, prediction, constants.delta,
-                                    config.mode)
+                                    config)
         fit = rates.fit_rate_with_sensitivity(record, prediction.regime)
     except NumericalError as exc:
         summary = dict(base_summary)

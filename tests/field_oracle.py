@@ -13,10 +13,15 @@ reading of every operator.
 The mu-weights w_ij / f_star_ij are formed on each call (mu_weight), and
 operators and evolution are looked up through their modules at each call,
 so that a wrapper a test installs there sees every elliptic solve and
-every factored step.
+every factored kinetic step. A macro step factors I - dt G itself, with
+G the stored macro generator, and solves through
+operators.solve_with_refinement: no code of evolution takes part, so it
+is an independent reference for the closed-form macro samples.
 """
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from kfplab import evolution, operators
 from kfplab.errors import (GridMismatchError, InvalidEquilibriumError,
@@ -126,21 +131,29 @@ def apply_A(f, eq, ops):
 # single implicit steps
 # ---------------------------------------------------------------------------
 
-def _step(y, ops, mode, dt, scheme):
-    """The state vector y one step later (q for kinetic, rho for macro)."""
-    parts = evolution.fold(y)
-    lu = evolution.SectorLU(ops, mode, dt, scheme, parts)
-    return evolution.unfold(evolution._advance(parts, lu, mode + " step"),
-                            y.size)
-
-
 def step_kinetic(f, dt, eq, ops, scheme="implicit_euler"):
     """One implicit step of df/dt + Tf = Lf; mass-conservative by construction."""
-    q = _step(f.values.ravel() / ops.sqrt_f, ops, "kinetic", dt, scheme)
+    parts = evolution.fold(f.values.ravel() / ops.sqrt_f)
+    lu = evolution.SectorLU(ops, dt, scheme, parts)
+    q = evolution.unfold(evolution._advance(parts, lu, "kinetic step"),
+                         ops.sqrt_f.size)
     return Field((q * ops.sqrt_f).reshape(f.grid.shape), f.grid)
 
 
+def macro_step_lu(ops, dt):
+    """(factor, system) of one implicit-Euler step of the macroscopic
+    Fokker-Planck equation, system = I - dt G as CSR with G the stored
+    macro generator."""
+    gen = ops.macro_generator
+    system = (sp.identity(gen.shape[0], format="csr") - dt * gen).tocsr()
+    return splu(system.tocsc()), system
+
+
 def step_macro(rho, dt, eq, ops, scheme="implicit_euler"):
-    """One implicit step of the macroscopic Fokker-Planck equation."""
-    return DensityField(_step(rho.values, ops, "macro", dt, scheme),
-                        eq.grid.x_grid)
+    """One implicit-Euler step of the macroscopic Fokker-Planck equation;
+    ValidationError for another scheme."""
+    if scheme != "implicit_euler":
+        raise ValidationError("macro stepping supports implicit_euler only")
+    factor, system = macro_step_lu(ops, dt)
+    return DensityField(operators.solve_with_refinement(
+        factor, system, rho.values, "macro step"), eq.grid.x_grid)

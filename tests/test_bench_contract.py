@@ -48,8 +48,7 @@ def test_traced_kinetic_run_counts_every_wrap_point():
     # and one elliptic solve with four right-hand sides
     assert metrics["operators.elliptic_solves"] == samples
     # the bump datum is even: only the even sector is factored and solved
-    even = evolution.SectorLU(ops, "kinetic", 0.05, "implicit_euler",
-                              [1]).sector(1)[0]
+    even = evolution.SectorLU(ops, 0.05, "implicit_euler", [1]).sector(1)[0]
     assert metrics["evolution.lu_fill"] == even.L.nnz + even.U.nnz
     assert metrics["evolution.solves_per_step"] == 1.0
 
@@ -123,8 +122,7 @@ def test_traced_krylov_run_factors_once_and_solves_less_than_it_steps():
     # one by one, and one solve for the second window (18 vectors, 18
     # samples), read in its basis
     assert metrics["operators.elliptic_solves"] == 1 + 22 + 1
-    even = evolution.SectorLU(ops, "kinetic", 0.25, "implicit_euler",
-                              [1]).sector(1)[0]
+    even = evolution.SectorLU(ops, 0.25, "implicit_euler", [1]).sector(1)[0]
     assert metrics["evolution.lu_fill"] == even.L.nnz + even.U.nnz
 
 

@@ -21,14 +21,15 @@ from kfplab import (
     initial_shifted_gaussian,
     run_trajectory,
 )
-from kfplab import evolution, hypo, operators
+from kfplab import evolution, hypo, operators, spectral
 from kfplab.evolution import (SectorLU, _advance, _reversal_symmetric,
                               _step_matrices, fold, fold_sector, unfold)
 from kfplab.operators import SPLU_OPTIONS
 
 from conftest import make_problem
-from field_oracle import (macro_profile, norm_mu, step_kinetic, step_macro,
-                          total_mass, weighted_moment)
+from field_oracle import (macro_profile, macro_step_lu, norm_mu,
+                          step_kinetic, step_macro, total_mass,
+                          weighted_moment)
 
 
 # ---------------------------------------------------------------------------
@@ -120,8 +121,8 @@ def test_kinetic_lu_fill_below_colamd(quadrants):
     rng = np.random.default_rng(7)
     for key, (_, _, _, ops) in quadrants.items():
         for dt in (1.0, 0.05):
-            system, _ = _step_matrices(ops, "kinetic", dt, "implicit_euler")
-            lu = SectorLU(ops, "kinetic", dt, "implicit_euler",
+            system, _ = _step_matrices(ops, dt, "implicit_euler")
+            lu = SectorLU(ops, dt, "implicit_euler",
                           fold(rng.standard_normal(system.shape[0])))
             assert sorted(lu.lus) == [-1, 1]
             fills = [f.L.nnz + f.U.nnz for f in lu.lus.values()]
@@ -134,13 +135,12 @@ def test_kinetic_lu_fill_below_colamd(quadrants):
                 assert share <= 0.55, (key, dt, share)
 
 
-def test_sector_lu_matches_full_solve(quadrants, strong_weak):
-    # implicit Euler on every quadrant and a macro system, Crank-Nicolson on
-    # every quadrant: the folded sector solves against the full system
-    steps = [(ops, "kinetic", 0.05, scheme)
+def test_sector_lu_matches_full_solve(quadrants):
+    # implicit Euler and Crank-Nicolson on every quadrant: the folded
+    # sector solves against the full system
+    steps = [(ops, 0.05, scheme)
              for _, _, _, ops in quadrants.values()
              for scheme in ("implicit_euler", "crank_nicolson")]
-    steps.append((strong_weak[3], "macro", 0.2, "implicit_euler"))
     for i, step in enumerate(steps):
         system, rhs_mat = _step_matrices(*step)
         lu = SectorLU(*step, (1, -1))
@@ -223,7 +223,7 @@ def test_sector_lu_rejects_a_system_without_reflection_symmetry(
     lopsided[0, 0] *= 1.5
     bent = dataclasses.replace(ops, L_hat=lopsided.tocsr())
     with pytest.raises(NumericalError, match="reflection"):
-        SectorLU(bent, "kinetic", 0.05, "implicit_euler", [1])
+        SectorLU(bent, 0.05, "implicit_euler", [1])
 
 
 def _mirrored_9x9():
@@ -513,7 +513,7 @@ def _field_reference_record(f0, schedule, eq, ops, delta, moment_powers):
 
     sample(0.0, q)
     parts = fold(q)
-    lu = SectorLU(ops, "kinetic", dt, "implicit_euler", parts)
+    lu = SectorLU(ops, dt, "implicit_euler", parts)
     for n in range(1, n_steps + 1):
         parts = _advance(parts, lu, "kinetic step")
         if n % stride == 0 or n == n_steps:
@@ -579,7 +579,8 @@ def test_one_pass_sampler_matches_the_field_reference_loop(delta,
 
 def test_odd_data_factor_only_the_odd_sector(strong_strong, monkeypatch):
     # f - f_star of odd_v and rho - rho_star of macro_bump are exactly odd
-    # under the reflection, so neither run factors or solves the even sector
+    # under the reflection, so the kinetic run factors and solves only the
+    # odd sector; the macro run, read in closed form, factors nothing
     _, _, eq, ops = strong_strong
     made = []
 
@@ -602,7 +603,7 @@ def test_odd_data_factor_only_the_odd_sector(strong_strong, monkeypatch):
                        rtol=1e-15, atol=0.0)
     run_trajectory(f0, (0.05, 0.5, 5), "kinetic", eq, ops, delta=0.3)
     run_trajectory(rho0, (0.05, 0.5, 5), "macro", eq, ops)
-    assert [sorted(lu.lus) for lu in made] == [[-1], [-1]]
+    assert [sorted(lu.lus) for lu in made] == [[-1]]
 
 
 def test_non_finite_sample_aborts_the_run(strong_strong, monkeypatch):
@@ -683,25 +684,117 @@ def test_kinetic_tracks_macro_in_diffusion_scaling(strong_strong):
     errs = []
     wrho = xg.weights * eq.rho_star.values
     # both flows step through one factored system each, built once: the
-    # sector parts of q = f / sqrt(f_star) and of rho, as step_kinetic and
-    # step_macro advance them
-    q_parts, rho_parts = fold(f.values.ravel() / ops.sqrt_f), fold(rho.values)
-    kinetic = SectorLU(scaled, "kinetic", dt, "implicit_euler", q_parts)
-    macro = SectorLU(ops, "macro", dt, "implicit_euler", rho_parts)
+    # sector parts of q = f / sqrt(f_star), as step_kinetic advances them,
+    # and rho through the oracle's LU of I - dt G, as step_macro solves it
+    q_parts, rho = fold(f.values.ravel() / ops.sqrt_f), rho.values
+    kinetic = SectorLU(scaled, dt, "implicit_euler", q_parts)
+    macro = macro_step_lu(ops, dt)
     for n in range(1, 401):
         q_parts = _advance(q_parts, kinetic, "kinetic step")
-        rho_parts = _advance(rho_parts, macro, "macro step")
+        rho = operators.solve_with_refinement(*macro, rho, "macro step")
         if n % 80 == 0:  # t = 0.4, 0.8, ..., 2.0
             q = unfold(q_parts, ops.sqrt_f.size)
             f = Field((q * ops.sqrt_f).reshape(grid.shape), grid)
             u_kin = macro_profile(f, eq).values
-            u_mac = unfold(rho_parts, xg.count) / eq.rho_star.values
+            u_mac = rho / eq.rho_star.values
             dev_kin = u_kin - np.sum(wrho * u_kin) / np.sum(wrho)
             dev_mac = u_mac - np.sum(wrho * u_mac) / np.sum(wrho)
             num = np.sqrt(np.sum(wrho * (dev_kin - dev_mac) ** 2))
             den = np.sqrt(np.sum(wrho * dev_mac ** 2))
             errs.append(num / den)
     assert max(errs) <= 0.10, errs
+
+
+# ---------------------------------------------------------------------------
+# macro samples in closed form
+# ---------------------------------------------------------------------------
+
+def _oracle_macro_samples(y0, ops, schedule):
+    """{n: y after n steps} at the sampled steps of schedule, stepped on the
+    oracle's own LU of I - dt G."""
+    dt, t_final, stride = schedule
+    n_steps = evolution.step_count(dt, t_final)
+    factor, system = macro_step_lu(ops, dt)
+    y, out = y0, {}
+    for n in range(1, n_steps + 1):
+        y = operators.solve_with_refinement(factor, system, y, "macro step")
+        if n % stride == 0 or n == n_steps:
+            out[n] = y
+    return out
+
+
+def _closed_form_samples(y0, eq, ops, schedule):
+    dt, t_final, stride = schedule
+    n_steps = evolution.step_count(dt, t_final)
+    return dict(evolution._macro_states(y0, eq, ops, dt, n_steps, stride))
+
+
+def test_macro_closed_form_matches_oracle_stepping(weak_weak, monkeypatch):
+    # criterion 5's heat decay on the zero-potential box (481 nodes, 1200
+    # steps, a kernel mode that carries the mass) and q_a0.5_b0.5_macro's
+    # run (193 nodes, 400 steps of dt = 1), whose fastest modes fall below
+    # the floor: every sample agrees with the oracle's stepping
+    zero = make_problem("zero", 2.0, 12.0, 481, 8.0, 65)[2:]
+    rho0 = initial_macro_gaussian(zero[0].grid.x_grid, s0=2.0).values
+    eq, ops = weak_weak[2:]
+    bump = initial_macro_bump(eq, 0.5).values - eq.rho_star.values
+    modes = _spy(monkeypatch, evolution, "eigh_tridiagonal")
+    for (eq, ops), y0, schedule in [(zero, rho0, (0.0025, 3.0, 40)),
+                                    ((eq, ops), bump, (1.0, 400.0, 8))]:
+        got = _closed_form_samples(y0, eq, ops, schedule)
+        ref = _oracle_macro_samples(y0, ops, schedule)
+        assert sorted(got) == sorted(ref)
+        for n, y in ref.items():
+            err = np.linalg.norm(got[n] - y) / np.linalg.norm(y)
+            assert err <= 1e-12, (schedule, n, err)
+    lam = modes[-1][1][0]
+    assert -np.log1p(-lam[0]) * 400 < evolution._MACRO_FLOOR
+
+
+def test_a_macro_run_factors_and_solves_nothing(strong_strong, monkeypatch):
+    _, _, eq, ops = strong_strong
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("a macro run factored or solved")
+
+    for owner, name in ((evolution, "SectorLU"), (evolution, "splu"),
+                        (evolution, "solve_with_refinement"),
+                        (operators, "solve_with_refinement")):
+        monkeypatch.setattr(owner, name, refuse)
+    rec = run_trajectory(initial_macro_bump(eq, 0.5), (0.05, 2.0, 4),
+                         "macro", eq, ops)
+    assert rec.times.size == 11
+
+
+def test_macro_slowest_mode_is_the_predicted_rate(quadrants, monkeypatch):
+    # -2 x the slowest nonzero eigenvalue of the closed form is 2 sigma
+    # lambda, lambda the pencil behind run_scenario's predicted macro rate
+    modes = _spy(monkeypatch, evolution, "eigh_tridiagonal")
+    for key, (_, grid, eq, ops) in quadrants.items():
+        y0 = initial_macro_bump(eq, 0.5).values - eq.rho_star.values
+        _closed_form_samples(y0, eq, ops, (0.05, 0.05, 1))
+        lam = modes[-1][1][0]
+        m = grid.x_grid.weights * eq.rho_star.values
+        rate = (2.0 * eq.sigma_normalized
+                * spectral.pencil_min_eig(ops.Sx_macro, m, m))
+        assert -2.0 * lam[-2] == pytest.approx(rate, rel=1e-10), key
+
+
+def test_macro_closed_form_refuses_a_generator_it_cannot_read(strong_strong):
+    # D G D^-1 not symmetric, or an eigenvalue above 0: the run aborts at
+    # its first state with the initial sample as its partial record
+    _, _, eq, ops = strong_strong
+    gen = ops.macro_generator
+    skewed = gen.tolil()
+    skewed[10, 11] *= 1.01
+    growing = gen + 1e-3 * abs(gen).max() * sp.identity(gen.shape[0])
+    for bad, match in ((skewed, "self-adjoint"), (growing, "above 0")):
+        broken = dataclasses.replace(ops, macro_generator=bad.tocsr())
+        with pytest.raises(NumericalError, match=match) as err:
+            run_trajectory(initial_macro_bump(eq, 0.5), (0.05, 1.0, 4),
+                           "macro", eq, broken)
+        assert err.value.last_good_time == 0.0
+        assert list(err.value.partial_record.times) == [0.0]
 
 
 # ---------------------------------------------------------------------------
@@ -830,7 +923,7 @@ def test_a_sector_over_its_solve_budget_steps_the_rest(strong_strong,
     assert windows == [(16, 1), (16, 1)]
     assert solves == 2 * 16 + 190
     # I - 4 dt G, I - dt G; the last one is the reference's
-    assert [args[2] for args, _ in lus] == [0.2, 0.05, 0.05]
+    assert [args[1] for args, _ in lus] == [0.2, 0.05, 0.05]
     assert _worst_relative_gap(got, ref) <= 1e-10
 
 
@@ -845,7 +938,7 @@ def test_a_rough_datum_loses_at_most_a_cap_per_sector(strong_strong,
     parts = _tracked_parts(f0, eq, ops)
     gamma = evolution._krylov_shift(parts, ops, dt)
     assert gamma == 4 * dt
-    factors = SectorLU(ops, "kinetic", gamma, "implicit_euler", parts).lus
+    factors = SectorLU(ops, gamma, "implicit_euler", parts).lus
     caps = [min(evolution._MAX_BASIS, factors[sign].nnz // part.size)
             for sign, part in parts.items()]
     assert len(caps) == 2
@@ -935,9 +1028,9 @@ def test_a_window_that_cannot_agree_above_four_dt_retries_at_four_dt(
     factored = []
     real_lu = evolution.SectorLU
 
-    def recording(ops, mode, shift, scheme, signs):
+    def recording(ops, shift, scheme, signs):
         factored.append((shift, list(signs)))
-        return real_lu(ops, mode, shift, scheme, signs)
+        return real_lu(ops, shift, scheme, signs)
 
     monkeypatch.setattr(evolution, "SectorLU", recording)
     got, ref, _, windows = _krylov_and_stepped(f0, (dt, 8.0, 4), eq, ops,

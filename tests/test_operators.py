@@ -364,11 +364,10 @@ def _sparse_reference(eq):
     }
 
 
-def _step_reference(matrices, mode, dt, scheme):
-    """(system, rhs_mat) of one step by sparse sums of the reference
+def _step_reference(matrices, dt, scheme):
+    """(system, rhs_mat) of one kinetic step by sparse sums of the reference
     generator, as _step_matrices documents them."""
-    gen = (matrices["L_hat"] - matrices["T_hat"] if mode == "kinetic"
-           else matrices["macro_generator"])
+    gen = matrices["L_hat"] - matrices["T_hat"]
     eye = sp.identity(gen.shape[0], format="csr")
     if scheme == "implicit_euler":
         return eye - dt * gen, None
@@ -441,12 +440,10 @@ def test_diagonal_assembly_matches_kron_reference(quadrants):
 def test_step_sectors_match_fold_reference(quadrants):
     # the step systems formed in place on copies of the stored generators
     # and their index-arithmetic folds equal the sparse sums and the
-    # slice-and-hstack folds: kinetic implicit Euler, Crank-Nicolson with its
-    # folded right-hand side, and macro, in both sectors; the stored
-    # operators, shared by every later run on the problem, are left as built
-    cases = (("kinetic", 0.05, "implicit_euler"),
-             ("kinetic", 0.05, "crank_nicolson"),
-             ("macro", 0.2, "implicit_euler"))
+    # slice-and-hstack folds: kinetic implicit Euler and Crank-Nicolson with
+    # its folded right-hand side, in both sectors; the stored operators,
+    # shared by every later run on the problem, are left as built
+    cases = ((0.05, "implicit_euler"), (0.05, "crank_nicolson"))
     for key, (_, _, eq, ops) in _reference_problems(quadrants).items():
         ref = _sparse_reference(eq)
         for case in cases:
@@ -474,9 +471,8 @@ def test_kinetic_lu_fill_matches_kron_reference(quadrants):
     # a change of the step pattern or its index order would change the
     # fill-reducing ordering, and show only as a slower kinetic solve
     for key, (_, _, eq, ops) in quadrants.items():
-        even = SectorLU(ops, "kinetic", 0.05, "implicit_euler",
-                        [1]).sector(1)[0]
-        ref_system, _ = _step_reference(_sparse_reference(eq), "kinetic",
-                                        0.05, "implicit_euler")
+        even = SectorLU(ops, 0.05, "implicit_euler", [1]).sector(1)[0]
+        ref_system, _ = _step_reference(_sparse_reference(eq), 0.05,
+                                        "implicit_euler")
         ref = splu(_fold_reference(ref_system, 1), **SPLU_OPTIONS)
         assert even.L.nnz + even.U.nnz == ref.L.nnz + ref.U.nnz, key

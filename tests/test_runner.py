@@ -198,6 +198,56 @@ def test_run_scenario_envelope_dominates(tiny_bundle):
     assert np.all(rec.norm_sq_mu <= rec.envelope * (1.0 + 1e-9))
 
 
+# the two macro configs of the benchmark's quadrant sweep in the
+# exponential regime (alpha = 2 on 65 x-nodes, X = 8)
+_MACRO_EXPONENTIAL = {
+    "q_a2_b2_macro": {"beta": "2", "grid.v_half_width": "8",
+                      "grid.nv": "65", "grid.truncation_tol": "1e-8",
+                      "schedule.dt": "0.05", "schedule.t_final": "10",
+                      "schedule.sample_stride": "5"},
+    "q_a2_b0.5_macro": {"beta": "0.5", "grid.v_half_width": "48",
+                        "grid.nv": "193", "grid.truncation_tol": "1e-5",
+                        "schedule.dt": "0.2", "schedule.t_final": "20",
+                        "schedule.sample_stride": "2"},
+}
+_MACRO_BASE = {"mode": "macro", "potential.alpha": "2",
+               "grid.x_half_width": "8", "grid.nx": "65"}
+
+
+@pytest.mark.parametrize("name", sorted(_MACRO_EXPONENTIAL))
+def test_macro_envelope_bounds_every_implicit_euler_sample(name):
+    # implicit-Euler samples decay more slowly than e^{-r t}; the envelope
+    # norm0 (1 + dt r/2)^(-2n) bounds them, and the squared norm decays at
+    # the implicit-Euler rate 2 log1p(dt r/2) / dt
+    config = ScenarioConfig(dict(_MACRO_BASE, name=name,
+                                 **_MACRO_EXPONENTIAL[name]))
+    bundle = run_scenario(config)
+    assert (bundle.status, bundle.summary["regime"]) == ("ok", "exponential")
+    rec = bundle.record
+    assert np.all(rec.norm_sq_mu <= rec.envelope * (1.0 + 1e-9))
+    rate, dt = bundle.summary["predicted_exponent_or_rate"], config.dt
+    assert bundle.summary["fitted_value"] == pytest.approx(
+        2.0 * np.log1p(0.5 * dt * rate) / dt, rel=1e-6)
+
+
+def test_macro_gaussian_on_an_integrable_branch_keeps_no_kernel_mass():
+    # rescaled to the equilibrium mass, rho - rho_star carries none that
+    # could stall the decay, and the fit reaches the predicted rate
+    config = ScenarioConfig(dict(
+        _MACRO_BASE, **dict(_MACRO_EXPONENTIAL["q_a2_b2_macro"],
+                            **{"initial.kind": "macro_gaussian",
+                               "schedule.t_final": "20"})))
+    problem = runner.certified_problem(config)
+    eq = problem[2]
+    wx = eq.grid.x_grid.weights
+    rho0 = runner.make_initial_state(config, eq)
+    assert wx @ rho0.values == pytest.approx(wx @ eq.rho_star.values,
+                                             rel=1e-14)
+    summary = run_scenario(config, problem).summary
+    assert summary["status"] == "ok"
+    assert summary["fitted_value"] >= summary["predicted_exponent_or_rate"]
+
+
 def test_emit_report_csv_and_json(tiny_bundle, tmp_path):
     csv_path, json_path = emit_report(tiny_bundle, str(tmp_path))
     lines = _read(csv_path).splitlines()
@@ -945,10 +995,13 @@ def test_cli_run_with_an_overflowing_sample_fails_in_one_line(tmp_path,
                                                              capsys):
     # s0 = 1e-320 gives a finite datum (about 4e159 at the centre) whose
     # squared norm overflows: the first sample aborts the run before any
-    # step, which writes a failed bundle with no rows and exits 2. In
+    # step, which writes a failed bundle with no rows and exits 2. The
+    # potential is zero, so no equilibrium mass rescales the datum. In
     # process, so any numpy warning on the way (an error under pytest)
     # fails the test.
-    cfg = _write(tmp_path, "overflow.cfg", _EXTREME_BASE + (
+    base = _EXTREME_BASE.replace("potential.alpha = 2",
+                                 "potential.x_mode = zero")
+    cfg = _write(tmp_path, "overflow.cfg", base + (
         "mode = macro\ninitial.kind = macro_gaussian\ninitial.s0 = 1e-320\n"))
     out = str(tmp_path / "out")
     capsys.readouterr()
@@ -978,6 +1031,26 @@ def test_cli_refuses_an_unknown_scheme_before_set_up(tmp_path, capsys,
     err = capsys.readouterr().err
     assert err == ("validation error: scheme must be 'implicit_euler' or "
                    "'crank_nicolson'\n"), err
+    assert not os.path.exists(out)
+
+
+def test_cli_refuses_a_macro_crank_nicolson_run_in_one_line(tmp_path,
+                                                            capsys,
+                                                            monkeypatch):
+    # macro runs take implicit Euler only: refused when the config is read
+    def no_build(config):
+        raise AssertionError("build_problem ran for a macro Crank-Nicolson "
+                             "config")
+
+    monkeypatch.setattr(runner, "build_problem", no_build)
+    cfg = _write(tmp_path, "cn.cfg", _EXTREME_BASE
+                 + "mode = macro\nscheme = crank_nicolson\n")
+    out = str(tmp_path / "out")
+    capsys.readouterr()
+    assert main(["run", cfg, "--out", out]) == 1
+    err = capsys.readouterr().err
+    assert err == ("validation error: scheme = crank_nicolson is "
+                   "kinetic-only; macro runs use implicit_euler\n"), err
     assert not os.path.exists(out)
 
 
