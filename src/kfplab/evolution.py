@@ -111,16 +111,17 @@ its m rows: its Gram products cost less than forming and reading S samples.
 Every other sample (the initial one, each stepped one, each of a window
 with S < m) arrives as formed sector parts, and each part p is the one-row
 window of the row p / ||p||_mu with the coefficient ||p||_mu. Once per
-window come the m x m forms -V M_L V^T (M_L = W L_hat folded onto the
-sector; for one row its v-flux sum of squares, hypo.minus_lf_f, which keeps
-the digits the folded form's cancellation loses where D is small against
-||L|| ||q||^2) and V diag(d) V^T for each moment weight d, the moments'
-linear terms, the four profiles of each row with one elliptic solve of 4m
-right-hand sides, the mass functional V m and the max-principle weights
-a_j = max_i |V_ji| s_i. Per block of up to 32 samples come, as arrays,
-||q||_mu^2 = ||c||^2, -<Lf, f>_mu and the moments as quadratic forms in c,
-the profiles and elliptic solutions as c-combinations, and H and D from
-one hypo.entropy_and_dissipation_from call. With more than one row each
+window come the m x m forms Y Y^T and V diag(d) V^T for each moment weight
+d, the moments' linear terms, the four profiles of each row with one
+elliptic solve of 4m right-hand sides, the mass functional V m and the
+max-principle weights a_j = max_i |V_ji| s_i. Row j of Y holds the v-flux
+images of row j of V, whose squares sum to -<Lf, f>_mu (hypo.minus_lf_f):
+sqrt(wx_i) v_gradient p_i for each x-row p_i, i < nx // 2, and its mirror,
+then the middle x-row's on the full grid (_flux_gram).
+Per block of up to 32 samples come, as arrays, ||q||_mu^2 = ||c||^2,
+-<Lf, f>_mu and the moments as quadratic forms in c, the profiles and
+elliptic solutions as c-combinations, and H and D from one
+hypo.entropy_and_dissipation_from call. With more than one row each
 combined residual is checked against 1e-10 of its right-hand side, and a
 sample that fails is solved again on its own; a one-row window's samples
 are multiples of its row, whose solve passed that check. The window keeps,
@@ -170,6 +171,7 @@ _MASS_TOL = 1e-9
 _MAXP_TOL = 1e-6
 _BOUND_MAX = 1.0 - 1e-9    # the largest max-principle bound that certifies
 _MAX_SAMPLES = 10 ** 6     # samples per run at most
+_LOG_MAX = math.log(np.finfo(float).max)
 
 
 class TrajectoryRecord:
@@ -425,11 +427,12 @@ def initial_shifted_gaussian(eq, center=(0.5, 0.5), width=1.0, clip_factor=4.0):
     if width <= 0 or clip_factor <= 0:
         raise ValidationError("width and clip_factor must be positive")
     xg, vg = eq.grid.x_grid, eq.grid.v_grid
-    # a far center or a vanishing width gives exp(-inf) = 0 off the center
-    # (NaN at a node on it when width^2 underflows); the mass test catches both
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        gx = np.exp(-((xg.nodes - center[0]) ** 2) / (2.0 * width ** 2))
-        gv = np.exp(-((vg.nodes - center[1]) ** 2) / (2.0 * width ** 2))
+    # -((z - c) / width)^2 / 2 in numpy: a far center or a vanishing width
+    # gives exp(-inf) = 0 off the center, which the mass test catches, and a
+    # huge width a flat datum, where width^2 in Python floats would raise
+    with np.errstate(over="ignore"):
+        gx = np.exp(-0.5 * ((xg.nodes - center[0]) / width) ** 2)
+        gv = np.exp(-0.5 * ((vg.nodes - center[1]) / width) ** 2)
     raw = np.outer(gx, gv)
     raw = np.minimum(raw, clip_factor * eq.f_star.values)
     mass_raw = float(np.sum(eq.grid.weight_matrix * raw))
@@ -515,7 +518,8 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     the equilibrium is integrable, else the raw state; moments and the
     maximum principle always refer to the physical, untracked solution. The
     record's envelope column is NaN until the caller sets it. A negative
-    moment power is refused before anything else is built. A failed solve,
+    moment power, or one whose weight <x>^k or <v>^l is not finite at the
+    box edge, is refused before anything else is built. A failed solve,
     NaN or mass drift, or a sample that is not finite, aborts with a
     NumericalError carrying .last_good_time and the .partial_record of the
     samples taken so far (none if the initial sample fails).
@@ -531,6 +535,16 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     j_powers, k_powers = moment_powers
     if min(tuple(j_powers) + tuple(k_powers), default=0.0) < 0:
         raise ValidationError("moment power must be >= 0")
+    for name, powers, grid in (("x", j_powers, eq.grid.x_grid),
+                               ("v", k_powers, eq.grid.v_grid)):
+        # log <z>^k at the box edge, formed without squaring the edge
+        edge = math.log(math.hypot(1.0, grid.half_width))
+        for k in powers:
+            if not k * edge <= _LOG_MAX:
+                raise ValidationError(
+                    "%s-moment power %r: its weight <%s>^k overflows at the "
+                    "box edge |%s| = %g" % (name, k, name, name,
+                                            grid.half_width))
     # check(state): (finite, mass) of a state the loop meets; evaluate(state):
     # (values, finite) of a sample; first: the sample at t = 0
     if mode == "kinetic":
@@ -923,7 +937,7 @@ class _Window:
 
 class _WindowSampler:
     """The kinetic diagnostics of every sample, read in a sector basis as
-    q = c V (module notes). A sector's forms are built at its first window.
+    q = c V (module notes). A sector's weights are built at its first window.
     """
 
     def __init__(self, eq, ops, delta, moment_weights, n_j, max_ok, ratio):
@@ -936,7 +950,11 @@ class _WindowSampler:
         self._amplitude = (min(ratio - 1.0, 1.0)
                            if eq.integrable and ratio >= 1.0 else None)
         self._sectors = {}
-        self._folded_l = {}
+        # sqrt(wx_i) times v_gradient's diagonals 0 and 1, one row per x-row
+        # i <= nx // 2: the v-flux image of x-row i is two products and a sum
+        root = np.sqrt(eq.grid.x_grid.weights[:eq.grid.shape[0] // 2 + 1])
+        self._flux = tuple(root[:, None] * ops.v_gradient.diagonal(k)
+                           for k in (0, 1))
         # the moments' constant terms: p^2 = q^2 + 2 q sqrt(f_star) + f_star
         moments = [0.0] * len(moment_weights)
         if eq.integrable:
@@ -975,29 +993,29 @@ class _WindowSampler:
             self._sectors[sign] = (weights, linear, mass, bound)
         return self._sectors[sign]
 
-    def _l_gram(self, sign, basis):
-        """V (-W L_hat) V^T, the m x m Gram form of -<Lf, f>_mu in the rows
-        V of basis (m > 1), from -W L_hat folded onto the sector, built at
-        the sector's first such window, a few rows at a time."""
-        ops = self._ops
-        n, m = ops.sqrt_f.size, basis.shape[0]
-        if sign not in self._folded_l:
-            # -W L_hat's first n_sector rows, all fold_sector reads, from
-            # slices of L_hat's arrays: the row slice L_hat[:size] would
-            # raise tail_257's peak RSS by 2 MB
-            size = basis.shape[1]
-            indptr = ops.L_hat.indptr[:size + 1]
-            end = indptr[-1]
-            data = ops.L_hat.data[:end] * np.repeat(-ops.w_flat[:size],
-                                                    np.diff(indptr))
-            self._folded_l[sign] = fold_sector(sp.csr_matrix(
-                (data, ops.L_hat.indices[:end], indptr), shape=(size, n)),
-                sign)
-        minus_l = self._folded_l[sign]
-        gram = np.empty((m, m))
-        for first in range(0, m, _BLOCK):
-            rows = basis[first:first + _BLOCK]
-            gram[:, first:first + rows.shape[0]] = basis @ (minus_l @ rows.T)
+    def _flux_gram(self, sign, basis):
+        """Y Y^T, the m x m Gram form of -<Lf, f>_mu in the sector rows of
+        basis, row j of Y holding row j's v-flux images (module notes), from
+        chunks of x-rows of at most _BLOCK rows' worth of images each."""
+        nx, nv = self._eq.grid.shape
+        mid, c = nx // 2, nv // 2
+        m = basis.shape[0]
+        step = max(1, _BLOCK * mid // m)
+        rows = basis[:, :mid * nv].reshape(m, mid, nv)
+        # the middle x-row on the full grid is (h, centre, sign h reversed);
+        # the odd sector's centre is 0, so no flux square sees the sign
+        middle = np.zeros((m, 1, nv))
+        middle[:, 0, :c] = basis[:, mid * nv:mid * nv + c] / _SQRT2
+        if sign > 0:
+            middle[:, 0, c] = basis[:, -1]
+        middle[:, 0, c + 1:] = middle[:, 0, c - 1::-1]
+        gram = np.zeros((m, m))
+        for first in list(range(0, mid, step)) + [mid]:
+            chunk = rows[:, first:first + step] if first < mid else middle
+            faces = slice(first, first + chunk.shape[1])
+            image = (chunk[..., :-1] * self._flux[0][faces]
+                     + chunk[..., 1:] * self._flux[1][faces]).reshape(m, -1)
+            gram += image @ image.T
         return gram
 
     def one_row(self, sign, part):
@@ -1025,15 +1043,7 @@ class _WindowSampler:
         n_forms = 1 + len(weights)
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             grams = np.empty((n_forms, m, m))
-            # the rows on the full grid, for their profiles; one row is
-            # unfolded once, and its -<Lf, f> is its v-flux sum of squares
-            n = ops.sqrt_f.size
-            if m == 1:
-                unfolded = [unfold({sign: basis[0]}, n)]
-                grams[0] = hypo.minus_lf_f(unfolded[0], self._eq, ops)
-            else:
-                unfolded = (unfold({sign: row}, n) for row in basis)
-                grams[0] = self._l_gram(sign, basis)
+            grams[0] = self._flux_gram(sign, basis)
             reach = np.full(m, np.inf)
             for first in range(0, m, _BLOCK):
                 rows = basis[first:first + _BLOCK]
@@ -1044,7 +1054,8 @@ class _WindowSampler:
                     reach[cols] = np.max(np.abs(rows) * bound, axis=1)
             linear = linear @ basis.T
             if delta != 0.0:
-                pieces = self._row_pieces(unfolded)
+                pieces = self._row_pieces(unfold({sign: row}, ops.sqrt_f.size)
+                                          for row in basis)
             shares = np.empty((n_forms + 3, count))
             for first in range(0, count, _WINDOW_SAMPLES):
                 c = coeffs[:, first:first + _WINDOW_SAMPLES]

@@ -1187,13 +1187,18 @@ def _basis_windows(windows):
     # each sector's first window agrees on 10 samples with 32 vectors and
     # is formed; each second window is read in its basis
     ("shifted_gaussian", 0.3, [(29, 30), (24, 30)]),
+    # at delta = 0, D is -<Lf, f> alone, small against ||L|| ||q||^2 late
+    # in the run: its gap is 1.4e-13 (7.0e-13 with -W L_hat folded onto
+    # the sector as the Gram form)
+    ("shifted_gaussian", 0.0, [(29, 30), (24, 30)]),
 ])
 def test_basis_windows_match_the_per_state_sampler(strong_strong,
                                                    shift_at_four_dt, kind,
                                                    delta, windows_read,
                                                    monkeypatch):
     # 200 steps on 65^2, 40 samples; the reference forms every window's
-    # samples and reads each one on its own, as a one-row window
+    # samples and reads each one on its own, as a one-row window; every
+    # column agrees to 1e-12, and D to 3e-13
     _, _, eq, ops = strong_strong
     f0 = _DATA[kind](eq)
     schedule, powers = (0.05, 10.0, 5), ((2, 4), (2, 3))
@@ -1206,6 +1211,39 @@ def test_basis_windows_match_the_per_state_sampler(strong_strong,
     assert _basis_windows(windows) == windows_read
     assert got.times.size == 41
     assert _worst_relative_gap(got, ref) <= 1e-12
+    assert np.max(np.abs(got.dissipation_D - ref.dissipation_D)
+                  / np.abs(ref.dissipation_D)) <= 3e-13
+
+
+def test_flux_gram_matches_the_folded_collision_form(monkeypatch):
+    # the shifted Gaussian's run on 33^2 reads one window of each sector in
+    # its Krylov basis; the flux Gram form of the rows equals V (-W L_hat) V^T
+    # with -W L_hat folded onto the sector, and a single row's equals the
+    # v-flux sum of squares of the row on the full grid
+    _, _, eq, ops = make_problem("power", 2.0, 8.0, 33, 8.0, 33, alpha=2.0)
+    real = evolution._WindowSampler.window
+    bases = []
+
+    def recording(sampler, sign, basis, coeffs):
+        bases.append((sampler, sign, basis.copy()))
+        return real(sampler, sign, basis, coeffs)
+
+    monkeypatch.setattr(evolution._WindowSampler, "window", recording)
+    run_trajectory(initial_shifted_gaussian(eq), (0.05, 10.0, 5), "kinetic",
+                   eq, ops)
+    bases = [b for b in bases if b[2].shape[0] > 1]
+    assert sorted(sign for _, sign, _ in bases) == [-1, 1]
+    n = ops.sqrt_f.size
+    minus_wl = sp.diags(-ops.w_flat) @ ops.L_hat
+    for sampler, sign, basis in bases:
+        ref = basis @ (fold_sector(minus_wl, sign) @ basis.T)
+        gram = sampler._flux_gram(sign, basis)
+        assert np.max(np.abs(gram - ref)) <= 1e-12 * np.max(np.abs(ref))
+        for row in basis:
+            flux = hypo.minus_lf_f(unfold({sign: row}, n), eq, ops)
+            one = sampler._flux_gram(sign, row[None])
+            assert one.shape == (1, 1)
+            assert abs(one[0, 0] - flux) <= 1e-15 * flux
 
 
 def test_exp_dense_takes_h_and_d_once_per_block(monkeypatch):

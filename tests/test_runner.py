@@ -710,6 +710,16 @@ schedule.sample_stride = 1
     # a negative moment power, refused when the config is read
     ("mode = macro\nmoments.x = -1\n", 1, "validation error: moments.x = "),
     ("moments.v = -1\n", 1, "validation error: moments.v = "),
+    # width^2 overflows a Python float: the exponent is formed in numpy as
+    # -((z - c) / width)^2 / 2, so the datum is flat, and its run writes a
+    # report and fails the fit, as at width 1e154
+    ("initial.kind = shifted_gaussian\ninitial.width = 1e300\n", 2,
+     "scenario failed: norm series must be positive inside the window"),
+    # <x>^k overflows at the box edge X = 8, refused before the first sample
+    ("moments.x = 1e308\n", 1, "validation error: x-moment power 1e+308: "
+     "its weight <x>^k overflows at the box edge |x| = 8"),
+    ("mode = macro\nmoments.x = 1e308\n", 1,
+     "validation error: x-moment power 1e+308"),
 ])
 def test_cli_run_extreme_inputs_exit_in_one_line(tmp_path, capsys, extra,
                                                  code, prefix):
