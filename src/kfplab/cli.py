@@ -111,9 +111,11 @@ def run_check():
     def step_mass():
         q0 = evolution.initial_bump(eq, 0.5).values.ravel() / sqrt_f
         parts = evolution.fold(q0)
-        lu = evolution.SectorLU(ops, 0.05, "implicit_euler", parts)
-        q1 = evolution.unfold(evolution._advance(parts, lu, "kinetic step"),
-                              q0.size)
+        sectors = {sign: evolution.sector_lu(gen, 0.05, "implicit_euler")
+                   for sign, gen in evolution.sector_generators(
+                       ops, parts).items()}
+        q1 = evolution.unfold(evolution.advance(parts, sectors,
+                                                "kinetic step"), q0.size)
         m0, m1 = (float(np.sum(w * sqrt_f * q)) for q in (q0, q1))
         return _within(abs(m1 - m0), abs(m0), 1e-12)
 

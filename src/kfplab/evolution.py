@@ -18,14 +18,15 @@ is carried in orthonormal sector coordinates: the even part as
 (y_i - y_{n-1-i}) / sqrt(2) for i < m. The map is orthogonal, so each part's
 2-norm is the full-grid norm of the vector it stands for, and a residual
 check per sector certifies the same relative residual on the full grid.
-Each sector matrix is folded and factored on its own, and only for a part
-that is nonzero; a part that is exactly zero stays zero and is never
-solved. Data with one parity (the bump is even, the odd_v deviation is
-odd) therefore factor and solve half the problem. Each call that steps
-factors its state's sectors up front (SectorLU) and drops the full-grid
-system; the operator set keeps no step factors. Between samples
-run_trajectory keeps only the parts; the full vector is rebuilt at sample
-times.
+A run forms the generator G = L_hat - T_hat once, checks its reflection
+symmetry and folds it onto the sectors its datum meets (sector_generators);
+every step system of the run, I - h G and Crank-Nicolson's I + h G, is a
+shifted copy of a sector generator, factored on its own (sector_lu). No
+full-grid step system is built, and the operator set keeps no step
+factors. A part that is exactly zero stays zero and is never folded or
+solved, so data with one parity (the bump is even, the odd_v deviation is
+odd) factor and solve half the problem. Between samples run_trajectory
+keeps only the parts; the full vector is rebuilt at sample times.
 
 Kinetic implicit-Euler runs longer than one basis cap are sampled from a
 Krylov space instead of stepped. With A = (I - gamma G)^-1 the step is
@@ -289,38 +290,6 @@ def _reversal_symmetric(matrix):
             and np.array_equal(matrix.data, matrix.data[::-1]))
 
 
-class SectorLU:
-    """The kinetic step system of (dt, scheme) on ops, factored per sector.
-
-    _step_matrices gives S, canonical CSR of odd order n = 2m + 1 with
-    S[::-1, ::-1] == S (else NumericalError, from _reversal_symmetric's
-    comparison of the CSR arrays), and Crank-Nicolson's rhs_mat with the
-    same symmetry. Each sign in signs (+1 even, -1 odd) is folded by
-    fold_sector from a copy of S's first half rows, kept as canonical CSR
-    for the residual checks and factored as CSC with SPLU_OPTIONS here, one
-    at a time; the full-grid system is then dropped. sector(sign) is that
-    sector's (factor, matrix, folded rhs_mat or None), lus maps each sign
-    to its LU.
-    """
-
-    def __init__(self, ops, dt, scheme, signs):
-        system, rhs_mat = _step_matrices(ops, dt, scheme)
-        if not _reversal_symmetric(system):
-            raise NumericalError("step system does not commute with the "
-                                 "reflection (x, v) -> (-x, -v)")
-        self._sectors = {}
-        self.lus = {}
-        for sign in signs:
-            matrix = fold_sector(system, sign)
-            folded_rhs = (None if rhs_mat is None
-                          else fold_sector(rhs_mat, sign))
-            self.lus[sign] = splu(matrix.tocsc(), **SPLU_OPTIONS)
-            self._sectors[sign] = (self.lus[sign], matrix, folded_rhs)
-
-    def sector(self, sign):
-        return self._sectors[sign]
-
-
 def check_scheme(scheme, mode="kinetic"):
     """ValidationError unless scheme names a time-stepping scheme that runs
     of mode take: macro runs take implicit_euler only."""
@@ -332,46 +301,51 @@ def check_scheme(scheme, mode="kinetic"):
                               "use implicit_euler" % scheme)
 
 
-def _step_matrices(ops, dt, scheme):
-    """(system, rhs_mat) of one implicit kinetic step, as canonical CSR
-    matrices (sorted indices, no stored zeros).
+def sector_generators(ops, signs):
+    """{sign: fold_sector(G, sign)} for each sign in signs (+1 even, -1
+    odd), G = L_hat - T_hat as canonical CSR; NumericalError unless
+    G[::-1, ::-1] == G (_reversal_symmetric). G is dropped once folded."""
+    gen = ops.L_hat - ops.T_hat
+    if not _reversal_symmetric(gen):
+        raise NumericalError("kinetic generator does not commute with the "
+                             "reflection (x, v) -> (-x, -v)")
+    return {sign: fold_sector(gen, sign) for sign in signs}
 
-    The generator G is L_hat - T_hat on q. Implicit Euler solves
-    (I - dt G) y_new = y (rhs_mat None); Crank-Nicolson solves
-    (I - dt/2 G) y_new = (I + dt/2 G) y. Each matrix is the sparse sum
-    I -+ h G of the stored generators, formed in place on the sparse
-    difference G or a copy of it.
-    """
+
+def sector_lu(gen, dt, scheme):
+    """(factor, matrix, rhs) of one kinetic step of (dt, scheme) on a
+    sector generator gen, left as it is: implicit Euler solves
+    (I - dt G) y_new = y (rhs None), Crank-Nicolson
+    (I - dt/2 G) y_new = (I + dt/2 G) y. matrix and rhs are shifted copies
+    of gen, canonical CSR, and factor is matrix's LU. Scaling by a power of
+    two h commutes with rounding, and no node is coupled to its mirror, so
+    there each is bit for bit the fold of the full-grid I -+ h G."""
     if dt <= 0:
         raise ValidationError("dt must be positive")
     check_scheme(scheme)
-    system = ops.L_hat - ops.T_hat
     h = dt if scheme == "implicit_euler" else 0.5 * dt
-    rhs_mat = None
-    if scheme == "crank_nicolson":
-        rhs_mat = _shifted(system.copy(), h)
-    return _shifted(system, -h), rhs_mat
+    rhs = None if scheme == "implicit_euler" else _shifted(gen.copy(), h)
+    matrix = _shifted(gen.copy(), -h)
+    return splu(matrix.tocsc(), **SPLU_OPTIONS), matrix, rhs
 
 
 def _shifted(gen, h):
-    """I + h gen in place in the canonical CSR matrix gen, bit for bit the
-    sparse sum. setdiag only overwrites: assemble refuses a nonpositive
-    rho_star or g_star, and each node's inner face weight is at least its
-    own, so no diagonal entry of a generator is zero."""
+    """I + h gen in place in the canonical CSR matrix gen. setdiag only
+    overwrites: assemble refuses a nonpositive rho_star or g_star, and each
+    node's inner face weight is at least its own, so no diagonal entry of a
+    generator, or of its folds, is zero."""
     gen.data *= h
     gen.setdiag(gen.diagonal() + 1.0)
     gen.eliminate_zeros()
-    # a sparse difference such as L_hat - T_hat leaves data and indices as
-    # views of a buffer sized for nnz(L_hat) + nnz(T_hat)
-    gen.data, gen.indices = gen.data.copy(), gen.indices.copy()
     return gen
 
 
-def _advance(parts, lu, what):
-    """The sector parts one step later, one solve per part."""
+def advance(parts, sectors, what):
+    """The sector parts one step later, one solve per part, sectors mapping
+    each part's sign to its sector_lu (factor, matrix, rhs)."""
     out = {}
     for sign, part in parts.items():
-        factor, matrix, rhs_mat = lu.sector(sign)
+        factor, matrix, rhs_mat = sectors[sign]
         rhs = part if rhs_mat is None else rhs_mat @ part
         out[sign] = solve_with_refinement(factor, matrix, rhs, what)
     return out
@@ -423,7 +397,8 @@ def initial_shifted_gaussian(eq, center=(0.5, 0.5), width=1.0, clip_factor=4.0):
 
     A rescaled datum above 2 * clip_factor * f_star is a ValidationError:
     clipping it again would lose mass, and f - f_star would then carry mass
-    that no decay removes."""
+    that no decay removes. So is a datum clipped at every node: rescaled,
+    it is f_star, and f - f_star is roundoff."""
     if width <= 0 or clip_factor <= 0:
         raise ValidationError("width and clip_factor must be positive")
     xg, vg = eq.grid.x_grid, eq.grid.v_grid
@@ -433,13 +408,18 @@ def initial_shifted_gaussian(eq, center=(0.5, 0.5), width=1.0, clip_factor=4.0):
     with np.errstate(over="ignore"):
         gx = np.exp(-0.5 * ((xg.nodes - center[0]) / width) ** 2)
         gv = np.exp(-0.5 * ((vg.nodes - center[1]) / width) ** 2)
-    raw = np.outer(gx, gv)
-    raw = np.minimum(raw, clip_factor * eq.f_star.values)
+    clip = clip_factor * eq.f_star.values
+    raw = np.minimum(np.outer(gx, gv), clip)
     mass_raw = float(np.sum(eq.grid.weight_matrix * raw))
     if not mass_raw > 0.0:
         raise ValidationError("shifted Gaussian at center %r, width %r has "
                               "no mass on the grid" % (tuple(center), width))
     if eq.integrable:
+        if np.array_equal(raw, clip):
+            raise ValidationError(
+                "shifted Gaussian at center %r, width %r is clipped at every "
+                "node: rescaled to the equilibrium mass it is f_star, with no "
+                "deviation to track; narrow it" % (tuple(center), width))
         mass_star = float(np.sum(eq.grid.weight_matrix * eq.f_star.values))
         raw = raw * (mass_star / mass_raw)
         if np.any(raw > 2.0 * clip_factor * eq.f_star.values):
@@ -532,6 +512,7 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     leaves ops as it found it, so runs can share one ops.
     """
     dt, n_steps, stride = _validate_schedule(schedule)
+    check_scheme(scheme, mode)
     j_powers, k_powers = moment_powers
     if min(tuple(j_powers) + tuple(k_powers), default=0.0) < 0:
         raise ValidationError("moment power must be >= 0")
@@ -548,15 +529,14 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
     # check(state): (finite, mass) of a state the loop meets; evaluate(state):
     # (values, finite) of a sample; first: the sample at t = 0
     if mode == "kinetic":
-        y, mass_w, mass_f0, sampler = _kinetic_sampler(
-            f0, eq, ops, delta, j_powers, k_powers)
+        y, mass_f0, sampler = _kinetic_sampler(f0, eq, ops, delta, j_powers,
+                                               k_powers)
         parts = fold(y)
-        mass_parts = fold(mass_w)   # mass(y) = sum of part . folded weights
 
-        def array_checks(parts):
+        def array_checks(parts):    # the odd sector has no mass
             return (all(np.all(np.isfinite(p)) for p in parts.values()),
-                    sum(float(mass_parts[sign] @ part)
-                        for sign, part in parts.items() if sign in mass_parts))
+                    sum(float(sampler._sector(sign)[2] @ part)
+                        for sign, part in parts.items() if sign > 0))
 
         first = sampler.read(parts)
         mass0 = array_checks(parts)[1]
@@ -567,12 +547,12 @@ def run_trajectory(f0, schedule, mode, eq, ops, delta=0.0,
             states = _krylov_states(parts, ops, dt, n_steps, stride, sampler)
             check, evaluate = _window_checks, sampler.values
         else:
-            # a bad scheme fails here
-            lu = SectorLU(ops, dt, scheme, parts)
-            states = _stepped_states(parts, lu, n_steps)
+            states = _stepped_states(parts, {
+                sign: sector_lu(gen, dt, scheme)
+                for sign, gen in sector_generators(ops, parts).items()},
+                n_steps)
             check, evaluate = array_checks, sampler.read
     elif mode == "macro":
-        check_scheme(scheme, mode)
         k_powers = ()       # densities carry no velocity moments
         y, mass_w, mass_f0, sample = _macro_sampler(f0, eq, ops, j_powers)
 
@@ -624,10 +604,11 @@ def _window_checks(items):
             sum(w.mass[k] for w, k in items.values()))
 
 
-def _stepped_states(parts, lu, n_steps):
-    """(n, parts after step n) for every kinetic step n of the run."""
+def _stepped_states(parts, sectors, n_steps):
+    """(n, parts after step n) for every kinetic step n of the run, sectors
+    mapping each part's sign to its sector_lu."""
     for n in range(1, n_steps + 1):
-        parts = _advance(parts, lu, "kinetic step")
+        parts = advance(parts, sectors, "kinetic step")
         yield n, parts
 
 
@@ -672,16 +653,17 @@ def _shift_floor(dt):
     return min(_SHIFT_STEPS * dt, max(2.0 * dt, 1.0))
 
 
-def _krylov_shift(parts, ops, dt):
+def _krylov_shift(parts, gens, ops, dt):
     """The shift gamma of a Krylov run from the datum with sector parts
     `parts`: max(floor, min(1/4, ||G q0||_mu / ||G^2 q0||_mu)), G = L_hat -
     T_hat, floor = _shift_floor(dt), and the floor when G q0 or G^2 q0 is
-    zero (module notes)."""
-    y = unfold(parts, ops.sqrt_f.size)
-    norms = []
-    for _ in range(2):
-        y = ops.L_hat @ y - ops.T_hat @ y
-        norms.append(np.sqrt(y @ (ops.w_flat * y)))
+    zero (module notes), formed on the sector generators gens."""
+    norms = np.zeros(2)
+    for sign, part in parts.items():
+        for k in range(2):
+            part = gens[sign] @ part
+            norms[k] += part @ (ops.w_flat[:part.size] * part)
+    norms = np.sqrt(norms)
     scale = min(_MAX_SHIFT, norms[0] / norms[1]) if norms[1] > 0.0 else 0.0
     return float(max(_shift_floor(dt), scale))
 
@@ -693,21 +675,19 @@ def _krylov_states(parts, ops, dt, n_steps, stride, windows):
     each part is (window, k), sample k of a window of windows (a
     _WindowSampler)."""
     sample_steps = _sample_steps(n_steps, stride)
-    gamma = _krylov_shift(parts, ops, dt)
-    lu = SectorLU(ops, gamma, "implicit_euler", parts)
-    sectors = [_krylov_part(sign, part, *lu.sector(sign)[:2], ops, dt, gamma,
+    gens = sector_generators(ops, parts)
+    gamma = _krylov_shift(parts, gens, ops, dt)
+    sectors = [_krylov_part(sign, part, gens.pop(sign), ops, dt, gamma,
                             sample_steps, windows)
                for sign, part in parts.items()]
-    del lu      # each sector holds its own factor, and drops it
     for n, *new in zip(sample_steps, *sectors):
         yield int(n), dict(zip(parts, new))
 
 
-def _krylov_part(sign, part, factor, matrix, ops, dt, gamma, steps,
-                 windows):
+def _krylov_part(sign, part, gen, ops, dt, gamma, steps, windows):
     """The sector part after each of the increasing step counts `steps` of
-    implicit Euler, sampled window by window from factor, the LU of the
-    sector's matrix I - gamma G.
+    implicit Euler, sampled window by window from the LU of I - gamma G,
+    G the sector's generator gen (each sector holds its own).
 
     Each window grows a basis from the last sample the previous one agreed
     on and yields the samples its approximations agree on as (window, k):
@@ -719,12 +699,13 @@ def _krylov_part(sign, part, factor, matrix, ops, dt, gamma, steps,
     run goes to the stepping loop, on a factor of I - dt G, when a window
     agrees on none at the floor, or once the solves on the current factor
     reach the steps its windows covered plus one cap (the solve budget).
-    The last window drops the factor before it is read, so that its forms
-    do not add to the factor's memory.
+    The last window drops gen and the factor before it is read, so that
+    its forms do not add to the factor's memory.
     """
     # w_flat is reversal-symmetric: its head weighs the folded coordinates
     weights = ops.w_flat[:part.size]
     floor = _shift_floor(dt)
+    factor, matrix, _ = sector_lu(gen, gamma, "implicit_euler")
     basis = None
     done = 0
     while steps.size:
@@ -742,11 +723,10 @@ def _krylov_part(sign, part, factor, matrix, ops, dt, gamma, steps,
                                             part / beta, basis, hess,
                                             steps - done, dt / gamma)
         if agreed == steps.size:
-            del factor, matrix      # no solve is left
+            del gen, factor, matrix     # no solve is left
         if not agreed and gamma > floor:
             basis, gamma = None, floor
-            factor, matrix, _ = SectorLU(ops, floor, "implicit_euler",
-                                         [sign]).sector(sign)
+            factor, matrix, _ = sector_lu(gen, floor, "implicit_euler")
             continue
         if not agreed:
             break
@@ -765,8 +745,8 @@ def _krylov_part(sign, part, factor, matrix, ops, dt, gamma, steps,
         budget += steps[agreed - 1] - done - m
         done, steps = steps[agreed - 1], steps[agreed:]
     if steps.size:
-        del basis, hess
-        stepping = SectorLU(ops, dt, "implicit_euler", [sign])
+        del basis, hess, factor, matrix
+        stepping = {sign: sector_lu(gen, dt, "implicit_euler")}
         for n, parts in _stepped_states({sign: part}, stepping,
                                         steps[-1] - done):
             if done + n in steps:
@@ -883,7 +863,7 @@ def _max_principle_ok(f_phys, cap):
 
 
 def _kinetic_sampler(f0, eq, ops, delta, j_powers, k_powers):
-    """(q0, mass weights, mass of f0, sampler) for q = y / sqrt(f_star),
+    """(q0, mass of f0, sampler) for q = y / sqrt(f_star),
     sampler the _WindowSampler that reads every sample of the run (module
     notes). A delta outside [0, 2) is refused here, before run_trajectory
     factors anything.
@@ -912,9 +892,7 @@ def _kinetic_sampler(f0, eq, ops, delta, j_powers, k_powers):
 
     sampler = _WindowSampler(eq, ops, delta, moment_weights, len(j_powers),
                              max_ok, ratio)
-    # mass(y) = (w_flat sqrt_f) . q
-    return (q0, ops.w_flat * sqrt_f,
-            float(np.sum(eq.grid.weight_matrix * f0.values)), sampler)
+    return q0, float(np.sum(eq.grid.weight_matrix * f0.values)), sampler
 
 
 class _Window:

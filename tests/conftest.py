@@ -61,4 +61,5 @@ def shift_at_four_dt(monkeypatch):
     # window structure a test builds (basis sizes, sample counts, solve
     # counts) then does not follow the datum's time scale
     monkeypatch.setattr(evolution, "_krylov_shift",
-                        lambda parts, ops, dt: evolution._SHIFT_STEPS * dt)
+                        lambda parts, gens, ops, dt:
+                        evolution._SHIFT_STEPS * dt)

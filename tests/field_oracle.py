@@ -131,12 +131,29 @@ def apply_A(f, eq, ops):
 # single implicit steps
 # ---------------------------------------------------------------------------
 
+def full_step_matrices(gen, dt, scheme):
+    """(system, rhs_mat) of one kinetic step of the generator gen on the
+    full grid, by sparse sums: I - h gen and, for Crank-Nicolson
+    (h = dt / 2), I + h gen; rhs_mat is None for implicit Euler."""
+    eye = sp.identity(gen.shape[0], format="csr")
+    if scheme == "implicit_euler":
+        return eye - dt * gen, None
+    return eye - 0.5 * dt * gen, eye + 0.5 * dt * gen
+
+
+def step_factors(ops, dt, scheme, signs):
+    """{sign: evolution.sector_lu} of one kinetic step of (dt, scheme) for
+    each sign in signs, each a shift of its sector generator."""
+    return {sign: evolution.sector_lu(gen, dt, scheme)
+            for sign, gen in evolution.sector_generators(ops, signs).items()}
+
+
 def step_kinetic(f, dt, eq, ops, scheme="implicit_euler"):
     """One implicit step of df/dt + Tf = Lf; mass-conservative by construction."""
     parts = evolution.fold(f.values.ravel() / ops.sqrt_f)
-    lu = evolution.SectorLU(ops, dt, scheme, parts)
-    q = evolution.unfold(evolution._advance(parts, lu, "kinetic step"),
-                         ops.sqrt_f.size)
+    q = evolution.unfold(evolution.advance(
+        parts, step_factors(ops, dt, scheme, parts), "kinetic step"),
+        ops.sqrt_f.size)
     return Field((q * ops.sqrt_f).reshape(f.grid.shape), f.grid)
 
 

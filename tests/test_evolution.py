@@ -22,14 +22,14 @@ from kfplab import (
     run_trajectory,
 )
 from kfplab import evolution, hypo, operators, spectral
-from kfplab.evolution import (SectorLU, _advance, _reversal_symmetric,
-                              _step_matrices, fold, fold_sector, unfold)
+from kfplab.evolution import (_reversal_symmetric, advance, fold,
+                              fold_sector, sector_generators, unfold)
 from kfplab.operators import SPLU_OPTIONS
 
 from conftest import make_problem
-from field_oracle import (macro_profile, macro_step_lu, norm_mu,
-                          step_kinetic, step_macro, total_mass,
-                          weighted_moment)
+from field_oracle import (full_step_matrices, macro_profile, macro_step_lu,
+                          norm_mu, step_factors, step_kinetic, step_macro,
+                          total_mass, weighted_moment)
 
 
 # ---------------------------------------------------------------------------
@@ -56,6 +56,10 @@ def test_initial_data_mass_and_positivity(strong_strong):
     # clipping it again would lose mass, so it is refused
     with pytest.raises(ValidationError):
         initial_shifted_gaussian(eq, width=0.2)
+    # a datum wider than the box is clipped at every node: rescaled to the
+    # equilibrium mass it is f_star, with no deviation to track
+    with pytest.raises(ValidationError, match="clipped at every node"):
+        initial_shifted_gaussian(eq, width=1e3)
 
 
 def test_initial_macro_data(strong_strong):
@@ -112,6 +116,21 @@ def test_step_macro_mass_and_positivity(strong_strong):
         step_macro(rho, 0.05, eq, ops, scheme="crank_nicolson")
 
 
+def _sector_lu_calls(monkeypatch, n):
+    """The (dt, sign) of every evolution.sector_lu call while the test runs,
+    on a grid of n nodes: the sign is read off the generator's order, m + 1
+    for the even sector and m for the odd one."""
+    real = evolution.sector_lu
+    calls = []
+
+    def recording(gen, dt, scheme):
+        calls.append((dt, 1 if gen.shape[0] > n // 2 else -1))
+        return real(gen, dt, scheme)
+
+    monkeypatch.setattr(evolution, "sector_lu", recording)
+    return calls
+
+
 def test_kinetic_lu_fill_below_colamd(quadrants):
     # the shared LU options (minimum degree on A^T + A, diagonal pivots) keep
     # the kinetic factors well below COLAMD's fill; without the small pivot
@@ -121,11 +140,13 @@ def test_kinetic_lu_fill_below_colamd(quadrants):
     rng = np.random.default_rng(7)
     for key, (_, _, _, ops) in quadrants.items():
         for dt in (1.0, 0.05):
-            system, _ = _step_matrices(ops, dt, "implicit_euler")
-            lu = SectorLU(ops, dt, "implicit_euler",
-                          fold(rng.standard_normal(system.shape[0])))
-            assert sorted(lu.lus) == [-1, 1]
-            fills = [f.L.nnz + f.U.nnz for f in lu.lus.values()]
+            system, _ = full_step_matrices(ops.L_hat - ops.T_hat, dt,
+                                           "implicit_euler")
+            lus = {sign: sector[0] for sign, sector in step_factors(
+                ops, dt, "implicit_euler",
+                fold(rng.standard_normal(system.shape[0]))).items()}
+            assert sorted(lus) == [-1, 1]
+            fills = [f.L.nnz + f.U.nnz for f in lus.values()]
             ref = splu(system.tocsc(), permc_spec="COLAMD")
             ratio = sum(fills) / (ref.L.nnz + ref.U.nnz)
             assert ratio <= 0.7, (key, dt, ratio)
@@ -141,16 +162,17 @@ def test_sector_lu_matches_full_solve(quadrants):
     steps = [(ops, 0.05, scheme)
              for _, _, _, ops in quadrants.values()
              for scheme in ("implicit_euler", "crank_nicolson")]
-    for i, step in enumerate(steps):
-        system, rhs_mat = _step_matrices(*step)
-        lu = SectorLU(*step, (1, -1))
+    for i, (ops, dt, scheme) in enumerate(steps):
+        system, rhs_mat = full_step_matrices(ops.L_hat - ops.T_hat, dt,
+                                             scheme)
+        lu = step_factors(ops, dt, scheme, (1, -1))
         full = splu(system.tocsc(), **SPLU_OPTIONS)
         n = system.shape[0]
         r = np.random.default_rng(i).standard_normal(n)
         for name, y in (("even", r + r[::-1]), ("odd", r - r[::-1]),
                         ("mixed", r)):
             ref = full.solve(y if rhs_mat is None else rhs_mat @ y)
-            got = unfold(_advance(fold(y), lu, "step"), n)
+            got = unfold(advance(fold(y), lu, "step"), n)
             err = np.linalg.norm(got - ref) / np.linalg.norm(ref)
             assert err <= 1e-12, (i, name, err)
 
@@ -194,25 +216,21 @@ def test_sector_lu_factors_only_the_sectors_a_state_meets(strong_strong,
                 * np.outer(np.cos(0.5 * np.pi * xg.nodes / xg.half_width),
                            np.sin(np.pi * vg.nodes / vg.half_width)), grid)
     real_splu = evolution.splu
-    calls, made = [], []
+    calls = []
 
     def counting(*args, **kwargs):
         calls.append(args[0].shape[0])
         return real_splu(*args, **kwargs)
 
-    class Recording(SectorLU):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
     monkeypatch.setattr(evolution, "splu", counting)
-    monkeypatch.setattr(evolution, "SectorLU", Recording)
     n = grid.shape[0] * grid.shape[1]
+    made = _sector_lu_calls(monkeypatch, n)
     for f, sectors in ((initial_bump(eq, 0.5), [1]), (odd, [-1]),
                        (initial_shifted_gaussian(eq), [-1, 1])):
         calls.clear()
+        made.clear()
         step_kinetic(f, 0.05, eq, ops)
-        assert sorted(made[-1].lus) == sectors
+        assert sorted(sign for _, sign in made) == sectors
         assert sorted(calls) == sorted((n + s) // 2 for s in sectors)
 
 
@@ -223,7 +241,7 @@ def test_sector_lu_rejects_a_system_without_reflection_symmetry(
     lopsided[0, 0] *= 1.5
     bent = dataclasses.replace(ops, L_hat=lopsided.tocsr())
     with pytest.raises(NumericalError, match="reflection"):
-        SectorLU(bent, 0.05, "implicit_euler", [1])
+        sector_generators(bent, [1])
 
 
 def _mirrored_9x9():
@@ -513,9 +531,9 @@ def _field_reference_record(f0, schedule, eq, ops, delta, moment_powers):
 
     sample(0.0, q)
     parts = fold(q)
-    lu = SectorLU(ops, dt, "implicit_euler", parts)
+    lu = step_factors(ops, dt, "implicit_euler", parts)
     for n in range(1, n_steps + 1):
-        parts = _advance(parts, lu, "kinetic step")
+        parts = advance(parts, lu, "kinetic step")
         if n % stride == 0 or n == n_steps:
             sample(n * dt, unfold(parts, q.size))
     return rows
@@ -582,14 +600,7 @@ def test_odd_data_factor_only_the_odd_sector(strong_strong, monkeypatch):
     # under the reflection, so the kinetic run factors and solves only the
     # odd sector; the macro run, read in closed form, factors nothing
     _, _, eq, ops = strong_strong
-    made = []
-
-    class Recording(SectorLU):
-        def __init__(self, *args):
-            super().__init__(*args)
-            made.append(self)
-
-    monkeypatch.setattr(evolution, "SectorLU", Recording)
+    made = _sector_lu_calls(monkeypatch, ops.sqrt_f.size)
     f0 = initial_odd_v(eq, 0.5)
     rho0 = initial_macro_bump(eq, 0.5)
     for dev in (f0.values - eq.f_star.values,
@@ -603,7 +614,7 @@ def test_odd_data_factor_only_the_odd_sector(strong_strong, monkeypatch):
                        rtol=1e-15, atol=0.0)
     run_trajectory(f0, (0.05, 0.5, 5), "kinetic", eq, ops, delta=0.3)
     run_trajectory(rho0, (0.05, 0.5, 5), "macro", eq, ops)
-    assert [sorted(lu.lus) for lu in made] == [[-1]]
+    assert [sign for _, sign in made] == [-1]
 
 
 def test_non_finite_sample_aborts_the_run(strong_strong, monkeypatch):
@@ -687,10 +698,10 @@ def test_kinetic_tracks_macro_in_diffusion_scaling(strong_strong):
     # sector parts of q = f / sqrt(f_star), as step_kinetic advances them,
     # and rho through the oracle's LU of I - dt G, as step_macro solves it
     q_parts, rho = fold(f.values.ravel() / ops.sqrt_f), rho.values
-    kinetic = SectorLU(scaled, dt, "implicit_euler", q_parts)
+    kinetic = step_factors(scaled, dt, "implicit_euler", q_parts)
     macro = macro_step_lu(ops, dt)
     for n in range(1, 401):
-        q_parts = _advance(q_parts, kinetic, "kinetic step")
+        q_parts = advance(q_parts, kinetic, "kinetic step")
         rho = operators.solve_with_refinement(*macro, rho, "macro step")
         if n % 80 == 0:  # t = 0.4, 0.8, ..., 2.0
             q = unfold(q_parts, ops.sqrt_f.size)
@@ -757,7 +768,8 @@ def test_a_macro_run_factors_and_solves_nothing(strong_strong, monkeypatch):
     def refuse(*args, **kwargs):
         raise AssertionError("a macro run factored or solved")
 
-    for owner, name in ((evolution, "SectorLU"), (evolution, "splu"),
+    for owner, name in ((evolution, "sector_generators"),
+                        (evolution, "sector_lu"), (evolution, "splu"),
                         (evolution, "solve_with_refinement"),
                         (operators, "solve_with_refinement")):
         monkeypatch.setattr(owner, name, refuse)
@@ -917,7 +929,7 @@ def test_a_sector_over_its_solve_budget_steps_the_rest(strong_strong,
     # and the sector steps its last 190 steps on a factor of I - dt G
     _, _, eq, ops = strong_strong
     monkeypatch.setattr(evolution, "_MAX_BASIS", 16)
-    lus = _spy(monkeypatch, evolution, "SectorLU")
+    lus = _spy(monkeypatch, evolution, "sector_lu")
     got, ref, solves, windows = _krylov_and_stepped(
         initial_bump(eq, 0.5), (0.05, 10.0, 5), eq, ops, monkeypatch)
     assert windows == [(16, 1), (16, 1)]
@@ -936,9 +948,10 @@ def test_a_rough_datum_loses_at_most_a_cap_per_sector(strong_strong,
     _, _, eq, ops = strong_strong
     f0, dt = initial_shifted_gaussian(eq, center=(1, 1)), 0.05
     parts = _tracked_parts(f0, eq, ops)
-    gamma = evolution._krylov_shift(parts, ops, dt)
+    gamma = _krylov_shift(parts, ops, dt)
     assert gamma == 4 * dt
-    factors = SectorLU(ops, gamma, "implicit_euler", parts).lus
+    factors = {sign: sector[0] for sign, sector in step_factors(
+        ops, gamma, "implicit_euler", parts).items()}
     caps = [min(evolution._MAX_BASIS, factors[sign].nnz // part.size)
             for sign, part in parts.items()]
     assert len(caps) == 2
@@ -971,6 +984,13 @@ def _tracked_parts(f0, eq, ops):
     return fold(((f0.values - fstar) / fstar).ravel() * ops.sqrt_f)
 
 
+def _krylov_shift(parts, ops, dt):
+    """evolution._krylov_shift of the datum with sector parts `parts`, on
+    their sector generators."""
+    return evolution._krylov_shift(parts, sector_generators(ops, parts), ops,
+                                   dt)
+
+
 @pytest.mark.parametrize("quadrant", [(2.0, 2.0), (2.0, 0.5), (0.5, 2.0),
                                       (0.5, 0.5)])
 def test_krylov_shift_follows_the_datums_time_scale(quadrants, quadrant):
@@ -978,7 +998,7 @@ def test_krylov_shift_follows_the_datums_time_scale(quadrants, quadrant):
     # bump takes the cap of 1/4 unless 4 dt is larger, the clipped shifted
     # Gaussian (a ratio of 0.04 to 0.12 here) stays at 4 dt for dt = 0.05
     _, _, eq, ops = quadrants[quadrant]
-    shift = evolution._krylov_shift
+    shift = _krylov_shift
     bump = _tracked_parts(initial_bump(eq, 0.5), eq, ops)
     assert shift(bump, ops, 0.02) == shift(bump, ops, 0.05) == 0.25
     assert shift(bump, ops, 0.25) == 1.0
@@ -1000,7 +1020,7 @@ def test_the_shift_floor_is_four_dt_up_to_a_quarter(strong_strong, dt,
     for f0 in (Field(1.5 * eq.f_star.values, grid),
                initial_shifted_gaussian(eq)):
         parts = _tracked_parts(f0, eq, ops)
-        assert evolution._krylov_shift(parts, ops, dt) == floor
+        assert _krylov_shift(parts, ops, dt) == floor
 
 
 def test_krylov_shift_of_a_datum_in_the_kernel_is_four_dt(strong_strong):
@@ -1012,7 +1032,7 @@ def test_krylov_shift_of_a_datum_in_the_kernel_is_four_dt(strong_strong):
     for scale, sectors in ((1.5, 1), (1.0, 0)):
         parts = _tracked_parts(Field(scale * eq.f_star.values, grid), eq, ops)
         assert len(parts) == sectors
-        assert evolution._krylov_shift(parts, ops, 0.02) == 0.08
+        assert _krylov_shift(parts, ops, 0.02) == 0.08
 
 
 def test_a_window_that_cannot_agree_above_four_dt_retries_at_four_dt(
@@ -1024,22 +1044,44 @@ def test_a_window_that_cannot_agree_above_four_dt_retries_at_four_dt(
                                  alpha=2.0)
     f0, dt = initial_shifted_gaussian(eq), 0.02
     monkeypatch.setattr(evolution, "_krylov_shift",
-                        lambda parts, ops, dt: 10 * dt)
-    factored = []
-    real_lu = evolution.SectorLU
-
-    def recording(ops, shift, scheme, signs):
-        factored.append((shift, list(signs)))
-        return real_lu(ops, shift, scheme, signs)
-
-    monkeypatch.setattr(evolution, "SectorLU", recording)
+                        lambda parts, gens, ops, dt: 10 * dt)
+    factored = _sector_lu_calls(monkeypatch, ops.sqrt_f.size)
     got, ref, _, windows = _krylov_and_stepped(f0, (dt, 8.0, 4), eq, ops,
                                                monkeypatch)
-    assert factored == [(10 * dt, [1, -1]), (4 * dt, [1]), (4 * dt, [-1]),
-                        (dt, [1, -1])]     # the last one is the reference's
+    # each sector factors when its first sample is asked for; the last two
+    # are the reference's
+    assert factored == [(10 * dt, 1), (4 * dt, 1), (10 * dt, -1),
+                        (4 * dt, -1), (dt, 1), (dt, -1)]
     assert [agreed for _, agreed in windows][:1] == [0]
     assert sum(agreed for _, agreed in windows) == 2 * 100
     assert _worst_relative_gap(got, ref) <= 1e-10
+
+
+def test_every_sector_is_folded_once_from_the_generator(strong_strong,
+                                                        monkeypatch):
+    # the setups of the retry and the solve-budget tests on one two-sector
+    # run: the clipped shifted Gaussian on 65^2 at gamma = 10 dt with bases
+    # of 16 vectors agrees on no sample, retries at 4 dt, agrees on none
+    # there and steps. The only matrix ever folded is L_hat - T_hat, once
+    # per sector: the retry and the stepping factors shift the same sector
+    # generator, and no full-grid step system is built
+    _, _, eq, ops = strong_strong
+    dt = 0.05
+    monkeypatch.setattr(evolution, "_krylov_shift",
+                        lambda parts, gens, ops, dt: 10 * dt)
+    monkeypatch.setattr(evolution, "_MAX_BASIS", 16)
+    folded = _spy(monkeypatch, evolution, "fold_sector")
+    factored = _sector_lu_calls(monkeypatch, ops.sqrt_f.size)
+    rec = run_trajectory(initial_shifted_gaussian(eq), (dt, 10.0, 5),
+                         "kinetic", eq, ops, delta=0.3)
+    assert rec.times.size == 41
+    assert factored == [(10 * dt, 1), (4 * dt, 1), (dt, 1),
+                        (10 * dt, -1), (4 * dt, -1), (dt, -1)]
+    gen = ops.L_hat - ops.T_hat
+    assert sorted(sign for (_, sign), _ in folded) == [-1, 1]
+    for (matrix, _), _ in folded:
+        assert matrix.shape == gen.shape
+        assert (matrix != gen).nnz == 0
 
 
 def test_krylov_powers_past_a_lost_orthogonality_do_not_overflow(
@@ -1293,7 +1335,7 @@ def test_max_principle_bound_never_certifies_a_violating_state(ratio,
                grid)
     cap = float(np.max(f0.values / fstar)) * fstar.ravel()
     assert cap[fstar.size // 2] / fstar.ravel()[fstar.size // 2] == ratio
-    windows = evolution._kinetic_sampler(f0, eq, ops, 0.0, (), ())[3]
+    windows = evolution._kinetic_sampler(f0, eq, ops, 0.0, (), ())[2]
     pointwise = _spy(monkeypatch, evolution, "_max_principle_ok")
     n = fstar.size
     rng = np.random.default_rng(7)

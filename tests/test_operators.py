@@ -13,12 +13,13 @@ from kfplab import (
     solve_elliptic,
 )
 from kfplab.equilibria import eval_potential
-from kfplab.evolution import SectorLU, _step_matrices
+from kfplab.evolution import sector_generators, sector_lu
 from kfplab.operators import (SPLU_OPTIONS, _collision_faces, atpi_form,
                               solve_with_refinement)
 from conftest import make_problem
 from field_oracle import (apply_A, apply_collision, apply_Pi, apply_transport,
-                          inner_product_mu, macro_profile, norm_mu)
+                          full_step_matrices, inner_product_mu, macro_profile,
+                          norm_mu)
 
 
 def _random_states(eq, n, seed):
@@ -365,13 +366,9 @@ def _sparse_reference(eq):
 
 
 def _step_reference(matrices, dt, scheme):
-    """(system, rhs_mat) of one kinetic step by sparse sums of the reference
-    generator, as _step_matrices documents them."""
-    gen = matrices["L_hat"] - matrices["T_hat"]
-    eye = sp.identity(gen.shape[0], format="csr")
-    if scheme == "implicit_euler":
-        return eye - dt * gen, None
-    return eye - 0.5 * dt * gen, eye + 0.5 * dt * gen
+    """full_step_matrices of the reference generator L_hat - T_hat."""
+    return full_step_matrices(matrices["L_hat"] - matrices["T_hat"], dt,
+                              scheme)
 
 
 def _fold_reference(system, sign):
@@ -400,15 +397,17 @@ def _kron_reference(eq, T_hat):
     return (C.T @ sp.diags(w) @ C).tocsr()
 
 
-def _assert_same_arrays(matrix, reference, what):
-    # matrix canonical as built; reference compared in sorted form
+def _assert_same_arrays(matrix, reference, what, ulps=0):
+    # matrix canonical as built; reference compared in sorted form, its
+    # values bit for bit or within ulps units in the last place each
     ref = sp.csr_matrix(reference, copy=True)
     ref.sort_indices()
     assert matrix.format == "csr", what
     assert matrix.has_sorted_indices and np.all(matrix.data != 0.0), what
     assert np.array_equal(matrix.indptr, ref.indptr), what
     assert np.array_equal(matrix.indices, ref.indices), what
-    assert np.array_equal(matrix.data, ref.data), what
+    assert np.all(np.abs(matrix.data - ref.data)
+                  <= ulps * np.spacing(np.abs(ref.data))), what
 
 
 def _reference_problems(quadrants):
@@ -438,31 +437,32 @@ def test_diagonal_assembly_matches_kron_reference(quadrants):
 
 
 def test_step_sectors_match_fold_reference(quadrants):
-    # the step systems formed in place on copies of the stored generators
-    # and their index-arithmetic folds equal the sparse sums and the
-    # slice-and-hstack folds: kinetic implicit Euler and Crank-Nicolson with
-    # its folded right-hand side, in both sectors; the stored operators,
-    # shared by every later run on the problem, are left as built
-    cases = ((0.05, "implicit_euler"), (0.05, "crank_nicolson"))
+    # the step systems, shifted copies of the index-arithmetic folds of
+    # L_hat - T_hat, against the slice-and-hstack folds of the full-grid
+    # sparse sums I -+ h G: kinetic implicit Euler and Crank-Nicolson with
+    # its right-hand side, in both sectors. Scaling by a power of two h
+    # commutes with rounding and no node is coupled to its own mirror, so
+    # there they agree bit for bit; at dt = 0.05 the shift and the fold's
+    # sqrt(2) scalings round in another order, one ulp apart at most. The
+    # stored operators, shared by every later run on the problem, are left
+    # as built
+    cases = ([(h, "implicit_euler", 0) for h in (0.25, 1.0, 2.0)]
+             + [(2.0 * h, "crank_nicolson", 0) for h in (0.25, 1.0, 2.0)]
+             + [(0.05, "implicit_euler", 1), (0.05, "crank_nicolson", 1)])
     for key, (_, _, eq, ops) in _reference_problems(quadrants).items():
         ref = _sparse_reference(eq)
-        for case in cases:
-            system, rhs_mat = _step_matrices(ops, *case)
-            ref_system, ref_rhs = _step_reference(ref, *case)
-            what = (key,) + case
-            _assert_same_arrays(system, ref_system, what)
-            assert (rhs_mat is None) == (ref_rhs is None), what
-            if rhs_mat is not None:
-                _assert_same_arrays(rhs_mat, ref_rhs, what)
-            lu = SectorLU(ops, *case, (1, -1))
+        gens = sector_generators(ops, (1, -1))
+        for dt, scheme, ulps in cases:
+            ref_system, ref_rhs = _step_reference(ref, dt, scheme)
             for sign in (1, -1):
-                _, matrix, folded_rhs = lu.sector(sign)
+                what = (key, dt, scheme, sign)
+                _, matrix, rhs = sector_lu(gens[sign], dt, scheme)
                 _assert_same_arrays(matrix, _fold_reference(ref_system, sign),
-                                    what + (sign,))
-                if rhs_mat is not None:
-                    _assert_same_arrays(folded_rhs,
-                                        _fold_reference(ref_rhs, sign),
-                                        what + (sign, "rhs"))
+                                    what, ulps)
+                assert (rhs is None) == (ref_rhs is None), what
+                if rhs is not None:
+                    _assert_same_arrays(rhs, _fold_reference(ref_rhs, sign),
+                                        what + ("rhs",), ulps)
         for name in ("T_hat", "L_hat", "macro_generator"):
             _assert_same_arrays(getattr(ops, name), ref[name], (key, name))
 
@@ -471,7 +471,8 @@ def test_kinetic_lu_fill_matches_kron_reference(quadrants):
     # a change of the step pattern or its index order would change the
     # fill-reducing ordering, and show only as a slower kinetic solve
     for key, (_, _, eq, ops) in quadrants.items():
-        even = SectorLU(ops, 0.05, "implicit_euler", [1]).sector(1)[0]
+        even = sector_lu(sector_generators(ops, [1])[1], 0.05,
+                         "implicit_euler")[0]
         ref_system, _ = _step_reference(_sparse_reference(eq), 0.05,
                                         "implicit_euler")
         ref = splu(_fold_reference(ref_system, 1), **SPLU_OPTIONS)

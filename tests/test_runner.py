@@ -710,11 +710,15 @@ schedule.sample_stride = 1
     # a negative moment power, refused when the config is read
     ("mode = macro\nmoments.x = -1\n", 1, "validation error: moments.x = "),
     ("moments.v = -1\n", 1, "validation error: moments.v = "),
-    # width^2 overflows a Python float: the exponent is formed in numpy as
-    # -((z - c) / width)^2 / 2, so the datum is flat, and its run writes a
-    # report and fails the fit, as at width 1e154
-    ("initial.kind = shifted_gaussian\ninitial.width = 1e300\n", 2,
-     "scenario failed: norm series must be positive inside the window"),
+    # a datum wider than the box is clipped at every node, so rescaled it
+    # is f_star; at width 1e300, width^2 overflows a Python float, and the
+    # exponent is formed in numpy as -((z - c) / width)^2 / 2
+    ("initial.kind = shifted_gaussian\ninitial.width = 1e3\n", 1,
+     "validation error: shifted Gaussian at center (0.5, 0.5), width "
+     "1000.0 is clipped at every node"),
+    ("initial.kind = shifted_gaussian\ninitial.width = 1e300\n", 1,
+     "validation error: shifted Gaussian at center (0.5, 0.5), width "
+     "1e+300 is clipped at every node"),
     # <x>^k overflows at the box edge X = 8, refused before the first sample
     ("moments.x = 1e308\n", 1, "validation error: x-moment power 1e+308: "
      "its weight <x>^k overflows at the box edge |x| = 8"),
